@@ -125,6 +125,15 @@ def _params_dict(params: SimParams) -> dict:
     return d
 
 
+def _window_escape_report(cfg: RunConfig, exc: WindowEscapeError) -> int:
+    """Write the report of a batch that left its comb window; no samples."""
+    write_report(
+        cfg.out,
+        _payload(cfg, {"error": {"kind": "window_escape", "message": str(exc)}}),
+    )
+    return EXIT_INCONCLUSIVE
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -219,14 +228,7 @@ def _cmd_simulate(args) -> int:
     try:
         result = run_batch(domain, start, args.n, params)
     except WindowEscapeError as exc:
-        write_report(
-            args.out,
-            _payload(
-                cfg,
-                {"error": {"kind": "window_escape", "message": str(exc)}},
-            ),
-        )
-        return EXIT_INCONCLUSIVE
+        return _window_escape_report(cfg, exc)
 
     csv_text = samples_to_csv(result)
     write_text(csv_path, csv_text)
@@ -353,10 +355,26 @@ def _cmd_xval(args) -> int:
     domain_cfg, fp = _load_json(args.domain)
     domain = domain_from_config(domain_cfg)
     start = _parse_start(args.start)
+    cfg = RunConfig(
+        "xval",
+        args.out,
+        {
+            "domain": args.domain,
+            "start": list(start),
+            "n": args.n,
+            "seed": args.seed,
+            "grid_points": args.grid_points,
+            "time_cap": args.time_cap,
+        },
+        inputs={args.domain: fp},
+    )
     runs = {}
-    for engine in ("EulerBridge", "WosTime"):
-        params = _sim_params(args, engine=engine)
-        runs[engine] = run_batch(domain, start, args.n, params)
+    try:
+        for engine in ("EulerBridge", "WosTime"):
+            params = _sim_params(args, engine=engine)
+            runs[engine] = run_batch(domain, start, args.n, params)
+    except WindowEscapeError as exc:
+        return _window_escape_report(cfg, exc)
 
     pooled = np.concatenate([runs[e].taus() for e in runs])
     levels = np.linspace(0.10, 0.90, args.grid_points)
@@ -396,19 +414,6 @@ def _cmd_xval(args) -> int:
             }
         )
 
-    cfg = RunConfig(
-        "xval",
-        args.out,
-        {
-            "domain": args.domain,
-            "start": list(start),
-            "n": args.n,
-            "seed": args.seed,
-            "grid_points": args.grid_points,
-            "time_cap": args.time_cap,
-        },
-        inputs={args.domain: fp},
-    )
     write_report(
         args.out,
         _payload(

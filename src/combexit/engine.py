@@ -12,7 +12,11 @@ Two independent drivers share one sampling contract:
     approximation to the true argmin law that costs O(sqrt(h)) bias and is
     controlled by the step-halving cross checks.  Crossings within a step
     are resolved in fractional-time order, so multi-line events (comb teeth)
-    are attributed to the first line actually hit.
+    are attributed to the first line actually hit.  The walk never depends
+    on a crossing (a non-exit passage does not move it), so the kernel
+    evaluates a window of many steps per numpy pass: positions and times are
+    running sums of the drawn increments, and each lane stops at the first
+    step in the window that exits or hits a cap.
 
 ``WosTime``
     Walk-on-spheres with clocks.  Each jump moves to a uniform point on the
@@ -20,13 +24,17 @@ Two independent drivers share one sampling contract:
     ``r**2 * T`` where ``T`` is an exact draw from the unit-disk exit-time
     law (inverse-CDF table from :mod:`combexit.series`).  The walk stops
     inside a ``shell_eps`` collar and snaps to the nearest boundary point
-    with zero residual time, a bias of order ``shell_eps**2`` in the clock.
+    with zero residual time, a bias of order ``shell_eps`` in the clock
+    (on the unit strip the mean is low by about 0.053 at ``shell_eps`` 0.08
+    and 0.013 at 0.02).
 
 Sample ``i`` of a batch always consumes the generator seeded by
 ``SeedSequence((master_seed, i))`` and always draws the same block sequence
 (sizes depend only on that sample's own lifetime), so results are
 bit-identical for any worker count or batch partitioning and individual
-samples can be replayed in isolation.
+samples can be replayed in isolation.  How many steps a kernel pass
+evaluates only regroups arithmetic on draws already made, so it never
+changes a sample.
 
 Passage counts are recorded for comb domains only: ``passages`` is the
 number of distinct-line tooth crossings including the final exit crossing,
@@ -64,8 +72,15 @@ __all__ = [
 _ENGINES = ("EulerBridge", "WosTime")
 
 # Lockstep chunking: samples in a chunk advance together but draw from
-# private substreams, so chunk size is a pure speed/memory knob.
+# private substreams, so chunk size is a pure speed/memory knob.  Within a
+# block of draws the EulerBridge kernel evaluates windows of
+# ``_LANE_STEPS // live_lanes`` steps per numpy pass, so a few long-lived
+# lanes cost a few passes per block instead of one pass per step; the
+# constant bounds a pass's working set.  Windows only regroup arithmetic on
+# draws already made, so neither the per-sample substreams nor the block
+# schedule depend on them.
 _CHUNK = 4096
+_LANE_STEPS = 1 << 15
 _BLOCK_START = 32
 _BLOCK_CAP = 8192
 
@@ -266,6 +281,15 @@ def _line_model(domain: SimDomain) -> _LineModel:
 # EulerBridge kernel
 
 
+def _running_sum(x0, dx):
+    """``[x0, x0 + dx[0], (x0 + dx[0]) + dx[1], ...]`` along axis 1.
+
+    ``add.accumulate`` adds strictly left to right, so every entry has the
+    bits that stepping one increment at a time would give.
+    """
+    return np.add.accumulate(np.concatenate([x0[:, None], dx], axis=1), axis=1)
+
+
 def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
                  master_seed, indices):
     """Advance one chunk of samples to exit or censoring.
@@ -273,11 +297,16 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
     Returns (tau, eu, ev, censored, passages, steps) arrays aligned with
     ``indices``.  All randomness comes from per-sample substreams in fixed
     block order, so the result does not depend on chunk composition.
+
+    Each pass evaluates a window of ``W`` steps for every live lane on
+    ``(lanes, W, S)`` arrays; whatever a lane computes after its first exit
+    or cap hit in the window is discarded.
     """
     m = len(indices)
     n_lines = len(model.c)
     S = min(_COMB_SLOTS, n_lines) if model.vertical else n_lines
     dynamic = model.vertical and n_lines > _COMB_SLOTS
+    windowed = np.isfinite(model.escape_lo) or np.isfinite(model.escape_hi)
     sqrt_h = math.sqrt(h)
 
     gens = [_substream(master_seed, int(i)) for i in indices]
@@ -311,61 +340,56 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
             normals[row] = g.standard_normal((T, 2 + S))
             uniforms[row] = g.random((T, 2 * S))
 
-        ua = u[act].copy()
-        va = v[act].copy()
-        ta = t[act].copy()
-        stepsa = steps[act].copy()
-        passa = passages[act].copy()
-        lasta = last_line[act].copy()
-        taua = np.zeros(act.size)
-        eua = np.zeros(act.size)
-        eva = np.zeros(act.size)
-        censa = np.zeros(act.size, dtype=bool)
-        run = np.ones(act.size, dtype=bool)
+        rows = np.arange(act.size)      # block rows of the lanes still running
+        k0 = 0
+        while rows.size and k0 < T:
+            W = min(T - k0, max(1, _LANE_STEPS // rows.size))
+            L = rows.size
+            lanes = act[rows]
+            nrm = normals[rows, k0:k0 + W]
+            unf = uniforms[rows, k0:k0 + W]
+            k0 += W
 
-        for k in range(T):
-            rows = np.flatnonzero(run)
-            if rows.size == 0:
-                break
-            du = sqrt_h * normals[rows, k, 0]
-            dv = sqrt_h * normals[rows, k, 1]
-            u1 = ua[rows] + du
-            v1 = va[rows] + dv
+            du = sqrt_h * nrm[..., 0]
+            dv = sqrt_h * nrm[..., 1]
+            U = _running_sum(u[lanes], du)
+            V = _running_sum(v[lanes], dv)
+            tt = _running_sum(t[lanes], np.full((L, W), h))
+            u0, u1, v0, v1 = U[:, :-1], U[:, 1:], V[:, :-1], V[:, 1:]
 
             if dynamic:
-                cell = np.searchsorted(model.c, ua[rows])
-                slot = cell[:, None] + _SLOT_OFFSETS[None, :]
+                cell = np.searchsorted(model.c, u0)
+                slot = cell[..., None] + _SLOT_OFFSETS
                 valid = (slot >= 0) & (slot < n_lines)
                 slot = np.clip(slot, 0, n_lines - 1)
             else:
-                slot = np.broadcast_to(np.arange(S, dtype=np.int64),
-                                       (rows.size, S))
-                valid = np.ones((rows.size, S), dtype=bool)
+                slot = np.broadcast_to(np.arange(S, dtype=np.int64), (L, W, S))
+                valid = True
 
             if model.vertical:
-                d0 = ua[rows, None] - model.c[slot]
-                d1 = u1[:, None] - model.c[slot]
-                along0 = va[rows, None]
-                dalong = dv[:, None]
+                d0 = u0[..., None] - model.c[slot]
+                d1 = u1[..., None] - model.c[slot]
+                along0 = v0[..., None]
+                dalong = dv[..., None]
             else:
-                d0 = (model.nx[slot] * ua[rows, None]
-                      + model.ny[slot] * va[rows, None] - model.c[slot])
-                d1 = (model.nx[slot] * u1[:, None]
-                      + model.ny[slot] * v1[:, None] - model.c[slot])
-                along0 = model.ax[slot] * ua[rows, None] + model.ay[slot] * va[rows, None]
-                dalong = model.ax[slot] * du[:, None] + model.ay[slot] * dv[:, None]
+                d0 = (model.nx[slot] * u0[..., None]
+                      + model.ny[slot] * v0[..., None] - model.c[slot])
+                d1 = (model.nx[slot] * u1[..., None]
+                      + model.ny[slot] * v1[..., None] - model.c[slot])
+                along0 = model.ax[slot] * u0[..., None] + model.ay[slot] * v0[..., None]
+                dalong = model.ax[slot] * du[..., None] + model.ay[slot] * dv[..., None]
 
             prod = d0 * d1
             sign_change = prod < 0.0
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 f_lin = d0 / (d0 - d1)
                 p_cross = np.exp(-2.0 * prod / h)
-            bern = uniforms[rows, k, 0:S]
-            f_uni = uniforms[rows, k, S:2 * S]
+            bern = unf[..., 0:S]
+            f_uni = unf[..., S:2 * S]
             crossed = valid & (sign_change | (bern < p_cross))
             f = np.where(sign_change, f_lin, f_uni)
             bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
-            along_f = along0 + f * dalong + bridge_sd * normals[rows, k, 2:2 + S]
+            along_f = along0 + f * dalong + bridge_sd * nrm[..., 2:2 + S]
 
             rule = model.rule[slot]
             par = model.par[slot]
@@ -375,94 +399,92 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
             ray_clamp = (rule == _RULE_RAY) & (along_f < 0.0) & (par > 0.0)
             is_exit = is_exit | ray_clamp
 
-            # Resolve crossings in time order; the first exit freezes the
-            # sample, earlier non-exit slit crossings count as passages.
-            f_order = np.where(crossed, f, np.inf)
-            order = np.argsort(f_order, axis=1)
-            done = np.zeros(rows.size, dtype=bool)
-            for r in range(S):
-                sl = order[:, r]
-                pick = np.take_along_axis(crossed, sl[:, None], 1)[:, 0] & ~done
-                if not pick.any():
-                    continue
-                line_idx = slot[np.arange(rows.size), sl]
-                f_here = np.take_along_axis(f, sl[:, None], 1)[:, 0]
-                a_here = np.take_along_axis(along_f, sl[:, None], 1)[:, 0]
-                exit_here = pick & np.take_along_axis(is_exit, sl[:, None], 1)[:, 0]
-                clamp_here = pick & np.take_along_axis(ray_clamp, sl[:, None], 1)[:, 0]
-                if exit_here.any():
-                    w = np.flatnonzero(exit_here)
-                    lw = line_idx[w]
-                    a_exit = a_here[w]
-                    if model.vertical:
-                        px = model.c[lw]
-                        py = a_exit
-                    else:
-                        seg = model.rule[lw] == _RULE_SEGMENT
-                        lim = model.par[lw]
-                        a_exit = np.where(seg, np.clip(a_exit, -lim, lim), a_exit)
-                        a_exit = np.where(clamp_here[w], 0.0, a_exit)
-                        px = model.c[lw] * model.nx[lw] + a_exit * model.ax[lw]
-                        py = model.c[lw] * model.ny[lw] + a_exit * model.ay[lw]
-                    taua[rows[w]] = ta[rows[w]] + f_here[w] * h
-                    eua[rows[w]] = px
-                    eva[rows[w]] = py
-                    stepsa[rows[w]] += 1
-                    if model.track_passages:
-                        passa[rows[w]] += (lw != lasta[rows[w]]).astype(np.int64)
-                    done |= exit_here
-                    run[rows[w]] = False
+            # Crossings of one step in time order: the first exit ends the
+            # lane, earlier non-exit slit crossings count as passages.  A
+            # step's exit is resolved before its cap check.
+            order = np.argsort(np.where(crossed, f, np.inf), axis=2)
+            crossed_r = np.take_along_axis(crossed, order, 2)
+            exit_r = crossed_r & np.take_along_axis(is_exit, order, 2)
+            has_exit = exit_r.any(axis=2)
+            capped = tt[:, 1:] >= time_cap
+            exhausted = steps[lanes, None] + np.arange(1, W + 1) >= max_steps
+            ends = has_exit | capped | exhausted
+            finished = ends.any(axis=1)
+            j_end = np.where(finished, ends.argmax(axis=1), W)
+            rank_end = np.full(L, S)
+            fin = np.flatnonzero(finished)
+            by_exit = has_exit[fin, j_end[fin]]
+            w = fin[by_exit]
+            rank_end[w] = exit_r[w, j_end[w]].argmax(axis=1)
+
+            if windowed:
+                # Name the lane that stepping one step at a time would stop
+                # at: earliest step, then lowest index, among lanes that
+                # stand outside the window after a step they did not exit on.
+                out = (u1 < model.escape_lo) | (u1 > model.escape_hi)
+                out &= ~has_exit & (np.arange(W) <= j_end[:, None])
+                if out.any():
+                    k = out.any(axis=0).argmax()
+                    bad = indices[lanes[out[:, k].argmax()]]
+                    raise WindowEscapeError(
+                        f"sample {int(bad)} left the materialized window "
+                        f"[{model.escape_lo:g}, {model.escape_hi:g}]; rebuild "
+                        "the comb with a larger window_radius before sampling"
+                    )
+
+            if model.track_passages:
+                # Passage events (comb lines are all slits) in time order,
+                # cut at each lane's exit; the last crossed line before each
+                # event is a forward fill.
+                pos = np.arange(W * S).reshape(W, S)
+                cut = (j_end * S + rank_end)[:, None, None]
+                event = crossed_r & ~exit_r & (pos < cut)
+                seq = np.where(event, np.take_along_axis(slot, order, 2), -1)
+                seq = np.concatenate([last_line[lanes, None],
+                                      seq.reshape(L, W * S)], axis=1)
+                src = np.where(seq >= 0, np.arange(1 + W * S), 0)
+                np.maximum.accumulate(src, axis=1, out=src)
+                prev = np.take_along_axis(seq, src, 1)
+                new = (seq[:, 1:] >= 0) & (seq[:, 1:] != prev[:, :-1])
+                passages[lanes] += new.sum(axis=1)
+                last_line[lanes] = prev[:, -1]
+
+            if w.size:
+                jw = j_end[w]
+                sl = order[w, jw, rank_end[w]]
+                lw = slot[w, jw, sl]
+                f_here = f[w, jw, sl]
+                a_exit = along_f[w, jw, sl]
+                if model.vertical:
+                    px = model.c[lw]
+                    py = a_exit
+                else:
+                    seg = model.rule[lw] == _RULE_SEGMENT
+                    lim = model.par[lw]
+                    a_exit = np.where(seg, np.clip(a_exit, -lim, lim), a_exit)
+                    a_exit = np.where(ray_clamp[w, jw, sl], 0.0, a_exit)
+                    px = model.c[lw] * model.nx[lw] + a_exit * model.ax[lw]
+                    py = model.c[lw] * model.ny[lw] + a_exit * model.ay[lw]
+                tau[lanes[w]] = tt[w, jw] + f_here * h
+                eu[lanes[w]] = px
+                ev[lanes[w]] = py
                 if model.track_passages:
-                    passage = pick & ~exit_here & (model.rule[line_idx] == _RULE_SLIT)
-                    w = np.flatnonzero(passage)
-                    if w.size:
-                        new_line = passage[w] & (line_idx[w] != lasta[rows[w]])
-                        passa[rows[w]] += new_line.astype(np.int64)
-                        lasta[rows[w]] = line_idx[w]
+                    passages[lanes[w]] += (lw != last_line[lanes[w]]).astype(np.int64)
 
-            alive_rows = rows[run[rows]]
-            if alive_rows.size:
-                keep = run[rows]
-                ua[alive_rows] = u1[keep]
-                va[alive_rows] = v1[keep]
-                ta[alive_rows] += h
-                stepsa[alive_rows] += 1
+            c = fin[~by_exit]
+            if c.size:
+                jc = j_end[c] + 1
+                tau[lanes[c]] = np.minimum(tt[c, jc], time_cap)
+                eu[lanes[c]] = U[c, jc]
+                ev[lanes[c]] = V[c, jc]
+                censored[lanes[c]] = True
 
-                if np.isfinite(model.escape_lo) or np.isfinite(model.escape_hi):
-                    out = ((ua[alive_rows] < model.escape_lo)
-                           | (ua[alive_rows] > model.escape_hi))
-                    if out.any():
-                        bad = indices[act[alive_rows[np.argmax(out)]]]
-                        raise WindowEscapeError(
-                            f"sample {int(bad)} left the materialized window "
-                            f"[{model.escape_lo:g}, {model.escape_hi:g}]; rebuild "
-                            "the comb with a larger window_radius before sampling"
-                        )
-
-                capped = ta[alive_rows] >= time_cap
-                exhausted = stepsa[alive_rows] >= max_steps
-                stop = capped | exhausted
-                if stop.any():
-                    w = alive_rows[stop]
-                    taua[w] = np.minimum(ta[w], time_cap)
-                    eua[w] = ua[w]
-                    eva[w] = va[w]
-                    censa[w] = True
-                    run[w] = False
-
-        u[act] = ua
-        v[act] = va
-        t[act] = ta
-        steps[act] = stepsa
-        passages[act] = passa
-        last_line[act] = lasta
-        fin = ~run
-        done_idx = act[fin]
-        tau[done_idx] = taua[fin]
-        eu[done_idx] = eua[fin]
-        ev[done_idx] = eva[fin]
-        censored[done_idx] = censa[fin]
-        alive[done_idx] = False
+            steps[lanes] += np.minimum(j_end + 1, W)
+            alive[lanes[fin]] = False
+            u[lanes] = U[:, W]
+            v[lanes] = V[:, W]
+            t[lanes] = tt[:, W]
+            rows = rows[~finished]
 
     if not model.track_passages:
         return tau, eu, ev, censored, None, steps

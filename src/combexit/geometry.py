@@ -638,29 +638,30 @@ def domain_to_config(domain: SimDomain) -> dict:
 
 
 def domain_from_config(cfg: dict) -> SimDomain:
+    """Inverse of :func:`domain_to_config`; malformed configs raise ValueError."""
     try:
         kind = cfg["type"]
-    except KeyError:
-        raise ValueError("domain config missing field 'type'") from None
-    if kind == "comb":
-        return build_comb(comb_spec_from_config(cfg["spec"]))
-    if kind == "rectangle":
-        dom = Rectangle(float(cfg["half_width"]), float(cfg["half_height"]))
-        if dom.half_width <= 0 or dom.half_height <= 0:
-            raise ValueError("rectangle needs positive half sizes")
-        return dom
-    if kind == "vertical_strip":
-        dom = VerticalStrip(float(cfg["left"]), float(cfg["right"]))
-        if dom.left >= dom.right:
-            raise ValueError("vertical strip needs left < right")
-        return dom
-    if kind == "wedge":
-        dom = Wedge(float(cfg["angle"]))
-        if not 0.0 < dom.angle < 2.0 * math.pi:
-            raise ValueError("wedge angle must be in (0, 2*pi)")
-        return dom
-    if kind == "half_plane":
-        return HalfPlane()
+        if kind == "comb":
+            return build_comb(comb_spec_from_config(cfg["spec"]))
+        if kind == "rectangle":
+            dom = Rectangle(float(cfg["half_width"]), float(cfg["half_height"]))
+            if dom.half_width <= 0 or dom.half_height <= 0:
+                raise ValueError("rectangle needs positive half sizes")
+            return dom
+        if kind == "vertical_strip":
+            dom = VerticalStrip(float(cfg["left"]), float(cfg["right"]))
+            if dom.left >= dom.right:
+                raise ValueError("vertical strip needs left < right")
+            return dom
+        if kind == "wedge":
+            dom = Wedge(float(cfg["angle"]))
+            if not 0.0 < dom.angle < 2.0 * math.pi:
+                raise ValueError("wedge angle must be in (0, 2*pi)")
+            return dom
+        if kind == "half_plane":
+            return HalfPlane()
+    except KeyError as exc:
+        raise ValueError(f"domain config missing field {exc.args[0]!r}") from None
     raise ValueError(f"unknown domain type {kind!r}")
 
 

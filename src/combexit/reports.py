@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +57,22 @@ def render_report(payload: dict) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write atomically: stage in the destination directory, then rename."""
+    """Write atomically: stage in the destination directory, then rename.
+
+    Each call stages into its own file, so concurrent writers to one target
+    never rename each other's half-written file; the last rename wins.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    # A fresh name opened exclusively, rather than tempfile.mkstemp, so the
+    # result keeps the umask-derived mode a plain open would give, not 0600.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_report(path: str | Path, payload: dict) -> None:

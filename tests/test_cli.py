@@ -1,6 +1,8 @@
 """End-to-end subcommand tests: reports, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from combexit.cli import (
     EXIT_USAGE,
     run_command,
 )
+from combexit.geometry import VerticalStrip, domain_from_config
 
 STRIP = {"type": "vertical_strip", "left": -1.0, "right": 1.0}
 UNIFORM_COMB = {
@@ -224,7 +227,57 @@ class TestXval:
         assert report["worst_band_fraction"] <= 1.0
 
 
+    def test_window_escape_reports_and_exits_three(self, tmp_path):
+        comb = dict(UNIFORM_COMB)
+        comb["spec"] = dict(comb["spec"], window_radius=2)
+        domain = write_json(tmp_path / "comb.json", comb)
+        out = tmp_path / "x.json"
+        code = run_command(
+            ["xval", "--domain", domain, "--start", "0.5,0", "--n", "2000",
+             "--out", str(out)]
+        )
+        assert code == EXIT_INCONCLUSIVE
+        report = load(out)
+        assert report["error"]["kind"] == "window_escape"
+        assert "window_radius" in report["error"]["message"]
+        assert report["config"]["arguments"]["n"] == 2000
+
+
+DOMAIN_CONFIGS = {
+    "vertical_strip": STRIP,
+    "rectangle": {"type": "rectangle", "half_width": 1.0, "half_height": 0.5},
+    "wedge": {"type": "wedge", "angle": 1.0},
+    "half_plane": {"type": "half_plane"},
+    "comb": UNIFORM_COMB,
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "kind,missing",
+        [(kind, name) for kind, cfg in sorted(DOMAIN_CONFIGS.items())
+         for name in cfg],
+    )
+    def test_missing_domain_field_is_a_usage_error(self, tmp_path, capsys,
+                                                   kind, missing):
+        cfg = {k: v for k, v in DOMAIN_CONFIGS[kind].items() if k != missing}
+        domain = write_json(tmp_path / "d.json", cfg)
+        code = run_command(
+            ["simulate", "--domain", domain, "--start", "0.5,0.5", "--n", "10",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == EXIT_USAGE
+        assert repr(missing) in capsys.readouterr().err
+
+    def test_readme_domain_example_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = re.search(r'`(\{"type": "vertical_strip"[^`]*)`',
+                            readme.read_text(encoding="utf-8"))
+        assert example is not None
+        assert domain_from_config(json.loads(example.group(1))) == \
+            VerticalStrip(-1.0, 1.0)
+
+
     def test_unknown_flag(self, capsys):
         assert run_command(["theta0", "--frequency", "1"]) == EXIT_USAGE
         capsys.readouterr()

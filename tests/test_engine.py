@@ -1,6 +1,7 @@
 """Sampler tests: statistical oracles with fixed seeds, exact structural
 invariants (exits land on the boundary), and bit-level reproducibility."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -226,6 +227,88 @@ class TestReproducibility:
                        SimParams(engine="WosTime", master_seed=33))
         assert ws.params.shell_eps == pytest.approx(1e-4)
         assert all(s.engine == "WosTime" for s in ws.samples)
+
+
+def column_digest(ss):
+    """sha256 of the (tau, u, v, censored, passages, steps) column bytes."""
+    pts = exit_points(ss)
+    passages = [-1 if s.passages is None else s.passages for s in ss.samples]
+    cols = (
+        ss.taus().astype(np.float64),
+        np.ascontiguousarray(pts[:, 0], dtype=np.float64),
+        np.ascontiguousarray(pts[:, 1], dtype=np.float64),
+        ss.censor_mask().astype(np.uint8),
+        np.array(passages, dtype=np.int64),
+        np.array([s.steps for s in ss.samples], dtype=np.int64),
+    )
+    digest = hashlib.sha256()
+    for col in cols:
+        digest.update(col.tobytes())
+    return digest.hexdigest()
+
+
+_REFLEX = 1.5 * math.pi
+
+# Sizes are chosen so that the early blocks hold more lanes than one kernel
+# pass covers, and the long-lived half-plane runs reach blocks where a few
+# lanes are evaluated over many steps per pass.
+GUARD_CASES = {
+    "strip": (VerticalStrip(-1.0, 1.0), (0.3, 0.0), 2_000,
+              dict(master_seed=41)),
+    "rectangle": (Rectangle(1.0, 0.5), (0.2, -0.1), 2_000,
+                  dict(master_seed=42)),
+    "convex-wedge": (Wedge(math.pi / 2.0), (0.7, 0.7), 1_500,
+                     dict(master_seed=43, time_cap=100.0)),
+    "reflex-wedge": (Wedge(_REFLEX),
+                     (math.cos(0.75 * _REFLEX), math.sin(0.75 * _REFLEX)),
+                     1_500, dict(master_seed=44, time_cap=100.0)),
+    "half-plane-time-cap": (HalfPlane(), (0.0, 1.0), 2_000,
+                            dict(master_seed=45, time_cap=40.0)),
+    "half-plane-max-steps": (HalfPlane(), (0.0, 1.0), 2_000,
+                             dict(master_seed=46, max_steps=700)),
+    "uniform-comb": (UNIFORM_COMB, (0.5, 0.0), 2_000,
+                     dict(master_seed=47, time_cap=200.0)),
+}
+
+GUARD_DIGESTS = {
+    "strip":
+        "a87ff5a01b37f62d12af6de098640af1327bbb26c534c3f84da73959a234e739",
+    "rectangle":
+        "6108feba85e8075ace085be874e934c4dbafe8ebbeb5f598bab9743083bdee11",
+    "convex-wedge":
+        "f3f9679d41d44989a7230cbda1da906e27f1d8d9d72c67d06255a6a29f85105e",
+    "reflex-wedge":
+        "603147890064d2c289f7431f01483a60cdd1a9e5bd2531c04de4aaad996a87df",
+    "half-plane-time-cap":
+        "6dee36e91cb38055b06863793d3cb1fe459328df51f0355b3462e4461384e04b",
+    "half-plane-max-steps":
+        "25b002e700abe5ab1a9ceb434a9f63238d40dcfa834e8b7e86f2983fd91ca794",
+    "uniform-comb":
+        "d7b2c778a1ac833a45f10d8c08f025ff379803d9f94486a0370e55413482467b",
+}
+
+
+class TestBitIdentityGuard:
+    """Pinned EulerBridge outputs: any change to the kernel's float
+    expressions, their order, or the draw schedule shows up here.
+
+    The digests were recorded with numpy 2.4 on x86-64 with AVX-512, whose
+    vectorized ``exp`` may round differently from other builds; on another
+    platform, record them afresh from a known-good commit before trusting a
+    mismatch.
+    """
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_column_digest(self, case):
+        domain, start, n, kw = GUARD_CASES[case]
+        ss = run_batch(domain, start, n, SimParams(**kw))
+        assert column_digest(ss) == GUARD_DIGESTS[case]
+
+    def test_window_escape_names_the_same_sample(self):
+        comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
+        with pytest.raises(WindowEscapeError) as err:
+            run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
+        assert str(err.value).startswith("sample 640 ")
 
 
 class TestCouplingProperties:
