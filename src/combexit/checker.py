@@ -307,40 +307,48 @@ def _window_partial(maxima: np.ndarray, q: float) -> float:
     return float(np.dot(q ** np.arange(len(maxima)), maxima))
 
 
-def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float) -> float:
-    """Sum q^j * gap(j+1)^2 for j >= start_j with exact generator gaps.
+def _polynomial_tail(block_terms, start_j: int, q: float) -> float:
+    """Sum a tail series from index ``start_j`` in blocks of 4096 terms.
 
-    Gap ratios decrease toward 1 for degree >= 1, so once summation stops the
-    remainder is dominated by a geometric series at the current ratio.
+    ``block_terms(j0, j1)`` returns the terms for indices ``j0 .. j1-1``
+    and ``rho``, a bound on every later term ratio divided by ``q``.  Term
+    ratios decrease toward ``q`` for polynomial growth, so once summation
+    stops the remainder is dominated by a geometric series at ratio
+    ``q * rho``.
     """
     total = 0.0
     j = start_j
     block = 4096
     for _ in range(20_000):
-        labels = np.arange(j + 1, j + block + 1, dtype=float)
-        gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
-        terms = q ** np.arange(j, j + block) * gaps**2
+        terms, rho = block_terms(j, j + block)
         total += float(terms.sum())
         j += block
-        rho = (gaps[-1] / gaps[-2]) ** 2
         if q * rho < 1.0 and terms[-1] < 1e-17 * max(total, 1.0):
             return total + terms[-1] * q * rho / (1.0 - q * rho)
     raise RuntimeError("polynomial tail did not converge within the iteration budget")
+
+
+def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float) -> float:
+    """Sum q^j * gap(j+1)^2 for j >= start_j with exact generator gaps.
+
+    Gap ratios decrease toward 1 for degree >= 1, so the last squared gap
+    ratio of a block bounds every later one.
+    """
+    def block_terms(j0, j1):
+        labels = np.arange(j0 + 1, j1 + 1, dtype=float)
+        gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
+        return q ** np.arange(j0, j1) * gaps**2, (gaps[-1] / gaps[-2]) ** 2
+
+    return _polynomial_tail(block_terms, start_j, q)
 
 
 def _polynomial_tail_from_model(last_max: float, start_j: int, q: float,
                                 exponent: float) -> float:
     """Tail bound under the declared model M_{j+1} <= M_J * ((j+1)/J)^exponent."""
-    total = 0.0
-    j = start_j
-    block = 4096
     scale = last_max / start_j**exponent
-    for _ in range(20_000):
-        js = np.arange(j, j + block, dtype=float)
-        terms = q**js * scale * (js + 1.0) ** exponent
-        total += float(terms.sum())
-        j += block
-        rho = ((j + 1.0) / j) ** exponent
-        if q * rho < 1.0 and terms[-1] < 1e-17 * max(total, 1.0):
-            return total + terms[-1] * q * rho / (1.0 - q * rho)
-    raise RuntimeError("polynomial tail did not converge within the iteration budget")
+
+    def block_terms(j0, j1):
+        js = np.arange(j0, j1, dtype=float)
+        return q**js * scale * (js + 1.0) ** exponent, ((j1 + 1.0) / j1) ** exponent
+
+    return _polynomial_tail(block_terms, start_j, q)

@@ -1,6 +1,6 @@
 """Monte Carlo samplers for planar Brownian exit times.
 
-Two independent drivers share one sampling contract:
+Two independent engines share one sampling contract and one chunk driver:
 
 ``EulerBridge``
     Fixed-step Euler scheme on the full plane with Brownian-bridge crossing
@@ -28,7 +28,11 @@ Two independent drivers share one sampling contract:
     (on the unit strip the mean is low by about 0.053 at ``shell_eps`` 0.08
     and 0.013 at 0.02).
 
-Sample ``i`` of a batch always consumes the generator seeded by
+The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
+owns the per-sample substreams, the block schedule, the lane state and the
+result columns; an engine supplies only a ``_Kernel``: the draws one lane
+takes per block and a block step that advances the live lanes.  Sample
+``i`` of a batch always consumes the generator seeded by
 ``SeedSequence((master_seed, i))`` and always draws the same block sequence
 (sizes depend only on that sample's own lifetime), so results are
 bit-identical for any worker count or batch partitioning and individual
@@ -36,16 +40,21 @@ samples can be replayed in isolation.  How many steps a kernel pass
 evaluates only regroups arithmetic on draws already made, so it never
 changes a sample.
 
-Passage counts are recorded for comb domains only: ``passages`` is the
-number of distinct-line tooth crossings including the final exit crossing,
-so ``passages > j`` exactly when the path survives ``j`` tooth passages.
+Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
+records are built only on request.  Passage counts are recorded for comb
+domains only: ``passages`` is the number of distinct-line tooth crossings
+including the final exit crossing, so ``passages > j`` exactly when the
+path survives ``j`` tooth passages.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -58,7 +67,7 @@ from .geometry import (
     Wedge,
     domain_fingerprint,
 )
-from .series import DiskLawTable, default_disk_law
+from .series import default_disk_law
 
 __all__ = [
     "SimParams",
@@ -160,21 +169,52 @@ class ExitSample:
     engine: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """A batch of samples plus everything needed to regenerate it."""
+    """A batch of samples as numpy columns, plus everything needed to
+    regenerate it.
 
-    samples: tuple[ExitSample, ...]
+    Row ``i`` of every column is sample ``i``: ``tau``, the exit point
+    ``u``, ``v``, the ``censor`` mask, ``passages`` (None unless tracked) and
+    ``steps``, with the meanings ``ExitSample`` documents.  Estimators and
+    the CSV codec read the columns (``taus()`` and ``censor_mask()`` return
+    them, not copies); ``samples`` builds the ``ExitSample`` records on
+    first access.
+    """
+
+    tau: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    censor: np.ndarray
+    passages: np.ndarray | None
+    steps: np.ndarray
     domain_fingerprint: str
     params: SimParams
-    total: int
-    censored: int
+
+    @property
+    def total(self) -> int:
+        return int(self.tau.size)
+
+    @property
+    def censored(self) -> int:
+        """Number of censored samples."""
+        return int(np.count_nonzero(self.censor))
 
     def taus(self) -> np.ndarray:
-        return np.array([s.tau for s in self.samples])
+        return self.tau
 
     def censor_mask(self) -> np.ndarray:
-        return np.array([s.censored for s in self.samples], dtype=bool)
+        return self.censor
+
+    @cached_property
+    def samples(self) -> tuple[ExitSample, ...]:
+        passages = repeat(None) if self.passages is None else self.passages.tolist()
+        return tuple(
+            ExitSample(tau, (u, v), censored, j, steps, self.params.engine)
+            for tau, u, v, censored, j, steps in zip(
+                self.tau.tolist(), self.u.tolist(), self.v.tolist(),
+                self.censor.tolist(), passages, self.steps.tolist())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +255,94 @@ def _block_sizes():
         size = min(2 * size, _BLOCK_CAP)
 
 
+def _escape_window(domain: SimDomain) -> tuple[float, float]:
+    """Abscissas a sample must stay between: the outermost materialized
+    slits of a truncated comb, the wall of a one-sided one."""
+    if not isinstance(domain, CombDomain):
+        return -np.inf, np.inf
+    lo = domain.xs[0] if domain.truncated or domain.one_sided else -np.inf
+    hi = domain.xs[-1] if domain.truncated else np.inf
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# chunk driver
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """What an engine supplies to the chunk driver.
+
+    ``draws`` lists, in draw order, the generator method and row width of
+    each ``(T, width)`` array one lane fills per block of ``T`` steps.
+    ``block(lanes, act, draws, T)`` advances the live lanes ``act`` through
+    the block, ends finished ones with ``lanes.finish``, and returns the
+    lane that left ``window`` (None if none did).
+    """
+
+    draws: tuple[tuple[Callable, int], ...]
+    block: Callable
+    window: tuple[float, float]
+    track_passages: bool = False
+
+
+class _Lanes:
+    """State of one chunk's samples: position, clock, steps and passage
+    bookkeeping while they run, and the result columns once they finish."""
+
+    def __init__(self, m: int, start):
+        self.u = np.full(m, start[0], dtype=float)
+        self.v = np.full(m, start[1], dtype=float)
+        self.t = np.zeros(m)
+        self.steps = np.zeros(m, dtype=np.int64)
+        self.passages = np.zeros(m, dtype=np.int64)
+        self.last_line = np.full(m, -1, dtype=np.int64)
+        self.tau = np.zeros(m)
+        self.eu = np.zeros(m)
+        self.ev = np.zeros(m)
+        self.censored = np.zeros(m, dtype=bool)
+        self.alive = np.ones(m, dtype=bool)
+
+    def finish(self, idx, tau, eu, ev, censored) -> None:
+        self.tau[idx] = tau
+        self.eu[idx] = eu
+        self.ev[idx] = ev
+        self.censored[idx] = censored
+        self.alive[idx] = False
+
+
+def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
+    """Advance one chunk of samples to exit or censoring.
+
+    Returns the (tau, u, v, censor, passages, steps) columns aligned with
+    ``indices``.  Block sizes are fixed constants, so the draws a sample
+    consumes are a function of its own lifetime alone: one call per
+    ``kernel.draws`` entry per block it survives into.  That keeps every
+    sample bit-reproducible in isolation, whatever chunk it runs in.
+    """
+    gens = [_substream(master_seed, int(i)) for i in indices]
+    lanes = _Lanes(len(indices), start)
+    for T in _block_sizes():
+        act = np.flatnonzero(lanes.alive)
+        if act.size == 0:
+            break
+        draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
+        for row, s in enumerate(act):
+            for buf, (method, _) in zip(draws, kernel.draws):
+                method(gens[s], out=buf[row])
+        bad = kernel.block(lanes, act, draws, T)
+        del draws  # free this block's draws before the next one is allocated
+        if bad is not None:
+            lo, hi = kernel.window
+            raise WindowEscapeError(
+                f"sample {int(indices[bad])} left the materialized window "
+                f"[{lo:g}, {hi:g}]; rebuild the comb with a larger "
+                "window_radius before sampling"
+            )
+    passages = lanes.passages if kernel.track_passages else None
+    return lanes.tau, lanes.eu, lanes.ev, lanes.censored, passages, lanes.steps
+
+
 # ---------------------------------------------------------------------------
 # boundary lines for the bridge kernel
 
@@ -234,22 +362,18 @@ class _LineModel:
     par: np.ndarray
     vertical: bool          # all normals (1, 0): comb teeth and strip walls
     track_passages: bool
-    escape_lo: float        # abort window for truncated combs
-    escape_hi: float
 
 
 def _line_model(domain: SimDomain) -> _LineModel:
-    def pack(rows, vertical=False, track=False, lo=-np.inf, hi=np.inf):
+    def pack(rows, vertical=False, track=False):
         nx, ny, c, ax, ay, rule, par = (np.array(col, dtype=float) for col in zip(*rows))
         return _LineModel(nx, ny, c, ax, ay, rule.astype(np.int64), par,
-                          vertical, track, lo, hi)
+                          vertical, track)
 
     if isinstance(domain, CombDomain):
         rows = [(1.0, 0.0, x, 0.0, 1.0, _RULE_SLIT, b)
                 for x, b in zip(domain.xs, domain.line_heights)]
-        lo = domain.xs[0] if domain.truncated or domain.one_sided else -np.inf
-        hi = domain.xs[-1] if domain.truncated else np.inf
-        return pack(rows, vertical=True, track=True, lo=lo, hi=hi)
+        return pack(rows, vertical=True, track=True)
     if isinstance(domain, VerticalStrip):
         rows = [(1.0, 0.0, domain.left, 0.0, 1.0, _RULE_SLIT, 0.0),
                 (1.0, 0.0, domain.right, 0.0, 1.0, _RULE_SLIT, 0.0)]
@@ -290,71 +414,39 @@ def _running_sum(x0, dx):
     return np.add.accumulate(np.concatenate([x0[:, None], dx], axis=1), axis=1)
 
 
-def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
-                 master_seed, indices):
-    """Advance one chunk of samples to exit or censoring.
-
-    Returns (tau, eu, ev, censored, passages, steps) arrays aligned with
-    ``indices``.  All randomness comes from per-sample substreams in fixed
-    block order, so the result does not depend on chunk composition.
+def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
+    """Bridge-crossing block step over the domain's boundary lines.
 
     Each pass evaluates a window of ``W`` steps for every live lane on
     ``(lanes, W, S)`` arrays; whatever a lane computes after its first exit
     or cap hit in the window is discarded.
     """
-    m = len(indices)
+    model = _line_model(domain)
+    lo, hi = _escape_window(domain)
+    h, time_cap, max_steps = params.step_h, params.time_cap, params.max_steps
     n_lines = len(model.c)
     S = min(_COMB_SLOTS, n_lines) if model.vertical else n_lines
     dynamic = model.vertical and n_lines > _COMB_SLOTS
-    windowed = np.isfinite(model.escape_lo) or np.isfinite(model.escape_hi)
+    windowed = np.isfinite(lo) or np.isfinite(hi)
     sqrt_h = math.sqrt(h)
 
-    gens = [_substream(master_seed, int(i)) for i in indices]
-    schedule = _block_sizes()
-
-    u = np.full(m, start[0], dtype=float)
-    v = np.full(m, start[1], dtype=float)
-    t = np.zeros(m)
-    steps = np.zeros(m, dtype=np.int64)
-    passages = np.zeros(m, dtype=np.int64)
-    last_line = np.full(m, -1, dtype=np.int64)
-    tau = np.zeros(m)
-    eu = np.zeros(m)
-    ev = np.zeros(m)
-    censored = np.zeros(m, dtype=bool)
-    alive = np.ones(m, dtype=bool)
-
-    while True:
-        act = np.flatnonzero(alive)
-        if act.size == 0:
-            break
-        T = next(schedule)
-        # Block sizes are fixed constants, so the number of draws a sample
-        # consumes is a function of its own lifetime alone: one
-        # standard_normal call then one random call per block it survives
-        # into.  That keeps every sample bit-reproducible in isolation.
-        normals = np.empty((act.size, T, 2 + S))
-        uniforms = np.empty((act.size, T, 2 * S))
-        for row, s in enumerate(act):
-            g = gens[s]
-            normals[row] = g.standard_normal((T, 2 + S))
-            uniforms[row] = g.random((T, 2 * S))
-
+    def block(lanes, act, draws, T):
+        normals, uniforms = draws
         rows = np.arange(act.size)      # block rows of the lanes still running
         k0 = 0
         while rows.size and k0 < T:
             W = min(T - k0, max(1, _LANE_STEPS // rows.size))
             L = rows.size
-            lanes = act[rows]
+            live = act[rows]
             nrm = normals[rows, k0:k0 + W]
             unf = uniforms[rows, k0:k0 + W]
             k0 += W
 
             du = sqrt_h * nrm[..., 0]
             dv = sqrt_h * nrm[..., 1]
-            U = _running_sum(u[lanes], du)
-            V = _running_sum(v[lanes], dv)
-            tt = _running_sum(t[lanes], np.full((L, W), h))
+            U = _running_sum(lanes.u[live], du)
+            V = _running_sum(lanes.v[live], dv)
+            tt = _running_sum(lanes.t[live], np.full((L, W), h))
             u0, u1, v0, v1 = U[:, :-1], U[:, 1:], V[:, :-1], V[:, 1:]
 
             if dynamic:
@@ -407,7 +499,7 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
             exit_r = crossed_r & np.take_along_axis(is_exit, order, 2)
             has_exit = exit_r.any(axis=2)
             capped = tt[:, 1:] >= time_cap
-            exhausted = steps[lanes, None] + np.arange(1, W + 1) >= max_steps
+            exhausted = lanes.steps[live, None] + np.arange(1, W + 1) >= max_steps
             ends = has_exit | capped | exhausted
             finished = ends.any(axis=1)
             j_end = np.where(finished, ends.argmax(axis=1), W)
@@ -421,16 +513,11 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
                 # Name the lane that stepping one step at a time would stop
                 # at: earliest step, then lowest index, among lanes that
                 # stand outside the window after a step they did not exit on.
-                out = (u1 < model.escape_lo) | (u1 > model.escape_hi)
+                out = (u1 < lo) | (u1 > hi)
                 out &= ~has_exit & (np.arange(W) <= j_end[:, None])
                 if out.any():
                     k = out.any(axis=0).argmax()
-                    bad = indices[lanes[out[:, k].argmax()]]
-                    raise WindowEscapeError(
-                        f"sample {int(bad)} left the materialized window "
-                        f"[{model.escape_lo:g}, {model.escape_hi:g}]; rebuild "
-                        "the comb with a larger window_radius before sampling"
-                    )
+                    return live[out[:, k].argmax()]
 
             if model.track_passages:
                 # Passage events (comb lines are all slits) in time order,
@@ -440,14 +527,14 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
                 cut = (j_end * S + rank_end)[:, None, None]
                 event = crossed_r & ~exit_r & (pos < cut)
                 seq = np.where(event, np.take_along_axis(slot, order, 2), -1)
-                seq = np.concatenate([last_line[lanes, None],
+                seq = np.concatenate([lanes.last_line[live, None],
                                       seq.reshape(L, W * S)], axis=1)
                 src = np.where(seq >= 0, np.arange(1 + W * S), 0)
                 np.maximum.accumulate(src, axis=1, out=src)
                 prev = np.take_along_axis(seq, src, 1)
                 new = (seq[:, 1:] >= 0) & (seq[:, 1:] != prev[:, :-1])
-                passages[lanes] += new.sum(axis=1)
-                last_line[lanes] = prev[:, -1]
+                lanes.passages[live] += new.sum(axis=1)
+                lanes.last_line[live] = prev[:, -1]
 
             if w.size:
                 jw = j_end[w]
@@ -465,74 +552,46 @@ def _euler_chunk(model: _LineModel, start, h, time_cap, max_steps,
                     a_exit = np.where(ray_clamp[w, jw, sl], 0.0, a_exit)
                     px = model.c[lw] * model.nx[lw] + a_exit * model.ax[lw]
                     py = model.c[lw] * model.ny[lw] + a_exit * model.ay[lw]
-                tau[lanes[w]] = tt[w, jw] + f_here * h
-                eu[lanes[w]] = px
-                ev[lanes[w]] = py
+                lanes.finish(live[w], tt[w, jw] + f_here * h, px, py, False)
                 if model.track_passages:
-                    passages[lanes[w]] += (lw != last_line[lanes[w]]).astype(np.int64)
+                    lanes.passages[live[w]] += (
+                        lw != lanes.last_line[live[w]]).astype(np.int64)
 
             c = fin[~by_exit]
             if c.size:
                 jc = j_end[c] + 1
-                tau[lanes[c]] = np.minimum(tt[c, jc], time_cap)
-                eu[lanes[c]] = U[c, jc]
-                ev[lanes[c]] = V[c, jc]
-                censored[lanes[c]] = True
+                lanes.finish(live[c], np.minimum(tt[c, jc], time_cap),
+                             U[c, jc], V[c, jc], True)
 
-            steps[lanes] += np.minimum(j_end + 1, W)
-            alive[lanes[fin]] = False
-            u[lanes] = U[:, W]
-            v[lanes] = V[:, W]
-            t[lanes] = tt[:, W]
+            lanes.steps[live] += np.minimum(j_end + 1, W)
+            lanes.u[live] = U[:, W]
+            lanes.v[live] = V[:, W]
+            lanes.t[live] = tt[:, W]
             rows = rows[~finished]
+        return None
 
-    if not model.track_passages:
-        return tau, eu, ev, censored, None, steps
-    return tau, eu, ev, censored, passages, steps
+    gen = np.random.Generator
+    return _Kernel(((gen.standard_normal, 2 + S), (gen.random, 2 * S)), block,
+                   (lo, hi), model.track_passages)
 
 
 # ---------------------------------------------------------------------------
 # WosTime kernel
 
 
-def _wos_chunk(domain: SimDomain, start, eps, time_cap, max_steps,
-               master_seed, indices, table: DiskLawTable):
-    m = len(indices)
-    gens = [_substream(master_seed, int(i)) for i in indices]
-    schedule = _block_sizes()
+def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
+    """Walk-on-spheres block step: one jump per live lane per draw row."""
+    lo, hi = _escape_window(domain)
+    eps, time_cap, max_steps = params.shell_eps, params.time_cap, params.max_steps
+    windowed = np.isfinite(lo) or np.isfinite(hi)
+    table = default_disk_law()
 
-    comb_window = isinstance(domain, CombDomain) and (domain.truncated
-                                                      or domain.one_sided)
-    lo = domain.xs[0] if comb_window else -np.inf
-    hi = domain.xs[-1] if comb_window and domain.truncated else np.inf
-
-    u = np.full(m, start[0], dtype=float)
-    v = np.full(m, start[1], dtype=float)
-    t = np.zeros(m)
-    steps = np.zeros(m, dtype=np.int64)
-    tau = np.zeros(m)
-    eu = np.zeros(m)
-    ev = np.zeros(m)
-    censored = np.zeros(m, dtype=bool)
-    alive = np.ones(m, dtype=bool)
-
-    while True:
-        act = np.flatnonzero(alive)
-        if act.size == 0:
-            break
-        T = next(schedule)
-        uniforms = np.empty((act.size, T, 2))
-        for row, s in enumerate(act):
-            uniforms[row] = gens[s].random((T, 2))
-
-        ua = u[act].copy()
-        va = v[act].copy()
-        ta = t[act].copy()
-        stepsa = steps[act].copy()
-        taua = np.zeros(act.size)
-        eua = np.zeros(act.size)
-        eva = np.zeros(act.size)
-        censa = np.zeros(act.size, dtype=bool)
+    def block(lanes, act, draws, T):
+        (uniforms,) = draws
+        ua = lanes.u[act]
+        va = lanes.v[act]
+        ta = lanes.t[act]
+        stepsa = lanes.steps[act]
         run = np.ones(act.size, dtype=bool)
 
         for k in range(T):
@@ -545,9 +604,7 @@ def _wos_chunk(domain: SimDomain, start, eps, time_cap, max_steps,
             if hit.any():
                 w = rows[hit]
                 bu, bv = domain.nearest_boundary(ua[w], va[w])
-                taua[w] = ta[w]
-                eua[w] = bu
-                eva[w] = bv
+                lanes.finish(act[w], ta[w], bu, bv, False)
                 run[w] = False
 
             go = rows[~hit]
@@ -560,73 +617,48 @@ def _wos_chunk(domain: SimDomain, start, eps, time_cap, max_steps,
                 ta[go] += dt
                 stepsa[go] += 1
 
-                out = (ua[go] < lo) | (ua[go] > hi)
-                if out.any():
-                    bad = indices[act[go[np.argmax(out)]]]
-                    raise WindowEscapeError(
-                        f"sample {int(bad)} left the materialized window "
-                        f"[{lo:g}, {hi:g}]; rebuild the comb with a larger "
-                        "window_radius before sampling"
-                    )
+                if windowed:
+                    out = (ua[go] < lo) | (ua[go] > hi)
+                    if out.any():
+                        return act[go[np.argmax(out)]]
 
                 stop = (ta[go] >= time_cap) | (stepsa[go] >= max_steps)
                 if stop.any():
                     w = go[stop]
-                    taua[w] = np.minimum(ta[w], time_cap)
-                    eua[w] = ua[w]
-                    eva[w] = va[w]
-                    censa[w] = True
+                    lanes.finish(act[w], np.minimum(ta[w], time_cap),
+                                 ua[w], va[w], True)
                     run[w] = False
 
-        u[act] = ua
-        v[act] = va
-        t[act] = ta
-        steps[act] = stepsa
-        fin = ~run
-        done_idx = act[fin]
-        tau[done_idx] = taua[fin]
-        eu[done_idx] = eua[fin]
-        ev[done_idx] = eva[fin]
-        censored[done_idx] = censa[fin]
-        alive[done_idx] = False
+        lanes.u[act] = ua
+        lanes.v[act] = va
+        lanes.t[act] = ta
+        lanes.steps[act] = stepsa
+        return None
 
-    return tau, eu, ev, censored, None, steps
+    return _Kernel(((np.random.Generator.random, 2),), block, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
+def _concat(parts):
+    """Join the column tuples of consecutive sample ranges."""
+    return tuple(None if cols[0] is None else np.concatenate(cols)
+                 for cols in zip(*parts))
+
+
 def _simulate_range(domain: SimDomain, start, params: SimParams,
                     lo: int, hi: int):
-    """Run samples lo..hi-1 and return column arrays (top-level so worker
+    """Run samples lo..hi-1 and return their columns (top-level so worker
     processes can unpickle it)."""
-    cols = []
-    if params.engine == "EulerBridge":
-        model = _line_model(domain)
-        h = params.step_h
-        for c0 in range(lo, hi, _CHUNK):
-            idx = np.arange(c0, min(c0 + _CHUNK, hi), dtype=np.int64)
-            cols.append(_euler_chunk(model, start, h, params.time_cap,
-                                     params.max_steps, params.master_seed, idx))
-    else:
-        table = default_disk_law()
-        eps = params.shell_eps
-        for c0 in range(lo, hi, _CHUNK):
-            idx = np.arange(c0, min(c0 + _CHUNK, hi), dtype=np.int64)
-            cols.append(_wos_chunk(domain, start, eps, params.time_cap,
-                                   params.max_steps, params.master_seed, idx,
-                                   table))
-    tau = np.concatenate([c[0] for c in cols])
-    eu = np.concatenate([c[1] for c in cols])
-    ev = np.concatenate([c[2] for c in cols])
-    cen = np.concatenate([c[3] for c in cols])
-    if cols[0][4] is None:
-        passages = None
-    else:
-        passages = np.concatenate([c[4] for c in cols])
-    steps = np.concatenate([c[5] for c in cols])
-    return tau, eu, ev, cen, passages, steps
+    make = _euler_kernel if params.engine == "EulerBridge" else _wos_kernel
+    kernel = make(domain, params)
+    return _concat([
+        _run_chunk(kernel, start, params.master_seed,
+                   np.arange(c0, min(c0 + _CHUNK, hi), dtype=np.int64))
+        for c0 in range(lo, hi, _CHUNK)
+    ])
 
 
 def _resolve(domain: SimDomain, start, params: SimParams) -> SimParams:
@@ -647,17 +679,9 @@ def simulate_exit(domain: SimDomain, start, params: SimParams,
     ``run_batch`` with the same parameters, bit for bit.
     """
     resolved = _resolve(domain, start, params)
-    tau, eu, ev, cen, passages, steps = _simulate_range(
-        domain, (float(start[0]), float(start[1])), resolved,
-        sample_index, sample_index + 1)
-    return ExitSample(
-        tau=float(tau[0]),
-        exit_point=(float(eu[0]), float(ev[0])),
-        censored=bool(cen[0]),
-        passages=None if passages is None else int(passages[0]),
-        steps=int(steps[0]),
-        engine=resolved.engine,
-    )
+    cols = _simulate_range(domain, (float(start[0]), float(start[1])),
+                           resolved, sample_index, sample_index + 1)
+    return SampleSet(*cols, domain_fingerprint(domain), resolved).samples[0]
 
 
 def run_batch(domain: SimDomain, start, n: int, params: SimParams) -> SampleSet:
@@ -682,30 +706,4 @@ def run_batch(domain: SimDomain, start, n: int, params: SimParams) -> SampleSet:
             futures = [pool.submit(_simulate_range, domain, start, resolved,
                                    lo, hi) for lo, hi in ranges]
             parts = [f.result() for f in futures]
-
-    tau = np.concatenate([p[0] for p in parts])
-    eu = np.concatenate([p[1] for p in parts])
-    ev = np.concatenate([p[2] for p in parts])
-    cen = np.concatenate([p[3] for p in parts])
-    has_passages = parts[0][4] is not None
-    passages = (np.concatenate([p[4] for p in parts]) if has_passages else None)
-    steps = np.concatenate([p[5] for p in parts])
-
-    samples = tuple(
-        ExitSample(
-            tau=float(tau[i]),
-            exit_point=(float(eu[i]), float(ev[i])),
-            censored=bool(cen[i]),
-            passages=int(passages[i]) if has_passages else None,
-            steps=int(steps[i]),
-            engine=resolved.engine,
-        )
-        for i in range(n)
-    )
-    return SampleSet(
-        samples=samples,
-        domain_fingerprint=domain_fingerprint(domain),
-        params=resolved,
-        total=n,
-        censored=int(cen.sum()),
-    )
+    return SampleSet(*_concat(parts), domain_fingerprint(domain), resolved)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ExitSample, SampleSet, SimParams
-from .geometry import domain_fingerprint  # noqa: F401  (re-export convenience)
+from .engine import SampleSet, SimParams
 
 __all__ = [
     "FINITE_LIKELY",
@@ -83,7 +82,7 @@ class TailDiagnostic:
 
 
 def _columns(samples: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
-    if samples.total == 0 or not samples.samples:
+    if samples.total == 0:
         raise ValueError("sample set is empty")
     return samples.taus(), samples.censor_mask(), samples.params.time_cap
 
@@ -98,15 +97,13 @@ def synthetic_sample_set(taus, time_cap: float, censored=None) -> SampleSet:
     if censored is None:
         censored = np.zeros(taus.shape, dtype=bool)
     censored = np.asarray(censored, dtype=bool)
-    rows = tuple(
-        ExitSample(tau=float(t), exit_point=(math.nan, math.nan),
-                   censored=bool(c), passages=None, steps=0,
-                   engine="EulerBridge")
-        for t, c in zip(taus, censored)
-    )
-    return SampleSet(samples=rows, domain_fingerprint="synthetic",
-                     params=SimParams(time_cap=float(time_cap)),
-                     total=len(rows), censored=int(censored.sum()))
+    if censored.shape != taus.shape:
+        raise ValueError("censored flags must match the exit times one to one")
+    nan = np.full(taus.shape, math.nan)
+    return SampleSet(taus, nan, nan, censored, None,
+                     np.zeros(taus.shape, dtype=np.int64),
+                     domain_fingerprint="synthetic",
+                     params=SimParams(time_cap=float(time_cap)))
 
 
 def estimate_moment(samples: SampleSet, p: float) -> MomentEstimate:

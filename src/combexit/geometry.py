@@ -38,9 +38,7 @@ __all__ = [
     "HalfPlane",
     "SimDomain",
     "build_comb",
-    "distance_to_domain_boundary",
     "symmetrize",
-    "slit_window",
     "domain_to_config",
     "domain_from_config",
     "domain_fingerprint",
@@ -497,22 +495,6 @@ def symmetrize(comb: CombDomain) -> CombDomain:
     return build_comb(new_spec)
 
 
-def slit_window(comb: CombDomain, j: int):
-    """(abscissas within |n| <= j, labeled gaps, M_j)."""
-    J = comb.window_radius
-    if not 1 <= j <= J:
-        raise ValueError(f"window index must satisfy 1 <= j <= {J}, got {j}")
-    c = comb.center_index()
-    if comb.one_sided:
-        xs = comb.xs[: j + 1]
-        labels = range(1, j + 1)
-    else:
-        xs = comb.xs[c - j: c + j + 1]
-        labels = [n for n in range(-j, j + 1) if n != 0]
-    gaps = {n: comb.gap(n) for n in labels}
-    return xs.copy(), gaps, float(comb.prefix_max[j - 1])
-
-
 # ---------------------------------------------------------------------------
 # slit distance kernel
 
@@ -564,14 +546,6 @@ def _nearest_slit_index(xs, heights, u, v):
     du = u[:, None] - xs[None, :]
     dv = np.maximum(0.0, heights[None, :] - np.abs(v)[:, None])
     return np.argmin(np.hypot(du, dv), axis=1)
-
-
-def distance_to_domain_boundary(domain: SimDomain, point) -> float:
-    """Distance from an interior point to the domain boundary (scalar API)."""
-    u, v = float(point[0]), float(point[1])
-    if not bool(np.all(domain.contains(np.array([u]), np.array([v])))):
-        raise ValueError(f"point {(u, v)} is not strictly inside the domain")
-    return float(domain.boundary_distance(np.array([u]), np.array([v]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@
 JSON reports carry a schema version, the fully resolved configuration, and
 sha256 fingerprints of every input consumed, so a run can be audited and
 reproduced from its report alone.  Bulk exit samples travel as CSV with one
-row per trajectory.  Writers stage into a temporary file next to the
-destination and rename into place; a crashed run never leaves a partial
-artifact under the target name.
+row per trajectory, encoded from and decoded into ``SampleSet`` columns
+(floats in ``repr`` round-trip form); the reader rejects rows whose exit
+time is negative or not finite or whose censor flag is not 0 or 1.  Writers
+stage into a temporary file next to the destination and rename into place;
+a crashed run never leaves a partial artifact under the target name.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import uuid
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from .estimators import synthetic_sample_set
 __all__ = [
     "SCHEMA_VERSION",
     "fingerprint_bytes",
-    "fingerprint_file",
     "read_samples_csv",
     "render_report",
     "samples_to_csv",
@@ -43,10 +44,6 @@ _CSV_FIELDS = ("index", "tau", "u", "v", "censored", "passages", "steps")
 
 def fingerprint_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def fingerprint_file(path: str | Path) -> str:
-    return fingerprint_bytes(Path(path).read_bytes())
 
 
 def render_report(payload: dict) -> str:
@@ -81,22 +78,19 @@ def write_report(path: str | Path, payload: dict) -> None:
 
 def samples_to_csv(samples: SampleSet) -> str:
     """One row per trajectory; the passages column is empty when untracked."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for i, s in enumerate(samples.samples):
-        writer.writerow(
-            (
-                i,
-                repr(s.tau),
-                repr(s.exit_point[0]),
-                repr(s.exit_point[1]),
-                int(s.censored),
-                "" if s.passages is None else s.passages,
-                s.steps,
-            )
-        )
-    return buf.getvalue()
+    n = samples.total
+    passages = (repeat("", n) if samples.passages is None
+                else map(str, samples.passages.tolist()))
+    rows = zip(
+        map(str, range(n)),
+        map(repr, samples.tau.tolist()),
+        map(repr, samples.u.tolist()),
+        map(repr, samples.v.tolist()),
+        map(str, samples.censor.astype(np.int64).tolist()),
+        passages,
+        map(str, samples.steps.tolist()),
+    )
+    return "\n".join([",".join(_CSV_FIELDS), *map(",".join, rows)]) + "\n"
 
 
 def write_samples_csv(path: str | Path, samples: SampleSet) -> None:
@@ -108,22 +102,35 @@ def read_samples_csv(path: str | Path) -> SampleSet:
 
     Censored rows sit exactly at the cap they were truncated with, so the
     cap is recovered as their maximum; a file with no censoring gets an
-    infinite cap (nothing was truncated).
+    infinite cap (nothing was truncated).  Error messages count rows from 1
+    after the header, skipping blank lines.
     """
-    taus: list[float] = []
-    censored: list[bool] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(("tau", "censored")) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = {"tau", "censored"} - set(header)
         if missing:
             raise ValueError(
                 f"sample file {path} lacks column(s) {sorted(missing)}"
             )
-        for row in reader:
-            taus.append(float(row["tau"]))
-            censored.append(bool(int(row["censored"])))
-    if not taus:
+        it, ic = header.index("tau"), header.index("censored")
+        try:
+            parsed = [(float(row[it]), int(row[ic])) for row in reader if row]
+        except IndexError:
+            raise ValueError(f"sample file {path} has rows with missing fields") from None
+    if not parsed:
         raise ValueError(f"sample file {path} holds no rows")
-    cen = np.asarray(censored, dtype=bool)
-    cap = float(np.max(np.asarray(taus)[cen])) if cen.any() else math.inf
+    taus = np.array([tau for tau, _ in parsed])
+    flags = np.array([flag for _, flag in parsed])
+    for name, col, bad, want in (
+        ("tau", taus, ~(np.isfinite(taus) & (taus >= 0.0)), "a finite nonnegative time"),
+        ("censored", flags, (flags != 0) & (flags != 1), "0 or 1"),
+    ):
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(
+                f"sample file {path} row {k + 1}: {name} {col[k].item()} is not {want}"
+            )
+    cen = flags == 1
+    cap = float(np.max(taus[cen])) if cen.any() else math.inf
     return synthetic_sample_set(taus, time_cap=cap, censored=cen)

@@ -37,7 +37,6 @@ __all__ = [
     "DiskLawTable",
     "build_disk_law",
     "default_disk_law",
-    "sample_disk_exit",
 ]
 
 
@@ -233,18 +232,40 @@ def _strip_moment_quadrature(p: float, params: SeriesParams) -> float:
     return head + tail
 
 
+# E[tau^p] of the unit strip exceeds the largest float from integer order 178
+# on; refusing those orders up front also spares the O(p**2) rational
+# recursion for huge integral values such as 1e308.
+_LARGEST_INTEGER_ORDER = 177
+
+
 def strip_moment(p: float, params: SeriesParams | None = None) -> float:
     """E[tau^p] for the exit time of BM from (-1,1) started at 0.
 
     Integer orders use the exact polynomial recursion; fractional orders
-    integrate the survival function.
+    integrate the survival function.  Orders whose moment or integrand
+    overflows a float (integers from 178, fractions from about 70) raise
+    ValueError.
     """
     params = params or DEFAULT_SERIES_PARAMS
     if not (p > 0) or not math.isfinite(p):
         raise ValueError("moment order must satisfy 0 < p < infinity")
     if float(p).is_integer():
+        if p > _LARGEST_INTEGER_ORDER:
+            raise ValueError(
+                f"moment order {p:g} is out of range: E[tau^p] overflows a "
+                f"float for integer orders above {_LARGEST_INTEGER_ORDER}"
+            )
         return float(_interval_moment_exact(int(p)))
-    return _strip_moment_quadrature(float(p), params)
+    try:
+        value = _strip_moment_quadrature(float(p), params)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"moment order {p:g} is out of range: the integrand "
+            "p * t**(p-1) * P(tau > t) overflows a float"
+        )
+    return value
 
 
 def scaled_strip_moment(a_left: float, a_right: float, p: float,
@@ -384,18 +405,3 @@ def default_disk_law() -> DiskLawTable:
     if _SHARED_TABLE is None:
         _SHARED_TABLE = build_disk_law()
     return _SHARED_TABLE
-
-
-def sample_disk_exit(radius: float, rng: np.random.Generator,
-                     table: DiskLawTable | None = None) -> tuple[float, float]:
-    """Draw (exit_angle, exit_time) for a centered disk of the given radius.
-
-    Angle and time are independent by rotational symmetry; time scales as
-    radius squared. Consumes exactly two uniforms, angle first.
-    """
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
-    table = table or default_disk_law()
-    angle = 2.0 * math.pi * rng.random()
-    time = float(table.times_from_uniform(rng.random()))
-    return angle, radius * radius * time

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,18 @@ class TestScalarCommands:
         code = run_command(["strip-moment", "--p", "2", "--out", str(out)])
         assert code == EXIT_OK
         assert load(out)["moment"] == pytest.approx(5.0 / 3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("p", ["200", "70.5", "1e308"])
+    def test_strip_moment_out_of_float_range(self, tmp_path, capsys, p):
+        # 200 overflows the exact value, 70.5 the quadrature's integrand, and
+        # 1e308 is integral, so it must be refused before the recursion
+        out = tmp_path / "r.json"
+        t0 = time.perf_counter()
+        code = run_command(["strip-moment", "--p", p, "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE
+        assert "moment order" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_uniform_comb_all_moments(self, tmp_path):
         comb = write_json(tmp_path / "uniform.json", UNIFORM_COMB)
@@ -177,6 +190,29 @@ class TestSampleConsumers:
         code = run_command(["tail", "--samples", str(bad)])
         assert code == EXIT_USAGE
         assert "column" in capsys.readouterr().err
+
+    def _reject_second_row(self, tmp_path, capsys, tau, censored):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "index,tau,u,v,censored,passages,steps\n"
+            "0,1.5,1.0,0.25,0,,12\n"
+            f"1,{tau},-1.0,0.5,{censored},,7\n",
+            encoding="utf-8",
+        )
+        code = run_command(["tail", "--samples", str(bad),
+                            "--out", str(tmp_path / "t.json")])
+        assert code == EXIT_USAGE
+        assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_nan_exit_time_is_a_usage_error(self, tmp_path, capsys):
+        self._reject_second_row(tmp_path, capsys, "nan", 0)
+
+    def test_negative_exit_time_is_a_usage_error(self, tmp_path, capsys):
+        self._reject_second_row(tmp_path, capsys, "-0.5", 0)
+
+    def test_censor_flag_outside_zero_one_is_a_usage_error(self, tmp_path, capsys):
+        self._reject_second_row(tmp_path, capsys, "2.0", 2)
 
 
 class TestConstruct:

@@ -26,6 +26,7 @@ from combexit.geometry import (
     build_comb,
     domain_fingerprint,
 )
+from combexit.reports import samples_to_csv
 from combexit.series import rect_exit_tb_prob, scaled_strip_moment
 
 
@@ -309,6 +310,38 @@ class TestBitIdentityGuard:
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
         assert str(err.value).startswith("sample 640 ")
+
+
+CSV_CASES = {
+    "wos-strip": (VerticalStrip(-1.0, 1.0), (0.0, 0.0), 500,
+                  dict(engine="WosTime", master_seed=51)),
+    "euler-uniform-comb": (UNIFORM_COMB, (0.5, 0.0), 500,
+                           dict(master_seed=52, time_cap=200.0)),
+}
+
+CSV_DIGESTS = {
+    "wos-strip":
+        "50f073cc01550de480f054c2d3857c4d72388351acf8634c662f90ea61605bc3",
+    "euler-uniform-comb":
+        "997387e6f48639b131aedbbf82ae7aac8716fbb2a663f3317f503c6a909f4756",
+}
+
+
+class TestCsvBytesGuard:
+    """Pinned ``samples_to_csv`` bytes: the text encoding of every column
+    (``repr`` floats, 0/1 flags, the passages column filled for combs and
+    empty otherwise) as well as the samples themselves.
+
+    Recorded with numpy 2.4 on x86-64 with AVX-512; as for
+    ``TestBitIdentityGuard``, record them afresh from a known-good commit
+    on another platform before trusting a mismatch.
+    """
+
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_csv_digest(self, case):
+        domain, start, n, kw = CSV_CASES[case]
+        text = samples_to_csv(run_batch(domain, start, n, SimParams(**kw)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CSV_DIGESTS[case]
 
 
 class TestCouplingProperties:

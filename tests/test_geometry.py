@@ -17,13 +17,16 @@ from combexit.geometry import (
     build_comb,
     comb_spec_from_config,
     comb_spec_to_config,
-    distance_to_domain_boundary,
     domain_from_config,
     domain_to_config,
-    slit_window,
     symmetrize,
 )
 from combexit.geometry import _slit_distance, _slit_distance_full
+
+
+def dist(domain, u, v):
+    """Boundary distance of one point, as a float."""
+    return float(domain.boundary_distance(np.array([u]), np.array([v]))[0])
 
 
 def test_uniform_window():
@@ -43,23 +46,6 @@ def test_geometric_window_hand_values():
         assert comb.gap(n) == g
     assert np.array_equal(comb.prefix_max, [1.0, 4.0, 16.0])
     assert comb.ell == 1.0  # heights 1, innermost gaps 1
-
-
-def test_slit_window_values():
-    comb = build_comb(CombSpec(GeometricGaps(2.0, 1.0), window_radius=3))
-    xs, gaps, m2 = slit_window(comb, 2)
-    assert np.array_equal(xs, [-3.0, -1.0, 0.0, 1.0, 3.0])
-    assert gaps == {-2: 2.0, -1: 1.0, 1: 1.0, 2: 2.0}
-    assert m2 == 4.0
-    _, _, m1 = slit_window(comb, 1)
-    assert m1 == 1.0
-    with pytest.raises(ValueError):
-        slit_window(comb, 4)
-    with pytest.raises(ValueError):
-        slit_window(comb, 0)
-
-    uni = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
-    assert slit_window(uni, 2)[2] == 1.0
 
 
 def test_build_validation_errors():
@@ -128,29 +114,21 @@ def test_one_sided_wall_is_full_line():
     assert one.line_heights[0] == 0.0
     assert one.bs[0] == 1.0
     # wall blocks regardless of v
-    assert distance_to_domain_boundary(one, (0.25, 50.0)) == pytest.approx(0.25)
+    assert dist(one, 0.25, 50.0) == pytest.approx(0.25)
     assert not one.contains(np.array([-0.5]), np.array([0.0]))[0]
 
 
 def test_distance_examples():
     comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
-    assert distance_to_domain_boundary(comb, (0.5, 0.0)) == pytest.approx(
+    assert dist(comb, 0.5, 0.0) == pytest.approx(
         math.sqrt(1.25), abs=1e-15)
-    assert distance_to_domain_boundary(comb, (0.5, 5.0)) == pytest.approx(0.5)
-    assert distance_to_domain_boundary(Rectangle(1.0, 1.0), (0.0, 0.0)) == 1.0
-    assert distance_to_domain_boundary(VerticalStrip(-1.0, 1.0), (0.2, 9.0)) == pytest.approx(0.8)
-    assert distance_to_domain_boundary(HalfPlane(), (3.0, 0.7)) == pytest.approx(0.7)
+    assert dist(comb, 0.5, 5.0) == pytest.approx(0.5)
+    assert dist(Rectangle(1.0, 1.0), 0.0, 0.0) == 1.0
+    assert dist(VerticalStrip(-1.0, 1.0), 0.2, 9.0) == pytest.approx(0.8)
+    assert dist(HalfPlane(), 3.0, 0.7) == pytest.approx(0.7)
     w = Wedge(math.pi / 2)
-    assert distance_to_domain_boundary(w, (1.0, 1.0)) == pytest.approx(1.0)
-    assert distance_to_domain_boundary(w, (0.3, 2.0)) == pytest.approx(0.3)
-
-
-def test_distance_outside_errors():
-    comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
-    with pytest.raises(ValueError, match="inside"):
-        distance_to_domain_boundary(comb, (1.0, 2.0))  # on a slit
-    with pytest.raises(ValueError, match="inside"):
-        distance_to_domain_boundary(Rectangle(1.0, 1.0), (1.5, 0.0))
+    assert dist(w, 1.0, 1.0) == pytest.approx(1.0)
+    assert dist(w, 0.3, 2.0) == pytest.approx(0.3)
 
 
 def test_nearest_boundary_comb():
@@ -200,7 +178,7 @@ def test_wedge_contains_and_distance():
     # distance from the bisector point
     th = math.pi / 8
     p = (math.cos(th), math.sin(th))
-    assert distance_to_domain_boundary(w, p) == pytest.approx(math.sin(th), abs=1e-12)
+    assert dist(w, *p) == pytest.approx(math.sin(th), abs=1e-12)
 
 
 def test_config_roundtrip():

@@ -12,7 +12,6 @@ from combexit.series import (
     default_disk_law,
     disk_survival,
     rect_exit_tb_prob,
-    sample_disk_exit,
     scaled_strip_moment,
     strip_moment,
     strip_survival,
@@ -237,16 +236,6 @@ def test_disk_sampling_moments():
     sq = draws**2
     sq_se = sq.std() / math.sqrt(n)
     assert sq.mean() == pytest.approx(0.375, abs=4 * sq_se)
-
-
-def test_disk_sample_scaling_and_validation():
-    angle1, t1 = sample_disk_exit(1.0, np.random.default_rng(3))
-    angle2, t2 = sample_disk_exit(2.0, np.random.default_rng(3))
-    assert angle1 == angle2
-    assert t2 == pytest.approx(4.0 * t1, rel=1e-12)
-    assert 0.0 <= angle1 < 2 * math.pi
-    with pytest.raises(ValueError):
-        sample_disk_exit(0.0, np.random.default_rng(0))
 
 
 @given(st.floats(0.05, 20.0))
