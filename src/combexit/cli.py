@@ -38,7 +38,6 @@ from .geometry import (
 from .reports import (
     fingerprint_bytes,
     read_samples_csv,
-    render_report,
     samples_to_csv,
     write_report,
     write_text,
@@ -280,8 +279,8 @@ def _cmd_tail(args) -> int:
 
 def _cmd_verdict(args) -> int:
     samples = read_samples_csv(args.samples)
-    call = estimators.moment_verdict(samples, args.p, method=args.method)
     diag = estimators.tail_index(samples, method=args.method)
+    call = estimators.moment_verdict(diag, args.p)
     cfg = RunConfig(
         "verdict",
         args.out,

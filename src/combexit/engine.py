@@ -1,10 +1,16 @@
 """Monte Carlo samplers for planar Brownian exit times.
 
-Two independent engines share one sampling contract and one chunk driver:
+Two independent engines share one sampling contract, one chunk driver and
+one boundary: both read the domain's ``lines`` (``geometry.BoundaryLines``,
+oriented lines cut by the domain's single exit rule), so they stop on the
+same set and cross-validate each other.
 
 ``EulerBridge``
     Fixed-step Euler scheme on the full plane with Brownian-bridge crossing
-    tests against every nearby boundary line.  Between consecutive grid
+    tests against every nearby boundary line.  A crossing exits when it
+    meets the boundary part of its line (any crossing does, for a convex
+    domain), and the exit point is the nearest boundary point on that line;
+    other crossings are tooth passages.  Between consecutive grid
     points the path is a Brownian bridge, so a line at signed distances
     ``d0, d1`` (same side) is crossed with probability ``exp(-2*d0*d1/h)``;
     sign changes are crossings with certainty.  The crossing fraction for a
@@ -20,13 +26,13 @@ Two independent engines share one sampling contract and one chunk driver:
 
 ``WosTime``
     Walk-on-spheres with clocks.  Each jump moves to a uniform point on the
-    largest centered circle inside the domain and advances time by
-    ``r**2 * T`` where ``T`` is an exact draw from the unit-disk exit-time
-    law (inverse-CDF table from :mod:`combexit.series`).  The walk stops
-    inside a ``shell_eps`` collar and snaps to the nearest boundary point
-    with zero residual time, a bias of order ``shell_eps`` in the clock
-    (on the unit strip the mean is low by about 0.053 at ``shell_eps`` 0.08
-    and 0.013 at 0.02).
+    largest centered circle inside the domain (radius ``lines.distance``)
+    and advances time by ``r**2 * T`` where ``T`` is an exact draw from the
+    unit-disk exit-time law (inverse-CDF table from :mod:`combexit.series`).
+    The walk stops inside a ``shell_eps`` collar and snaps to the nearest
+    boundary point (``lines.nearest``) with zero residual time, a bias of
+    order ``shell_eps`` in the clock (on the unit strip the mean is low by
+    about 0.053 at ``shell_eps`` 0.08 and 0.013 at 0.02).
 
 The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
 owns the per-sample substreams, the block schedule, the lane state and the
@@ -58,15 +64,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .geometry import (
-    CombDomain,
-    HalfPlane,
-    Rectangle,
-    SimDomain,
-    VerticalStrip,
-    Wedge,
-    domain_fingerprint,
-)
+from .geometry import CombDomain, SimDomain, domain_fingerprint
 from .series import default_disk_law
 
 __all__ = [
@@ -100,12 +98,6 @@ _BLOCK_CAP = 8192
 # exp(-200); sub-slot combs just enumerate every line.
 _COMB_SLOTS = 6
 _SLOT_OFFSETS = np.arange(-3, 3, dtype=np.int64)
-
-# Boundary-line exit rules for the bridge kernel.
-_RULE_SLIT = 0      # exit iff |along| >= par, otherwise a tooth passage
-_RULE_SEGMENT = 1   # always exit, along clamped to [-par, par]
-_RULE_RAY = 2       # exit iff along >= 0; par = 1.0 snaps misses to the apex
-
 
 class WindowEscapeError(RuntimeError):
     """A trajectory left the materialized window of a truncated comb.
@@ -344,64 +336,6 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
 
 
 # ---------------------------------------------------------------------------
-# boundary lines for the bridge kernel
-
-
-@dataclass(frozen=True)
-class _LineModel:
-    """Oriented boundary lines: unit normal n, unit along-direction a,
-    offset c (the line is {z : <z, n> = c}), an exit rule, and a rule
-    parameter (slit height or segment half-length)."""
-
-    nx: np.ndarray
-    ny: np.ndarray
-    c: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
-    rule: np.ndarray
-    par: np.ndarray
-    vertical: bool          # all normals (1, 0): comb teeth and strip walls
-    track_passages: bool
-
-
-def _line_model(domain: SimDomain) -> _LineModel:
-    def pack(rows, vertical=False, track=False):
-        nx, ny, c, ax, ay, rule, par = (np.array(col, dtype=float) for col in zip(*rows))
-        return _LineModel(nx, ny, c, ax, ay, rule.astype(np.int64), par,
-                          vertical, track)
-
-    if isinstance(domain, CombDomain):
-        rows = [(1.0, 0.0, x, 0.0, 1.0, _RULE_SLIT, b)
-                for x, b in zip(domain.xs, domain.line_heights)]
-        return pack(rows, vertical=True, track=True)
-    if isinstance(domain, VerticalStrip):
-        rows = [(1.0, 0.0, domain.left, 0.0, 1.0, _RULE_SLIT, 0.0),
-                (1.0, 0.0, domain.right, 0.0, 1.0, _RULE_SLIT, 0.0)]
-        return pack(rows, vertical=True)
-    if isinstance(domain, Rectangle):
-        w, hh = domain.half_width, domain.half_height
-        rows = [(1.0, 0.0, w, 0.0, 1.0, _RULE_SEGMENT, hh),
-                (1.0, 0.0, -w, 0.0, 1.0, _RULE_SEGMENT, hh),
-                (0.0, 1.0, hh, 1.0, 0.0, _RULE_SEGMENT, w),
-                (0.0, 1.0, -hh, 1.0, 0.0, _RULE_SEGMENT, w)]
-        return pack(rows)
-    if isinstance(domain, HalfPlane):
-        rows = [(0.0, 1.0, 0.0, 1.0, 0.0, _RULE_SEGMENT, np.inf)]
-        return pack(rows)
-    if isinstance(domain, Wedge):
-        a = domain.angle
-        # Snap sub-apex crossings to the apex only when the wedge is convex
-        # enough that the segment from the crossing to the apex stays on the
-        # boundary side; for reflex wedges a miss is not an exit at all.
-        clamp = 1.0 if a <= math.pi else 0.0
-        rows = [(0.0, 1.0, 0.0, 1.0, 0.0, _RULE_RAY, clamp),
-                (math.sin(a), -math.cos(a), 0.0, math.cos(a), math.sin(a),
-                 _RULE_RAY, clamp)]
-        return pack(rows)
-    raise TypeError(f"no line model for domain {domain!r}")
-
-
-# ---------------------------------------------------------------------------
 # EulerBridge kernel
 
 
@@ -421,12 +355,13 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
     ``(lanes, W, S)`` arrays; whatever a lane computes after its first exit
     or cap hit in the window is discarded.
     """
-    model = _line_model(domain)
+    lines = domain.lines
+    track_passages = isinstance(domain, CombDomain)
     lo, hi = _escape_window(domain)
     h, time_cap, max_steps = params.step_h, params.time_cap, params.max_steps
-    n_lines = len(model.c)
-    S = min(_COMB_SLOTS, n_lines) if model.vertical else n_lines
-    dynamic = model.vertical and n_lines > _COMB_SLOTS
+    n_lines = len(lines.c)
+    S = min(_COMB_SLOTS, n_lines) if lines.vertical else n_lines
+    dynamic = lines.vertical and n_lines > _COMB_SLOTS
     windowed = np.isfinite(lo) or np.isfinite(hi)
     sqrt_h = math.sqrt(h)
 
@@ -450,7 +385,7 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
             u0, u1, v0, v1 = U[:, :-1], U[:, 1:], V[:, :-1], V[:, 1:]
 
             if dynamic:
-                cell = np.searchsorted(model.c, u0)
+                cell = np.searchsorted(lines.c, u0)
                 slot = cell[..., None] + _SLOT_OFFSETS
                 valid = (slot >= 0) & (slot < n_lines)
                 slot = np.clip(slot, 0, n_lines - 1)
@@ -458,18 +393,18 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
                 slot = np.broadcast_to(np.arange(S, dtype=np.int64), (L, W, S))
                 valid = True
 
-            if model.vertical:
-                d0 = u0[..., None] - model.c[slot]
-                d1 = u1[..., None] - model.c[slot]
+            if lines.vertical:
+                d0 = u0[..., None] - lines.c[slot]
+                d1 = u1[..., None] - lines.c[slot]
                 along0 = v0[..., None]
                 dalong = dv[..., None]
             else:
-                d0 = (model.nx[slot] * u0[..., None]
-                      + model.ny[slot] * v0[..., None] - model.c[slot])
-                d1 = (model.nx[slot] * u1[..., None]
-                      + model.ny[slot] * v1[..., None] - model.c[slot])
-                along0 = model.ax[slot] * u0[..., None] + model.ay[slot] * v0[..., None]
-                dalong = model.ax[slot] * du[..., None] + model.ay[slot] * dv[..., None]
+                d0 = (lines.nx[slot] * u0[..., None]
+                      + lines.ny[slot] * v0[..., None] - lines.c[slot])
+                d1 = (lines.nx[slot] * u1[..., None]
+                      + lines.ny[slot] * v1[..., None] - lines.c[slot])
+                along0 = lines.ax[slot] * u0[..., None] + lines.ay[slot] * v0[..., None]
+                dalong = lines.ax[slot] * du[..., None] + lines.ay[slot] * dv[..., None]
 
             prod = d0 * d1
             sign_change = prod < 0.0
@@ -483,20 +418,17 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
             bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
             along_f = along0 + f * dalong + bridge_sd * nrm[..., 2:2 + S]
 
-            rule = model.rule[slot]
-            par = model.par[slot]
-            is_exit = np.where(
-                rule == _RULE_SLIT, np.abs(along_f) >= par,
-                np.where(rule == _RULE_SEGMENT, True, along_f >= 0.0))
-            ray_clamp = (rule == _RULE_RAY) & (along_f < 0.0) & (par > 0.0)
-            is_exit = is_exit | ray_clamp
-
             # Crossings of one step in time order: the first exit ends the
             # lane, earlier non-exit slit crossings count as passages.  A
-            # step's exit is resolved before its cap check.
+            # step's exit is resolved before its cap check.  A convex domain
+            # is left at every crossing; otherwise a crossing exits where it
+            # meets the boundary part of its line.
             order = np.argsort(np.where(crossed, f, np.inf), axis=2)
             crossed_r = np.take_along_axis(crossed, order, 2)
-            exit_r = crossed_r & np.take_along_axis(is_exit, order, 2)
+            exit_r = crossed_r
+            if not lines.convex:
+                on_boundary = lines.gap(along_f, lines.par[slot]) <= 0.0
+                exit_r = exit_r & np.take_along_axis(on_boundary, order, 2)
             has_exit = exit_r.any(axis=2)
             capped = tt[:, 1:] >= time_cap
             exhausted = lanes.steps[live, None] + np.arange(1, W + 1) >= max_steps
@@ -519,7 +451,7 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
                     k = out.any(axis=0).argmax()
                     return live[out[:, k].argmax()]
 
-            if model.track_passages:
+            if track_passages:
                 # Passage events (comb lines are all slits) in time order,
                 # cut at each lane's exit; the last crossed line before each
                 # event is a forward fill.
@@ -541,19 +473,9 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
                 sl = order[w, jw, rank_end[w]]
                 lw = slot[w, jw, sl]
                 f_here = f[w, jw, sl]
-                a_exit = along_f[w, jw, sl]
-                if model.vertical:
-                    px = model.c[lw]
-                    py = a_exit
-                else:
-                    seg = model.rule[lw] == _RULE_SEGMENT
-                    lim = model.par[lw]
-                    a_exit = np.where(seg, np.clip(a_exit, -lim, lim), a_exit)
-                    a_exit = np.where(ray_clamp[w, jw, sl], 0.0, a_exit)
-                    px = model.c[lw] * model.nx[lw] + a_exit * model.ax[lw]
-                    py = model.c[lw] * model.ny[lw] + a_exit * model.ay[lw]
+                px, py = lines.snap(lw, along_f[w, jw, sl])
                 lanes.finish(live[w], tt[w, jw] + f_here * h, px, py, False)
-                if model.track_passages:
+                if track_passages:
                     lanes.passages[live[w]] += (
                         lw != lanes.last_line[live[w]]).astype(np.int64)
 
@@ -572,7 +494,7 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
 
     gen = np.random.Generator
     return _Kernel(((gen.standard_normal, 2 + S), (gen.random, 2 * S)), block,
-                   (lo, hi), model.track_passages)
+                   (lo, hi), track_passages)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +503,7 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
 
 def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
     """Walk-on-spheres block step: one jump per live lane per draw row."""
+    lines = domain.lines
     lo, hi = _escape_window(domain)
     eps, time_cap, max_steps = params.shell_eps, params.time_cap, params.max_steps
     windowed = np.isfinite(lo) or np.isfinite(hi)
@@ -598,12 +521,12 @@ def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
             rows = np.flatnonzero(run)
             if rows.size == 0:
                 break
-            r = domain.boundary_distance(ua[rows], va[rows])
+            r = lines.distance(ua[rows], va[rows])
 
             hit = r < eps
             if hit.any():
                 w = rows[hit]
-                bu, bv = domain.nearest_boundary(ua[w], va[w])
+                bu, bv = lines.nearest(ua[w], va[w])
                 lanes.finish(act[w], ta[w], bu, bv, False)
                 run[w] = False
 

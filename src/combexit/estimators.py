@@ -231,17 +231,16 @@ def tail_index(samples: SampleSet, method: str = "hill", k: int | None = None,
     raise ValueError(f"method must be 'hill' or 'loglog', got {method!r}")
 
 
-def moment_verdict(samples: SampleSet, p: float, method: str = "hill") -> str:
+def moment_verdict(diag: TailDiagnostic, p: float) -> str:
     """Tri-state empirical call on whether E[tau^p] is finite.
 
     The moment is finite exactly when p is below the tail exponent, so the
-    verdict compares p against the 95% band of the tail estimate and
-    refuses to call close cases.  A certificate from the analytic checker
-    always outranks this diagnostic.
+    verdict compares p against the 95% band of the tail estimate ``diag``
+    (from :func:`tail_index`) and refuses to call close cases.  A
+    certificate from the analytic checker always outranks this diagnostic.
     """
     if not p > 0.0:
         raise ValueError("moment order p must be positive")
-    diag = tail_index(samples, method=method)
     lo, hi = diag.ci_95
     if p < lo:
         return FINITE_LIKELY

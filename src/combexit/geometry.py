@@ -13,6 +13,15 @@ radius J.  Domains built from parametric generators are marked
 ``truncated``: simulated trajectories must exit strictly inside the window
 and the engines flag a "window escape" otherwise.  Explicit slit lists are
 taken as the complete, exact domain.
+
+Every domain describes its boundary once, as ``BoundaryLines``: oriented
+lines, each cut down to its boundary part by the one exit rule the domain
+uses (comb teeth and strip walls are slits, rectangle sides and the
+half-plane edge are segments, wedge sides are rays).  Both samplers read
+that description: EulerBridge tests bridge crossings of the lines, and
+WosTime takes its jump radius from ``distance`` and its exit point from
+``nearest``.  ``contains`` stays per class, because it validates start
+points with the domain's own exact comparisons.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -37,6 +47,7 @@ __all__ = [
     "Wedge",
     "HalfPlane",
     "SimDomain",
+    "BoundaryLines",
     "build_comb",
     "symmetrize",
     "domain_to_config",
@@ -113,6 +124,133 @@ class CombSpec:
 
 
 # ---------------------------------------------------------------------------
+# boundary lines
+
+# Exit rules: the part of a line that is boundary, in the coordinate s along
+# the line measured from its foot point c * n.
+_RULE_SLIT = 0      # |s| >= par: two rays leaving a gap of half-height par
+_RULE_SEGMENT = 1   # |s| <= par: a segment of half-length par
+_RULE_RAY = 2       # s >= 0: a ray from the foot point
+
+_WINDOW = 4  # candidate walls kept on each side of the insertion index
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryLines:
+    """A domain's boundary as oriented lines, each cut by the domain's rule.
+
+    Line ``i`` is ``{z : <z, n> = c}`` with unit normal ``n = (nx, ny)``
+    and unit along-direction ``a = (ax, ay)``; a point ``z`` has signed
+    offset ``d = <z, n> - c`` and along-coordinate ``s = <z, a>``.  The
+    one ``rule`` keeps the boundary part of every line, with ``par`` the
+    per-line slit half-height or segment half-length.  ``vertical`` sets
+    are walls ``x = c`` sorted by ``c``; ``convex`` marks domains that every
+    crossing of a line leaves.
+
+    The distance to the boundary part of a line uses the along-gap
+    ``g = par - |s|`` (slit), ``|s| - par`` (segment) or ``-s`` (ray),
+    which is at most 0 exactly where the foot of the perpendicular lies on
+    the boundary part: it is ``|d|`` there and ``hypot(d, g)``, the
+    distance to the nearest end, elsewhere.  As ``hypot(d, 0) == |d|``
+    exactly, that is ``hypot(d, max(g, 0))`` bit for bit; ``hypot`` is
+    only evaluated where ``g > 0``.
+    """
+
+    nx: np.ndarray
+    ny: np.ndarray
+    c: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    par: np.ndarray
+    rule: int
+    vertical: bool = False
+    convex: bool = False
+
+    @classmethod
+    def from_rows(cls, rule: int, rows, convex: bool) -> BoundaryLines:
+        """Lines from ``(nx, ny, c, ax, ay, par)`` rows."""
+        nx, ny, c, ax, ay, par = (np.array(col, dtype=float) for col in zip(*rows))
+        return cls(nx, ny, c, ax, ay, par, rule, convex=convex)
+
+    @classmethod
+    def walls(cls, xs, heights, convex: bool = False) -> BoundaryLines:
+        """Slits ``x = xs[i], |y| >= heights[i]`` for ascending ``xs``."""
+        c = np.array(xs, dtype=float)
+        one, zero = np.ones_like(c), np.zeros_like(c)
+        return cls(one, zero, c, zero, one, np.array(heights, dtype=float),
+                   _RULE_SLIT, vertical=True, convex=convex)
+
+    def gap(self, s, par):
+        """Along-gap of coordinates ``s`` on lines with parameters ``par``:
+        at most 0 exactly on the boundary part."""
+        if self.rule == _RULE_SLIT:
+            return par - np.abs(s)
+        if self.rule == _RULE_SEGMENT:
+            return np.abs(s) - par
+        return -s
+
+    def distance(self, u, v) -> np.ndarray:
+        """Distance from each point ``(u, v)`` to the boundary."""
+        u = np.atleast_1d(np.asarray(u, float))
+        v = np.atleast_1d(np.asarray(v, float))
+        n = self.c.size
+        if not self.vertical or n <= 2 * _WINDOW + 1:
+            return self._scan(u, v).min(axis=0)
+        lo = np.clip(np.searchsorted(self.c, u) - _WINDOW, 0, n - 1)
+        cols = np.minimum(lo + np.arange(2 * _WINDOW)[:, None], n - 1)
+        d = self._to(cols, u, v).min(axis=0)
+        # guard: every wall outside the candidate range is horizontally at
+        # least as far as the range edges, so the window minimum is global
+        # whenever it does not exceed those edge offsets
+        hi = cols[-1]
+        ok = (((lo == 0) | (d <= np.abs(u - self.c[lo])))
+              & ((hi == n - 1) | (d <= np.abs(u - self.c[hi]))))
+        if not ok.all():
+            bad = ~ok
+            d[bad] = self._scan(u[bad], v[bad]).min(axis=0)
+        return d
+
+    def nearest(self, u, v):
+        """Nearest boundary point ``(bu, bv)`` to each point ``(u, v)``;
+        ties go to the first line."""
+        u = np.atleast_1d(np.asarray(u, float))
+        v = np.atleast_1d(np.asarray(v, float))
+        i = self._scan(u, v).argmin(axis=0)
+        s = v if self.vertical else self.ax[i] * u + self.ay[i] * v
+        return self.snap(i, s)
+
+    def snap(self, i, s):
+        """The boundary point of line ``i`` nearest to the point of that line
+        at along-coordinate ``s``."""
+        par = self.par[i]
+        if self.rule == _RULE_SLIT:
+            s = np.where(np.abs(s) >= par, s, np.where(s >= 0.0, par, -par))
+        elif self.rule == _RULE_SEGMENT:
+            s = np.clip(s, -par, par)
+        else:
+            s = np.maximum(s, 0.0)
+        if self.vertical:
+            return self.c[i], s
+        return (self.c[i] * self.nx[i] + s * self.ax[i],
+                self.c[i] * self.ny[i] + s * self.ay[i])
+
+    def _scan(self, u, v) -> np.ndarray:
+        """``(lines, points)`` distances from every point to every line."""
+        return self._to(np.s_[:, None], u, v)
+
+    def _to(self, i, u, v) -> np.ndarray:
+        """Distances from the points to the lines ``i``, an index whose
+        selection broadcasts against the points."""
+        if self.vertical:
+            d, s = u - self.c[i], v
+        else:
+            d = self.nx[i] * u + self.ny[i] * v - self.c[i]
+            s = self.ax[i] * u + self.ay[i] * v
+        g = self.gap(s, self.par[i])
+        return np.hypot(d, g, out=np.abs(d), where=g > 0.0)
+
+
+# ---------------------------------------------------------------------------
 # materialized domains
 
 
@@ -164,28 +302,13 @@ class CombDomain:
         tallest = float(np.max(self.bs)) if len(self.bs) else 0.0
         return tallest if tallest > 0.0 else 1.0
 
-    # -- geometry ----------------------------------------------------------
-
-    def boundary_distance(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Distance to the nearest slit (vectorized), wall at x0 included."""
-        return _slit_distance(self.xs, self.line_heights, np.asarray(u, float),
-                              np.asarray(v, float))
-
-    def nearest_boundary(self, u: np.ndarray, v: np.ndarray):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        idx = _nearest_slit_index(self.xs, self.line_heights, u, v)
-        bx = self.xs[idx]
-        bb = self.line_heights[idx]
-        av = np.abs(v)
-        # on the slit ray if |v| >= b, else snap to the nearer tip
-        by = np.where(av >= bb, v, np.where(v >= 0.0, bb, -bb))
-        return bx, by
+    @cached_property
+    def lines(self) -> BoundaryLines:
+        return BoundaryLines.walls(self.xs, self.line_heights)
 
     def contains(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        inside = self.boundary_distance(u, v) > 0.0
+        inside = self.lines.distance(u, v) > 0.0
         if self.one_sided:
             inside = inside & (u > self.xs[0])
         return inside
@@ -205,23 +328,19 @@ class Rectangle:
     def scale(self) -> float:
         return min(self.half_width, self.half_height)
 
-    def boundary_distance(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        return np.minimum(self.half_width - np.abs(u), self.half_height - np.abs(v))
-
-    def nearest_boundary(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        du = self.half_width - np.abs(u)
-        dv = self.half_height - np.abs(v)
-        side_u = du <= dv
-        bu = np.where(side_u, np.where(u >= 0, self.half_width, -self.half_width), u)
-        bv = np.where(side_u, v, np.where(v >= 0, self.half_height, -self.half_height))
-        return bu, bv
+    @cached_property
+    def lines(self) -> BoundaryLines:
+        w, hh = self.half_width, self.half_height
+        return BoundaryLines.from_rows(_RULE_SEGMENT, [
+            (1.0, 0.0, w, 0.0, 1.0, hh),
+            (1.0, 0.0, -w, 0.0, 1.0, hh),
+            (0.0, 1.0, hh, 1.0, 0.0, w),
+            (0.0, 1.0, -hh, 1.0, 0.0, w),
+        ], convex=True)
 
     def contains(self, u, v):
-        return self.boundary_distance(u, v) > 0.0
+        return ((np.abs(np.asarray(u, float)) < self.half_width)
+                & (np.abs(np.asarray(v, float)) < self.half_height))
 
 
 @dataclass(frozen=True)
@@ -238,18 +357,13 @@ class VerticalStrip:
     def scale(self) -> float:
         return (self.right - self.left) / 2.0
 
-    def boundary_distance(self, u, v):
-        u = np.asarray(u, float)
-        return np.minimum(u - self.left, self.right - u)
-
-    def nearest_boundary(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        left_closer = (u - self.left) <= (self.right - u)
-        return np.where(left_closer, self.left, self.right), v
+    @cached_property
+    def lines(self) -> BoundaryLines:
+        return BoundaryLines.walls([self.left, self.right], [0.0, 0.0], convex=True)
 
     def contains(self, u, v):
-        return self.boundary_distance(u, v) > 0.0
+        u = np.asarray(u, float)
+        return (u > self.left) & (u < self.right)
 
 
 @dataclass(frozen=True)
@@ -265,35 +379,16 @@ class Wedge:
     def scale(self) -> float:
         return 1.0
 
-    def boundary_distance(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        a = self.angle
-        # ray arg = 0: boundary {(x, 0): x >= 0}
-        d0 = np.where(u >= 0.0, np.abs(v), np.hypot(u, v))
-        # ray arg = a: rotate by -a, same test
-        ca, sa = math.cos(a), math.sin(a)
-        xr = u * ca + v * sa
-        yr = -u * sa + v * ca
-        d1 = np.where(xr >= 0.0, np.abs(yr), np.hypot(xr, yr))
-        return np.minimum(d0, d1)
-
-    def nearest_boundary(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        a = self.angle
-        ca, sa = math.cos(a), math.sin(a)
-        xr = u * ca + v * sa
-        d0 = np.where(u >= 0.0, np.abs(v), np.hypot(u, v))
-        yr = -u * sa + v * ca
-        d1 = np.where(xr >= 0.0, np.abs(yr), np.hypot(xr, yr))
-        on0 = d0 <= d1
-        # projections: clamp the axial coordinate at the apex
-        p0u = np.maximum(u, 0.0)
-        p1r = np.maximum(xr, 0.0)
-        bu = np.where(on0, p0u, p1r * ca)
-        bv = np.where(on0, 0.0, p1r * sa)
-        return bu, bv
+    @cached_property
+    def lines(self) -> BoundaryLines:
+        # Up to a half plane the wedge is convex: a crossing of a side's line
+        # behind the apex leaves it too and exits at the apex.  A reflex
+        # wedge goes on past the lines, so such a crossing is no exit.
+        ca, sa = math.cos(self.angle), math.sin(self.angle)
+        return BoundaryLines.from_rows(_RULE_RAY, [
+            (0.0, 1.0, 0.0, 1.0, 0.0, 0.0),
+            (sa, -ca, 0.0, ca, sa, 0.0),
+        ], convex=self.angle <= math.pi)
 
     def contains(self, u, v):
         u = np.asarray(u, float)
@@ -315,11 +410,10 @@ class HalfPlane:
     def scale(self) -> float:
         return 1.0
 
-    def boundary_distance(self, u, v):
-        return np.asarray(v, float).copy()
-
-    def nearest_boundary(self, u, v):
-        return np.asarray(u, float).copy(), np.zeros_like(np.asarray(v, float))
+    @cached_property
+    def lines(self) -> BoundaryLines:
+        return BoundaryLines.from_rows(
+            _RULE_SEGMENT, [(0.0, 1.0, 0.0, 1.0, 0.0, np.inf)], convex=True)
 
     def contains(self, u, v):
         return np.asarray(v, float) > 0.0
@@ -493,59 +587,6 @@ def symmetrize(comb: CombDomain) -> CombDomain:
     else:
         new_spec = CombSpec(gen, window_radius=comb.window_radius, one_sided=False)
     return build_comb(new_spec)
-
-
-# ---------------------------------------------------------------------------
-# slit distance kernel
-
-_WINDOW = 4  # candidate slits kept on each side of the insertion index
-
-
-def _slit_distance(xs, heights, u, v):
-    u = np.atleast_1d(u)
-    v = np.atleast_1d(v)
-    n = len(xs)
-    if n <= 2 * _WINDOW + 1:
-        d = _slit_distance_full(xs, heights, u, v)
-    else:
-        d = _slit_distance_windowed(xs, heights, u, v)
-    return d
-
-
-def _slit_distance_full(xs, heights, u, v):
-    du = u[:, None] - xs[None, :]
-    dv = np.maximum(0.0, heights[None, :] - np.abs(v)[:, None])
-    return np.min(np.hypot(du, dv), axis=1)
-
-
-def _slit_distance_windowed(xs, heights, u, v):
-    n = len(xs)
-    k = np.searchsorted(xs, u)
-    lo = np.clip(k - _WINDOW, 0, n - 1)
-    cols = lo[:, None] + np.arange(2 * _WINDOW)[None, :]
-    np.clip(cols, 0, n - 1, out=cols)
-    du = u[:, None] - xs[cols]
-    dv = np.maximum(0.0, heights[cols] - np.abs(v)[:, None])
-    d = np.min(np.hypot(du, dv), axis=1)
-    # guard: every slit outside the candidate range is horizontally at least
-    # as far as the range edges, so the window minimum is global whenever it
-    # does not exceed those edge offsets
-    hi = np.minimum(lo + 2 * _WINDOW - 1, n - 1)
-    ok = np.ones(len(u), dtype=bool)
-    ok &= (lo == 0) | (d <= np.abs(u - xs[lo]))
-    ok &= (hi == n - 1) | (d <= np.abs(u - xs[hi]))
-    if not np.all(ok):
-        bad = ~ok
-        d[bad] = _slit_distance_full(xs, heights, u[bad], v[bad])
-    return d
-
-
-def _nearest_slit_index(xs, heights, u, v):
-    u = np.atleast_1d(u)
-    v = np.atleast_1d(v)
-    du = u[:, None] - xs[None, :]
-    dv = np.maximum(0.0, heights[None, :] - np.abs(v)[:, None])
-    return np.argmin(np.hypot(du, dv), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "render_report",
     "samples_to_csv",
     "write_report",
-    "write_samples_csv",
     "write_text",
 ]
 
@@ -91,10 +90,6 @@ def samples_to_csv(samples: SampleSet) -> str:
         map(str, samples.steps.tolist()),
     )
     return "\n".join([",".join(_CSV_FIELDS), *map(",".join, rows)]) + "\n"
-
-
-def write_samples_csv(path: str | Path, samples: SampleSet) -> None:
-    write_text(path, samples_to_csv(samples))
 
 
 def read_samples_csv(path: str | Path) -> SampleSet:

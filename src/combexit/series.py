@@ -274,10 +274,22 @@ def scaled_strip_moment(a_left: float, a_right: float, p: float,
     strip (-a_left, a_right) started at 0.
 
     This is the domain-monotonicity bound, not the exact asymmetric moment.
+    Orders whose bound overflows a float raise ValueError, as in
+    :func:`strip_moment`.
     """
     if not (a_left > 0 and a_right > 0):
         raise ValueError("strip half-widths must be positive")
-    return max(a_left, a_right) ** (2.0 * p) * strip_moment(p, params)
+    moment = strip_moment(p, params)
+    try:
+        value = max(a_left, a_right) ** (2.0 * p) * moment
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"moment order {p:g} is out of range: the bound "
+            f"max({a_left:g}, {a_right:g})**(2p) * E[tau^p] overflows a float"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,15 @@ class TestStructuralInvariants:
             (VerticalStrip(-1.0, 1.0), (0.0, 0.0)),
             (Rectangle(1.0, 0.5), (0.0, 0.0)),
             (UNIFORM_COMB, (0.5, 0.0)),
+            (Wedge(math.pi / 2.0), (0.7, 0.7)),
+            (Wedge(_REFLEX), (math.cos(0.75 * _REFLEX), math.sin(0.75 * _REFLEX))),
+            (HalfPlane(), (0.0, 1.0)),
         ]:
             ss = run_batch(dom, start, 1_500,
                            SimParams(engine="WosTime", master_seed=25))
             pts, _ = uncensored(ss)
-            d = dom.boundary_distance(pts[:, 0], pts[:, 1])
+            assert len(pts)
+            d = dom.lines.distance(pts[:, 0], pts[:, 1])
             assert np.max(np.abs(d)) < 1e-9
 
     def test_euler_wedge_exits_on_rays(self):
@@ -269,6 +273,27 @@ GUARD_CASES = {
                              dict(master_seed=46, max_steps=700)),
     "uniform-comb": (UNIFORM_COMB, (0.5, 0.0), 2_000,
                      dict(master_seed=47, time_cap=200.0)),
+    "wos-rectangle": (Rectangle(1.0, 0.5), (0.2, -0.1), 2_000,
+                      dict(engine="WosTime", master_seed=61)),
+    "wos-convex-wedge": (Wedge(math.pi / 2.0), (0.7, 0.7), 1_500,
+                         dict(engine="WosTime", master_seed=62, time_cap=100.0)),
+    "wos-reflex-wedge": (Wedge(_REFLEX),
+                         (math.cos(0.75 * _REFLEX), math.sin(0.75 * _REFLEX)),
+                         1_500, dict(engine="WosTime", master_seed=63,
+                                     time_cap=100.0)),
+    "wos-half-plane-time-cap": (HalfPlane(), (0.0, 1.0), 2_000,
+                                dict(engine="WosTime", master_seed=64,
+                                     time_cap=40.0)),
+    "wos-uniform-comb": (UNIFORM_COMB, (0.5, 0.0), 2_000,
+                         dict(engine="WosTime", master_seed=65, time_cap=200.0)),
+    "wos-uniform-comb-j200": (
+        build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=200)),
+        (0.5, 0.0), 2_000,
+        dict(engine="WosTime", master_seed=66, time_cap=200.0)),
+    "wos-one-sided-explicit": (
+        build_comb(CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 1.0), (4.5, 1.0),
+                                           (9.0, 0.0))), one_sided=True)),
+        (1.0, 0.0), 2_000, dict(engine="WosTime", master_seed=67)),
 }
 
 GUARD_DIGESTS = {
@@ -286,12 +311,27 @@ GUARD_DIGESTS = {
         "25b002e700abe5ab1a9ceb434a9f63238d40dcfa834e8b7e86f2983fd91ca794",
     "uniform-comb":
         "d7b2c778a1ac833a45f10d8c08f025ff379803d9f94486a0370e55413482467b",
+    "wos-rectangle":
+        "d544a4761f27ba0b59dbfb498558d29986d14c56d06cde476db759fe4e14bdd1",
+    "wos-convex-wedge":
+        "5f4242ee2a8915d30e5e70fac506dd2a0d33acd93ccbe9513e5c2945371162b8",
+    "wos-reflex-wedge":
+        "cd0d8ad2a40873d01a3dd5753c4447c7a7670ea8494020614f3cf10d45aae279",
+    "wos-half-plane-time-cap":
+        "f3444c7036261edb38dbeac979f069686607ae4f8091d7976fc6a315558eaa49",
+    "wos-uniform-comb":
+        "23677a6131143b44a6d7feffb4e8606ea14367770bfa8a764e6ed26ee83669ef",
+    "wos-uniform-comb-j200":
+        "4651f5c9eb387ecaa10d5a84922191cc2d5e7ef493b6d10457514f220d91e43a",
+    "wos-one-sided-explicit":
+        "428c9811f01ed675ccc744281c4040c7ea9125d695a12c707e90eb57238711d8",
 }
 
 
 class TestBitIdentityGuard:
-    """Pinned EulerBridge outputs: any change to the kernel's float
-    expressions, their order, or the draw schedule shows up here.
+    """Pinned outputs of both engines: any change to a kernel's float
+    expressions, their order, the boundary distance and nearest point
+    WosTime reads, or the draw schedule shows up here.
 
     The digests were recorded with numpy 2.4 on x86-64 with AVX-512, whose
     vectorized ``exp`` may round differently from other builds; on another

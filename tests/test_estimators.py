@@ -156,19 +156,18 @@ class TestTailValidation:
 
 class TestVerdicts:
     def test_heavy_tail_flags_infinite(self):
-        assert moment_verdict(pareto_set(0.5, seed=21), 1.0) == INFINITE_LIKELY
+        assert moment_verdict(tail_index(pareto_set(0.5, seed=21)), 1.0) == INFINITE_LIKELY
 
     def test_light_tail_flags_finite(self):
-        assert moment_verdict(pareto_set(5.0, seed=22), 1.0) == FINITE_LIKELY
+        assert moment_verdict(tail_index(pareto_set(5.0, seed=22)), 1.0) == FINITE_LIKELY
 
     def test_boundary_is_uncertain(self):
-        s = pareto_set(1.0, seed=23)
-        h = tail_index(s).H_hat
-        assert moment_verdict(s, h) == UNCERTAIN
+        diag = tail_index(pareto_set(1.0, seed=23))
+        assert moment_verdict(diag, diag.H_hat) == UNCERTAIN
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError, match="positive"):
-            moment_verdict(pareto_set(1.0, seed=24), -1.0)
+            moment_verdict(tail_index(pareto_set(1.0, seed=24)), -1.0)
 
 
 class TestDomainConsistency:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from combexit.geometry import (
+    BoundaryLines,
     CombSpec,
     ExplicitSlits,
     GeometricGaps,
@@ -21,12 +22,11 @@ from combexit.geometry import (
     domain_to_config,
     symmetrize,
 )
-from combexit.geometry import _slit_distance, _slit_distance_full
 
 
 def dist(domain, u, v):
     """Boundary distance of one point, as a float."""
-    return float(domain.boundary_distance(np.array([u]), np.array([v]))[0])
+    return float(domain.lines.distance(np.array([u]), np.array([v]))[0])
 
 
 def test_uniform_window():
@@ -133,7 +133,7 @@ def test_distance_examples():
 
 def test_nearest_boundary_comb():
     comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
-    bu, bv = comb.nearest_boundary(np.array([0.5, 0.9]), np.array([0.0, 2.0]))
+    bu, bv = comb.lines.nearest(np.array([0.5, 0.9]), np.array([0.0, 2.0]))
     assert bu[0] in (0.0, 1.0) and abs(bv[0]) == 1.0
     assert bu[1] == 1.0 and bv[1] == 2.0
 
@@ -151,13 +151,22 @@ def comb_points(draw):
     return xs, np.asarray(heights), u, v
 
 
+# tall teeth around the point and a full line ten walls away: only the
+# guard's fallback to the full scan finds the line
+GUARD_CASE = (np.arange(21) * 0.1, np.where(np.arange(21) == 10, 0.0, 4.0), 0.05, 0.0)
+
+
 @given(comb_points())
+@example(GUARD_CASE)
 @settings(max_examples=200, deadline=None)
 def test_windowed_distance_matches_full_scan(data):
     xs, bs, u, v = data
-    full = _slit_distance_full(xs, bs, np.array([u]), np.array([v]))[0]
-    fast = _slit_distance(xs, bs, np.array([u]), np.array([v]))[0]
-    assert fast == full
+    lines = BoundaryLines.walls(xs, bs)
+    pu, pv = np.array([u]), np.array([v])
+    fast = lines.distance(pu, pv)[0]
+    assert fast == lines._scan(pu, pv).min(axis=0)[0]
+    bu, bv = lines.nearest(pu, pv)
+    assert math.hypot(bu[0] - u, bv[0] - v) == pytest.approx(fast, abs=1e-12)
 
 
 @given(st.floats(-2.5, 2.5), st.floats(-3.0, 3.0), st.floats(-2.5, 2.5),
@@ -165,9 +174,31 @@ def test_windowed_distance_matches_full_scan(data):
 @settings(max_examples=200, deadline=None)
 def test_comb_distance_lipschitz(u1, v1, u2, v2):
     comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
-    d1 = comb.boundary_distance(np.array([u1]), np.array([v1]))[0]
-    d2 = comb.boundary_distance(np.array([u2]), np.array([v2]))[0]
+    d1 = dist(comb, u1, v1)
+    d2 = dist(comb, u2, v2)
     assert abs(d1 - d2) <= math.hypot(u1 - u2, v1 - v2) + 1e-12
+
+
+EVERY_DOMAIN = [
+    build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3)),
+    build_comb(CombSpec(UniformGaps(0.5, 2.0), window_radius=12)),
+    build_comb(CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 1.0), (4.5, 1.0), (9.0, 0.0))),
+                        one_sided=True)),
+    VerticalStrip(-1.0, 2.0),
+    Rectangle(1.0, 0.5),
+    Wedge(math.pi / 3.0),
+    Wedge(1.5 * math.pi),
+    HalfPlane(),
+]
+
+
+@given(st.sampled_from(EVERY_DOMAIN), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+@settings(max_examples=300, deadline=None)
+def test_nearest_lies_on_boundary(domain, u, v):
+    bu, bv = domain.lines.nearest(np.array([u]), np.array([v]))
+    assert dist(domain, bu[0], bv[0]) < 1e-12
+    assert math.hypot(bu[0] - u, bv[0] - v) == pytest.approx(
+        dist(domain, u, v), abs=1e-12)
 
 
 def test_wedge_contains_and_distance():

@@ -188,6 +188,11 @@ def test_scaled_strip_moment():
     assert scaled_strip_moment(3.0, 2.0, 2.0) == pytest.approx(135.0)
     with pytest.raises(ValueError):
         scaled_strip_moment(0.0, 1.0, 1.0)
+    # the bound overflows: a finite moment times 2**354, and 1e200**4
+    with pytest.raises(ValueError, match="moment order 177 "):
+        scaled_strip_moment(2.0, 2.0, 177)
+    with pytest.raises(ValueError, match="moment order 2 "):
+        scaled_strip_moment(1e200, 1.0, 2.0)
 
 
 def test_disk_survival_shape():
