@@ -38,13 +38,16 @@ The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
 owns the per-sample substreams, the block schedule, the lane state and the
 result columns; an engine supplies only a ``_Kernel``: the draws one lane
 takes per block and a block step that advances the live lanes.  Sample
-``i`` of a batch always consumes the generator seeded by
-``SeedSequence((master_seed, i))`` and always draws the same block sequence
-(sizes depend only on that sample's own lifetime), so results are
-bit-identical for any worker count or batch partitioning and individual
-samples can be replayed in isolation.  How many steps a kernel pass
-evaluates only regroups arithmetic on draws already made, so it never
-changes a sample.
+``i`` of a batch always draws from a PCG64 stream in the state that
+``PCG64(SeedSequence((master_seed, i)))`` starts in, and always draws the
+same block sequence (sizes depend only on that sample's own lifetime), so
+results are bit-identical for any worker count or batch partitioning and
+individual samples can be replayed in isolation.  The driver computes a
+whole chunk's starting states in one vectorized pass of numpy's seeding
+algorithm (``_seed_states``) and keeps one generator per chunk, loading a
+lane's saved state before its block draws and saving it after.  How many
+steps a kernel pass evaluates only regroups arithmetic on draws already
+made, so it never changes a sample.
 
 Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
 records are built only on request.  Passage counts are recorded for comb
@@ -234,10 +237,80 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
     return eps
 
 
-def _substream(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((master_seed, index)))
-    )
+# Seeding ``PCG64(SeedSequence((master_seed, i)))`` one object at a time
+# costs about 18 us per sample, most of a short-lived WosTime batch, so
+# ``_seed_states`` runs numpy's algorithm on a whole chunk at once:
+# SeedSequence's pool mixing on uint32 words and ``generate_state(4,
+# uint64)`` (constants from numpy's ``bit_generator.pyx``), then PCG64's
+# ``set_seed`` step in 128-bit arithmetic.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
+    """The successive values of a SeedSequence hash constant, as a column."""
+    out = [h]
+    for _ in range(n):
+        h = (h * mult) & _MASK32
+        out.append(h)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)   # pool mixing
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)    # generate_state
+
+
+def _hashmix(x, consts):
+    """SeedSequence's ``hashmix`` of row ``k`` of ``x`` with hash constants
+    ``consts[k]`` and ``consts[k + 1]``."""
+    x = x ^ consts[:-1]
+    x *= consts[1:]
+    x ^= x >> np.uint32(16)
+    return x
+
+
+def _seed_states(master_seed: int, indices) -> list[dict]:
+    """``PCG64(SeedSequence((master_seed, i))).state`` for every ``i`` in
+    ``indices`` (each below 2**63), computed in one vectorized pass.
+
+    SeedSequence writes each integer as little-endian uint32 words (one word
+    below 2**32, two from there on) and zero-pads the entropy to its pool of
+    four words.  A 63-bit seed and index fill at most four words, so an
+    index of one word hashes exactly like its two-word form with a zero high
+    word, and both cases share one code path.
+    """
+    master_seed = int(master_seed)
+    idx = np.asarray(indices, dtype=np.uint64)
+    words = [master_seed & _MASK32]
+    if master_seed >> 32:
+        words.append(master_seed >> 32)
+    pool = np.zeros((4, idx.size), dtype=np.uint32)
+    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = idx & np.uint64(_MASK32)
+    pool[len(words) + 1] = idx >> np.uint64(32)
+    pool = _hashmix(pool, _HASH_A[:5])
+    # Mixing word ``src`` into the other three reads only ``src`` and the
+    # word it updates, so the three updates run as one.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        h = _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
+        r = np.uint32(0xCA01F9DD) * pool[dst]
+        r -= np.uint32(0x4973F715) * h
+        r ^= r >> np.uint32(16)
+        pool[dst] = r
+    out = _hashmix(np.concatenate([pool, pool]), _HASH_B).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        out[0::2] | out[1::2] << np.uint64(32)).tolist()
+
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
+        state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _block_sizes():
@@ -312,16 +385,20 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
     ``kernel.draws`` entry per block it survives into.  That keeps every
     sample bit-reproducible in isolation, whatever chunk it runs in.
     """
-    gens = [_substream(master_seed, int(i)) for i in indices]
+    states = _seed_states(master_seed, indices)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
     lanes = _Lanes(len(indices), start)
     for T in _block_sizes():
         act = np.flatnonzero(lanes.alive)
         if act.size == 0:
             break
         draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
-        for row, s in enumerate(act):
+        for row, s in enumerate(act.tolist()):
+            bitgen.state = states[s]
             for buf, (method, _) in zip(draws, kernel.draws):
-                method(gens[s], out=buf[row])
+                method(gen, out=buf[row])
+            states[s] = bitgen.state
         bad = kernel.block(lanes, act, draws, T)
         del draws  # free this block's draws before the next one is allocated
         if bad is not None:
@@ -601,6 +678,12 @@ def simulate_exit(domain: SimDomain, start, params: SimParams,
     ``simulate_exit(..., sample_index=i)`` reproduces sample ``i`` of
     ``run_batch`` with the same parameters, bit for bit.
     """
+    if (isinstance(sample_index, bool)
+            or not isinstance(sample_index, (int, np.integer))
+            or not 0 <= sample_index < 2**63):
+        raise ValueError("sample_index must be an integer in [0, 2**63), "
+                         f"got {sample_index!r}")
+    sample_index = int(sample_index)
     resolved = _resolve(domain, start, params)
     cols = _simulate_range(domain, (float(start[0]), float(start[1])),
                            resolved, sample_index, sample_index + 1)

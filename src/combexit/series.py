@@ -19,11 +19,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import j1, jn_zeros, ndtr
+
+# scipy is imported inside the functions that use it: importing it here
+# would cost every CLI command that never builds the disk law or integrates
+# a moment about half a second of start-up.
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "SeriesParams",
@@ -168,6 +172,8 @@ def _strip_survival_spectral(t: np.ndarray, params: SeriesParams) -> np.ndarray:
 
 def _strip_survival_images(t: np.ndarray) -> np.ndarray:
     # reflection representation; for t < 0.1 four image pairs reach 1e-170
+    from scipy.special import ndtr
+
     out = np.ones_like(t)
     pos = t > 0
     if np.any(pos):
@@ -220,6 +226,8 @@ def _interval_moment_exact(k: int) -> Fraction:
 def _strip_moment_quadrature(p: float, params: SeriesParams) -> float:
     # E[tau^p] = int_0^inf p t^{p-1} S(t) dt; substituting t = s^{1/p} on the
     # head removes the endpoint singularity for p < 1
+    from scipy.integrate import quad
+
     tol = max(params.abs_tolerance, 1e-13)
 
     def surv(t: float) -> float:
@@ -297,6 +305,8 @@ def scaled_strip_moment(a_left: float, a_right: float, p: float,
 
 
 def _disk_modes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import j1, jn_zeros
+
     zeros = jn_zeros(0, n_modes)
     coeffs = 2.0 / (zeros * j1(zeros))
     rates = 0.5 * zeros * zeros
@@ -353,6 +363,8 @@ def build_disk_law(n_knots: int = 4096, u_cut: float = 0.999,
     Raises if the implied mean and second moment disagree with the exact
     values beyond the resolution the knot count should deliver.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if n_knots < 16:
         raise ValueError("table needs at least 16 knots")
     if not (0.9 < u_cut < 1.0):

@@ -1,7 +1,10 @@
 """End-to-end subcommand tests: reports, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -34,6 +37,21 @@ def write_json(path, payload):
 
 def load(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy loads only in the functions that need it, so commands that
+    never build the disk law or integrate a moment do not pay for it."""
+    import combexit
+
+    src = str(Path(combexit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, combexit.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestScalarCommands:

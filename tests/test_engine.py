@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from combexit import engine
 from combexit.engine import (
     ExitSample,
     SampleSet,
@@ -350,6 +351,57 @@ class TestBitIdentityGuard:
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
         assert str(err.value).startswith("sample 640 ")
+
+
+class TestSeeding:
+    """The chunk driver seeds every sample's PCG64 in one vectorized pass;
+    these pin that pass to numpy's own ``SeedSequence`` and ``PCG64``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_seed_states_match_numpy(self, seed):
+        indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
+        expected = [np.random.PCG64(np.random.SeedSequence((seed, i))).state
+                    for i in indices]
+        assert engine._seed_states(seed, np.array(indices)) == expected
+
+    # Recorded at the commit before vectorized seeding, when each sample
+    # drew from its own Generator(PCG64(SeedSequence((seed, i)))).  The
+    # WosTime samples outlive the first block of 32 draws.
+    FAR_SAMPLES = {
+        ("EulerBridge", 2**40):
+            ExitSample(1.8752952657536646, (-3.0, -1.1127644102475525),
+                       False, 4, 47, "EulerBridge"),
+        ("EulerBridge", 2**63 - 1):
+            ExitSample(1.6479964544966, (-1.0, 1.3150943363231054),
+                       False, 3, 42, "EulerBridge"),
+        ("WosTime", 2**40):
+            ExitSample(0.3723381687292404, (1.0, 1.3908952365542648),
+                       False, None, 27, "WosTime"),
+        ("WosTime", 2**63 - 1):
+            ExitSample(2.073884092592774, (1.0, -1.0062740948206028),
+                       False, None, 53, "WosTime"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(FAR_SAMPLES),
+                             ids=lambda key: f"{key[0]}-{key[1]}")
+    def test_far_sample_index_replays_the_old_stream(self, key, monkeypatch):
+        engine_name, index = key
+        params = SimParams(engine=engine_name, master_seed=2**32 + 5)
+        sample = simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
+                               sample_index=index)
+        assert sample == self.FAR_SAMPLES[key]
+        # the same sample from numpy's own per-sample seeding
+        monkeypatch.setattr(engine, "_seed_states", lambda seed, indices: [
+            np.random.PCG64(np.random.SeedSequence((seed, int(i)))).state
+            for i in indices])
+        assert simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
+                             sample_index=index) == sample
+
+    @pytest.mark.parametrize("index", [-1, 2**63, 2**64, 1.5, True])
+    def test_bad_sample_index(self, index):
+        with pytest.raises(ValueError, match="sample_index"):
+            simulate_exit(VerticalStrip(-1.0, 1.0), (0.0, 0.0), SimParams(),
+                          sample_index=index)
 
 
 CSV_CASES = {
