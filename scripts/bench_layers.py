@@ -1,0 +1,272 @@
+"""Layer benchmark: one row per layer cost, before and after a change.
+
+Runs every row in a fresh interpreter against two source trees, each a
+directory that holds the ``combexit`` package (the ``src`` of a checkout).
+Each repetition runs every row once per tree, alternating which tree goes
+first, so that a drift of the host's speed hits both alike.  Writes the
+medians and every run, with ``nproc`` and the interpreter and library
+versions, to ``BENCH_layers.json``:
+
+    python3 scripts/bench_layers.py --parent /path/to/old/src \
+        --change src --repeats 5
+
+Rows:
+
+* ``seeding_us``: start states of every sample's generator, per sample,
+  over 200k indices in chunks of 4096 (``engine._seed_states``);
+* ``lane_block_us``: the chunk driver's cost per lane-block, that is
+  loading a lane's state, drawing its (32, 2) WosTime uniforms and saving
+  the state, measured as ``_run_chunk`` over 4096 lanes with pre-seeded
+  states and a block that ends every lane;
+* ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
+  disk-law inversion of 32 and of 4096 uniforms;
+* ``disk_law_first_s``: the first ``default_disk_law()`` after
+  ``import combexit.cli``, including any import it triggers;
+* ``rectangle_distance_us``: ``lines.distance`` of 4096 points inside the
+  rectangle (-2, 2) x (-1, 1);
+* ``import_cli_s``: ``import combexit.cli``;
+* ``replay_ms``: one ``simulate_exit`` of a strip WosTime sample, the mean
+  over indices 0-199 (disk-law table built beforehand), which pays the
+  chunk driver's fixed cost, seeding included, once per call;
+* ``strip_wos_run_batch_s``: ``run_batch`` of 200k WosTime samples on the
+  strip from the origin at seed 7 (disk-law table built beforehand);
+* ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
+  samples on the half-plane from (0, 1) at time cap 1000, seed 7.
+
+The two batch rows also record their step totals.  When a change keeps
+every sample they agree between the trees; where they differ the script
+says so on stderr, records ``"steps_agree": false`` in the row and exits
+with status 1.  Not part of the test suite: a run takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SEED = 7
+CHUNK = 4096
+
+
+def _per_call(fn, calls: int) -> float:
+    """Mean seconds per call of ``fn`` over ``calls`` calls."""
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - t0) / calls
+
+
+def _seeding() -> dict:
+    import numpy as np
+
+    from combexit import engine
+
+    n = 200_000
+    t0 = time.perf_counter()
+    for c0 in range(0, n, CHUNK):
+        engine._seed_states(SEED, np.arange(c0, min(c0 + CHUNK, n), dtype=np.int64))
+    return {"value": (time.perf_counter() - t0) / n * 1e6}
+
+
+def _lane_block() -> dict:
+    import numpy as np
+
+    from combexit import engine
+
+    indices = np.arange(CHUNK, dtype=np.int64)
+    seeded = engine._seed_states(SEED, indices)
+    engine._seed_states = lambda seed, idx: seeded.copy()
+
+    def end_every_lane(lanes, act, draws, T):
+        lanes.finish(act, 0.0, 0.0, 0.0, False)
+
+    kernel = engine._Kernel(((np.random.Generator.random, 2),), end_every_lane,
+                            (-np.inf, np.inf))
+    run = lambda: engine._run_chunk(kernel, (0.0, 0.0), SEED, indices)  # noqa: E731
+    run()
+    return {"value": _per_call(run, 20) / CHUNK * 1e6}
+
+
+def _times_from_uniform(lanes: int) -> dict:
+    import numpy as np
+
+    from combexit.series import default_disk_law
+
+    table = default_disk_law()
+    u = np.random.default_rng(SEED).random(lanes)
+    table.times_from_uniform(u)
+    return {"value": _per_call(lambda: table.times_from_uniform(u), 2000) * 1e6}
+
+
+def _disk_law_first() -> dict:
+    import combexit.cli  # noqa: F401
+    from combexit.series import default_disk_law
+
+    t0 = time.perf_counter()
+    default_disk_law()
+    return {"value": time.perf_counter() - t0}
+
+
+def _rectangle_distance() -> dict:
+    import numpy as np
+
+    from combexit.geometry import Rectangle
+
+    rng = np.random.default_rng(SEED)
+    u, v = rng.uniform(-2.0, 2.0, CHUNK), rng.uniform(-1.0, 1.0, CHUNK)
+    lines = Rectangle(2.0, 1.0).lines
+    lines.distance(u, v)
+    return {"value": _per_call(lambda: lines.distance(u, v), 2000) * 1e6}
+
+
+def _import_cli() -> dict:
+    t0 = time.perf_counter()
+    import combexit.cli  # noqa: F401
+    return {"value": time.perf_counter() - t0}
+
+
+def _replay() -> dict:
+    from combexit.engine import SimParams, simulate_exit
+    from combexit.geometry import VerticalStrip
+    from combexit.series import default_disk_law
+
+    default_disk_law()
+    strip, params = VerticalStrip(-1.0, 1.0), SimParams(engine="WosTime", master_seed=SEED)
+    simulate_exit(strip, (0.0, 0.0), params, sample_index=0)
+    t0 = time.perf_counter()
+    for i in range(200):
+        simulate_exit(strip, (0.0, 0.0), params, sample_index=i)
+    return {"value": (time.perf_counter() - t0) / 200 * 1e3}
+
+
+def _batch(domain, start, n: int, **params) -> dict:
+    from combexit.engine import SimParams, run_batch
+
+    t0 = time.perf_counter()
+    result = run_batch(domain, start, n, SimParams(master_seed=SEED, **params))
+    return {"value": time.perf_counter() - t0, "steps": int(result.steps.sum())}
+
+
+def _strip_wos() -> dict:
+    from combexit.geometry import VerticalStrip
+    from combexit.series import default_disk_law
+
+    default_disk_law()
+    return _batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 200_000, engine="WosTime")
+
+
+def _halfplane_euler() -> dict:
+    from combexit.geometry import HalfPlane
+
+    return _batch(HalfPlane(), (0.0, 1.0), 8192, engine="EulerBridge",
+                  time_cap=1000.0)
+
+
+# name: (unit, child function)
+ROWS = {
+    "seeding_us": ("us", _seeding),
+    "lane_block_us": ("us", _lane_block),
+    "times_from_uniform_32_us": ("us", lambda: _times_from_uniform(32)),
+    "times_from_uniform_4096_us": ("us", lambda: _times_from_uniform(4096)),
+    "disk_law_first_s": ("s", _disk_law_first),
+    "rectangle_distance_us": ("us", _rectangle_distance),
+    "import_cli_s": ("s", _import_cli),
+    "replay_ms": ("ms", _replay),
+    "strip_wos_run_batch_s": ("s", _strip_wos),
+    "halfplane_euler_run_batch_s": ("s", _halfplane_euler),
+}
+
+
+def _run_child(src: Path, row: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "COMBEXIT_WORKERS"}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run([sys.executable, __file__, "--child", row], env=env,
+                         capture_output=True, text=True)
+    if out.returncode:
+        raise RuntimeError(f"row {row} failed for {src}:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _version(name: str) -> str:
+    from importlib.metadata import version
+    return version(name)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path,
+                    help="source tree before the change (holds combexit/)")
+    ap.add_argument("--change", type=Path,
+                    default=Path(__file__).resolve().parents[1] / "src",
+                    help="source tree after the change (default: this checkout)")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--rows", nargs="+", choices=sorted(ROWS), default=list(ROWS),
+                    help="rows to run (default: all)")
+    ap.add_argument("--out", type=Path, default=Path("BENCH_layers.json"))
+    ap.add_argument("--child", choices=sorted(ROWS), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(ROWS[args.child][1]()))
+        return 0
+    if args.parent is None:
+        ap.error("--parent is required")
+    if args.repeats < 5:
+        ap.error("--repeats must be at least 5 for a median worth reporting")
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "combexit" / "engine.py").is_file():
+            ap.error(f"{tree} holds no combexit package")
+    runs = {row: {side: [] for side in trees} for row in args.rows}
+    for r in range(args.repeats):
+        order = list(trees) if r % 2 == 0 else list(trees)[::-1]
+        for row in args.rows:
+            for side in order:
+                runs[row][side].append(_run_child(trees[side], row))
+        print(f"repeat {r}: " + ", ".join(
+            f"{row} {runs[row]['parent'][-1]['value']:.4g} -> "
+            f"{runs[row]['change'][-1]['value']:.4g}" for row in args.rows),
+            flush=True)
+
+    rows = {}
+    steps_differ = []
+    for row, by_side in runs.items():
+        rows[row] = {"unit": ROWS[row][0]}
+        for side, results in by_side.items():
+            values = [res["value"] for res in results]
+            rows[row][side] = {"median": statistics.median(values), "runs": values}
+            steps = {res["steps"] for res in results if "steps" in res}
+            if steps:
+                rows[row][side]["steps"] = sorted(steps)
+        if "steps" in rows[row]["parent"]:
+            agree = rows[row]["parent"]["steps"] == rows[row]["change"]["steps"]
+            rows[row]["steps_agree"] = agree
+            if not agree:
+                steps_differ.append(row)
+                print(f"WARNING: {row} step totals differ: parent "
+                      f"{rows[row]['parent']['steps']}, change "
+                      f"{rows[row]['change']['steps']}", file=sys.stderr)
+    result = {
+        "nproc": os.cpu_count(),
+        "python": sys.version.split()[0],
+        "numpy": _version("numpy"),
+        "scipy": _version("scipy"),
+        "seed": SEED,
+        "repeats": args.repeats,
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    for row, body in rows.items():
+        print(f"{row}: {body['parent']['median']:.4g} -> "
+              f"{body['change']['median']:.4g} {body['unit']}")
+    return 1 if steps_differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

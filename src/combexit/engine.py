@@ -28,7 +28,8 @@ same set and cross-validate each other.
     Walk-on-spheres with clocks.  Each jump moves to a uniform point on the
     largest centered circle inside the domain (radius ``lines.distance``)
     and advances time by ``r**2 * T`` where ``T`` is an exact draw from the
-    unit-disk exit-time law (inverse-CDF table from :mod:`combexit.series`).
+    unit-disk exit-time law (inverse-CDF table from :mod:`combexit.series`,
+    evaluated in numpy).
     The walk stops inside a ``shell_eps`` collar and snaps to the nearest
     boundary point (``lines.nearest``) with zero residual time, a bias of
     order ``shell_eps`` in the clock (on the unit strip the mean is low by
@@ -44,10 +45,14 @@ same block sequence (sizes depend only on that sample's own lifetime), so
 results are bit-identical for any worker count or batch partitioning and
 individual samples can be replayed in isolation.  The driver computes a
 whole chunk's starting states in one vectorized pass of numpy's seeding
-algorithm (``_seed_states``) and keeps one generator per chunk, loading a
-lane's saved state before its block draws and saving it after.  How many
-steps a kernel pass evaluates only regroups arithmetic on draws already
-made, so it never changes a sample.
+algorithm (``_seed_states``) as four uint64 state words per sample, and
+keeps one generator per chunk: before a lane's block draws its words are
+written into the generator's C state, and after them they are read back.
+That layout is numpy's internal detail, so the state addresses are followed
+only inside the generator object and the word order is checked once per
+process against the ``PCG64.state`` property, which serves as the fallback.
+How many steps a kernel pass evaluates only regroups arithmetic on draws
+already made, so it never changes a sample.
 
 Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
 records are built only on request.  Passage counts are recorded for comb
@@ -58,11 +63,12 @@ path survives ``j`` tooth passages.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
@@ -244,6 +250,7 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
 # uint64)`` (constants from numpy's ``bit_generator.pyx``), then PCG64's
 # ``set_seed`` step in 128-bit arithmetic.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -270,9 +277,11 @@ def _hashmix(x, consts):
     return x
 
 
-def _seed_states(master_seed: int, indices) -> list[dict]:
-    """``PCG64(SeedSequence((master_seed, i))).state`` for every ``i`` in
-    ``indices`` (each below 2**63), computed in one vectorized pass.
+def _seed_states(master_seed: int, indices) -> np.ndarray:
+    """The PCG64 state words of ``PCG64(SeedSequence((master_seed, i)))``
+    for every ``i`` in ``indices`` (each below 2**63), computed in one
+    vectorized pass: an ``(n, 4)`` uint64 array whose rows are
+    ``(state_lo, state_hi, inc_lo, inc_hi)``.
 
     SeedSequence writes each integer as little-endian uint32 words (one word
     below 2**32, two from there on) and zero-pads the entropy to its pool of
@@ -303,14 +312,76 @@ def _seed_states(master_seed: int, indices) -> list[dict]:
     seed_hi, seed_lo, seq_hi, seq_lo = (
         out[0::2] | out[1::2] << np.uint64(32)).tolist()
 
-    states = []
+    rows = []
     for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
         inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
         state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+        rows.append((state & _MASK64, state >> 64, inc & _MASK64, inc >> 64))
+    return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+
+
+# A lane's state moves in and out of the chunk's generator as the four
+# words of numpy's C ``pcg64_random_t``, read and written in place: a
+# lane-block (load, (32, 2) draw, save) costs about 2.4 us that way and
+# 5.4 us through the ``PCG64.state`` dict property (2-vCPU x86-64).  The
+# struct layout is numpy's internal detail: every address is checked to lie
+# inside the PCG64 object before it is read, and the word order is checked
+# once per process against the dict property, which serves as the fallback.
+
+
+def _state_dict(row) -> dict:
+    """The ``PCG64.state`` dict of one row of state words."""
+    s_lo, s_hi, i_lo, i_hi = (int(w) for w in row)
+    return {"bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _dict_words(state: dict) -> list[int]:
+    """The state words of a ``PCG64.state`` dict."""
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s & _MASK64, s >> 64, inc & _MASK64, inc >> 64]
+
+
+def _words_view(bitgen: np.random.PCG64) -> np.ndarray | None:
+    """The generator's ``pcg64_random_t`` as four uint64 words, or None.
+
+    The struct at the bit generator's state address starts with a pointer
+    to the ``pcg64_random_t``, which numpy keeps inside the PCG64 object.
+    Each address is followed only if it lies inside the object's own
+    memory, so another layout yields None or words that
+    ``_words_layout_ok`` rejects, never an access outside the object."""
+    lo = id(bitgen)
+    hi = lo + type(bitgen).__basicsize__
+    state_address = bitgen.ctypes.state_address
+    if not lo <= state_address <= hi - 8:
+        return None
+    address = ctypes.c_void_p.from_address(state_address).value or 0
+    if not lo <= address <= hi - 32:
+        return None
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+
+
+@cache
+def _words_layout_ok() -> bool:
+    """Whether ``_words_view`` reads and writes the state the dict property
+    sees, in the ``(state_lo, state_hi, inc_lo, inc_hi)`` order."""
+    bitgen = np.random.PCG64(0)
+    words = _words_view(bitgen)
+    if words is None:
+        return False
+    probe = np.array([1, 2, 3, 5], dtype=np.uint64)
+    bitgen.state = _state_dict(probe)
+    if words.tolist() != probe.tolist():
+        return False
+    words[:] = probe[::-1]
+    return _dict_words(bitgen.state) == probe[::-1].tolist()
+
+
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray | None:
+    """A writable view of the generator's state words, or None where the
+    layout check fails and lane state must go through the dict property."""
+    return _words_view(bitgen) if _words_layout_ok() else None
 
 
 def _block_sizes():
@@ -388,6 +459,7 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
     states = _seed_states(master_seed, indices)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    words = _state_words(bitgen)
     lanes = _Lanes(len(indices), start)
     for T in _block_sizes():
         act = np.flatnonzero(lanes.alive)
@@ -395,10 +467,13 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
             break
         draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
         for row, s in enumerate(act.tolist()):
-            bitgen.state = states[s]
+            if words is None:
+                bitgen.state = _state_dict(states[s])
+            else:
+                words[:] = states[s]
             for buf, (method, _) in zip(draws, kernel.draws):
                 method(gen, out=buf[row])
-            states[s] = bitgen.state
+            states[s] = words if words is not None else _dict_words(bitgen.state)
         bad = kernel.block(lanes, act, draws, T)
         del draws  # free this block's draws before the next one is allocated
         if bad is not None:
@@ -497,9 +572,10 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
 
             # Crossings of one step in time order: the first exit ends the
             # lane, earlier non-exit slit crossings count as passages.  A
-            # step's exit is resolved before its cap check.  A convex domain
-            # is left at every crossing; otherwise a crossing exits where it
-            # meets the boundary part of its line.
+            # step's exit is resolved before its cap check; an exit later
+            # than ``time_cap`` is censored below.  A convex domain is left
+            # at every crossing; otherwise a crossing exits where it meets
+            # the boundary part of its line.
             order = np.argsort(np.where(crossed, f, np.inf), axis=2)
             crossed_r = np.take_along_axis(crossed, order, 2)
             exit_r = crossed_r
@@ -548,10 +624,18 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
             if w.size:
                 jw = j_end[w]
                 sl = order[w, jw, rank_end[w]]
+                tau = tt[w, jw] + f[w, jw, sl] * h
+                # a path that exits after the cap survived to it: censor it
+                # at the cap, at the last grid position before the exit step
+                late = tau > time_cap
+                if late.any():
+                    wl = w[late]
+                    lanes.finish(live[wl], time_cap, U[wl, jw[late]],
+                                 V[wl, jw[late]], True)
+                    w, jw, sl, tau = w[~late], jw[~late], sl[~late], tau[~late]
                 lw = slot[w, jw, sl]
-                f_here = f[w, jw, sl]
                 px, py = lines.snap(lw, along_f[w, jw, sl])
-                lanes.finish(live[w], tt[w, jw] + f_here * h, px, py, False)
+                lanes.finish(live[w], tau, px, py, False)
                 if track_passages:
                     lanes.passages[live[w]] += (
                         lw != lanes.last_line[live[w]]).astype(np.int64)

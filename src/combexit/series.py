@@ -7,7 +7,11 @@ Three families of deterministic evaluations live here:
 * the exit-time law of one-dimensional Brownian motion from ``(-1, 1)``
   started at 0 (survival function and moments, integer moments exactly);
 * the exit-time law of planar Brownian motion from the unit disk, tabulated
-  once for inverse-transform sampling in the walk-on-spheres engine.
+  once for inverse-transform sampling in the walk-on-spheres engine.  Its
+  eigenfunction series reads 96 Bessel zeros shipped as literals, and its
+  table is a numpy port of scipy's PCHIP interpolant evaluated in scipy's
+  summation order, so the walk-on-spheres path never imports scipy and
+  draws exactly what scipy's interpolant would give.
 
 All series are alternating or exponentially decaying, so truncations carry
 certified remainder bounds. Everything is pure: same inputs, same bits.
@@ -19,15 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 # scipy is imported inside the functions that use it: importing it here
-# would cost every CLI command that never builds the disk law or integrates
-# a moment about half a second of start-up.
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
+# would cost every CLI command that never integrates a moment about half a
+# second of start-up.
 
 __all__ = [
     "SeriesParams",
@@ -304,11 +305,90 @@ def scaled_strip_moment(a_left: float, a_right: float, p: float,
 # unit-disk exit-time law
 
 
-def _disk_modes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.special import j1, jn_zeros
+# The first 96 positive zeros j_k of the Bessel function J0 and the values
+# J1(j_k), exactly as ``scipy.special.jn_zeros(0, 96)`` and
+# ``scipy.special.j1`` give them (``repr`` literals round-trip every bit),
+# so the disk law needs no scipy.
+_J0_ZEROS = np.array([
+    2.4048255576957724, 5.520078110286311, 8.653727912911013,
+    11.791534439014281, 14.930917708487787, 18.071063967910924,
+    21.21163662987926, 24.352471530749302, 27.493479132040253,
+    30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815,
+    49.482609897397815, 52.624051841115, 55.76551075501998, 58.90698392608094,
+    62.048469190227166, 65.18996480020687, 68.3314693298568, 71.47298160359374,
+    74.61450064370183, 77.75602563038805, 80.89755587113763, 84.0390907769382,
+    87.18062984364116, 90.32217263721049, 93.46371878194478, 96.60526795099626,
+    99.7468198586806, 102.88837425419479, 106.02993091645162,
+    109.17148964980538, 112.3130502804949, 115.45461265366694,
+    118.59617663087253, 121.73774208795096, 124.87930891323295,
+    128.02087700600833, 131.1624462752139, 134.30401663830546,
+    137.44558802028428, 140.58716035285428, 143.72873357368974,
+    146.87030762579664, 150.01188245695477, 153.15345801922788,
+    156.29503426853353, 159.43661116426316, 162.57818866894667,
+    165.71976674795502, 168.86134536923583, 172.0029245030782,
+    175.14450412190274, 178.28608420007376, 181.42766471373105,
+    184.5692456406387, 187.71082696004936, 190.85240865258152,
+    193.99399070010912, 197.1355730856614, 200.2771557933324,
+    203.41873880819864, 206.56032211624446, 209.70190570429406,
+    212.8434895599495, 215.98507367153402, 219.12665802804057,
+    222.2682426190843, 225.40982743485932, 228.5514124660988,
+    231.69299770403853, 234.83458314038324, 237.97616876727565,
+    241.11775457726802, 244.2593405632957, 247.40092671865284,
+    250.54251303696995, 253.6840995121931, 256.82568613856444,
+    259.9672729106045, 263.1088598230955, 266.2504468710659,
+    269.39203404977604, 272.5336213547049, 275.67520878153744,
+    278.8167963261531, 281.9583839846149, 285.09997175315954,
+    288.2415596281877, 291.3831476062552, 294.5247356840649,
+    297.66632385845895, 300.80791212641117,
+])
+_J1_AT_ZEROS = np.array([
+    0.5191474972894669, -0.34026480655836827, 0.271452299928382,
+    -0.23245983136472478, 0.20654643307799597, -0.18772880304043946,
+    0.17326589422922983, -0.16170155068925002, 0.15218121377059457,
+    -0.14416597768637315, 0.13729694340850299, -0.13132462666866793,
+    0.12606949712727342, -0.12139862477175016, 0.11721119889066538,
+    -0.11342919261642984, 0.10999114304627802, -0.10684788825471286,
+    0.1039595728693621, -0.1012934989339433, 0.09882255380119995,
+    -0.09652404046467991, 0.09437879398467641, -0.09237050482355331,
+    0.09048519416295768, -0.0887108024409698, 0.0870368633240976,
+    -0.08545424291091486, 0.08395492928345757, -0.08253186130830983,
+    0.08117878831953207, -0.07989015430874276, 0.07866100171930493,
+    -0.07748689103965989, 0.07636383321829138, -0.07528823255205501,
+    0.0742568381822715, -0.07326670270620797, 0.07231514670236977,
+    -0.07139972819623201, 0.07051821627333571, -0.06966856819003345,
+    0.06884890944684943, -0.06805751638168503, 0.06729280091473991,
+    -0.06655329713771117, 0.0658376494894271, -0.065144602300793,
+    0.06447299052550669, -0.06382173150081485, 0.063189817605714,
+    -0.06257630970331138, 0.06198033127024816, -0.06140106312970013,
+    0.06083773871596136, -0.060289639808346895, 0.059756092680416394,
+    -0.059236464617564454, 0.0587301607620443, -0.058236621249651344,
+    0.05775531860672829, -0.05728575537997613, 0.05682746197485656,
+    -0.05637999468123287, 0.055942933867378315, -0.05551588232564262,
+    0.05509846375495184, -0.05469032136696416, 0.054291116604146684,
+    -0.05390052795930568, 0.05351824988721487, -0.05314399179996981,
+    0.0527774771385606, -0.05241844251392233, 0.052066636911401065,
+    -0.05172182095317582, 0.051383766213711116, -0.05105225458379304,
+    0.05072707767912493, -0.050408036289839954, 0.05009493986762599,
+    -0.0497876060474634, 0.049485860201248136, -0.04918953502081814,
+    0.04889847012812102, -0.0486125117104598, 0.04833151217893187,
+    -0.04805532984833819, 0.04778382863698613, -0.04751687778494051,
+    0.04725435158939828, -0.046996129155970165, 0.04674209416475137,
+    -0.046492134650153304, 0.046246142793549716, -0.04600401472786514,
+])
 
-    zeros = jn_zeros(0, n_modes)
-    coeffs = 2.0 / (zeros * j1(zeros))
+
+def _disk_modes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    if n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
+    if n_modes <= _J0_ZEROS.size:
+        zeros, j1_at_zeros = _J0_ZEROS[:n_modes], _J1_AT_ZEROS[:n_modes]
+    else:
+        from scipy.special import j1, jn_zeros
+
+        zeros = jn_zeros(0, n_modes)
+        j1_at_zeros = j1(zeros)
+    coeffs = 2.0 / (zeros * j1_at_zeros)
     rates = 0.5 * zeros * zeros
     return rates, coeffs
 
@@ -318,7 +398,8 @@ def disk_survival(t, n_modes: int = 96):
 
     The eigenfunction series needs ~30 modes at t = 0.01 and fewer later;
     the default mode count keeps full accuracy on t >= 0.01, which is all
-    the table builder evaluates (below that the CDF is under 1e-16).
+    the table builder evaluates (below that the CDF is under 1e-16).  Up to
+    96 modes use the shipped Bessel constants; more are computed with scipy.
     """
     scalar = np.ndim(t) == 0
     arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -327,31 +408,89 @@ def disk_survival(t, n_modes: int = 96):
     return float(out[0]) if scalar else out
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end knot, limited to keep shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_cubics(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The PCHIP interpolant (Fritsch & Carlson 1980) of values ``y`` at
+    strictly increasing knots ``x``, as an ``(n - 1, 4)`` array whose row
+    ``i`` holds the coefficients of ``s**3, s**2, s, 1`` with
+    ``s = u - x[i]`` on ``[x[i], x[i+1]]``.
+
+    A numpy port of scipy's ``PchipInterpolator`` (``_find_derivatives``,
+    ``_edge_case`` and the ``CubicHermiteSpline`` coefficients) in scipy's
+    order of operations, so the rows equal the columns of its ``c`` bit for
+    bit.
+    """
+    hk = np.diff(x)
+    mk = np.diff(y) / hk
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    dk = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack([t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]], axis=1)
+
+
+def _eval_cubics(x: np.ndarray, cubics: np.ndarray, u) -> np.ndarray:
+    """The piecewise cubic ``cubics`` on knots ``x`` at points ``u`` inside
+    ``[x[0], x[-1]]``, summed as scipy's ``PPoly`` does: the interval ``i``
+    starts at the last knot at or below ``u`` other than ``x[-1]`` (the
+    last interval holds ``x[-1]``), and with ``s = u - x[i]`` the sum is
+    ``c3 + c2*s``, then ``+ c1*(s*s)``, then ``+ c0*((s*s)*s)``."""
+    i = np.searchsorted(x[:-1], u, "right") - 1
+    s = u - x[i]
+    c = cubics[i]
+    out = c[..., 3] + c[..., 2] * s
+    z = s * s
+    out += c[..., 1] * z
+    z *= s
+    out += c[..., 0] * z
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DiskLawTable:
     """Inverse-CDF table for the unit-disk exit time.
 
-    The body of the law is a monotone cubic interpolant of quantiles; beyond
-    ``u_cut`` the law is single-mode exponential to machine precision and is
-    inverted analytically. ``mean_error`` and ``second_moment_error`` record
-    the residuals of the build-time validation against the exact moments
-    1/2 and 3/8.
+    The body of the law is the PCHIP interpolant (monotone cubic) of the
+    quantiles ``t_knots`` at CDF values ``u_knots``, stored as ``cubics``
+    (see ``_pchip_cubics``) and evaluated in scipy's summation order, so
+    every draw equals what scipy's ``PchipInterpolator`` gives, without
+    importing scipy.  Beyond ``u_cut`` the law is single-mode exponential
+    to machine precision and is inverted analytically. ``mean_error`` and
+    ``second_moment_error`` record the residuals of the build-time
+    validation against the exact moments 1/2 and 3/8.
     """
 
     u_knots: np.ndarray
     t_knots: np.ndarray
+    cubics: np.ndarray
     u_cut: float
     t_cut: float
     lam1: float
     log_c1: float
     mean_error: float
     second_moment_error: float
-    interp: PchipInterpolator
 
     def times_from_uniform(self, u):
         """Map uniform(0,1) draws to exit-time draws (unit radius)."""
         arr = np.asarray(u, dtype=float)
-        body = self.interp(np.clip(arr, self.u_knots[0], self.u_cut))
+        body = _eval_cubics(self.u_knots, self.cubics,
+                            np.clip(arr, self.u_knots[0], self.u_cut))
         tail = (self.log_c1 - np.log1p(-np.minimum(arr, 1.0 - 1e-17))) / self.lam1
         return np.where(arr <= self.u_cut, body, tail)
 
@@ -363,8 +502,6 @@ def build_disk_law(n_knots: int = 4096, u_cut: float = 0.999,
     Raises if the implied mean and second moment disagree with the exact
     values beyond the resolution the knot count should deliver.
     """
-    from scipy.interpolate import PchipInterpolator
-
     if n_knots < 16:
         raise ValueError("table needs at least 16 knots")
     if not (0.9 < u_cut < 1.0):
@@ -382,7 +519,7 @@ def build_disk_law(n_knots: int = 4096, u_cut: float = 0.999,
     for _ in range(4):
         t = np.geomspace(t_lo, t_cut, n_raw)
         t[-1] = t_cut
-        u = np.maximum(1.0 - np.exp(-np.outer(t, rates)) @ coeffs, 0.0)
+        u = 1.0 - disk_survival(t, n_modes)
         running = np.maximum.accumulate(u)
         keep = np.concatenate(([True], u[1:] > running[:-1]))
         if int(keep.sum()) >= n_knots:
@@ -391,15 +528,19 @@ def build_disk_law(n_knots: int = 4096, u_cut: float = 0.999,
     u, t = u[keep], t[keep]
     if len(u) < n_knots:
         raise RuntimeError("could not place the requested number of table knots")
-    interp = PchipInterpolator(u, t, extrapolate=False)
+    cubics = _pchip_cubics(u, t)
 
     eps = 1.0 - u_cut
     big_l = log_c1 - math.log(eps)
     tail_mean = eps * (big_l + 1.0) / lam1
     tail_second = eps * (big_l * big_l + 2.0 * big_l + 2.0) / (lam1 * lam1)
-    body_mean = float(interp.integrate(u[0], u[-1]))
+    # the integral of each cubic over its interval is exact
+    h = np.diff(u)
+    c0, c1, c2, c3 = cubics.T
+    body_mean = float(np.sum(((c0 * h / 4.0 + c1 / 3.0) * h + c2 / 2.0) * h * h
+                             + c3 * h))
     grid = np.linspace(u[0], u[-1], 200_001)
-    body_second = float(np.trapezoid(interp(grid) ** 2, grid))
+    body_second = float(np.trapezoid(_eval_cubics(u, cubics, grid) ** 2, grid))
     mean_error = abs(body_mean + tail_mean - 0.5)
     second_error = abs(body_second + tail_second - 0.375)
     if mean_error > 5e-6 or second_error > 5e-5:
@@ -410,13 +551,13 @@ def build_disk_law(n_knots: int = 4096, u_cut: float = 0.999,
     return DiskLawTable(
         u_knots=u,
         t_knots=t,
+        cubics=cubics,
         u_cut=float(u[-1]),
         t_cut=float(t[-1]),
         lam1=lam1,
         log_c1=log_c1,
         mean_error=mean_error,
         second_moment_error=second_error,
-        interp=interp,
     )
 
 

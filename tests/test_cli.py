@@ -39,19 +39,41 @@ def load(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy loads only in the functions that need it, so commands that
-    never build the disk law or integrate a moment do not pay for it."""
+def _scipy_loaded_after(code, cwd):
+    """Run ``code`` in a fresh interpreter with this package importable and
+    return whether it left scipy loaded."""
     import combexit
 
     src = str(Path(combexit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, combexit.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+        [sys.executable, "-c", code + "\nimport sys; print('scipy' in sys.modules)"],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """scipy loads only in the functions that need it, so commands that
+    never integrate a moment do not pay for it."""
+    assert not _scipy_loaded_after("import combexit.cli", tmp_path)
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    """The walk-on-spheres disk law and the checker need no scipy: a
+    WosTime simulate, construct and a check of its comb each run without
+    loading it."""
+    write_json(tmp_path / "strip.json", STRIP)
+    for argv in (
+        ["simulate", "--domain", "strip.json", "--start", "0,0", "--engine",
+         "WosTime", "--n", "300", "--seed", "3", "--workers", "1",
+         "--out", "sim.json", "--csv", "s.csv"],
+        ["construct", "--stages", "2", "--seed", "3", "--out", "construct.json",
+         "--comb-out", "comb.json"],
+        ["check", "--comb", "comb.json", "--p", "0.5", "--out", "check.json"],
+    ):
+        code = f"from combexit.cli import run_command; assert run_command({argv!r}) == 0"
+        assert not _scipy_loaded_after(code, tmp_path), argv[0]
 
 
 class TestScalarCommands:

@@ -1,8 +1,10 @@
 """Sampler tests: statistical oracles with fixed seeds, exact structural
 invariants (exits land on the boundary), and bit-level reproducibility."""
 
+import ctypes
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +184,21 @@ class TestStructuralInvariants:
         assert (t <= 0.05 + 1e-12).all()
         assert np.all(t[cen] == 0.05)
 
+    @pytest.mark.parametrize("engine_name", ["EulerBridge", "WosTime"])
+    def test_no_exit_after_time_cap(self, engine_name):
+        # the step that crosses the cap may also cross the boundary; such
+        # an exit comes after the cap, so the sample is censored there
+        strip = VerticalStrip(-1.0, 1.0)
+        for seed in range(20, 30):
+            ss = run_batch(strip, (0.0, 0.0), 2_000,
+                           SimParams(engine=engine_name, time_cap=0.05,
+                                     master_seed=seed))
+            cen = ss.censor_mask()
+            assert cen.any()
+            assert np.all(ss.tau[~cen] <= 0.05), seed
+            assert np.all(ss.tau[cen] == 0.05), seed
+            assert np.all(strip.contains(ss.u[cen], ss.v[cen])), seed
+
     def test_censoring_at_max_steps(self):
         ss = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 500,
                        SimParams(max_steps=10, master_seed=28))
@@ -353,6 +370,15 @@ class TestBitIdentityGuard:
         assert str(err.value).startswith("sample 640 ")
 
 
+def numpy_state_words(seed, i):
+    """``(state_lo, state_hi, inc_lo, inc_hi)`` of numpy's own
+    ``PCG64(SeedSequence((seed, i)))``, read from its state dict."""
+    st = np.random.PCG64(np.random.SeedSequence((seed, int(i)))).state["state"]
+    mask = (1 << 64) - 1
+    return [st["state"] & mask, st["state"] >> 64, st["inc"] & mask,
+            st["inc"] >> 64]
+
+
 class TestSeeding:
     """The chunk driver seeds every sample's PCG64 in one vectorized pass;
     these pin that pass to numpy's own ``SeedSequence`` and ``PCG64``."""
@@ -360,9 +386,9 @@ class TestSeeding:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
     def test_seed_states_match_numpy(self, seed):
         indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
-        expected = [np.random.PCG64(np.random.SeedSequence((seed, i))).state
-                    for i in indices]
-        assert engine._seed_states(seed, np.array(indices)) == expected
+        states = engine._seed_states(seed, np.array(indices))
+        assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+        assert states.tolist() == [numpy_state_words(seed, i) for i in indices]
 
     # Recorded at the commit before vectorized seeding, when each sample
     # drew from its own Generator(PCG64(SeedSequence((seed, i)))).  The
@@ -391,11 +417,52 @@ class TestSeeding:
                                sample_index=index)
         assert sample == self.FAR_SAMPLES[key]
         # the same sample from numpy's own per-sample seeding
-        monkeypatch.setattr(engine, "_seed_states", lambda seed, indices: [
-            np.random.PCG64(np.random.SeedSequence((seed, int(i)))).state
-            for i in indices])
+        monkeypatch.setattr(engine, "_seed_states", lambda seed, indices: np.array(
+            [numpy_state_words(seed, i) for i in indices], dtype=np.uint64))
         assert simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                              sample_index=index) == sample
+
+    def test_state_words_layout(self):
+        # the in-place words are the layout the dict property describes
+        assert engine._words_layout_ok()
+        bitgen = np.random.PCG64(np.random.SeedSequence((3, 4)))
+        words = engine._state_words(bitgen)
+        assert words.tolist() == engine._dict_words(bitgen.state)
+        expected = np.random.Generator(bitgen).random(5)
+        words[:] = engine._seed_states(3, [4])[0]
+        assert np.array_equal(np.random.Generator(bitgen).random(5), expected)
+
+    def test_words_view_reads_only_inside_the_generator(self):
+        # a state address outside the object is not read
+        outside = (ctypes.c_uint64 * 4)()
+        fake = SimpleNamespace(ctypes=SimpleNamespace(
+            state_address=ctypes.addressof(outside)))
+        assert engine._words_view(fake) is None
+
+        # a state address inside the object whose pointer leads outside it
+        # (here the object's type pointer) is not followed
+        class Moved(np.random.PCG64):
+            @property
+            def ctypes(self):
+                return SimpleNamespace(state_address=id(self) + 8)
+
+        assert engine._words_view(Moved(0)) is None
+
+    @pytest.mark.parametrize("engine_name", ["EulerBridge", "WosTime"])
+    def test_dict_fallback_gives_the_same_columns(self, engine_name, monkeypatch):
+        # lanes outlive several blocks, so state is saved and reloaded
+        params = engine._resolve(UNIFORM_COMB, (0.5, 0.0), SimParams(
+            engine=engine_name, master_seed=61, time_cap=50.0))
+        make = engine._wos_kernel if engine_name == "WosTime" else engine._euler_kernel
+        kernel = make(UNIFORM_COMB, params)
+        indices = np.arange(100, 400)
+        words = engine._run_chunk(kernel, (0.5, 0.0), 61, indices)
+        monkeypatch.setattr(engine, "_words_layout_ok", lambda: False)
+        assert engine._state_words(np.random.PCG64(0)) is None
+        fallback = engine._run_chunk(kernel, (0.5, 0.0), 61, indices)
+        for a, b in zip(words, fallback):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert words[5].max() > 2 * 32  # some lane drew a second block
 
     @pytest.mark.parametrize("index", [-1, 2**63, 2**64, 1.5, True])
     def test_bad_sample_index(self, index):

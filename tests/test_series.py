@@ -217,6 +217,73 @@ def test_disk_table_build():
     assert abs(hi - lo) < 1e-6
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestDiskLawMatchesScipy:
+    """The disk law ships its Bessel constants and a numpy port of scipy's
+    PCHIP; these rebuild both with scipy and compare them bit for bit."""
+
+    def test_bessel_constants(self):
+        from scipy.special import j1, jn_zeros
+
+        from combexit import series
+
+        zeros = jn_zeros(0, 96)
+        assert np.array_equal(bits(series._J0_ZEROS), bits(zeros))
+        assert np.array_equal(bits(series._J1_AT_ZEROS), bits(j1(zeros)))
+
+    def test_pchip_coefficients(self):
+        from scipy.interpolate import PchipInterpolator
+
+        table = default_disk_law()
+        ref = PchipInterpolator(table.u_knots, table.t_knots).c
+        assert np.array_equal(bits(table.cubics.T), bits(ref))
+
+    def test_times_from_uniform(self):
+        from scipy.interpolate import PchipInterpolator
+
+        table = default_disk_law()
+        interp = PchipInterpolator(table.u_knots, table.t_knots, extrapolate=False)
+
+        def scipy_times(u):
+            body = interp(np.clip(u, table.u_knots[0], table.u_cut))
+            tail = (table.log_c1 - np.log1p(-np.minimum(u, 1.0 - 1e-17))) / table.lam1
+            return np.where(u <= table.u_cut, body, tail)
+
+        rng = np.random.default_rng(2024)
+        for _ in range(4):  # 4M uniforms in slices of 1M
+            u = rng.random(1_000_000)
+            assert np.array_equal(bits(table.times_from_uniform(u)),
+                                  bits(scipy_times(u)))
+        knots, seam = table.u_knots, np.array([table.u_cut])
+        for u in (knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+                  np.nextafter(seam, 0.0), seam, np.nextafter(seam, 1.0),
+                  np.array([0.0, 1.0 - 2**-53])):
+            assert np.array_equal(bits(table.times_from_uniform(u)),
+                                  bits(scipy_times(u)))
+
+    def test_scalar_input(self):
+        table = default_disk_law()
+        u = 0.3
+        assert np.ndim(table.times_from_uniform(u)) == 0
+        assert table.times_from_uniform(u) == table.times_from_uniform([u])[0]
+
+
+def test_disk_modes_beyond_the_shipped_constants():
+    # more than the 96 shipped zeros come from scipy, as all of them used to
+    from scipy.special import j1, jn_zeros
+
+    zeros = jn_zeros(0, 120)
+    expected = np.clip(np.exp(-0.5 * zeros * zeros * 1e-3)
+                       @ (2.0 / (zeros * j1(zeros))), 0.0, 1.0)
+    assert disk_survival(1e-3, n_modes=120) == expected
+    assert disk_survival(1.0, n_modes=96) == disk_survival(1.0)
+    with pytest.raises(ValueError, match="n_modes"):
+        disk_survival(1.0, n_modes=0)
+
+
 def test_disk_table_validation_errors():
     with pytest.raises(ValueError):
         build_disk_law(n_knots=4)
