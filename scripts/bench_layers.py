@@ -12,12 +12,10 @@ versions, to ``BENCH_layers.json``:
 
 Rows:
 
-* ``seeding_us``: start states of every sample's generator, per sample,
-  over 200k indices in chunks of 4096 (``engine._seed_states``);
-* ``lane_block_us``: the chunk driver's cost per lane-block, that is
-  loading a lane's state, drawing its (32, 2) WosTime uniforms and saving
-  the state, measured as ``_run_chunk`` over 4096 lanes with pre-seeded
-  states and a block that ends every lane;
+* ``chunk_setup_us``: the chunk driver's cost per lane, that is seeding
+  the lane, setting it up and drawing its first (32, 2) WosTime uniforms,
+  measured as ``_run_chunk`` over 4096 lanes with a block that ends every
+  lane;
 * ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
@@ -62,26 +60,12 @@ def _per_call(fn, calls: int) -> float:
     return (time.perf_counter() - t0) / calls
 
 
-def _seeding() -> dict:
-    import numpy as np
-
-    from combexit import engine
-
-    n = 200_000
-    t0 = time.perf_counter()
-    for c0 in range(0, n, CHUNK):
-        engine._seed_states(SEED, np.arange(c0, min(c0 + CHUNK, n), dtype=np.int64))
-    return {"value": (time.perf_counter() - t0) / n * 1e6}
-
-
-def _lane_block() -> dict:
+def _chunk_setup() -> dict:
     import numpy as np
 
     from combexit import engine
 
     indices = np.arange(CHUNK, dtype=np.int64)
-    seeded = engine._seed_states(SEED, indices)
-    engine._seed_states = lambda seed, idx: seeded.copy()
 
     def end_every_lane(lanes, act, draws, T):
         lanes.finish(act, 0.0, 0.0, 0.0, False)
@@ -170,8 +154,7 @@ def _halfplane_euler() -> dict:
 
 # name: (unit, child function)
 ROWS = {
-    "seeding_us": ("us", _seeding),
-    "lane_block_us": ("us", _lane_block),
+    "chunk_setup_us": ("us", _chunk_setup),
     "times_from_uniform_32_us": ("us", lambda: _times_from_uniform(32)),
     "times_from_uniform_4096_us": ("us", lambda: _times_from_uniform(4096)),
     "disk_law_first_s": ("s", _disk_law_first),

@@ -39,18 +39,15 @@ The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
 owns the per-sample substreams, the block schedule, the lane state and the
 result columns; an engine supplies only a ``_Kernel``: the draws one lane
 takes per block and a block step that advances the live lanes.  Sample
-``i`` of a batch always draws from a PCG64 stream in the state that
-``PCG64(SeedSequence((master_seed, i)))`` starts in, and always draws the
-same block sequence (sizes depend only on that sample's own lifetime), so
-results are bit-identical for any worker count or batch partitioning and
-individual samples can be replayed in isolation.  The driver computes a
-whole chunk's starting states in one vectorized pass of numpy's seeding
-algorithm (``_seed_states``) as four uint64 state words per sample, and
-keeps one generator per chunk: before a lane's block draws its words are
-written into the generator's C state, and after them they are read back.
-That layout is numpy's internal detail, so the state addresses are followed
-only inside the generator object and the word order is checked once per
-process against the ``PCG64.state`` property, which serves as the fallback.
+``i`` of a batch always draws from its own ``Generator(PCG64(...))``,
+started in the state ``PCG64(SeedSequence((master_seed, i)))`` starts in,
+and always draws the same block sequence (sizes depend only on that
+sample's own lifetime), so results are bit-identical for any worker count
+or batch partitioning and individual samples can be replayed in isolation.
+The driver hashes a whole chunk's seed words in one vectorized pass of
+numpy's ``SeedSequence`` algorithm (``_seed_words``) and hands each row to
+``PCG64`` through numpy's public ``ISeedSequence`` interface (``_Entropy``),
+so numpy itself turns the words into each lane's generator state.
 How many steps a kernel pass evaluates only regroups arithmetic on draws
 already made, so it never changes a sample.
 
@@ -63,15 +60,15 @@ path survives ``j`` tooth passages.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import CombDomain, SimDomain, domain_fingerprint
 from .series import default_disk_law
@@ -245,14 +242,11 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
 
 # Seeding ``PCG64(SeedSequence((master_seed, i)))`` one object at a time
 # costs about 18 us per sample, most of a short-lived WosTime batch, so
-# ``_seed_states`` runs numpy's algorithm on a whole chunk at once:
-# SeedSequence's pool mixing on uint32 words and ``generate_state(4,
-# uint64)`` (constants from numpy's ``bit_generator.pyx``), then PCG64's
-# ``set_seed`` step in 128-bit arithmetic.
+# ``_seed_words`` runs SeedSequence's algorithm on a whole chunk at once:
+# its pool mixing on uint32 words and ``generate_state(4, uint64)``
+# (constants from numpy's ``bit_generator.pyx``).  PCG64 turns those words
+# into its state itself when ``_Entropy`` hands it a row.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
@@ -277,11 +271,10 @@ def _hashmix(x, consts):
     return x
 
 
-def _seed_states(master_seed: int, indices) -> np.ndarray:
-    """The PCG64 state words of ``PCG64(SeedSequence((master_seed, i)))``
-    for every ``i`` in ``indices`` (each below 2**63), computed in one
-    vectorized pass: an ``(n, 4)`` uint64 array whose rows are
-    ``(state_lo, state_hi, inc_lo, inc_hi)``.
+def _seed_words(master_seed: int, indices) -> np.ndarray:
+    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
+    every ``i`` in ``indices`` (each below 2**63), computed in one
+    vectorized pass: an ``(n, 4)`` uint64 array, one row per index.
 
     SeedSequence writes each integer as little-endian uint32 words (one word
     below 2**32, two from there on) and zero-pads the entropy to its pool of
@@ -309,79 +302,26 @@ def _seed_states(master_seed: int, indices) -> np.ndarray:
         r ^= r >> np.uint32(16)
         pool[dst] = r
     out = _hashmix(np.concatenate([pool, pool]), _HASH_B).astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        out[0::2] | out[1::2] << np.uint64(32)).tolist()
-
-    rows = []
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
-        state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        rows.append((state & _MASK64, state >> 64, inc & _MASK64, inc >> 64))
-    return np.array(rows, dtype=np.uint64).reshape(-1, 4)
+    # PCG64 reads the four words from the row's memory as laid out in C
+    # order, so a strided row would seed it wrongly without an error
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
 
-# A lane's state moves in and out of the chunk's generator as the four
-# words of numpy's C ``pcg64_random_t``, read and written in place: a
-# lane-block (load, (32, 2) draw, save) costs about 2.4 us that way and
-# 5.4 us through the ``PCG64.state`` dict property (2-vCPU x86-64).  The
-# struct layout is numpy's internal detail: every address is checked to lie
-# inside the PCG64 object before it is read, and the word order is checked
-# once per process against the dict property, which serves as the fallback.
+class _Entropy(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` one precomputed row of
+    ``_seed_words``, so ``PCG64(_Entropy(row))`` starts where
+    ``PCG64(SeedSequence((master_seed, i)))`` does."""
 
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-def _state_dict(row) -> dict:
-    """The ``PCG64.state`` dict of one row of state words."""
-    s_lo, s_hi, i_lo, i_hi = (int(w) for w in row)
-    return {"bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _dict_words(state: dict) -> list[int]:
-    """The state words of a ``PCG64.state`` dict."""
-    s, inc = state["state"]["state"], state["state"]["inc"]
-    return [s & _MASK64, s >> 64, inc & _MASK64, inc >> 64]
-
-
-def _words_view(bitgen: np.random.PCG64) -> np.ndarray | None:
-    """The generator's ``pcg64_random_t`` as four uint64 words, or None.
-
-    The struct at the bit generator's state address starts with a pointer
-    to the ``pcg64_random_t``, which numpy keeps inside the PCG64 object.
-    Each address is followed only if it lies inside the object's own
-    memory, so another layout yields None or words that
-    ``_words_layout_ok`` rejects, never an access outside the object."""
-    lo = id(bitgen)
-    hi = lo + type(bitgen).__basicsize__
-    state_address = bitgen.ctypes.state_address
-    if not lo <= state_address <= hi - 8:
-        return None
-    address = ctypes.c_void_p.from_address(state_address).value or 0
-    if not lo <= address <= hi - 32:
-        return None
-    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
-
-
-@cache
-def _words_layout_ok() -> bool:
-    """Whether ``_words_view`` reads and writes the state the dict property
-    sees, in the ``(state_lo, state_hi, inc_lo, inc_hi)`` order."""
-    bitgen = np.random.PCG64(0)
-    words = _words_view(bitgen)
-    if words is None:
-        return False
-    probe = np.array([1, 2, 3, 5], dtype=np.uint64)
-    bitgen.state = _state_dict(probe)
-    if words.tolist() != probe.tolist():
-        return False
-    words[:] = probe[::-1]
-    return _dict_words(bitgen.state) == probe[::-1].tolist()
-
-
-def _state_words(bitgen: np.random.PCG64) -> np.ndarray | None:
-    """A writable view of the generator's state words, or None where the
-    layout check fails and lane state must go through the dict property."""
-    return _words_view(bitgen) if _words_layout_ok() else None
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for (4, np.uint64); the identity test spares that
+        # request a dtype conversion, about 0.5 us of each lane's set-up
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            raise ValueError("_Entropy holds exactly four uint64 words, got a "
+                             f"request for {n_words} {np.dtype(dtype)} words")
+        return self.words
 
 
 def _block_sizes():
@@ -456,10 +396,8 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
     ``kernel.draws`` entry per block it survives into.  That keeps every
     sample bit-reproducible in isolation, whatever chunk it runs in.
     """
-    states = _seed_states(master_seed, indices)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    words = _state_words(bitgen)
+    gens = [np.random.Generator(np.random.PCG64(_Entropy(w)))
+            for w in _seed_words(master_seed, indices)]
     lanes = _Lanes(len(indices), start)
     for T in _block_sizes():
         act = np.flatnonzero(lanes.alive)
@@ -467,13 +405,8 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
             break
         draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
         for row, s in enumerate(act.tolist()):
-            if words is None:
-                bitgen.state = _state_dict(states[s])
-            else:
-                words[:] = states[s]
             for buf, (method, _) in zip(draws, kernel.draws):
-                method(gen, out=buf[row])
-            states[s] = words if words is not None else _dict_words(bitgen.state)
+                method(gens[s], out=buf[row])
         bad = kernel.block(lanes, act, draws, T)
         del draws  # free this block's draws before the next one is allocated
         if bad is not None:

@@ -102,15 +102,9 @@ class GeometricGaps:
 
 @dataclass(frozen=True)
 class ExplicitSlits:
-    """A finite, exact list of (abscissa, height) pairs.
-
-    ``growth`` optionally declares how gaps would continue beyond the list
-    ("bounded", "polynomial", "geometric", or None for window-only); the
-    theorem checker consumes it, geometry does not.
-    """
+    """A finite, exact list of (abscissa, height) pairs."""
 
     slits: tuple[tuple[float, float], ...]
-    growth: str | None = None
 
 
 Generator = Union[UniformGaps, PolynomialGaps, GeometricGaps, ExplicitSlits]
@@ -583,7 +577,7 @@ def symmetrize(comb: CombDomain) -> CombDomain:
             (float(-comb.xs[i]), float(comb.bs[i]))
             for i in range(len(comb.xs) - 1, 0, -1)
         ) + tuple((float(x), float(b)) for x, b in zip(comb.xs, comb.bs))
-        new_spec = CombSpec(ExplicitSlits(mirrored, growth=gen.growth), one_sided=False)
+        new_spec = CombSpec(ExplicitSlits(mirrored), one_sided=False)
     else:
         new_spec = CombSpec(gen, window_radius=comb.window_radius, one_sided=False)
     return build_comb(new_spec)
@@ -604,8 +598,6 @@ def comb_spec_to_config(spec: CombSpec) -> dict:
         g = {"kind": "geometric", "ratio": gen.ratio, "height": gen.height}
     elif isinstance(gen, ExplicitSlits):
         g = {"kind": "explicit", "slits": [[x, b] for x, b in gen.slits]}
-        if gen.growth is not None:
-            g["growth"] = gen.growth
     else:  # pragma: no cover
         raise TypeError(f"unknown generator {gen!r}")
     cfg = {"generator": g, "one_sided": spec.one_sided}
@@ -626,8 +618,7 @@ def comb_spec_from_config(cfg: dict) -> CombSpec:
         elif kind == "geometric":
             gen = GeometricGaps(float(g["ratio"]), float(g["height"]))
         elif kind == "explicit":
-            gen = ExplicitSlits(tuple((float(x), float(b)) for x, b in g["slits"]),
-                                growth=g.get("growth"))
+            gen = ExplicitSlits(tuple((float(x), float(b)) for x, b in g["slits"]))
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
     except KeyError as exc:

@@ -491,7 +491,9 @@ class DiskLawTable:
         arr = np.asarray(u, dtype=float)
         body = _eval_cubics(self.u_knots, self.cubics,
                             np.clip(arr, self.u_knots[0], self.u_cut))
-        tail = (self.log_c1 - np.log1p(-np.minimum(arr, 1.0 - 1e-17))) / self.lam1
+        # clamp at the largest double below 1, np.nextafter(1.0, 0.0), so
+        # u = 1 maps to a finite time
+        tail = (self.log_c1 - np.log1p(-np.minimum(arr, 1.0 - 2**-53))) / self.lam1
         return np.where(arr <= self.u_cut, body, tail)
 
 

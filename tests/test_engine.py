@@ -1,10 +1,8 @@
 """Sampler tests: statistical oracles with fixed seeds, exact structural
 invariants (exits land on the boundary), and bit-level reproducibility."""
 
-import ctypes
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,25 +368,38 @@ class TestBitIdentityGuard:
         assert str(err.value).startswith("sample 640 ")
 
 
-def numpy_state_words(seed, i):
-    """``(state_lo, state_hi, inc_lo, inc_hi)`` of numpy's own
-    ``PCG64(SeedSequence((seed, i)))``, read from its state dict."""
-    st = np.random.PCG64(np.random.SeedSequence((seed, int(i)))).state["state"]
-    mask = (1 << 64) - 1
-    return [st["state"] & mask, st["state"] >> 64, st["inc"] & mask,
-            st["inc"] >> 64]
-
-
 class TestSeeding:
-    """The chunk driver seeds every sample's PCG64 in one vectorized pass;
-    these pin that pass to numpy's own ``SeedSequence`` and ``PCG64``."""
+    """The chunk driver hashes every sample's seed words in one vectorized
+    pass and seeds each lane's PCG64 from them; these pin both steps to
+    numpy's own ``SeedSequence`` and ``PCG64``."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
     def test_seed_states_match_numpy(self, seed):
         indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
-        states = engine._seed_states(seed, np.array(indices))
-        assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
-        assert states.tolist() == [numpy_state_words(seed, i) for i in indices]
+        words = engine._seed_words(seed, np.array(indices))
+        assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+        assert words.flags.c_contiguous  # PCG64 reads each row's memory
+        assert words.tolist() == [
+            np.random.SeedSequence((seed, i)).generate_state(4, np.uint64).tolist()
+            for i in indices]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    def test_entropy_generator_draws_like_numpy(self, seed):
+        indices = [0, 2**32, 2**40]
+        for i, row in zip(indices, engine._seed_words(seed, indices)):
+            ours = np.random.Generator(np.random.PCG64(engine._Entropy(row)))
+            theirs = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence((seed, i))))
+            for draw in (lambda g: g.random(7), lambda g: g.standard_normal(7)):
+                assert draw(ours).tolist() == draw(theirs).tolist()
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, "float64")])
+    def test_entropy_refuses_other_requests(self, n_words, dtype):
+        entropy = engine._Entropy(engine._seed_words(3, [4])[0])
+        assert entropy.generate_state(4, "uint64").shape == (4,)
+        with pytest.raises(ValueError, match="four uint64 words"):
+            entropy.generate_state(n_words, dtype)
 
     # Recorded at the commit before vectorized seeding, when each sample
     # drew from its own Generator(PCG64(SeedSequence((seed, i)))).  The
@@ -417,52 +428,11 @@ class TestSeeding:
                                sample_index=index)
         assert sample == self.FAR_SAMPLES[key]
         # the same sample from numpy's own per-sample seeding
-        monkeypatch.setattr(engine, "_seed_states", lambda seed, indices: np.array(
-            [numpy_state_words(seed, i) for i in indices], dtype=np.uint64))
+        monkeypatch.setattr(engine, "_seed_words", lambda seed, indices: np.array(
+            [np.random.SeedSequence((seed, int(i))).generate_state(4, np.uint64)
+             for i in indices]))
         assert simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                              sample_index=index) == sample
-
-    def test_state_words_layout(self):
-        # the in-place words are the layout the dict property describes
-        assert engine._words_layout_ok()
-        bitgen = np.random.PCG64(np.random.SeedSequence((3, 4)))
-        words = engine._state_words(bitgen)
-        assert words.tolist() == engine._dict_words(bitgen.state)
-        expected = np.random.Generator(bitgen).random(5)
-        words[:] = engine._seed_states(3, [4])[0]
-        assert np.array_equal(np.random.Generator(bitgen).random(5), expected)
-
-    def test_words_view_reads_only_inside_the_generator(self):
-        # a state address outside the object is not read
-        outside = (ctypes.c_uint64 * 4)()
-        fake = SimpleNamespace(ctypes=SimpleNamespace(
-            state_address=ctypes.addressof(outside)))
-        assert engine._words_view(fake) is None
-
-        # a state address inside the object whose pointer leads outside it
-        # (here the object's type pointer) is not followed
-        class Moved(np.random.PCG64):
-            @property
-            def ctypes(self):
-                return SimpleNamespace(state_address=id(self) + 8)
-
-        assert engine._words_view(Moved(0)) is None
-
-    @pytest.mark.parametrize("engine_name", ["EulerBridge", "WosTime"])
-    def test_dict_fallback_gives_the_same_columns(self, engine_name, monkeypatch):
-        # lanes outlive several blocks, so state is saved and reloaded
-        params = engine._resolve(UNIFORM_COMB, (0.5, 0.0), SimParams(
-            engine=engine_name, master_seed=61, time_cap=50.0))
-        make = engine._wos_kernel if engine_name == "WosTime" else engine._euler_kernel
-        kernel = make(UNIFORM_COMB, params)
-        indices = np.arange(100, 400)
-        words = engine._run_chunk(kernel, (0.5, 0.0), 61, indices)
-        monkeypatch.setattr(engine, "_words_layout_ok", lambda: False)
-        assert engine._state_words(np.random.PCG64(0)) is None
-        fallback = engine._run_chunk(kernel, (0.5, 0.0), 61, indices)
-        for a, b in zip(words, fallback):
-            assert (a is None and b is None) or np.array_equal(a, b)
-        assert words[5].max() > 2 * 32  # some lane drew a second block
 
     @pytest.mark.parametrize("index", [-1, 2**63, 2**64, 1.5, True])
     def test_bad_sample_index(self, index):

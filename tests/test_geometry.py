@@ -217,8 +217,7 @@ def test_config_roundtrip():
         CombSpec(UniformGaps(1.0, 2.0), window_radius=4),
         CombSpec(GeometricGaps(1.5, 1.0), window_radius=3, one_sided=True),
         CombSpec(PolynomialGaps(2.0, 0.25, 1.0), window_radius=2),
-        CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 1.0), (5.0, 0.0)), growth="geometric"),
-                 one_sided=True),
+        CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 1.0), (5.0, 0.0))), one_sided=True),
     ]
     for spec in specs:
         assert comb_spec_from_config(comb_spec_to_config(spec)) == spec

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,15 @@ def test_disk_table_validation_errors():
         build_disk_law(n_knots=4)
     with pytest.raises(ValueError):
         build_disk_law(u_cut=0.5)
+
+
+def test_disk_time_at_u_one_is_finite():
+    table = default_disk_law()
+    top = float(table.times_from_uniform(np.nextafter(1.0, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_one = float(table.times_from_uniform(1.0))
+    assert math.isfinite(at_one) and at_one == top
 
 
 def test_disk_quantiles_monotone():
