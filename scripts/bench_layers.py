@@ -29,7 +29,11 @@ Rows:
 * ``strip_wos_run_batch_s``: ``run_batch`` of 200k WosTime samples on the
   strip from the origin at seed 7 (disk-law table built beforehand);
 * ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
-  samples on the half-plane from (0, 1) at time cap 1000, seed 7.
+  samples on the half-plane from (0, 1) at time cap 1000, seed 7;
+* ``read_samples_csv_200k_s``: ``read_samples_csv`` of a 200k-row sample
+  file shaped like a strip WosTime batch's (exit points on the walls
+  u = +-1, no passages), written by ``samples_to_csv`` and read once
+  beforehand so that it sits in the page cache; the mean of three reads.
 
 The two batch rows also record their step totals.  When a change keeps
 every sample they agree between the trees; where they differ the script
@@ -45,6 +49,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -152,6 +157,25 @@ def _halfplane_euler() -> dict:
                   time_cap=1000.0)
 
 
+def _read_samples_csv() -> dict:
+    import numpy as np
+
+    from combexit.engine import SampleSet, SimParams
+    from combexit.reports import read_samples_csv, samples_to_csv
+
+    n = 200_000
+    rng = np.random.default_rng(SEED)
+    samples = SampleSet(
+        rng.exponential(size=n), rng.choice([-1.0, 1.0], n), rng.normal(size=n),
+        np.zeros(n, dtype=bool), None, rng.geometric(1 / 14, n),
+        "bench", SimParams(engine="WosTime"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        path.write_text(samples_to_csv(samples), encoding="utf-8")
+        read_samples_csv(path)
+        return {"value": _per_call(lambda: read_samples_csv(path), 3)}
+
+
 # name: (unit, child function)
 ROWS = {
     "chunk_setup_us": ("us", _chunk_setup),
@@ -163,6 +187,7 @@ ROWS = {
     "replay_ms": ("ms", _replay),
     "strip_wos_run_batch_s": ("s", _strip_wos),
     "halfplane_euler_run_batch_s": ("s", _halfplane_euler),
+    "read_samples_csv_200k_s": ("s", _read_samples_csv),
 }
 
 

@@ -264,28 +264,36 @@ def _tail_body(diag: estimators.TailDiagnostic) -> dict:
     }
 
 
+def _read_samples(path: str):
+    """The sample set in ``path`` and the fingerprint of the very bytes it
+    was parsed from (one read, so a file replaced meanwhile cannot make the
+    report describe other bytes than its estimate)."""
+    data = Path(path).read_bytes()
+    return read_samples_csv(path, data), fingerprint_bytes(data)
+
+
 def _cmd_tail(args) -> int:
-    samples = read_samples_csv(args.samples)
+    samples, digest = _read_samples(args.samples)
     diag = estimators.tail_index(samples, method=args.method, k=args.k)
     cfg = RunConfig(
         "tail",
         args.out,
         {"samples": args.samples, "method": args.method, "k": args.k},
-        inputs={args.samples: fingerprint_bytes(Path(args.samples).read_bytes())},
+        inputs={args.samples: digest},
     )
     write_report(args.out, _payload(cfg, _tail_body(diag)))
     return EXIT_OK
 
 
 def _cmd_verdict(args) -> int:
-    samples = read_samples_csv(args.samples)
+    samples, digest = _read_samples(args.samples)
     diag = estimators.tail_index(samples, method=args.method)
     call = estimators.moment_verdict(diag, args.p)
     cfg = RunConfig(
         "verdict",
         args.out,
         {"samples": args.samples, "p": args.p, "method": args.method},
-        inputs={args.samples: fingerprint_bytes(Path(args.samples).read_bytes())},
+        inputs={args.samples: digest},
     )
     write_report(
         args.out,

@@ -33,7 +33,10 @@ same set and cross-validate each other.
     The walk stops inside a ``shell_eps`` collar and snaps to the nearest
     boundary point (``lines.nearest``) with zero residual time, a bias of
     order ``shell_eps`` in the clock (on the unit strip the mean is low by
-    about 0.053 at ``shell_eps`` 0.08 and 0.013 at 0.02).
+    about 0.053 at ``shell_eps`` 0.08 and 0.013 at 0.02).  The block step
+    keeps the running lanes packed in dense arrays, in row order, and
+    drops finished ones with one boolean mask, so a jump costs no gather or
+    scatter through the block's full lane set.
 
 The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
 owns the per-sample substreams, the block schedule, the lane state and the
@@ -62,13 +65,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import CombDomain, SimDomain, domain_fingerprint
 from .series import default_disk_law
@@ -307,21 +308,30 @@ def _seed_words(master_seed: int, indices) -> np.ndarray:
     return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
 
-class _Entropy(ISeedSequence):
-    """A seed sequence that hands ``PCG64`` one precomputed row of
-    ``_seed_words``, so ``PCG64(_Entropy(row))`` starts where
-    ``PCG64(SeedSequence((master_seed, i)))`` does."""
+@cache
+def _entropy_type() -> type:
+    """``_Entropy``, defined on first use: subclassing numpy's
+    ``ISeedSequence`` at import would load ``numpy.random`` into every
+    command, also those that never sample."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _Entropy(ISeedSequence):
+        """A seed sequence that hands ``PCG64`` one precomputed row of
+        ``_seed_words``, so ``PCG64(_Entropy(row))`` starts where
+        ``PCG64(SeedSequence((master_seed, i)))`` does."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for (4, np.uint64); the identity test spares that
-        # request a dtype conversion, about 0.5 us of each lane's set-up
-        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-            raise ValueError("_Entropy holds exactly four uint64 words, got a "
-                             f"request for {n_words} {np.dtype(dtype)} words")
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for (4, np.uint64); the identity test spares that
+            # request a dtype conversion, about 0.5 us of each lane's set-up
+            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError("_Entropy holds exactly four uint64 words, got a "
+                                 f"request for {n_words} {np.dtype(dtype)} words")
+            return self.words
+
+    return _Entropy
 
 
 def _block_sizes():
@@ -396,7 +406,8 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
     ``kernel.draws`` entry per block it survives into.  That keeps every
     sample bit-reproducible in isolation, whatever chunk it runs in.
     """
-    gens = [np.random.Generator(np.random.PCG64(_Entropy(w)))
+    entropy = _entropy_type()
+    gens = [np.random.Generator(np.random.PCG64(entropy(w)))
             for w in _seed_words(master_seed, indices)]
     lanes = _Lanes(len(indices), start)
     for T in _block_sizes():
@@ -596,7 +607,14 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
 
 
 def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
-    """Walk-on-spheres block step: one jump per live lane per draw row."""
+    """Walk-on-spheres block step: one jump per live lane per draw row.
+
+    A lane that reaches the shell or a cap is finished (its ``steps``
+    included) the step it does so and leaves the packed arrays; the others
+    are written back when the block ends.  Packing keeps row order, so a
+    window escape still names the lowest-index lane out at the earliest
+    jump.
+    """
     lines = domain.lines
     lo, hi = _escape_window(domain)
     eps, time_cap, max_steps = params.shell_eps, params.time_cap, params.max_steps
@@ -604,52 +622,57 @@ def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
     table = default_disk_law()
 
     def block(lanes, act, draws, T):
-        (uniforms,) = draws
-        ua = lanes.u[act]
-        va = lanes.v[act]
-        ta = lanes.t[act]
-        stepsa = lanes.steps[act]
-        run = np.ones(act.size, dtype=bool)
+        # Row ``r * T + k`` of ``uniforms`` holds the two uniforms of block
+        # row ``r`` for step ``k``; ``take`` gathers them several times
+        # faster than indexing ``draws[0][live, k]``.
+        uniforms = draws[0].reshape(-1, 2)
+        # The running lanes, packed in row order: ``live`` holds their block
+        # rows and ``u``, ``v``, ``t``, ``steps`` their state.
+        live = np.arange(act.size)
+        u, v, t, steps = lanes.u[act], lanes.v[act], lanes.t[act], lanes.steps[act]
 
         for k in range(T):
-            rows = np.flatnonzero(run)
-            if rows.size == 0:
+            if live.size == 0:
                 break
-            r = lines.distance(ua[rows], va[rows])
+            r = lines.distance(u, v)
 
             hit = r < eps
             if hit.any():
-                w = rows[hit]
-                bu, bv = lines.nearest(ua[w], va[w])
-                lanes.finish(act[w], ta[w], bu, bv, False)
-                run[w] = False
+                w = act[live[hit]]
+                bu, bv = lines.nearest(u[hit], v[hit])
+                lanes.finish(w, t[hit], bu, bv, False)
+                lanes.steps[w] = steps[hit]
+                keep = ~hit
+                live, u, v, t, steps, r = (
+                    live[keep], u[keep], v[keep], t[keep], steps[keep], r[keep])
 
-            go = rows[~hit]
-            if go.size:
-                rg = r[~hit]
-                ang = 2.0 * math.pi * uniforms[rows, k, 0][~hit]
-                dt = rg * rg * table.times_from_uniform(uniforms[rows, k, 1][~hit])
-                ua[go] += rg * np.cos(ang)
-                va[go] += rg * np.sin(ang)
-                ta[go] += dt
-                stepsa[go] += 1
+            draw = uniforms.take(live * T + k, axis=0)
+            ang = 2.0 * math.pi * draw[:, 0]
+            dt = r * r * table.times_from_uniform(draw[:, 1])
+            u += r * np.cos(ang)
+            v += r * np.sin(ang)
+            t += dt
+            steps += 1
 
-                if windowed:
-                    out = (ua[go] < lo) | (ua[go] > hi)
-                    if out.any():
-                        return act[go[np.argmax(out)]]
+            if windowed:
+                out = (u < lo) | (u > hi)
+                if out.any():
+                    return act[live[np.argmax(out)]]
 
-                stop = (ta[go] >= time_cap) | (stepsa[go] >= max_steps)
-                if stop.any():
-                    w = go[stop]
-                    lanes.finish(act[w], np.minimum(ta[w], time_cap),
-                                 ua[w], va[w], True)
-                    run[w] = False
+            stop = (t >= time_cap) | (steps >= max_steps)
+            if stop.any():
+                w = act[live[stop]]
+                lanes.finish(w, np.minimum(t[stop], time_cap), u[stop], v[stop], True)
+                lanes.steps[w] = steps[stop]
+                keep = ~stop
+                live, u, v, t, steps = (
+                    live[keep], u[keep], v[keep], t[keep], steps[keep])
 
-        lanes.u[act] = ua
-        lanes.v[act] = va
-        lanes.t[act] = ta
-        lanes.steps[act] = stepsa
+        run = act[live]
+        lanes.u[run] = u
+        lanes.v[run] = v
+        lanes.t[run] = t
+        lanes.steps[run] = steps
         return None
 
     return _Kernel(((np.random.Generator.random, 2),), block, (lo, hi))
@@ -725,6 +748,8 @@ def run_batch(domain: SimDomain, start, n: int, params: SimParams) -> SampleSet:
         bounds = np.linspace(0, n, resolved.workers + 1).astype(int)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
                   if b > a]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=resolved.workers) as pool:
             futures = [pool.submit(_simulate_range, domain, start, resolved,
                                    lo, hi) for lo, hi in ranges]

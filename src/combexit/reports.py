@@ -4,19 +4,22 @@ JSON reports carry a schema version, the fully resolved configuration, and
 sha256 fingerprints of every input consumed, so a run can be audited and
 reproduced from its report alone.  Bulk exit samples travel as CSV with one
 row per trajectory, encoded from and decoded into ``SampleSet`` columns
-(floats in ``repr`` round-trip form); the reader rejects rows whose exit
-time is negative or not finite or whose censor flag is not 0 or 1.  Writers
-stage into a temporary file next to the destination and rename into place;
-a crashed run never leaves a partial artifact under the target name.
+(floats in ``repr`` round-trip form).  The reader parses the two columns
+estimators need with numpy's C reader and rejects malformed rows, exit
+times that are negative or not finite, and censor flags other than 0 or 1.
+Writers stage into a temporary file next to the destination and rename into
+place; a crashed run never leaves a partial artifact under the target name.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import uuid
 from itertools import repeat
 from pathlib import Path
@@ -39,6 +42,7 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 _CSV_FIELDS = ("index", "tau", "u", "v", "censored", "passages", "steps")
+_NON_BLANK = re.compile(rb"\S")
 
 
 def fingerprint_bytes(data: bytes) -> str:
@@ -92,31 +96,45 @@ def samples_to_csv(samples: SampleSet) -> str:
     return "\n".join([",".join(_CSV_FIELDS), *map(",".join, rows)]) + "\n"
 
 
-def read_samples_csv(path: str | Path) -> SampleSet:
+def read_samples_csv(path: str | Path, data: bytes | None = None) -> SampleSet:
     """Load exit times and censor flags back into an estimator-ready set.
+
+    ``data`` is the file's content when the caller has already read it (to
+    fingerprint the same bytes it parses); otherwise ``path`` is read.  The
+    header is read with ``csv``; the ``tau`` and ``censored`` columns are
+    parsed by numpy's C reader (``np.loadtxt``), whose float64 parse equals
+    ``float()`` bit for bit but rejects what only Python's literal syntax
+    allows, such as ``1_5``.  ``censored`` is parsed as an integer, so
+    ``1.0`` is malformed.  Blank lines are skipped, and LF and CRLF line
+    endings read alike.
 
     Censored rows sit exactly at the cap they were truncated with, so the
     cap is recovered as their maximum; a file with no censoring gets an
-    infinite cap (nothing was truncated).  Error messages count rows from 1
+    infinite cap (nothing was truncated).  Value errors count rows from 1
     after the header, skipping blank lines.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = {"tau", "censored"} - set(header)
-        if missing:
-            raise ValueError(
-                f"sample file {path} lacks column(s) {sorted(missing)}"
-            )
-        it, ic = header.index("tau"), header.index("censored")
-        try:
-            parsed = [(float(row[it]), int(row[ic])) for row in reader if row]
-        except IndexError:
-            raise ValueError(f"sample file {path} has rows with missing fields") from None
-    if not parsed:
+    if data is None:
+        data = Path(path).read_bytes()
+    # loadtxt reads the rows straight from the bytes: decoding them into one
+    # string first would hold four bytes per character
+    fh = io.BytesIO(data)
+    try:
+        header = next(csv.reader([fh.readline().decode("utf-8")]), [])
+    except csv.Error as exc:  # a line break inside the header line
+        raise ValueError(f"sample file {path} has a malformed header ({exc})") from None
+    missing = {"tau", "censored"} - set(header)
+    if missing:
+        raise ValueError(f"sample file {path} lacks column(s) {sorted(missing)}")
+    if _NON_BLANK.search(data, fh.tell()) is None:
         raise ValueError(f"sample file {path} holds no rows")
-    taus = np.array([tau for tau, _ in parsed])
-    flags = np.array([flag for _, flag in parsed])
+    try:
+        cols = np.loadtxt(
+            fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+            usecols=(header.index("tau"), header.index("censored")),
+            dtype=[("tau", np.float64), ("censored", np.int64)], encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"sample file {path} has a malformed row ({exc})") from None
+    taus, flags = cols["tau"], cols["censored"]
     for name, col, bad, want in (
         ("tau", taus, ~(np.isfinite(taus) & (taus >= 0.0)), "a finite nonnegative time"),
         ("censored", flags, (flags != 0) & (flags != 1), "0 or 1"),

@@ -1,5 +1,6 @@
 """End-to-end subcommand tests: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -39,24 +40,33 @@ def load(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _scipy_loaded_after(code, cwd):
+def _run_python(code, cwd):
     """Run ``code`` in a fresh interpreter with this package importable and
-    return whether it left scipy loaded."""
+    return the last line it printed."""
     import combexit
 
     src = str(Path(combexit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print('scipy' in sys.modules)"],
-        cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()[-1] == "True"
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded_after(code, cwd, modules=("scipy",)):
+    """Which of ``modules`` running ``code`` in a fresh interpreter leaves
+    loaded."""
+    report = ("\nimport json, sys; print(json.dumps("
+              f"[m for m in {list(modules)!r} if m in sys.modules]))")
+    return json.loads(_run_python(code + report, cwd))
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """scipy loads only in the functions that need it, so commands that
-    never integrate a moment do not pay for it."""
-    assert not _scipy_loaded_after("import combexit.cli", tmp_path)
+    never integrate a moment do not pay for it; numpy's random module and
+    the process pool load only once a command samples (in parallel)."""
+    assert _loaded_after("import combexit.cli", tmp_path, (
+        "scipy", "numpy.random", "concurrent.futures.process")) == []
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):
@@ -73,7 +83,7 @@ def test_commands_leave_scipy_unloaded(tmp_path):
         ["check", "--comb", "comb.json", "--p", "0.5", "--out", "check.json"],
     ):
         code = f"from combexit.cli import run_command; assert run_command({argv!r}) == 0"
-        assert not _scipy_loaded_after(code, tmp_path), argv[0]
+        assert _loaded_after(code, tmp_path) == [], argv[0]
 
 
 class TestScalarCommands:
@@ -224,6 +234,29 @@ class TestSampleConsumers:
         # every strip moment is finite and the tail is far from 1/2
         assert load(out)["verdict"] == "FiniteLikely"
 
+    @pytest.mark.parametrize("argv", [["tail"], ["verdict", "--p", "1"]],
+                             ids=["tail", "verdict"])
+    def test_samples_file_is_opened_once(self, tmp_path, sample_csv, argv):
+        # The report fingerprints the bytes the estimate was parsed from: a
+        # second open could read a file replaced in between.
+        argv = argv + ["--samples", str(sample_csv), "--out", "r.json"]
+        code = "\n".join([
+            "import os, sys",
+            "from combexit.cli import run_command",
+            "opens = []",
+            "def hook(event, args):",
+            "    if (event == 'open' and isinstance(args[0], (str, os.PathLike))",
+            f"            and os.fspath(args[0]) == {str(sample_csv)!r}):",
+            "        opens.append(args[1])",
+            "sys.addaudithook(hook)",
+            f"rc = run_command({argv!r})",
+            "print(rc, len(opens))",
+        ])
+        assert _run_python(code, tmp_path) == f"{EXIT_OK} 1"
+        inputs = load(tmp_path / "r.json")["config"]["inputs"]
+        assert inputs == {str(sample_csv): hashlib.sha256(
+            sample_csv.read_bytes()).hexdigest()}
+
     def test_missing_column_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -243,6 +276,24 @@ class TestSampleConsumers:
                             "--out", str(tmp_path / "t.json")])
         assert code == EXIT_USAGE
         assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    # what follows the header: a row with missing fields, a censor flag
+    # 1.0, no rows, a tau that float() accepts, and CR line endings
+    @pytest.mark.parametrize("body", [
+        "\n0,1.5,1.0,0.25,0,,12\n1,2.5\n",
+        "\n0,1.5,1.0,0.25,0,,12\n1,2.5,-1.0,0.5,1.0,,7\n",
+        "\n",
+        "\n0,1_5,1.0,0.25,0,,12\n",
+        "\r0,1.5,1.0,0.25,0,,12\r",
+    ], ids=["missing-fields", "censored-1.0", "header-only", "tau-1_5", "cr-only"])
+    def test_malformed_sample_file_is_a_usage_error(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(("index,tau,u,v,censored,passages,steps" + body).encode())
+        code = run_command(["tail", "--samples", str(bad),
+                            "--out", str(tmp_path / "t.json")])
+        assert code == EXIT_USAGE
+        assert f"sample file {bad}" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
     def test_nan_exit_time_is_a_usage_error(self, tmp_path, capsys):

@@ -367,6 +367,16 @@ class TestBitIdentityGuard:
             run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
         assert str(err.value).startswith("sample 640 ")
 
+    def test_wos_window_escape_names_the_same_sample(self):
+        # Recorded before the WosTime kernel packed its running lanes: 120
+        # lanes first stand outside the window at the same jump, and the
+        # lowest of their indices is named.
+        comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
+        with pytest.raises(WindowEscapeError) as err:
+            run_batch(comb, (0.5, 0.0), 2_000,
+                      SimParams(engine="WosTime", master_seed=48))
+        assert str(err.value).startswith("sample 9 ")
+
 
 class TestSeeding:
     """The chunk driver hashes every sample's seed words in one vectorized
@@ -387,7 +397,7 @@ class TestSeeding:
     def test_entropy_generator_draws_like_numpy(self, seed):
         indices = [0, 2**32, 2**40]
         for i, row in zip(indices, engine._seed_words(seed, indices)):
-            ours = np.random.Generator(np.random.PCG64(engine._Entropy(row)))
+            ours = np.random.Generator(np.random.PCG64(engine._entropy_type()(row)))
             theirs = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((seed, i))))
             for draw in (lambda g: g.random(7), lambda g: g.standard_normal(7)):
@@ -396,7 +406,7 @@ class TestSeeding:
     @pytest.mark.parametrize("n_words, dtype", [
         (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, "float64")])
     def test_entropy_refuses_other_requests(self, n_words, dtype):
-        entropy = engine._Entropy(engine._seed_words(3, [4])[0])
+        entropy = engine._entropy_type()(engine._seed_words(3, [4])[0])
         assert entropy.generate_state(4, "uint64").shape == (4,)
         with pytest.raises(ValueError, match="four uint64 words"):
             entropy.generate_state(n_words, dtype)

@@ -242,17 +242,23 @@ class TestDiskLawMatchesScipy:
         ref = PchipInterpolator(table.u_knots, table.t_knots).c
         assert np.array_equal(bits(table.cubics.T), bits(ref))
 
-    def test_times_from_uniform(self):
+    @staticmethod
+    def scipy_times(table):
+        """``table.times_from_uniform`` through scipy's own interpolant."""
         from scipy.interpolate import PchipInterpolator
 
-        table = default_disk_law()
         interp = PchipInterpolator(table.u_knots, table.t_knots, extrapolate=False)
 
-        def scipy_times(u):
+        def times(u):
             body = interp(np.clip(u, table.u_knots[0], table.u_cut))
             tail = (table.log_c1 - np.log1p(-np.minimum(u, 1.0 - 1e-17))) / table.lam1
             return np.where(u <= table.u_cut, body, tail)
 
+        return times
+
+    def test_times_from_uniform(self):
+        table = default_disk_law()
+        scipy_times = self.scipy_times(table)
         rng = np.random.default_rng(2024)
         for _ in range(4):  # 4M uniforms in slices of 1M
             u = rng.random(1_000_000)
@@ -264,6 +270,26 @@ class TestDiskLawMatchesScipy:
                   np.array([0.0, 1.0 - 2**-53])):
             assert np.array_equal(bits(table.times_from_uniform(u)),
                                   bits(scipy_times(u)))
+
+    def test_guide_lookup_at_cell_edges_and_in_the_crowded_cell(self):
+        # The guide table finds each interval from the cell of 2**-14 that
+        # holds u; it must pick the interval searchsorted picks at every
+        # cell edge, on either side of it, and in the lowest cell, which
+        # holds about a thousand knots and is searched.
+        table = default_disk_law()
+        scipy_times = self.scipy_times(table)
+        edges = np.arange(2**14 + 1) / 2**14
+        for u in (edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)):
+            u = u[(u >= 0.0) & (u < 1.0)]
+            assert np.array_equal(bits(table.times_from_uniform(u)),
+                                  bits(scipy_times(u)))
+        low = np.random.default_rng(14).random(1_000_000) * 2**-14
+        assert np.array_equal(bits(table.times_from_uniform(low)),
+                              bits(scipy_times(low)))
+        for u in (0.0, 2**-14, np.nextafter(2**-14, 0.0), float(low[0]), 0.5):
+            assert table.times_from_uniform(u) == scipy_times(np.array([u]))[0]
+        # NaN is no cell: it maps to NaN as scipy's interpolant does
+        assert np.isnan(table.times_from_uniform([0.5, np.nan])).tolist() == [False, True]
 
     def test_scalar_input(self):
         table = default_disk_law()
