@@ -12,10 +12,17 @@ versions, to ``BENCH_layers.json``:
 
 Rows:
 
-* ``chunk_setup_us``: the chunk driver's cost per lane, that is seeding
-  the lane, setting it up and drawing its first (32, 2) WosTime uniforms,
-  measured as ``_run_chunk`` over 4096 lanes with a block that ends every
-  lane;
+* ``chunk_setup_us``: the chunk driver's cost per EulerBridge lane, that
+  is seeding the lane, building its ``Generator`` and drawing its first
+  block of 32 steps (half-plane widths: (32, 3) normals and (32, 2)
+  uniforms), measured as ``_run_chunk`` over 4096 lanes with a block that
+  ends every lane;
+* ``wos_steps_per_s_4096`` and ``wos_steps_per_s_32``: WosTime jumps per
+  second of ``_run_chunk`` at full and at low lane occupancy, seeding and
+  lane set-up included.  The lanes are the first samples at seed 7 that
+  live at least ``K`` jumps, run with ``max_steps = K``, so every lane
+  jumps exactly ``K`` times: 4096 strip lanes from the origin with K = 16,
+  and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32;
 * ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
@@ -66,20 +73,57 @@ def _per_call(fn, calls: int) -> float:
 
 
 def _chunk_setup() -> dict:
+    from dataclasses import replace
+
     import numpy as np
 
     from combexit import engine
+    from combexit.geometry import HalfPlane
 
     indices = np.arange(CHUNK, dtype=np.int64)
 
     def end_every_lane(lanes, act, draws, T):
         lanes.finish(act, 0.0, 0.0, 0.0, False)
 
-    kernel = engine._Kernel(((np.random.Generator.random, 2),), end_every_lane,
-                            (-np.inf, np.inf))
-    run = lambda: engine._run_chunk(kernel, (0.0, 0.0), SEED, indices)  # noqa: E731
+    kernel = replace(engine._euler_kernel(HalfPlane(), engine.SimParams(step_h=0.04)),
+                     block=end_every_lane)
+    run = lambda: engine._run_chunk(kernel, (0.0, 1.0), SEED, indices)  # noqa: E731
     run()
     return {"value": _per_call(run, 20) / CHUNK * 1e6}
+
+
+def _wos_steps_per_s(domain, start, lanes: int, jumps: int, **params) -> dict:
+    from dataclasses import replace
+
+    import numpy as np
+
+    from combexit import engine
+    from combexit.series import default_disk_law
+
+    default_disk_law()
+    pilot = engine.SimParams(engine="WosTime", master_seed=SEED, **params)
+    steps = engine.run_batch(domain, start, 20_000, pilot).steps
+    indices = np.flatnonzero(steps >= jumps)[:lanes]
+    if indices.size < lanes:
+        raise RuntimeError(f"only {indices.size} pilot samples live {jumps} jumps")
+    resolved = engine._resolve(domain, start, replace(pilot, max_steps=jumps))
+    kernel = engine._wos_kernel(domain, resolved)
+    run = lambda: engine._run_chunk(kernel, start, SEED, indices)  # noqa: E731
+    if int(run()[-1].sum()) != lanes * jumps:
+        raise RuntimeError("a lane stopped before max_steps")
+    return {"value": lanes * jumps / _per_call(run, 20)}
+
+
+def _wos_full() -> dict:
+    from combexit.geometry import VerticalStrip
+
+    return _wos_steps_per_s(VerticalStrip(-1.0, 1.0), (0.0, 0.0), CHUNK, 16)
+
+
+def _wos_low() -> dict:
+    from combexit.geometry import HalfPlane
+
+    return _wos_steps_per_s(HalfPlane(), (0.0, 1.0), 32, 32, time_cap=1000.0)
 
 
 def _times_from_uniform(lanes: int) -> dict:
@@ -179,6 +223,8 @@ def _read_samples_csv() -> dict:
 # name: (unit, child function)
 ROWS = {
     "chunk_setup_us": ("us", _chunk_setup),
+    "wos_steps_per_s_4096": ("1/s", _wos_full),
+    "wos_steps_per_s_32": ("1/s", _wos_low),
     "times_from_uniform_32_us": ("us", lambda: _times_from_uniform(32)),
     "times_from_uniform_4096_us": ("us", lambda: _times_from_uniform(4096)),
     "disk_law_first_s": ("s", _disk_law_first),

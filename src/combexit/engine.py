@@ -36,23 +36,34 @@ same set and cross-validate each other.
     about 0.053 at ``shell_eps`` 0.08 and 0.013 at 0.02).  The block step
     keeps the running lanes packed in dense arrays, in row order, and
     drops finished ones with one boolean mask, so a jump costs no gather or
-    scatter through the block's full lane set.
+    scatter through the block's full lane set.  Each lane's PCG64 state is
+    packed with them as uint64 words and stepped in numpy
+    (``_pcg64_uniforms``), so a jump draws exactly its two uniforms over
+    the live lanes, with no generator object per lane.
 
 The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
 owns the per-sample substreams, the block schedule, the lane state and the
 result columns; an engine supplies only a ``_Kernel``: the draws one lane
 takes per block and a block step that advances the live lanes.  Sample
-``i`` of a batch always draws from its own ``Generator(PCG64(...))``,
-started in the state ``PCG64(SeedSequence((master_seed, i)))`` starts in,
-and always draws the same block sequence (sizes depend only on that
-sample's own lifetime), so results are bit-identical for any worker count
-or batch partitioning and individual samples can be replayed in isolation.
-The driver hashes a whole chunk's seed words in one vectorized pass of
-numpy's ``SeedSequence`` algorithm (``_seed_words``) and hands each row to
-``PCG64`` through numpy's public ``ISeedSequence`` interface (``_Entropy``),
-so numpy itself turns the words into each lane's generator state.
-How many steps a kernel pass evaluates only regroups arithmetic on draws
-already made, so it never changes a sample.
+``i`` of a batch always draws from its own PCG64 stream, started in the
+state ``PCG64(SeedSequence((master_seed, i)))`` starts in.  The driver
+hashes a whole chunk's seed words in one vectorized pass of numpy's
+``SeedSequence`` algorithm (``_seed_words``), then:
+
+* a WosTime lane's state is built from its words in numpy (``_pcg64_start``,
+  PCG64's own seeding step), and jump ``k`` reads doubles ``2k`` and
+  ``2k + 1`` of the stream;
+* an EulerBridge lane gets a ``Generator(PCG64(_Entropy(words)))``, so
+  numpy itself seeds it, and draws the same block sequence (sizes depend
+  only on that sample's own lifetime).  Its normals come from numpy's
+  ziggurat ``standard_normal``, which has no bit-exact vectorized form
+  here, so it keeps a generator per lane.
+
+``TestSeeding`` pins both paths to numpy's own ``SeedSequence``, ``PCG64``
+and ``Generator`` draws.  Results are therefore bit-identical for any
+worker count or batch partitioning, and individual samples can be replayed
+in isolation.  How many steps a kernel pass evaluates only regroups
+arithmetic on draws already made, so it never changes a sample.
 
 Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
 records are built only on request.  Passage counts are recorded for comb
@@ -246,7 +257,8 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
 # ``_seed_words`` runs SeedSequence's algorithm on a whole chunk at once:
 # its pool mixing on uint32 words and ``generate_state(4, uint64)``
 # (constants from numpy's ``bit_generator.pyx``).  PCG64 turns those words
-# into its state itself when ``_Entropy`` hands it a row.
+# into its state itself when ``_Entropy`` hands it a row (EulerBridge), and
+# ``_pcg64_start`` does the same in numpy (WosTime).
 _MASK32 = 0xFFFFFFFF
 
 
@@ -352,6 +364,84 @@ def _escape_window(domain: SimDomain) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# PCG64 in numpy (WosTime lanes)
+
+
+# numpy's PCG64 is O'Neill's (2014) 128-bit LCG ``s -> s*M + inc`` with an
+# XSL-RR output, and ``Generator.random()`` returns ``(next64 >> 11) *
+# 2**-53`` of the stepped state.  WosTime lanes keep their state and
+# increment as uint64 halves and step them together here, so a jump draws
+# exactly its two doubles across the live lanes.  Everything runs on
+# arrays, where numpy wraps uint64 overflow silently (scalars would warn).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LO32 = np.uint64(_MASK32)
+_U32, _U64 = np.uint64(32), np.uint64(64)
+
+
+def _mult_column(mults) -> tuple[np.ndarray, ...]:
+    """Multipliers below 2**128 as ``(n, 1)`` uint64 columns: the high
+    word, the low word's two 32-bit limbs and the low word."""
+    hi = np.array([[m >> 64] for m in mults], dtype=np.uint64)
+    lo = np.array([[m & 0xFFFFFFFFFFFFFFFF] for m in mults], dtype=np.uint64)
+    return hi, lo & _LO32, lo >> _U32, lo
+
+
+_STEP = _mult_column([_PCG_MULT])
+# one pass makes two steps: state times [M, M**2] plus [inc, (M + 1) * inc]
+_JUMP2 = _mult_column([_PCG_MULT, _PCG_MULT**2 % 2**128])
+
+
+def _mul_add(hi, lo, mult, inc_hi, inc_lo):
+    """``(hi, lo) * mult + (inc_hi, inc_lo)`` modulo 2**128 on uint64
+    halves, one row per row of the ``mult`` column."""
+    m_hi, b0, b1, m_lo = mult
+    # high word of the 64x64-bit product lo * m_lo, from 32-bit limbs
+    a0, a1 = lo & _LO32, lo >> _U32
+    mid = a1 * b0 + (a0 * b0 >> _U32)
+    mid2 = (mid & _LO32) + a0 * b1
+    top = a1 * b1 + (mid >> _U32) + (mid2 >> _U32)
+    new_lo = lo * m_lo + inc_lo
+    carry = new_lo < inc_lo
+    return top + lo * m_hi + hi * m_lo + inc_hi + carry, new_lo
+
+
+def _pcg64_start(words: np.ndarray) -> np.ndarray:
+    """The PCG64 states ``PCG64(_Entropy(row))`` starts in, for each row of
+    ``_seed_words``, as a ``(6, n)`` uint64 array: the state's high and low
+    words, then the high and the low words of the two-step increments
+    ``[inc, (M + 1) * inc]``.
+
+    This is PCG64's ``srandom_r`` with ``initstate = w0 << 64 | w1`` and
+    ``seq = w2 << 64 | w3``: ``inc = seq << 1 | 1``, step from 0, add
+    ``initstate``, step.
+    """
+    s_hi, s_lo, q_hi, q_lo = np.asarray(words, dtype=np.uint64).T
+    one = np.uint64(1)
+    inc_hi = q_hi << one | q_lo >> np.uint64(63)
+    inc_lo = q_lo << one | one
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    (hi,), (lo,) = _mul_add(hi, lo, _STEP, inc_hi, inc_lo)
+    (inc2_hi,), (inc2_lo,) = _mul_add(inc_hi, inc_lo, _STEP, inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc2_hi, inc_lo, inc2_lo])
+
+
+def _pcg64_uniforms(rng: np.ndarray) -> np.ndarray:
+    """Step every lane of a ``_pcg64_start`` array twice, in place, and
+    return the two ``Generator.random()`` doubles each lane draws, as a
+    ``(2, lanes)`` array in draw order."""
+    hi, lo = _mul_add(rng[0], rng[1], _JUMP2, rng[2:4], rng[4:6])
+    rng[0], rng[1] = hi[1], lo[1]
+    # XSL-RR: the xor of the halves, rotated right by the top six bits.  A
+    # rotation by 0 needs no mask: its left shift by 64 gives 0 (or x where
+    # shifts wrap), and either way the result is x.
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    x = x >> rot | x << (_U64 - rot)
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+# ---------------------------------------------------------------------------
 # chunk driver
 
 
@@ -360,7 +450,12 @@ class _Kernel:
     """What an engine supplies to the chunk driver.
 
     ``draws`` lists, in draw order, the generator method and row width of
-    each ``(T, width)`` array one lane fills per block of ``T`` steps.
+    each ``(T, width)`` array one lane fills from its own ``Generator`` per
+    block of ``T`` steps.  EulerBridge draws that way because its normals
+    come from numpy's ziggurat ``standard_normal``, which has no bit-exact
+    vectorized form here.  ``draws`` is empty for WosTime, which needs only
+    uniforms: its lanes' PCG64 states live in ``lanes.rng`` and each jump
+    steps them with ``_pcg64_uniforms``, drawing exactly its two doubles.
     ``block(lanes, act, draws, T)`` advances the live lanes ``act`` through
     the block, ends finished ones with ``lanes.finish``, and returns the
     lane that left ``window`` (None if none did).
@@ -374,9 +469,12 @@ class _Kernel:
 
 class _Lanes:
     """State of one chunk's samples: position, clock, steps and passage
-    bookkeeping while they run, and the result columns once they finish."""
+    bookkeeping while they run, and the result columns once they finish.
+    ``rng`` holds the lanes' PCG64 states (``_pcg64_start``) when the
+    kernel steps them itself."""
 
-    def __init__(self, m: int, start):
+    def __init__(self, m: int, start, rng: np.ndarray | None = None):
+        self.rng = rng
         self.u = np.full(m, start[0], dtype=float)
         self.v = np.full(m, start[1], dtype=float)
         self.t = np.zeros(m)
@@ -401,23 +499,30 @@ def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
     """Advance one chunk of samples to exit or censoring.
 
     Returns the (tau, u, v, censor, passages, steps) columns aligned with
-    ``indices``.  Block sizes are fixed constants, so the draws a sample
-    consumes are a function of its own lifetime alone: one call per
-    ``kernel.draws`` entry per block it survives into.  That keeps every
-    sample bit-reproducible in isolation, whatever chunk it runs in.
+    ``indices``.  Every sample draws from its own PCG64 stream, a
+    ``Generator`` per lane when the kernel lists ``draws`` and otherwise
+    its state in ``lanes.rng``.  Block sizes are fixed constants, so the
+    draws a sample consumes are a function of its own lifetime alone: one
+    call per ``kernel.draws`` entry per block it survives into, or two
+    doubles per jump.  That keeps every sample bit-reproducible in
+    isolation, whatever chunk it runs in.
     """
-    entropy = _entropy_type()
-    gens = [np.random.Generator(np.random.PCG64(entropy(w)))
-            for w in _seed_words(master_seed, indices)]
-    lanes = _Lanes(len(indices), start)
+    words = _seed_words(master_seed, indices)
+    if kernel.draws:
+        entropy = _entropy_type()
+        gens = [np.random.Generator(np.random.PCG64(entropy(w))) for w in words]
+        lanes = _Lanes(len(indices), start)
+    else:
+        lanes = _Lanes(len(indices), start, _pcg64_start(words))
     for T in _block_sizes():
         act = np.flatnonzero(lanes.alive)
         if act.size == 0:
             break
         draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
-        for row, s in enumerate(act.tolist()):
-            for buf, (method, _) in zip(draws, kernel.draws):
-                method(gens[s], out=buf[row])
+        if draws:
+            for row, s in enumerate(act.tolist()):
+                for buf, (method, _) in zip(draws, kernel.draws):
+                    method(gens[s], out=buf[row])
         bad = kernel.block(lanes, act, draws, T)
         del draws  # free this block's draws before the next one is allocated
         if bad is not None:
@@ -607,7 +712,8 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
 
 
 def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
-    """Walk-on-spheres block step: one jump per live lane per draw row.
+    """Walk-on-spheres block step: up to ``T`` jumps per live lane, each
+    drawing its two uniforms from the lane's PCG64 state.
 
     A lane that reaches the shell or a cap is finished (its ``steps``
     included) the step it does so and leaves the packed arrays; the others
@@ -622,14 +728,11 @@ def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
     table = default_disk_law()
 
     def block(lanes, act, draws, T):
-        # Row ``r * T + k`` of ``uniforms`` holds the two uniforms of block
-        # row ``r`` for step ``k``; ``take`` gathers them several times
-        # faster than indexing ``draws[0][live, k]``.
-        uniforms = draws[0].reshape(-1, 2)
         # The running lanes, packed in row order: ``live`` holds their block
-        # rows and ``u``, ``v``, ``t``, ``steps`` their state.
+        # rows and ``u``, ``v``, ``t``, ``steps``, ``rng`` their state.
         live = np.arange(act.size)
         u, v, t, steps = lanes.u[act], lanes.v[act], lanes.t[act], lanes.steps[act]
+        rng = lanes.rng[:, act]
 
         for k in range(T):
             if live.size == 0:
@@ -643,12 +746,13 @@ def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
                 lanes.finish(w, t[hit], bu, bv, False)
                 lanes.steps[w] = steps[hit]
                 keep = ~hit
-                live, u, v, t, steps, r = (
-                    live[keep], u[keep], v[keep], t[keep], steps[keep], r[keep])
+                live, u, v, t, steps, r, rng = (live[keep], u[keep], v[keep],
+                                                t[keep], steps[keep], r[keep],
+                                                rng[:, keep])
 
-            draw = uniforms.take(live * T + k, axis=0)
-            ang = 2.0 * math.pi * draw[:, 0]
-            dt = r * r * table.times_from_uniform(draw[:, 1])
+            ang_u, time_u = _pcg64_uniforms(rng)
+            ang = 2.0 * math.pi * ang_u
+            dt = r * r * table.times_from_uniform(time_u)
             u += r * np.cos(ang)
             v += r * np.sin(ang)
             t += dt
@@ -665,17 +769,18 @@ def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
                 lanes.finish(w, np.minimum(t[stop], time_cap), u[stop], v[stop], True)
                 lanes.steps[w] = steps[stop]
                 keep = ~stop
-                live, u, v, t, steps = (
-                    live[keep], u[keep], v[keep], t[keep], steps[keep])
+                live, u, v, t, steps, rng = (live[keep], u[keep], v[keep],
+                                             t[keep], steps[keep], rng[:, keep])
 
         run = act[live]
         lanes.u[run] = u
         lanes.v[run] = v
         lanes.t[run] = t
         lanes.steps[run] = steps
+        lanes.rng[:, run] = rng
         return None
 
-    return _Kernel(((np.random.Generator.random, 2),), block, (lo, hi))
+    return _Kernel((), block, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

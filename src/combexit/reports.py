@@ -21,6 +21,7 @@ import math
 import os
 import re
 import uuid
+import warnings
 from itertools import repeat
 from pathlib import Path
 
@@ -43,6 +44,7 @@ SCHEMA_VERSION = "1"
 
 _CSV_FIELDS = ("index", "tau", "u", "v", "censored", "passages", "steps")
 _NON_BLANK = re.compile(rb"\S")
+_NUMPY_ROW = re.compile(r" at row \d+")
 
 
 def fingerprint_bytes(data: bytes) -> str:
@@ -110,8 +112,8 @@ def read_samples_csv(path: str | Path, data: bytes | None = None) -> SampleSet:
 
     Censored rows sit exactly at the cap they were truncated with, so the
     cap is recovered as their maximum; a file with no censoring gets an
-    infinite cap (nothing was truncated).  Value errors count rows from 1
-    after the header, skipping blank lines.
+    infinite cap (nothing was truncated).  Errors name the bad row,
+    counted from 1 after the header with blank lines skipped.
     """
     if data is None:
         data = Path(path).read_bytes()
@@ -127,13 +129,24 @@ def read_samples_csv(path: str | Path, data: bytes | None = None) -> SampleSet:
         raise ValueError(f"sample file {path} lacks column(s) {sorted(missing)}")
     if _NON_BLANK.search(data, fh.tell()) is None:
         raise ValueError(f"sample file {path} holds no rows")
-    try:
-        cols = np.loadtxt(
+    rows_at = fh.tell()
+
+    def parse(max_rows=None):
+        fh.seek(rows_at)
+        return np.loadtxt(
             fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
             usecols=(header.index("tau"), header.index("censored")),
-            dtype=[("tau", np.float64), ("censored", np.int64)], encoding="utf-8")
+            dtype=[("tau", np.float64), ("censored", np.int64)],
+            encoding="utf-8", max_rows=max_rows)
+
+    try:
+        cols = parse()
     except ValueError as exc:
-        raise ValueError(f"sample file {path} has a malformed row ({exc})") from None
+        # numpy numbers rows from 0 in a conversion error but from 1 for a
+        # missing field, so find the row by parsing ever shorter prefixes
+        reason = _NUMPY_ROW.sub("", str(exc))
+        raise ValueError(f"sample file {path} row {_first_bad_row(parse, data)}: "
+                         f"malformed ({reason})") from None
     taus, flags = cols["tau"], cols["censored"]
     for name, col, bad, want in (
         ("tau", taus, ~(np.isfinite(taus) & (taus >= 0.0)), "a finite nonnegative time"),
@@ -147,3 +160,20 @@ def read_samples_csv(path: str | Path, data: bytes | None = None) -> SampleSet:
     cen = flags == 1
     cap = float(np.max(taus[cen])) if cen.any() else math.inf
     return synthetic_sample_set(taus, time_cap=cap, censored=cen)
+
+
+def _first_bad_row(parse, data: bytes) -> int:
+    """The first row, from 1, that ``parse(max_rows)`` fails on, found by
+    bisection: ``max_rows`` counts rows and skips blank lines."""
+    good, bad = 0, data.count(b"\n") + 1  # more rows than the file holds
+    with warnings.catch_warnings():
+        # numpy warns that blank lines no longer count towards max_rows
+        warnings.simplefilter("ignore", UserWarning)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                parse(mid)
+                good = mid
+            except ValueError:
+                bad = mid
+    return bad

@@ -278,22 +278,29 @@ class TestSampleConsumers:
         assert "row 2" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
-    # what follows the header: a row with missing fields, a censor flag
-    # 1.0, no rows, a tau that float() accepts, and CR line endings
-    @pytest.mark.parametrize("body", [
-        "\n0,1.5,1.0,0.25,0,,12\n1,2.5\n",
-        "\n0,1.5,1.0,0.25,0,,12\n1,2.5,-1.0,0.5,1.0,,7\n",
-        "\n",
-        "\n0,1_5,1.0,0.25,0,,12\n",
-        "\r0,1.5,1.0,0.25,0,,12\r",
-    ], ids=["missing-fields", "censored-1.0", "header-only", "tau-1_5", "cr-only"])
-    def test_malformed_sample_file_is_a_usage_error(self, tmp_path, capsys, body):
+    # what follows the header, and the row the message names: a row with
+    # missing fields, a censor flag 1.0 (also after a blank line, which
+    # does not count), a negative tau, no rows, a tau that float() accepts,
+    # and CR line endings
+    @pytest.mark.parametrize("body, where", [
+        ("\n0,1.5,1.0,0.25,0,,12\n1,2.5\n", "row 2:"),
+        ("\n0,1.5,1.0,0.25,0,,12\n1,2.5,-1.0,0.5,1.0,,7\n", "row 2:"),
+        ("\n\n0,1.5,1.0,0.25,0,,12\n\n1,2.5,-1.0,0.5,1.0,,7\n", "row 2:"),
+        ("\n0,1.5,1.0,0.25,0,,12\n1,-2.0,-1.0,0.5,0,,7\n", "row 2:"),
+        ("\n", "no rows"),
+        ("\n0,1_5,1.0,0.25,0,,12\n", "row 1:"),
+        ("\r0,1.5,1.0,0.25,0,,12\r", "header"),
+    ], ids=["missing-fields", "censored-1.0", "censored-1.0-after-blank",
+            "tau-negative", "header-only", "tau-1_5", "cr-only"])
+    def test_malformed_sample_file_is_a_usage_error(self, tmp_path, capsys, body,
+                                                    where):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(("index,tau,u,v,censored,passages,steps" + body).encode())
         code = run_command(["tail", "--samples", str(bad),
                             "--out", str(tmp_path / "t.json")])
         assert code == EXIT_USAGE
-        assert f"sample file {bad}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"sample file {bad}" in err and where in err
         assert not (tmp_path / "t.json").exists()
 
     def test_nan_exit_time_is_a_usage_error(self, tmp_path, capsys):

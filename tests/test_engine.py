@@ -214,11 +214,12 @@ class TestStructuralInvariants:
 
 
 class TestReproducibility:
-    def test_worker_partition_bit_identity(self):
+    @pytest.mark.parametrize("engine_name", ["EulerBridge", "WosTime"])
+    def test_worker_partition_bit_identity(self, engine_name):
         args = (UNIFORM_COMB, (0.5, 0.0), 9_000)
-        a = run_batch(*args, SimParams(master_seed=31, workers=1))
-        b = run_batch(*args, SimParams(master_seed=31, workers=3))
-        c = run_batch(*args, SimParams(master_seed=31, workers=5))
+        a, b, c = (run_batch(*args, SimParams(engine=engine_name, master_seed=31,
+                                              workers=workers))
+                   for workers in (1, 3, 5))
         assert a.samples == b.samples == c.samples
 
     def test_single_sample_replay(self):
@@ -378,20 +379,42 @@ class TestBitIdentityGuard:
         assert str(err.value).startswith("sample 9 ")
 
 
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
 class TestSeeding:
     """The chunk driver hashes every sample's seed words in one vectorized
-    pass and seeds each lane's PCG64 from them; these pin both steps to
-    numpy's own ``SeedSequence`` and ``PCG64``."""
+    pass and seeds each lane's PCG64 from them, as a ``Generator``
+    (EulerBridge) or as numpy arrays it steps itself (WosTime); these pin
+    every step to numpy's own ``SeedSequence``, ``PCG64`` and ``random()``."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_states_match_numpy(self, seed):
-        indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
-        words = engine._seed_words(seed, np.array(indices))
-        assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+        words = engine._seed_words(seed, np.array(INDICES))
+        assert words.dtype == np.uint64 and words.shape == (len(INDICES), 4)
         assert words.flags.c_contiguous  # PCG64 reads each row's memory
         assert words.tolist() == [
             np.random.SeedSequence((seed, i)).generate_state(4, np.uint64).tolist()
-            for i in indices]
+            for i in INDICES]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_numpy_pcg64_draws_like_numpy(self, seed):
+        # lane j makes 35 + 7 j jumps of two uniforms each, so the lanes
+        # leave the packed set one by one and the rest keep drawing
+        jumps = 35 + 7 * np.arange(len(INDICES))
+        rng = engine._pcg64_start(engine._seed_words(seed, INDICES))
+        drawn = [[] for _ in INDICES]
+        live = np.arange(len(INDICES))
+        for k in range(jumps.max()):
+            keep = jumps[live] > k
+            live, rng = live[keep], rng[:, keep]
+            for j, pair in zip(live, engine._pcg64_uniforms(rng).T.tolist()):
+                drawn[j] += pair
+        for i, n, ours in zip(INDICES, jumps, drawn):
+            theirs = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence((seed, i)))).random(2 * n)
+            assert ours == theirs.tolist()
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
     def test_entropy_generator_draws_like_numpy(self, seed):
