@@ -18,11 +18,14 @@ Rows:
   uniforms), measured as ``_run_chunk`` over 4096 lanes with a block that
   ends every lane;
 * ``wos_steps_per_s_4096`` and ``wos_steps_per_s_32``: WosTime jumps per
-  second of ``_run_chunk`` at full and at low lane occupancy, seeding and
-  lane set-up included.  The lanes are the first samples at seed 7 that
+  second of ``_simulate_range`` at full and at low lane occupancy, seeding
+  and lane set-up included.  The lanes are the first samples at seed 7 that
   live at least ``K`` jumps, run with ``max_steps = K``, so every lane
   jumps exactly ``K`` times: 4096 strip lanes from the origin with K = 16,
-  and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32;
+  and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32.  The
+  range ``0..lanes-1`` is mapped onto those samples' substreams by wrapping
+  ``_seed_words``, which every tree's WosTime driver seeds through, so both
+  trees run the same lanes for the same jumps;
 * ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
@@ -32,20 +35,25 @@ Rows:
 * ``import_cli_s``: ``import combexit.cli``;
 * ``replay_ms``: one ``simulate_exit`` of a strip WosTime sample, the mean
   over indices 0-199 (disk-law table built beforehand), which pays the
-  chunk driver's fixed cost, seeding included, once per call;
+  WosTime driver's fixed cost, seeding included, once per call;
 * ``strip_wos_run_batch_s``: ``run_batch`` of 200k WosTime samples on the
   strip from the origin at seed 7 (disk-law table built beforehand);
+* ``strip_wos_passes``: the number of WosTime kernel passes in that batch,
+  counted as calls of ``_pcg64_uniforms`` (one per pass in every tree), a
+  count that only the driver's lane schedule sets;
 * ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
   samples on the half-plane from (0, 1) at time cap 1000, seed 7;
 * ``read_samples_csv_200k_s``: ``read_samples_csv`` of a 200k-row sample
   file shaped like a strip WosTime batch's (exit points on the walls
   u = +-1, no passages), written by ``samples_to_csv`` and read once
-  beforehand so that it sits in the page cache; the mean of three reads.
+  beforehand so that it sits in the page cache; the mean of three reads;
+* ``samples_to_csv_200k_s``: ``samples_to_csv`` of the same 200k samples,
+  the mean of three encodes.
 
-The two batch rows also record their step totals.  When a change keeps
-every sample they agree between the trees; where they differ the script
-says so on stderr, records ``"steps_agree": false`` in the row and exits
-with status 1.  Not part of the test suite: a run takes a few minutes.
+The batch and pass-count rows also record their step totals.  When a
+change keeps every sample they agree between the trees; where they differ
+the script says so on stderr, records ``"steps_agree": false`` in the row
+and exits with status 1.  Not part of the test suite: a run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -103,12 +111,14 @@ def _wos_steps_per_s(domain, start, lanes: int, jumps: int, **params) -> dict:
     default_disk_law()
     pilot = engine.SimParams(engine="WosTime", master_seed=SEED, **params)
     steps = engine.run_batch(domain, start, 20_000, pilot).steps
-    indices = np.flatnonzero(steps >= jumps)[:lanes]
-    if indices.size < lanes:
-        raise RuntimeError(f"only {indices.size} pilot samples live {jumps} jumps")
+    picked = np.flatnonzero(steps >= jumps)[:lanes]
+    if picked.size < lanes:
+        raise RuntimeError(f"only {picked.size} pilot samples live {jumps} jumps")
+    seed_words = engine._seed_words
+    engine._seed_words = lambda seed, indices: seed_words(
+        seed, picked[np.asarray(indices, dtype=np.int64)])
     resolved = engine._resolve(domain, start, replace(pilot, max_steps=jumps))
-    kernel = engine._wos_kernel(domain, resolved)
-    run = lambda: engine._run_chunk(kernel, start, SEED, indices)  # noqa: E731
+    run = lambda: engine._simulate_range(domain, start, resolved, 0, lanes)  # noqa: E731
     if int(run()[-1].sum()) != lanes * jumps:
         raise RuntimeError("a lane stopped before max_steps")
     return {"value": lanes * jumps / _per_call(run, 20)}
@@ -194,6 +204,21 @@ def _strip_wos() -> dict:
     return _batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 200_000, engine="WosTime")
 
 
+def _strip_wos_passes() -> dict:
+    from combexit import engine
+
+    draw = engine._pcg64_uniforms
+    passes = 0
+
+    def counted(rng):
+        nonlocal passes
+        passes += 1
+        return draw(rng)
+
+    engine._pcg64_uniforms = counted
+    return {**_strip_wos(), "value": passes}
+
+
 def _halfplane_euler() -> dict:
     from combexit.geometry import HalfPlane
 
@@ -201,23 +226,37 @@ def _halfplane_euler() -> dict:
                   time_cap=1000.0)
 
 
-def _read_samples_csv() -> dict:
+def _strip_shaped_samples():
+    """200k samples shaped like a strip WosTime batch's: exit points on the
+    walls u = +-1, no passages."""
     import numpy as np
 
     from combexit.engine import SampleSet, SimParams
-    from combexit.reports import read_samples_csv, samples_to_csv
 
     n = 200_000
     rng = np.random.default_rng(SEED)
-    samples = SampleSet(
+    return SampleSet(
         rng.exponential(size=n), rng.choice([-1.0, 1.0], n), rng.normal(size=n),
         np.zeros(n, dtype=bool), None, rng.geometric(1 / 14, n),
         "bench", SimParams(engine="WosTime"))
+
+
+def _read_samples_csv() -> dict:
+    from combexit.reports import read_samples_csv, samples_to_csv
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "samples.csv"
-        path.write_text(samples_to_csv(samples), encoding="utf-8")
+        path.write_text(samples_to_csv(_strip_shaped_samples()), encoding="utf-8")
         read_samples_csv(path)
         return {"value": _per_call(lambda: read_samples_csv(path), 3)}
+
+
+def _samples_to_csv() -> dict:
+    from combexit.reports import samples_to_csv
+
+    samples = _strip_shaped_samples()
+    samples_to_csv(samples)
+    return {"value": _per_call(lambda: samples_to_csv(samples), 3)}
 
 
 # name: (unit, child function)
@@ -232,8 +271,10 @@ ROWS = {
     "import_cli_s": ("s", _import_cli),
     "replay_ms": ("ms", _replay),
     "strip_wos_run_batch_s": ("s", _strip_wos),
+    "strip_wos_passes": ("count", _strip_wos_passes),
     "halfplane_euler_run_batch_s": ("s", _halfplane_euler),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
+    "samples_to_csv_200k_s": ("s", _samples_to_csv),
 }
 
 

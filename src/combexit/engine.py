@@ -1,9 +1,9 @@
 """Monte Carlo samplers for planar Brownian exit times.
 
-Two independent engines share one sampling contract, one chunk driver and
-one boundary: both read the domain's ``lines`` (``geometry.BoundaryLines``,
-oriented lines cut by the domain's single exit rule), so they stop on the
-same set and cross-validate each other.
+Two independent engines share one sampling contract and one boundary:
+both read the domain's ``lines`` (``geometry.BoundaryLines``, oriented
+lines cut by the domain's single exit rule), so they stop on the same set
+and cross-validate each other.
 
 ``EulerBridge``
     Fixed-step Euler scheme on the full plane with Brownian-bridge crossing
@@ -33,37 +33,38 @@ same set and cross-validate each other.
     The walk stops inside a ``shell_eps`` collar and snaps to the nearest
     boundary point (``lines.nearest``) with zero residual time, a bias of
     order ``shell_eps`` in the clock (on the unit strip the mean is low by
-    about 0.053 at ``shell_eps`` 0.08 and 0.013 at 0.02).  The block step
-    keeps the running lanes packed in dense arrays, in row order, and
-    drops finished ones with one boolean mask, so a jump costs no gather or
-    scatter through the block's full lane set.  Each lane's PCG64 state is
-    packed with them as uint64 words and stepped in numpy
-    (``_pcg64_uniforms``), so a jump draws exactly its two uniforms over
-    the live lanes, with no generator object per lane.
+    about 0.053 at ``shell_eps`` 0.08 and 0.013 at 0.02).  A sample range
+    streams through one pool of at most ``_CHUNK`` lanes (``_wos_range``),
+    packed in dense arrays in sample order; finished lanes drop out in one
+    gather, and whenever half the pool is free the next samples join at its
+    end.  Each lane's PCG64 state is packed with them as uint64
+    words and stepped in numpy (``_pcg64_uniforms``), so a jump draws
+    exactly its two uniforms over the live lanes, with no generator object
+    per lane.
 
-The driver (``_run_chunk``) advances a chunk of samples in lockstep.  It
-owns the per-sample substreams, the block schedule, the lane state and the
-result columns; an engine supplies only a ``_Kernel``: the draws one lane
-takes per block and a block step that advances the live lanes.  Sample
-``i`` of a batch always draws from its own PCG64 stream, started in the
-state ``PCG64(SeedSequence((master_seed, i)))`` starts in.  The driver
-hashes a whole chunk's seed words in one vectorized pass of numpy's
-``SeedSequence`` algorithm (``_seed_words``), then:
+Sample ``i`` of a batch always draws from its own PCG64 stream, started
+in the state ``PCG64(SeedSequence((master_seed, i)))`` starts in.  The
+drivers hash the seed words of many samples in one vectorized pass of
+numpy's ``SeedSequence`` algorithm (``_seed_words``), then:
 
 * a WosTime lane's state is built from its words in numpy (``_pcg64_start``,
-  PCG64's own seeding step), and jump ``k`` reads doubles ``2k`` and
-  ``2k + 1`` of the stream;
+  PCG64's own seeding step) when it joins the pool, and jump ``k`` reads
+  doubles ``2k`` and ``2k + 1`` of the stream;
 * an EulerBridge lane gets a ``Generator(PCG64(_Entropy(words)))``, so
-  numpy itself seeds it, and draws the same block sequence (sizes depend
-  only on that sample's own lifetime).  Its normals come from numpy's
-  ziggurat ``standard_normal``, which has no bit-exact vectorized form
-  here, so it keeps a generator per lane.
+  numpy itself seeds it.  The chunk driver (``_run_chunk``) advances a
+  chunk of ``_CHUNK`` samples in lockstep through a fixed block schedule
+  and a kernel (``_Kernel``) that fills each block from the lanes'
+  generators, so a lane's draws depend only on its own lifetime.  Its
+  normals come from numpy's ziggurat ``standard_normal``, which has no
+  bit-exact vectorized form here, so it keeps a generator per lane and
+  cannot take new lanes mid-block.
 
 ``TestSeeding`` pins both paths to numpy's own ``SeedSequence``, ``PCG64``
 and ``Generator`` draws.  Results are therefore bit-identical for any
 worker count or batch partitioning, and individual samples can be replayed
-in isolation.  How many steps a kernel pass evaluates only regroups
-arithmetic on draws already made, so it never changes a sample.
+in isolation.  How many lanes run together, when a WosTime lane joins the
+pool and how many steps an EulerBridge pass evaluates only regroup
+arithmetic on draws already made, so they never change a sample.
 
 Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
 records are built only on request.  Passage counts are recorded for comb
@@ -96,14 +97,18 @@ __all__ = [
 
 _ENGINES = ("EulerBridge", "WosTime")
 
-# Lockstep chunking: samples in a chunk advance together but draw from
-# private substreams, so chunk size is a pure speed/memory knob.  Within a
-# block of draws the EulerBridge kernel evaluates windows of
-# ``_LANE_STEPS // live_lanes`` steps per numpy pass, so a few long-lived
-# lanes cost a few passes per block instead of one pass per step; the
-# constant bounds a pass's working set.  Windows only regroup arithmetic on
-# draws already made, so neither the per-sample substreams nor the block
-# schedule depend on them.
+# Lane width: EulerBridge advances chunks of ``_CHUNK`` samples in
+# lockstep, and WosTime streams a sample range through a pool of at most
+# ``_CHUNK`` lanes, starting the next samples whenever half the pool is free.
+# Every lane draws from its private substream, so the width bounds working
+# memory and sets how many lanes share a numpy pass, but never changes a
+# sample (only which sample a WosTime window escape names, see
+# ``_wos_range``).  Within a block of draws the EulerBridge kernel
+# evaluates windows of ``_LANE_STEPS // live_lanes`` steps per numpy pass,
+# so a few long-lived lanes cost a few passes per block instead of one pass
+# per step; the constant bounds a pass's working set.  Windows only regroup
+# arithmetic on draws already made, so neither the per-sample substreams
+# nor the block schedule depend on them.
 _CHUNK = 4096
 _LANE_STEPS = 1 << 15
 _BLOCK_START = 32
@@ -254,7 +259,7 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
 
 # Seeding ``PCG64(SeedSequence((master_seed, i)))`` one object at a time
 # costs about 18 us per sample, most of a short-lived WosTime batch, so
-# ``_seed_words`` runs SeedSequence's algorithm on a whole chunk at once:
+# ``_seed_words`` runs SeedSequence's algorithm on many samples at once:
 # its pool mixing on uint32 words and ``generate_state(4, uint64)``
 # (constants from numpy's ``bit_generator.pyx``).  PCG64 turns those words
 # into its state itself when ``_Entropy`` hands it a row (EulerBridge), and
@@ -363,6 +368,14 @@ def _escape_window(domain: SimDomain) -> tuple[float, float]:
     return lo, hi
 
 
+def _window_escape(index: int, window: tuple[float, float]) -> WindowEscapeError:
+    """The error for sample ``index`` leaving ``window``."""
+    lo, hi = window
+    return WindowEscapeError(
+        f"sample {index} left the materialized window [{lo:g}, {hi:g}]; "
+        "rebuild the comb with a larger window_radius before sampling")
+
+
 # ---------------------------------------------------------------------------
 # PCG64 in numpy (WosTime lanes)
 
@@ -442,23 +455,19 @@ def _pcg64_uniforms(rng: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# chunk driver
+# EulerBridge chunk driver
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """What an engine supplies to the chunk driver.
+    """What the EulerBridge engine supplies to the chunk driver.
 
     ``draws`` lists, in draw order, the generator method and row width of
     each ``(T, width)`` array one lane fills from its own ``Generator`` per
-    block of ``T`` steps.  EulerBridge draws that way because its normals
-    come from numpy's ziggurat ``standard_normal``, which has no bit-exact
-    vectorized form here.  ``draws`` is empty for WosTime, which needs only
-    uniforms: its lanes' PCG64 states live in ``lanes.rng`` and each jump
-    steps them with ``_pcg64_uniforms``, drawing exactly its two doubles.
-    ``block(lanes, act, draws, T)`` advances the live lanes ``act`` through
-    the block, ends finished ones with ``lanes.finish``, and returns the
-    lane that left ``window`` (None if none did).
+    block of ``T`` steps.  ``block(lanes, act, draws, T)`` advances the live
+    lanes ``act`` through the block, ends finished ones with
+    ``lanes.finish``, and returns the lane that left ``window`` (None if
+    none did).
     """
 
     draws: tuple[tuple[Callable, int], ...]
@@ -469,12 +478,9 @@ class _Kernel:
 
 class _Lanes:
     """State of one chunk's samples: position, clock, steps and passage
-    bookkeeping while they run, and the result columns once they finish.
-    ``rng`` holds the lanes' PCG64 states (``_pcg64_start``) when the
-    kernel steps them itself."""
+    bookkeeping while they run, and the result columns once they finish."""
 
-    def __init__(self, m: int, start, rng: np.ndarray | None = None):
-        self.rng = rng
+    def __init__(self, m: int, start):
         self.u = np.full(m, start[0], dtype=float)
         self.v = np.full(m, start[1], dtype=float)
         self.t = np.zeros(m)
@@ -496,42 +502,31 @@ class _Lanes:
 
 
 def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
-    """Advance one chunk of samples to exit or censoring.
+    """Advance one chunk of EulerBridge samples to exit or censoring.
 
     Returns the (tau, u, v, censor, passages, steps) columns aligned with
-    ``indices``.  Every sample draws from its own PCG64 stream, a
-    ``Generator`` per lane when the kernel lists ``draws`` and otherwise
-    its state in ``lanes.rng``.  Block sizes are fixed constants, so the
-    draws a sample consumes are a function of its own lifetime alone: one
-    call per ``kernel.draws`` entry per block it survives into, or two
-    doubles per jump.  That keeps every sample bit-reproducible in
-    isolation, whatever chunk it runs in.
+    ``indices``.  Every sample draws from its own ``Generator``.  Block
+    sizes are fixed constants, so the draws a sample consumes are a
+    function of its own lifetime alone: one call per ``kernel.draws`` entry
+    per block it survives into.  That keeps every sample bit-reproducible
+    in isolation, whatever chunk it runs in.
     """
-    words = _seed_words(master_seed, indices)
-    if kernel.draws:
-        entropy = _entropy_type()
-        gens = [np.random.Generator(np.random.PCG64(entropy(w))) for w in words]
-        lanes = _Lanes(len(indices), start)
-    else:
-        lanes = _Lanes(len(indices), start, _pcg64_start(words))
+    entropy = _entropy_type()
+    gens = [np.random.Generator(np.random.PCG64(entropy(w)))
+            for w in _seed_words(master_seed, indices)]
+    lanes = _Lanes(len(indices), start)
     for T in _block_sizes():
         act = np.flatnonzero(lanes.alive)
         if act.size == 0:
             break
         draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
-        if draws:
-            for row, s in enumerate(act.tolist()):
-                for buf, (method, _) in zip(draws, kernel.draws):
-                    method(gens[s], out=buf[row])
+        for row, s in enumerate(act.tolist()):
+            for buf, (method, _) in zip(draws, kernel.draws):
+                method(gens[s], out=buf[row])
         bad = kernel.block(lanes, act, draws, T)
         del draws  # free this block's draws before the next one is allocated
         if bad is not None:
-            lo, hi = kernel.window
-            raise WindowEscapeError(
-                f"sample {int(indices[bad])} left the materialized window "
-                f"[{lo:g}, {hi:g}]; rebuild the comb with a larger "
-                "window_radius before sampling"
-            )
+            raise _window_escape(int(indices[bad]), kernel.window)
     passages = lanes.passages if kernel.track_passages else None
     return lanes.tau, lanes.eu, lanes.ev, lanes.censored, passages, lanes.steps
 
@@ -708,79 +703,93 @@ def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
 
 
 # ---------------------------------------------------------------------------
-# WosTime kernel
+# WosTime driver and kernel
 
 
-def _wos_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
-    """Walk-on-spheres block step: up to ``T`` jumps per live lane, each
-    drawing its two uniforms from the lane's PCG64 state.
+def _wos_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
+    """Walk-on-spheres for samples ``lo..hi-1``, one jump per pass of a
+    pool of at most ``_CHUNK`` lanes; returns their columns.
 
-    A lane that reaches the shell or a cap is finished (its ``steps``
-    included) the step it does so and leaves the packed arrays; the others
-    are written back when the block ends.  Packing keeps row order, so a
-    window escape still names the lowest-index lane out at the earliest
-    jump.
+    The running lanes are packed in dense arrays in sample order: their
+    result rows ``row`` and their ``u``, ``v``, ``t``, ``steps`` and PCG64
+    states ``rng`` (``_pcg64_start``).  Each jump draws its two uniforms
+    from every lane's state.  A lane that reaches the shell or a cap writes
+    its result row (its ``steps`` included) the jump it does so and leaves
+    the pool.  Whenever at most half the pool runs and samples wait, the
+    next ones are seeded together and join at the end.  A lane's draws and
+    arithmetic never depend on the other lanes, so when it joins does not
+    change its sample.
+
+    Survivors and newcomers stay in index order, so a window escape names
+    the lowest index among the lanes out of the window at the earliest
+    pass.  In a range of at most ``_CHUNK`` samples, which the pool takes
+    in one fill, that is the lowest index out at the earliest jump.  In a
+    longer range a sample that joined later can be named ahead of a lower
+    index that leaves the window at a later pass.
     """
     lines = domain.lines
-    lo, hi = _escape_window(domain)
+    window = _escape_window(domain)
+    w_lo, w_hi = window
+    windowed = np.isfinite(w_lo) or np.isfinite(w_hi)
     eps, time_cap, max_steps = params.shell_eps, params.time_cap, params.max_steps
-    windowed = np.isfinite(lo) or np.isfinite(hi)
     table = default_disk_law()
 
-    def block(lanes, act, draws, T):
-        # The running lanes, packed in row order: ``live`` holds their block
-        # rows and ``u``, ``v``, ``t``, ``steps``, ``rng`` their state.
-        live = np.arange(act.size)
-        u, v, t, steps = lanes.u[act], lanes.v[act], lanes.t[act], lanes.steps[act]
-        rng = lanes.rng[:, act]
+    n = hi - lo
+    tau, eu, ev = np.zeros(n), np.zeros(n), np.zeros(n)
+    censor = np.zeros(n, dtype=bool)
+    steps_out = np.zeros(n, dtype=np.int64)
 
-        for k in range(T):
-            if live.size == 0:
-                break
-            r = lines.distance(u, v)
+    row = np.zeros(0, dtype=np.int64)
+    u, v, t = np.zeros(0), np.zeros(0), np.zeros(0)
+    steps = np.zeros(0, dtype=np.int64)
+    rng = np.zeros((6, 0), dtype=np.uint64)
+    queued = 0      # rows that have joined the pool
+    while queued < n or row.size:
+        if queued < n and row.size <= _CHUNK // 2:
+            new = np.arange(queued, min(n, queued + _CHUNK - row.size))
+            queued += new.size
+            fresh = (new, np.full(new.size, start[0]), np.full(new.size, start[1]),
+                     np.zeros(new.size), np.zeros(new.size, dtype=np.int64),
+                     _pcg64_start(_seed_words(params.master_seed, lo + new)))
+            row, u, v, t, steps, rng = (
+                np.concatenate([a, b], axis=-1)
+                for a, b in zip((row, u, v, t, steps, rng), fresh))
 
-            hit = r < eps
-            if hit.any():
-                w = act[live[hit]]
-                bu, bv = lines.nearest(u[hit], v[hit])
-                lanes.finish(w, t[hit], bu, bv, False)
-                lanes.steps[w] = steps[hit]
-                keep = ~hit
-                live, u, v, t, steps, r, rng = (live[keep], u[keep], v[keep],
-                                                t[keep], steps[keep], r[keep],
-                                                rng[:, keep])
+        r = lines.distance(u, v)
+        hit = r < eps
+        if hit.any():
+            w = row[hit]
+            tau[w] = t[hit]
+            eu[w], ev[w] = lines.nearest(u[hit], v[hit])
+            steps_out[w] = steps[hit]
+            keep = np.flatnonzero(~hit)
+            row, u, v, t, steps, r, rng = (
+                a.take(keep, axis=-1) for a in (row, u, v, t, steps, r, rng))
 
-            ang_u, time_u = _pcg64_uniforms(rng)
-            ang = 2.0 * math.pi * ang_u
-            dt = r * r * table.times_from_uniform(time_u)
-            u += r * np.cos(ang)
-            v += r * np.sin(ang)
-            t += dt
-            steps += 1
+        ang_u, time_u = _pcg64_uniforms(rng)
+        ang = 2.0 * math.pi * ang_u
+        dt = r * r * table.times_from_uniform(time_u)
+        u += r * np.cos(ang)
+        v += r * np.sin(ang)
+        t += dt
+        steps += 1
 
-            if windowed:
-                out = (u < lo) | (u > hi)
-                if out.any():
-                    return act[live[np.argmax(out)]]
+        if windowed:
+            out = (u < w_lo) | (u > w_hi)
+            if out.any():
+                raise _window_escape(lo + int(row[np.argmax(out)]), window)
 
-            stop = (t >= time_cap) | (steps >= max_steps)
-            if stop.any():
-                w = act[live[stop]]
-                lanes.finish(w, np.minimum(t[stop], time_cap), u[stop], v[stop], True)
-                lanes.steps[w] = steps[stop]
-                keep = ~stop
-                live, u, v, t, steps, rng = (live[keep], u[keep], v[keep],
-                                             t[keep], steps[keep], rng[:, keep])
-
-        run = act[live]
-        lanes.u[run] = u
-        lanes.v[run] = v
-        lanes.t[run] = t
-        lanes.steps[run] = steps
-        lanes.rng[:, run] = rng
-        return None
-
-    return _Kernel((), block, (lo, hi))
+        stop = (t >= time_cap) | (steps >= max_steps)
+        if stop.any():
+            w = row[stop]
+            tau[w] = np.minimum(t[stop], time_cap)
+            eu[w], ev[w] = u[stop], v[stop]
+            censor[w] = True
+            steps_out[w] = steps[stop]
+            keep = np.flatnonzero(~stop)
+            row, u, v, t, steps, rng = (
+                a.take(keep, axis=-1) for a in (row, u, v, t, steps, rng))
+    return tau, eu, ev, censor, None, steps_out
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +806,9 @@ def _simulate_range(domain: SimDomain, start, params: SimParams,
                     lo: int, hi: int):
     """Run samples lo..hi-1 and return their columns (top-level so worker
     processes can unpickle it)."""
-    make = _euler_kernel if params.engine == "EulerBridge" else _wos_kernel
-    kernel = make(domain, params)
+    if params.engine == "WosTime":
+        return _wos_range(domain, start, params, lo, hi)
+    kernel = _euler_kernel(domain, params)
     return _concat([
         _run_chunk(kernel, start, params.master_seed,
                    np.arange(c0, min(c0 + _CHUNK, hi), dtype=np.int64))

@@ -231,6 +231,16 @@ class TestReproducibility:
                                      sample_index=i)
                 assert solo == batch.samples[i]
 
+    def test_wos_replay_across_pool_refills(self):
+        # 10k samples take the pool through several refills: samples 4096
+        # and on join it mid-batch, beside lanes still running
+        params = SimParams(engine="WosTime", master_seed=34)
+        batch = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 10_000, params)
+        for i in (0, 2047, 2048, 4095, 4096, 9_999):
+            solo = simulate_exit(VerticalStrip(-1.0, 1.0), (0.0, 0.0), params,
+                                 sample_index=i)
+            assert solo == batch.samples[i]
+
     def test_seed_changes_draws(self):
         a = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 50,
                       SimParams(master_seed=1))
@@ -311,6 +321,16 @@ GUARD_CASES = {
         build_comb(CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 1.0), (4.5, 1.0),
                                            (9.0, 0.0))), one_sided=True)),
         (1.0, 0.0), 2_000, dict(engine="WosTime", master_seed=67)),
+    # More samples than one WosTime lane pool holds, so later samples join
+    # the pool as earlier ones finish; recorded with the chunked driver.
+    "wos-strip-refill": (VerticalStrip(-1.0, 1.0), (0.0, 0.0), 10_000,
+                         dict(engine="WosTime", master_seed=68)),
+    "wos-uniform-comb-refill": (UNIFORM_COMB, (0.5, 0.0), 9_000,
+                                dict(engine="WosTime", master_seed=69,
+                                     time_cap=200.0)),
+    "wos-half-plane-max-steps-refill": (HalfPlane(), (0.0, 1.0), 9_000,
+                                        dict(engine="WosTime", master_seed=70,
+                                             max_steps=40)),
 }
 
 GUARD_DIGESTS = {
@@ -342,6 +362,12 @@ GUARD_DIGESTS = {
         "4651f5c9eb387ecaa10d5a84922191cc2d5e7ef493b6d10457514f220d91e43a",
     "wos-one-sided-explicit":
         "428c9811f01ed675ccc744281c4040c7ea9125d695a12c707e90eb57238711d8",
+    "wos-strip-refill":
+        "f92fa3a71d7e0fa2d19c057f1f18bfedafa5c870d6b297d4d311c1006e8e7284",
+    "wos-uniform-comb-refill":
+        "2d3237b5aee826d48c5a19ada557792426a8a749c80c934273af18868eb82a89",
+    "wos-half-plane-max-steps-refill":
+        "66200ed296ea9d36223e1577366d3b1d9dd0b19e138653bf71f6ee66663313e2",
 }
 
 
@@ -378,16 +404,30 @@ class TestBitIdentityGuard:
                       SimParams(engine="WosTime", master_seed=48))
         assert str(err.value).startswith("sample 9 ")
 
+    @pytest.mark.parametrize("radius, n, kw, named", [
+        (2, 9_000, dict(master_seed=49), 7),
+        (8, 20_000, dict(master_seed=2, time_cap=50.0), 15_155),
+    ])
+    def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
+        # Recorded with the chunked driver, which ran samples 0-4095 to the
+        # end before starting 4096.  The first escape comes within the first
+        # pool fill; in the second no sample below 12288 escapes, and 15155
+        # joins the pool after several refills.
+        comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=radius))
+        with pytest.raises(WindowEscapeError) as err:
+            run_batch(comb, (0.5, 0.0), n, SimParams(engine="WosTime", **kw))
+        assert str(err.value).startswith(f"sample {named} ")
+
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
 INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
 
 
 class TestSeeding:
-    """The chunk driver hashes every sample's seed words in one vectorized
-    pass and seeds each lane's PCG64 from them, as a ``Generator``
-    (EulerBridge) or as numpy arrays it steps itself (WosTime); these pin
-    every step to numpy's own ``SeedSequence``, ``PCG64`` and ``random()``."""
+    """The drivers hash many samples' seed words in one vectorized pass
+    and seed each lane's PCG64 from them, as a ``Generator`` (EulerBridge)
+    or as numpy arrays they step themselves (WosTime); these pin every step
+    to numpy's own ``SeedSequence``, ``PCG64`` and ``random()``."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_states_match_numpy(self, seed):
