@@ -30,6 +30,8 @@ Rows:
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
   ``import combexit.cli``, including any import it triggers;
+* ``strip_moment_first_ms``: the first ``strip_moment(0.5)`` after
+  ``import combexit.cli``, including any import it triggers;
 * ``rectangle_distance_us``: ``lines.distance`` of 4096 points inside the
   rectangle (-2, 2) x (-1, 1);
 * ``import_cli_s``: ``import combexit.cli``;
@@ -156,6 +158,15 @@ def _disk_law_first() -> dict:
     return {"value": time.perf_counter() - t0}
 
 
+def _strip_moment_first() -> dict:
+    import combexit.cli  # noqa: F401
+    from combexit.series import strip_moment
+
+    t0 = time.perf_counter()
+    strip_moment(0.5)
+    return {"value": (time.perf_counter() - t0) * 1e3}
+
+
 def _rectangle_distance() -> dict:
     import numpy as np
 
@@ -267,6 +278,7 @@ ROWS = {
     "times_from_uniform_32_us": ("us", lambda: _times_from_uniform(32)),
     "times_from_uniform_4096_us": ("us", lambda: _times_from_uniform(4096)),
     "disk_law_first_s": ("s", _disk_law_first),
+    "strip_moment_first_ms": ("ms", _strip_moment_first),
     "rectangle_distance_us": ("us", _rectangle_distance),
     "import_cli_s": ("s", _import_cli),
     "replay_ms": ("ms", _replay),

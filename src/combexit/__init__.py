@@ -64,9 +64,7 @@ from .series import (
     Theta0Result,
     disk_survival,
     rect_exit_tb_prob,
-    scaled_strip_moment,
     strip_moment,
-    strip_survival,
     theta0,
 )
 

@@ -4,8 +4,9 @@ Three families of deterministic evaluations live here:
 
 * harmonic measure of the horizontal sides of a centered rectangle, and the
   per-passage survival factor ``theta0`` built from it;
-* the exit-time law of one-dimensional Brownian motion from ``(-1, 1)``
-  started at 0 (survival function and moments, integer moments exactly);
+* the moments of the exit time of one-dimensional Brownian motion from
+  ``(-1, 1)`` started at 0, for every order from one closed form in the
+  Gamma and Dirichlet beta functions, to a stated relative accuracy;
 * the exit-time law of planar Brownian motion from the unit disk, tabulated
   once for inverse-transform sampling in the walk-on-spheres engine.  Its
   eigenfunction series reads 96 Bessel zeros shipped as literals, and its
@@ -13,22 +14,19 @@ Three families of deterministic evaluations live here:
   summation order, so the walk-on-spheres path never imports scipy and
   draws exactly what scipy's interpolant would give.
 
-All series are alternating or exponentially decaying, so truncations carry
-certified remainder bounds. Everything is pure: same inputs, same bits.
+No module of the package imports scipy; the tests use it to rebuild the
+shipped constants and as an independent oracle.  The rectangle series
+alternates with a certified remainder bound, and the beta series is
+accelerated with a truncation error far below rounding.  Everything is
+pure: same inputs, same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
-
-# scipy is imported inside the functions that use it: importing it here
-# would cost every CLI command that never integrates a moment about half a
-# second of start-up.
 
 __all__ = [
     "SeriesParams",
@@ -36,9 +34,7 @@ __all__ = [
     "DEFAULT_SERIES_PARAMS",
     "rect_exit_tb_prob",
     "theta0",
-    "strip_survival",
     "strip_moment",
-    "scaled_strip_moment",
     "DiskLawTable",
     "build_disk_law",
     "default_disk_law",
@@ -157,146 +153,76 @@ def theta0(ell: float, params: SeriesParams | None = None) -> Theta0Result:
     )
 
 
-_IMAGES_CROSSOVER = 0.1
+# Terms of the accelerated Dirichlet beta series: its relative truncation
+# error is at most 2 / (3 + sqrt(8))**24 < 1e-18, far below rounding.
+_BETA_TERMS = 24
+
+# E[tau^p] passes the largest float between orders 177.81 and 177.82; orders
+# from 178 on are refused before any work.
+_FIRST_OVERFLOWING_ORDER = 178
 
 
-def _strip_survival_spectral(t: np.ndarray, params: SeriesParams) -> np.ndarray:
-    tmin = float(np.min(t))
-    target = math.log(4.0 / (math.pi * params.abs_tolerance))
-    need = math.sqrt(target * 8.0 / (math.pi**2 * tmin))
-    terms = min(params.truncation_terms, max(2, math.ceil((need - 1.0) / 2.0) + 1))
-    k = np.arange(terms)
-    rates = (2 * k + 1) ** 2 * math.pi**2 / 8.0
-    weights = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / (2 * k + 1)
-    return np.exp(-np.outer(t, rates)) @ weights
+def _dirichlet_beta(s: float) -> float:
+    """beta(s) = sum_k (-1)^k / (2k+1)^s for s >= 1.
 
-
-def _strip_survival_images(t: np.ndarray) -> np.ndarray:
-    # reflection representation; for t < 0.1 four image pairs reach 1e-170
-    from scipy.special import ndtr
-
-    out = np.ones_like(t)
-    pos = t > 0
-    if np.any(pos):
-        root = 1.0 / np.sqrt(t[pos])
-        acc = np.zeros_like(root)
-        for k in range(-4, 5):
-            sign = 1.0 if k % 2 == 0 else -1.0
-            acc += sign * (ndtr((2 * k + 1) * root) - ndtr((2 * k - 1) * root))
-        out[pos] = acc
-    return out
-
-
-def strip_survival(t, params: SeriesParams | None = None):
-    """P(exit time of BM from (-1,1) started at 0 exceeds t). Vectorized."""
-    params = params or DEFAULT_SERIES_PARAMS
-    scalar = np.ndim(t) == 0
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("time must be finite and nonnegative")
-    out = np.empty_like(arr)
-    late = arr >= _IMAGES_CROSSOVER
-    if np.any(late):
-        out[late] = _strip_survival_spectral(arr[late], params)
-    if not np.all(late):
-        out[~late] = _strip_survival_images(arr[~late])
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-@lru_cache(maxsize=None)
-def _interval_moment_exact(k: int) -> Fraction:
-    """m_k(0) for the recursion (1/2) m_k'' = -k m_{k-1}, m_k(+-1) = 0.
-
-    Polynomials are kept as exact rationals; coefficients index powers of
-    the space variable.
+    The terms are the moments of a positive measure on [0, 1], so algorithm 1
+    of Cohen, Rodriguez Villegas & Zagier (Exp. Math. 9, 2000) sums them with
+    relative error at most 2 / (3 + sqrt(8))**n after n terms.
     """
-    poly = [Fraction(1)]
-    for j in range(1, k + 1):
-        rhs = [(-2 * j) * c for c in poly]
-        integ = [Fraction(0), Fraction(0)]
-        integ += [c / ((i + 1) * (i + 2)) for i, c in enumerate(rhs)]
-        at_plus = sum(integ)
-        at_minus = sum(c if i % 2 == 0 else -c for i, c in enumerate(integ))
-        integ[0] -= (at_plus + at_minus) / 2
-        integ[1] -= (at_plus - at_minus) / 2
-        poly = integ
-    return poly[0]
+    d = (3.0 + math.sqrt(8.0)) ** _BETA_TERMS
+    d = (d + 1.0 / d) / 2.0
+    b, c, total = -1.0, -d, 0.0
+    for k in range(_BETA_TERMS):
+        c = b - c
+        total += c * (2 * k + 1) ** -s
+        b *= (k + _BETA_TERMS) * (k - _BETA_TERMS) / ((k + 0.5) * (k + 1))
+    return total / d
 
 
-def _strip_moment_quadrature(p: float, params: SeriesParams) -> float:
-    # E[tau^p] = int_0^inf p t^{p-1} S(t) dt; substituting t = s^{1/p} on the
-    # head removes the endpoint singularity for p < 1
-    from scipy.integrate import quad
-
-    tol = max(params.abs_tolerance, 1e-13)
-
-    def surv(t: float) -> float:
-        return strip_survival(t, params)
-
-    head, _ = quad(lambda s: surv(s ** (1.0 / p)), 0.0, 1.0,
-                   epsabs=tol, epsrel=tol, limit=200)
-    tail, _ = quad(lambda t: p * t ** (p - 1.0) * surv(t), 1.0, np.inf,
-                   epsabs=tol, epsrel=tol, limit=200)
-    return head + tail
-
-
-# E[tau^p] of the unit strip exceeds the largest float from integer order 178
-# on; refusing those orders up front also spares the O(p**2) rational
-# recursion for huge integral values such as 1e308.
-_LARGEST_INTEGER_ORDER = 177
-
-
-def strip_moment(p: float, params: SeriesParams | None = None) -> float:
+def strip_moment(p: float) -> float:
     """E[tau^p] for the exit time of BM from (-1,1) started at 0.
 
-    Integer orders use the exact polynomial recursion; fractional orders
-    integrate the survival function.  Orders whose moment or integrand
-    overflows a float (integers from 178, fractions from about 70) raise
+    Integrating the spectral survival series sum_k w_k exp(-lambda_k t), with
+    w_k = (4/pi)(-1)^k/(2k+1) and lambda_k = (2k+1)^2 pi^2/8, term by term
+    gives, for every p > 0,
+
+        E[tau^p] = (4/pi) Gamma(p+1) (8/pi^2)^p beta(2p+1),
+
+    with beta the Dirichlet beta function (p = 1 gives 1, p = 2 gives 5/3,
+    and p = 1/2 gives 4 sqrt(2) G / pi^(3/2), G Catalan's constant).
+    Against a 40-digit evaluation at 1,703 orders in (0, 177.8] the relative
+    error is at most 7.3e-15.  It grows like p * 4e-17, from rounding 8/pi^2
+    before raising it to the power p, plus a few ulp from ``math.gamma`` and
+    the products, so integer orders can miss their rational values by a few
+    ulp: p = 1 gives 1.0000000000000002.
+
+    Orders whose moment overflows a float (from about 177.81 on) raise
     ValueError.
     """
-    params = params or DEFAULT_SERIES_PARAMS
     if not (p > 0) or not math.isfinite(p):
         raise ValueError("moment order must satisfy 0 < p < infinity")
-    if float(p).is_integer():
-        if p > _LARGEST_INTEGER_ORDER:
-            raise ValueError(
-                f"moment order {p:g} is out of range: E[tau^p] overflows a "
-                f"float for integer orders above {_LARGEST_INTEGER_ORDER}"
-            )
-        return float(_interval_moment_exact(int(p)))
-    try:
-        value = _strip_moment_quadrature(float(p), params)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+    value = math.inf
+    if p < _FIRST_OVERFLOWING_ORDER:
+        value = ((4.0 / math.pi) * _dirichlet_beta(2.0 * p + 1.0)
+                 * (8.0 / math.pi**2) ** p)
+        # Gamma(p+1) = p (p-1) ... x Gamma(x) for p >= 1: the decrements are
+        # exact, whereas p + 1 can round (near p = 127 by 2**-46, which moves
+        # Gamma by 7e-14), and math.gamma overflows past 171.6.  Below 1,
+        # p + 1 rounds by at most 2**-53 and p Gamma(p) would overflow for
+        # the tiniest p.
+        if p < 1.0:
+            value *= math.gamma(p + 1.0)
+        else:
+            x = p
+            value *= x
+            while x > 170.0:
+                x -= 1.0
+                value *= x
+            value *= math.gamma(x)
+    if math.isinf(value):
         raise ValueError(
-            f"moment order {p:g} is out of range: the integrand "
-            "p * t**(p-1) * P(tau > t) overflows a float"
-        )
-    return value
-
-
-def scaled_strip_moment(a_left: float, a_right: float, p: float,
-                        params: SeriesParams | None = None) -> float:
-    """Upper bound max(a_left, a_right)^{2p} E[tau^p] for the exit time of a
-    strip (-a_left, a_right) started at 0.
-
-    This is the domain-monotonicity bound, not the exact asymmetric moment.
-    Orders whose bound overflows a float raise ValueError, as in
-    :func:`strip_moment`.
-    """
-    if not (a_left > 0 and a_right > 0):
-        raise ValueError("strip half-widths must be positive")
-    moment = strip_moment(p, params)
-    try:
-        value = max(a_left, a_right) ** (2.0 * p) * moment
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(
-            f"moment order {p:g} is out of range: the bound "
-            f"max({a_left:g}, {a_right:g})**(2p) * E[tau^p] overflows a float"
+            f"moment order {p:g} is out of range: E[tau^p] overflows a "
+            "float for orders above about 177.81"
         )
     return value
 
@@ -379,16 +305,11 @@ _J1_AT_ZEROS = np.array([
 
 
 def _disk_modes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
-    if n_modes <= _J0_ZEROS.size:
-        zeros, j1_at_zeros = _J0_ZEROS[:n_modes], _J1_AT_ZEROS[:n_modes]
-    else:
-        from scipy.special import j1, jn_zeros
-
-        zeros = jn_zeros(0, n_modes)
-        j1_at_zeros = j1(zeros)
-    coeffs = 2.0 / (zeros * j1_at_zeros)
+    if not 1 <= n_modes <= _J0_ZEROS.size:
+        raise ValueError(f"n_modes must be between 1 and {_J0_ZEROS.size}, "
+                         f"the number of shipped Bessel zeros; got {n_modes}")
+    zeros = _J0_ZEROS[:n_modes]
+    coeffs = 2.0 / (zeros * _J1_AT_ZEROS[:n_modes])
     rates = 0.5 * zeros * zeros
     return rates, coeffs
 
@@ -398,8 +319,9 @@ def disk_survival(t, n_modes: int = 96):
 
     The eigenfunction series needs ~30 modes at t = 0.01 and fewer later;
     the default mode count keeps full accuracy on t >= 0.01, which is all
-    the table builder evaluates (below that the CDF is under 1e-16).  Up to
-    96 modes use the shipped Bessel constants; more are computed with scipy.
+    the table builder evaluates (below that the CDF is under 1e-16).  The
+    series reads the 96 shipped Bessel zeros, so ``n_modes`` above 96 raises
+    ValueError.
     """
     scalar = np.ndim(t) == 0
     arr = np.atleast_1d(np.asarray(t, dtype=float))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -62,19 +63,19 @@ def _loaded_after(code, cwd, modules=("scipy",)):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    """scipy loads only in the functions that need it, so commands that
-    never integrate a moment do not pay for it; numpy's random module and
+    """No module of the package imports scipy; numpy's random module and
     the process pool load only once a command samples (in parallel)."""
     assert _loaded_after("import combexit.cli", tmp_path, (
         "scipy", "numpy.random", "concurrent.futures.process")) == []
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):
-    """The walk-on-spheres disk law and the checker need no scipy: a
-    WosTime simulate, construct and a check of its comb each run without
-    loading it."""
+    """The strip moments, the walk-on-spheres disk law and the checker need
+    no scipy: strip-moment, a WosTime simulate, construct and a check of its
+    comb each run without loading it."""
     write_json(tmp_path / "strip.json", STRIP)
     for argv in (
+        ["strip-moment", "--p", "0.5", "--out", "moment.json"],
         ["simulate", "--domain", "strip.json", "--start", "0,0", "--engine",
          "WosTime", "--n", "300", "--seed", "3", "--workers", "1",
          "--out", "sim.json", "--csv", "s.csv"],
@@ -101,10 +102,21 @@ class TestScalarCommands:
         assert code == EXIT_OK
         assert load(out)["moment"] == pytest.approx(5.0 / 3.0, abs=1e-10)
 
-    @pytest.mark.parametrize("p", ["200", "70.5", "1e308"])
+    def test_strip_moment_high_fractional_order(self, tmp_path):
+        # E[tau^p] is increasing and log-convex in p, so m(70.5) lies between
+        # m(70) and the geometric mean of m(70) and m(71)
+        from strip_oracles import _interval_moment_exact
+
+        out = tmp_path / "r.json"
+        code = run_command(["strip-moment", "--p", "70.5", "--out", str(out)])
+        assert code == EXIT_OK
+        m70, m71 = (float(_interval_moment_exact(k)) for k in (70, 71))
+        assert m70 < load(out)["moment"] < math.sqrt(m70 * m71)
+
+    @pytest.mark.parametrize("p", ["200", "177.9", "1e308"])
     def test_strip_moment_out_of_float_range(self, tmp_path, capsys, p):
-        # 200 overflows the exact value, 70.5 the quadrature's integrand, and
-        # 1e308 is integral, so it must be refused before the recursion
+        # each moment overflows a float (from order 177.81 on); 1e308 must be
+        # refused before any work
         out = tmp_path / "r.json"
         t0 = time.perf_counter()
         code = run_command(["strip-moment", "--p", p, "--out", str(out)])

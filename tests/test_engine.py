@@ -28,7 +28,7 @@ from combexit.geometry import (
     domain_fingerprint,
 )
 from combexit.reports import samples_to_csv
-from combexit.series import rect_exit_tb_prob, scaled_strip_moment
+from combexit.series import rect_exit_tb_prob
 
 
 def taus_of(ss):
@@ -79,8 +79,7 @@ class TestStatisticalOracles:
                        SimParams(master_seed=103))
         t = taus_of(ss)
         se = t.std(ddof=1) / math.sqrt(t.size)
-        want = scaled_strip_moment(2.0, 2.0, 1.0)
-        assert want == 4.0
+        want = 4.0  # 2**2 * E[tau] of the unit strip
         assert abs(t.mean() - want) < 4.0 * se + 0.04
 
     def test_rectangle_side_split_and_mean(self):

@@ -18,7 +18,8 @@ from combexit.estimators import (
     tail_index,
 )
 from combexit.geometry import CombSpec, ExplicitSlits, VerticalStrip, build_comb, symmetrize
-from combexit.series import strip_moment, strip_survival
+from combexit.series import strip_moment
+from strip_oracles import strip_survival
 
 SINGLE_SLIT = build_comb(CombSpec(ExplicitSlits(((0.0, 1.0),))))
 

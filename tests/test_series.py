@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,16 +14,15 @@ from combexit.series import (
     default_disk_law,
     disk_survival,
     rect_exit_tb_prob,
-    scaled_strip_moment,
     strip_moment,
-    strip_survival,
     theta0,
 )
-from combexit.series import (
+from strip_oracles import (
     _interval_moment_exact,
     _strip_moment_quadrature,
     _strip_survival_images,
     _strip_survival_spectral,
+    strip_survival,
 )
 
 # independently derived reference values (rational recursion / Dirichlet-beta
@@ -166,6 +166,7 @@ def test_fractional_moments_frozen():
 
 
 def test_quadrature_path_matches_recursion():
+    # the quadrature oracle against the closed form at integer orders
     for p in (1.0, 2.0):
         quad_val = _strip_moment_quadrature(p, DEFAULT_SERIES_PARAMS)
         assert quad_val == pytest.approx(strip_moment(p), abs=1e-9)
@@ -183,17 +184,25 @@ def test_moment_validation():
             strip_moment(bad)
 
 
-def test_scaled_strip_moment():
-    assert scaled_strip_moment(1.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert scaled_strip_moment(1.0, 2.0, 1.0) == pytest.approx(4.0)
-    assert scaled_strip_moment(3.0, 2.0, 2.0) == pytest.approx(135.0)
-    with pytest.raises(ValueError):
-        scaled_strip_moment(0.0, 1.0, 1.0)
-    # the bound overflows: a finite moment times 2**354, and 1e200**4
-    with pytest.raises(ValueError, match="moment order 177 "):
-        scaled_strip_moment(2.0, 2.0, 177)
-    with pytest.raises(ValueError, match="moment order 2 "):
-        scaled_strip_moment(1e200, 1.0, 2.0)
+def test_closed_form_matches_quadrature_oracle():
+    for p in (0.1, 0.25, 0.5, 0.75, 1.5, 2.5, 5, 7.3, 12, 30.5, 60.5):
+        oracle = _strip_moment_quadrature(p, DEFAULT_SERIES_PARAMS)
+        assert strip_moment(p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
+
+
+def test_closed_form_matches_rational_oracle():
+    for k in [*range(1, 31), 170, 177]:
+        exact = float(_interval_moment_exact(k))
+        assert strip_moment(k) == pytest.approx(exact, rel=1e-13, abs=0.0), k
+
+
+def test_moment_overflow_edge():
+    # E[tau^p] passes the largest float between orders 177.81 and 177.82,
+    # for fractional and integer orders alike
+    assert math.isfinite(strip_moment(177.81))
+    for p in (177.82, 177.9, 178, 178.5, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"moment order {p:g} ")):
+            strip_moment(p)
 
 
 def test_disk_survival_shape():
@@ -299,13 +308,9 @@ class TestDiskLawMatchesScipy:
 
 
 def test_disk_modes_beyond_the_shipped_constants():
-    # more than the 96 shipped zeros come from scipy, as all of them used to
-    from scipy.special import j1, jn_zeros
-
-    zeros = jn_zeros(0, 120)
-    expected = np.clip(np.exp(-0.5 * zeros * zeros * 1e-3)
-                       @ (2.0 / (zeros * j1(zeros))), 0.0, 1.0)
-    assert disk_survival(1e-3, n_modes=120) == expected
+    # the series reads only the 96 shipped zeros
+    with pytest.raises(ValueError, match="n_modes"):
+        disk_survival(1.0, n_modes=97)
     assert disk_survival(1.0, n_modes=96) == disk_survival(1.0)
     with pytest.raises(ValueError, match="n_modes"):
         disk_survival(1.0, n_modes=0)
