@@ -10,13 +10,21 @@ versions, to ``BENCH_layers.json``:
     python3 scripts/bench_layers.py --parent /path/to/old/src \
         --change src --repeats 5
 
+When the ``--out`` file exists, the rows run replace their namesakes in it
+and every other row is kept as recorded; ``nproc`` and the versions are
+those of the latest run.  Re-measure one row with ``--rows``:
+
+    python3 scripts/bench_layers.py --parent /path/to/old/src \
+        --rows chunk_setup_us
+
 Rows:
 
-* ``chunk_setup_us``: the chunk driver's cost per EulerBridge lane, that
-  is seeding the lane, building its ``Generator`` and drawing its first
-  block of 32 steps (half-plane widths: (32, 3) normals and (32, 2)
-  uniforms), measured as ``_run_chunk`` over 4096 lanes with a block that
-  ends every lane;
+* ``chunk_setup_us``: the EulerBridge cost per lane of a chunk that ends
+  at its first step: ``run_batch`` of 4096 half-plane samples from (0, 1)
+  with ``step_h = 0.04`` and ``max_steps = 1``, divided by 4096.  Each lane
+  is seeded, builds its ``Generator`` and draws its first block of 32 steps
+  (half-plane widths: (32, 3) normals and (32, 2) uniforms); one kernel
+  pass then ends every lane;
 * ``wos_steps_per_s_4096`` and ``wos_steps_per_s_32``: WosTime jumps per
   second of ``_simulate_range`` at full and at low lane occupancy, seeding
   and lane set-up included.  The lanes are the first samples at seed 7 that
@@ -83,21 +91,11 @@ def _per_call(fn, calls: int) -> float:
 
 
 def _chunk_setup() -> dict:
-    from dataclasses import replace
-
-    import numpy as np
-
-    from combexit import engine
+    from combexit.engine import SimParams, run_batch
     from combexit.geometry import HalfPlane
 
-    indices = np.arange(CHUNK, dtype=np.int64)
-
-    def end_every_lane(lanes, act, draws, T):
-        lanes.finish(act, 0.0, 0.0, 0.0, False)
-
-    kernel = replace(engine._euler_kernel(HalfPlane(), engine.SimParams(step_h=0.04)),
-                     block=end_every_lane)
-    run = lambda: engine._run_chunk(kernel, (0.0, 1.0), SEED, indices)  # noqa: E731
+    params = SimParams(step_h=0.04, max_steps=1, master_seed=SEED)
+    run = lambda: run_batch(HalfPlane(), (0.0, 1.0), CHUNK, params)  # noqa: E731
     run()
     return {"value": _per_call(run, 20) / CHUNK * 1e6}
 
@@ -342,6 +340,8 @@ def main(argv=None) -> int:
             flush=True)
 
     rows = {}
+    if args.out.is_file():
+        rows = json.loads(args.out.read_text(encoding="utf-8"))["rows"]
     steps_differ = []
     for row, by_side in runs.items():
         rows[row] = {"unit": ROWS[row][0]}
@@ -365,11 +365,11 @@ def main(argv=None) -> int:
         "numpy": _version("numpy"),
         "scipy": _version("scipy"),
         "seed": SEED,
-        "repeats": args.repeats,
         "rows": rows,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for row, body in rows.items():
+    for row in args.rows:
+        body = rows[row]
         print(f"{row}: {body['parent']['median']:.4g} -> "
               f"{body['change']['median']:.4g} {body['unit']}")
     return 1 if steps_differ else 0

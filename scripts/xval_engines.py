@@ -23,7 +23,7 @@ def survival_table(domain, label, n, seed):
                           SimParams(engine=engine, master_seed=seed))
         for engine in ("EulerBridge", "WosTime")
     }
-    pooled = np.concatenate([r.taus() for r in runs.values()])
+    pooled = np.concatenate([r.tau for r in runs.values()])
     grid = np.unique(np.quantile(pooled, np.linspace(0.1, 0.9, 9)))
     curves = {e: survival_curve(runs[e], grid) for e in runs}
 
@@ -46,14 +46,14 @@ def halving_study(n, seed):
     for h in (0.16, 0.08, 0.04):
         ss = run_batch(strip, (0.0, 0.0), n,
                        SimParams(step_h=h, master_seed=seed))
-        t = ss.taus()
+        t = ss.tau
         print(f"  h={h:<6} mean={t.mean():.4f}  se={t.std(ddof=1)/math.sqrt(n):.4f}")
     print("wos shell halving (bias is the residual time inside the shell):")
     for eps in (0.08, 0.04, 0.02):
         ss = run_batch(strip, (0.0, 0.0), n,
                        SimParams(engine="WosTime", shell_eps=eps,
                                  master_seed=seed))
-        t = ss.taus()
+        t = ss.tau
         print(f"  eps={eps:<5} mean={t.mean():.4f}  se={t.std(ddof=1)/math.sqrt(n):.4f}")
 
 

@@ -2,16 +2,41 @@
 
 The certificate rests on a per-passage survival factor theta0 derived from
 the comb's gap/height aspect ratio: each passage between neighboring slit
-abscissas ends the excursion with probability at least 1 - theta0, and the
-j-th passage happens inside a strip of width at most sqrt(M_j). Summing the
-resulting geometric-weighted widths,
+abscissas ends the excursion with probability at least 1 - theta0.  M_j is
+the largest squared gap among the gap labels |n| <= j (``prefix_max``).
 
-    E[tau^p]^(1/p)  <=  sum_{j>=0} (theta0^(1/p))^j * M_{j+1},
+The passage strip.  Cut the path at its crossings of slit lines.  Passage
+j (j = 0, 1, ...) starts on a slit line x_n and lasts until the path first
+meets a neighboring line x_{n-1} or x_{n+1}, so it runs in the strip
+(x_{n-1}, x_{n+1}), two gaps wide, whose half-width is at most
+sqrt(M_{j+1}).  Passage j happens with probability at most theta0^j, and
+by Brownian scaling its duration tau_j then has
 
-so finiteness of E[tau^p] follows whenever the series converges. The checker
-decides convergence from a declared growth class of the window maxima M_j and
-reports the numeric value of the series (window partial sum plus a certified
+    E[tau_j^p]  <=  M_{j+1}^p * m_p,    m_p = strip_moment(p),
+
+the p-th exit-time moment of the unit strip (-1, 1) from its center.  For
+p >= 1 Minkowski's inequality sums the passages:
+
+    E[tau^p]^(1/p)  <=  m_p^(1/p) * sum_{j>=0} theta0^(j/p) * M_{j+1}.
+
+For p < 1, ``E[.^p]^(1/p)`` is not a norm and Minkowski does not hold;
+subadditivity of x^p gives instead
+
+    E[tau^p]  <=  m_p * sum_{j>=0} theta0^j * M_{j+1}^p.
+
+Both series converge under the same condition (a ratio test reads
+theta0^(1/p) times the growth of M_j in the first and its p-th power in the
+second), so finiteness of E[tau^p] follows whenever the series converges.
+The checker decides convergence from a declared growth class of the window
+maxima M_j and reports the numeric value of the series
+sum_{j>=0} theta0^(j/p) * M_{j+1} (window partial sum plus a certified
 tail) as ``bound_on_moment_root``.
+
+That number is a bound on E[tau^p]^(1/p) only at p = 1, where m_1 = 1.
+For p > 1 it omits the factor m_p^(1/p) > 1: on the uniform comb (unit
+gaps and heights, factor 0.75 from ``check_refined_unit``) it reads 7.46
+at p = 2, where the Minkowski bound is 9.64.  For p < 1 it bounds nothing: at p = 1/2 it reads
+2.29, where the subadditive bound on the root is 13.85.
 
 The convergence test is stated with weights theta^(j/p) starting at j = 1
 while the numeric bound starts at j = 0 with maxima shifted by one; the two

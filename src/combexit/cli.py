@@ -383,7 +383,7 @@ def _cmd_xval(args) -> int:
     except WindowEscapeError as exc:
         return _window_escape_report(cfg, exc)
 
-    pooled = np.concatenate([runs[e].taus() for e in runs])
+    pooled = np.concatenate([runs[e].tau for e in runs])
     levels = np.linspace(0.10, 0.90, args.grid_points)
     grid = np.unique(np.quantile(pooled, levels))
     grid = grid[grid > 0.0]

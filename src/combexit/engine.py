@@ -16,13 +16,17 @@ and cross-validate each other.
     sign changes are crossings with certainty.  The crossing fraction for a
     detected same-side excursion is drawn uniformly on (0, 1), a first-order
     approximation to the true argmin law that costs O(sqrt(h)) bias and is
-    controlled by the step-halving cross checks.  Crossings within a step
-    are resolved in fractional-time order, so multi-line events (comb teeth)
-    are attributed to the first line actually hit.  The walk never depends
-    on a crossing (a non-exit passage does not move it), so the kernel
-    evaluates a window of many steps per numpy pass: positions and times are
-    running sums of the drawn increments, and each lane stops at the first
-    step in the window that exits or hits a cap.
+    controlled by the step-halving cross checks.  A sign change takes the
+    linear fraction ``d0 / (d0 - d1)``, which is biased late: a path
+    starting 0.3 from a line and ending 0.2 past it after ``h = 1`` first
+    hits it at a mean fraction of 0.27, where the linear fraction says
+    0.60.  Crossings within a step are resolved in fractional-time order,
+    so multi-line events (comb teeth) are attributed to the first line
+    actually hit.  The walk never depends on a crossing (a non-exit
+    passage does not move it), so the kernel evaluates a window of many
+    steps per numpy pass: positions and times are running sums of the drawn
+    increments, and each lane stops at the first step in the window that
+    exits or hits a cap.
 
 ``WosTime``
     Walk-on-spheres with clocks.  Each jump moves to a uniform point on the
@@ -51,13 +55,16 @@ numpy's ``SeedSequence`` algorithm (``_seed_words``), then:
   PCG64's own seeding step) when it joins the pool, and jump ``k`` reads
   doubles ``2k`` and ``2k + 1`` of the stream;
 * an EulerBridge lane gets a ``Generator(PCG64(_Entropy(words)))``, so
-  numpy itself seeds it.  The chunk driver (``_run_chunk``) advances a
-  chunk of ``_CHUNK`` samples in lockstep through a fixed block schedule
-  and a kernel (``_Kernel``) that fills each block from the lanes'
-  generators, so a lane's draws depend only on its own lifetime.  Its
-  normals come from numpy's ziggurat ``standard_normal``, which has no
-  bit-exact vectorized form here, so it keeps a generator per lane and
-  cannot take new lanes mid-block.
+  numpy itself seeds it.  ``_euler_range`` runs a sample range in chunks
+  of ``_CHUNK`` lanes, each in lockstep through a fixed schedule of blocks
+  of doubling length; at the start of a block every running lane fills the
+  block's normals and uniforms from its own generator, so a lane's draws
+  depend only on its own lifetime.  Its normals come from numpy's ziggurat
+  ``standard_normal``, which has no bit-exact vectorized form here, so it
+  keeps a generator per lane and cannot take new lanes mid-block.
+
+Both engines run a sample range through one function of the same shape,
+``_euler_range`` and ``_wos_range``, which return the range's columns.
 
 ``TestSeeding`` pins both paths to numpy's own ``SeedSequence``, ``PCG64``
 and ``Generator`` draws.  Results are therefore bit-identical for any
@@ -76,7 +83,6 @@ path survives ``j`` tooth passages.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import repeat
@@ -97,13 +103,14 @@ __all__ = [
 
 _ENGINES = ("EulerBridge", "WosTime")
 
-# Lane width: EulerBridge advances chunks of ``_CHUNK`` samples in
-# lockstep, and WosTime streams a sample range through a pool of at most
-# ``_CHUNK`` lanes, starting the next samples whenever half the pool is free.
-# Every lane draws from its private substream, so the width bounds working
-# memory and sets how many lanes share a numpy pass, but never changes a
-# sample (only which sample a WosTime window escape names, see
-# ``_wos_range``).  Within a block of draws the EulerBridge kernel
+# Lane width: ``_euler_range`` runs a sample range in chunks of
+# ``_CHUNK`` lanes in lockstep, and ``_wos_range`` streams one through a
+# pool of at most ``_CHUNK`` lanes, starting the next samples whenever half
+# the pool is free.  Every lane draws from its private substream, so the
+# width bounds working memory and sets how many lanes share a numpy pass,
+# but never changes a sample (only which sample a WosTime window escape
+# names, see ``_wos_range``).  EulerBridge draws in blocks of
+# ``_BLOCK_START`` steps, doubling up to ``_BLOCK_CAP``, and within a block
 # evaluates windows of ``_LANE_STEPS // live_lanes`` steps per numpy pass,
 # so a few long-lived lanes cost a few passes per block instead of one pass
 # per step; the constant bounds a pass's working set.  Windows only regroup
@@ -192,9 +199,8 @@ class SampleSet:
     Row ``i`` of every column is sample ``i``: ``tau``, the exit point
     ``u``, ``v``, the ``censor`` mask, ``passages`` (None unless tracked) and
     ``steps``, with the meanings ``ExitSample`` documents.  Estimators and
-    the CSV codec read the columns (``taus()`` and ``censor_mask()`` return
-    them, not copies); ``samples`` builds the ``ExitSample`` records on
-    first access.
+    the CSV codec read the columns; ``samples`` builds the ``ExitSample``
+    records on first access.
     """
 
     tau: np.ndarray
@@ -214,12 +220,6 @@ class SampleSet:
     def censored(self) -> int:
         """Number of censored samples."""
         return int(np.count_nonzero(self.censor))
-
-    def taus(self) -> np.ndarray:
-        return self.tau
-
-    def censor_mask(self) -> np.ndarray:
-        return self.censor
 
     @cached_property
     def samples(self) -> tuple[ExitSample, ...]:
@@ -351,13 +351,6 @@ def _entropy_type() -> type:
     return _Entropy
 
 
-def _block_sizes():
-    size = _BLOCK_START
-    while True:
-        yield size
-        size = min(2 * size, _BLOCK_CAP)
-
-
 def _escape_window(domain: SimDomain) -> tuple[float, float]:
     """Abscissas a sample must stay between: the outermost materialized
     slits of a truncated comb, the wall of a one-sided one."""
@@ -455,84 +448,7 @@ def _pcg64_uniforms(rng: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# EulerBridge chunk driver
-
-
-@dataclass(frozen=True)
-class _Kernel:
-    """What the EulerBridge engine supplies to the chunk driver.
-
-    ``draws`` lists, in draw order, the generator method and row width of
-    each ``(T, width)`` array one lane fills from its own ``Generator`` per
-    block of ``T`` steps.  ``block(lanes, act, draws, T)`` advances the live
-    lanes ``act`` through the block, ends finished ones with
-    ``lanes.finish``, and returns the lane that left ``window`` (None if
-    none did).
-    """
-
-    draws: tuple[tuple[Callable, int], ...]
-    block: Callable
-    window: tuple[float, float]
-    track_passages: bool = False
-
-
-class _Lanes:
-    """State of one chunk's samples: position, clock, steps and passage
-    bookkeeping while they run, and the result columns once they finish."""
-
-    def __init__(self, m: int, start):
-        self.u = np.full(m, start[0], dtype=float)
-        self.v = np.full(m, start[1], dtype=float)
-        self.t = np.zeros(m)
-        self.steps = np.zeros(m, dtype=np.int64)
-        self.passages = np.zeros(m, dtype=np.int64)
-        self.last_line = np.full(m, -1, dtype=np.int64)
-        self.tau = np.zeros(m)
-        self.eu = np.zeros(m)
-        self.ev = np.zeros(m)
-        self.censored = np.zeros(m, dtype=bool)
-        self.alive = np.ones(m, dtype=bool)
-
-    def finish(self, idx, tau, eu, ev, censored) -> None:
-        self.tau[idx] = tau
-        self.eu[idx] = eu
-        self.ev[idx] = ev
-        self.censored[idx] = censored
-        self.alive[idx] = False
-
-
-def _run_chunk(kernel: _Kernel, start, master_seed: int, indices):
-    """Advance one chunk of EulerBridge samples to exit or censoring.
-
-    Returns the (tau, u, v, censor, passages, steps) columns aligned with
-    ``indices``.  Every sample draws from its own ``Generator``.  Block
-    sizes are fixed constants, so the draws a sample consumes are a
-    function of its own lifetime alone: one call per ``kernel.draws`` entry
-    per block it survives into.  That keeps every sample bit-reproducible
-    in isolation, whatever chunk it runs in.
-    """
-    entropy = _entropy_type()
-    gens = [np.random.Generator(np.random.PCG64(entropy(w)))
-            for w in _seed_words(master_seed, indices)]
-    lanes = _Lanes(len(indices), start)
-    for T in _block_sizes():
-        act = np.flatnonzero(lanes.alive)
-        if act.size == 0:
-            break
-        draws = [np.empty((act.size, T, width)) for _, width in kernel.draws]
-        for row, s in enumerate(act.tolist()):
-            for buf, (method, _) in zip(draws, kernel.draws):
-                method(gens[s], out=buf[row])
-        bad = kernel.block(lanes, act, draws, T)
-        del draws  # free this block's draws before the next one is allocated
-        if bad is not None:
-            raise _window_escape(int(indices[bad]), kernel.window)
-    passages = lanes.passages if kernel.track_passages else None
-    return lanes.tau, lanes.eu, lanes.ev, lanes.censored, passages, lanes.steps
-
-
-# ---------------------------------------------------------------------------
-# EulerBridge kernel
+# EulerBridge driver and kernel
 
 
 def _running_sum(x0, dx):
@@ -544,162 +460,199 @@ def _running_sum(x0, dx):
     return np.add.accumulate(np.concatenate([x0[:, None], dx], axis=1), axis=1)
 
 
-def _euler_kernel(domain: SimDomain, params: SimParams) -> _Kernel:
-    """Bridge-crossing block step over the domain's boundary lines.
+def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
+    """Bridge-corrected Euler for samples ``lo..hi-1``, in chunks of at most
+    ``_CHUNK`` lanes; returns their columns.
 
-    Each pass evaluates a window of ``W`` steps for every live lane on
-    ``(lanes, W, S)`` arrays; whatever a lane computes after its first exit
-    or cap hit in the window is discarded.
+    Lane state (``u``, ``v``, ``t``, ``steps`` and the passage bookkeeping)
+    and the result columns are arrays indexed by range row, and ``act``
+    holds the rows of the chunk's running lanes.  A chunk runs in lockstep
+    through blocks of ``T`` steps, ``T`` doubling from ``_BLOCK_START`` to
+    ``_BLOCK_CAP``.  At the start of a block each running lane fills its
+    ``(T, 2 + S)`` normals and then its ``(T, 2 * S)`` uniforms from its own
+    ``Generator``, so the draws a sample consumes depend on its own
+    lifetime alone, whatever chunk it runs in.
+
+    Each pass of a block evaluates a window of ``W`` steps for the lanes
+    still running, on ``(lanes, W, S)`` arrays; whatever a lane computes
+    after its first exit or cap hit in the window is discarded.
     """
     lines = domain.lines
     track_passages = isinstance(domain, CombDomain)
-    lo, hi = _escape_window(domain)
+    window = _escape_window(domain)
+    w_lo, w_hi = window
+    windowed = np.isfinite(w_lo) or np.isfinite(w_hi)
     h, time_cap, max_steps = params.step_h, params.time_cap, params.max_steps
     n_lines = len(lines.c)
     S = min(_COMB_SLOTS, n_lines) if lines.vertical else n_lines
     dynamic = lines.vertical and n_lines > _COMB_SLOTS
-    windowed = np.isfinite(lo) or np.isfinite(hi)
     sqrt_h = math.sqrt(h)
 
-    def block(lanes, act, draws, T):
-        normals, uniforms = draws
-        rows = np.arange(act.size)      # block rows of the lanes still running
-        k0 = 0
-        while rows.size and k0 < T:
-            W = min(T - k0, max(1, _LANE_STEPS // rows.size))
-            L = rows.size
-            live = act[rows]
-            nrm = normals[rows, k0:k0 + W]
-            unf = uniforms[rows, k0:k0 + W]
-            k0 += W
+    n = hi - lo
+    u, v, t = np.full(n, start[0]), np.full(n, start[1]), np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    passages = np.zeros(n, dtype=np.int64)
+    last_line = np.full(n, -1, dtype=np.int64)
+    tau, eu, ev = np.zeros(n), np.zeros(n), np.zeros(n)
+    censor = np.zeros(n, dtype=bool)
 
-            du = sqrt_h * nrm[..., 0]
-            dv = sqrt_h * nrm[..., 1]
-            U = _running_sum(lanes.u[live], du)
-            V = _running_sum(lanes.v[live], dv)
-            tt = _running_sum(lanes.t[live], np.full((L, W), h))
-            u0, u1, v0, v1 = U[:, :-1], U[:, 1:], V[:, :-1], V[:, 1:]
+    def finish(idx, t_end, pu, pv, censored):
+        tau[idx], eu[idx], ev[idx], censor[idx] = t_end, pu, pv, censored
 
-            if dynamic:
-                cell = np.searchsorted(lines.c, u0)
-                slot = cell[..., None] + _SLOT_OFFSETS
-                valid = (slot >= 0) & (slot < n_lines)
-                slot = np.clip(slot, 0, n_lines - 1)
-            else:
-                slot = np.broadcast_to(np.arange(S, dtype=np.int64), (L, W, S))
-                valid = True
+    entropy = _entropy_type()
+    for c0 in range(0, n, _CHUNK):
+        act = np.arange(c0, min(n, c0 + _CHUNK))
+        gens = [np.random.Generator(np.random.PCG64(entropy(w)))
+                for w in _seed_words(params.master_seed, lo + act)]
+        T = _BLOCK_START
+        while act.size:
+            normals = np.empty((act.size, T, 2 + S))
+            uniforms = np.empty((act.size, T, 2 * S))
+            for k, i in enumerate((act - c0).tolist()):
+                gens[i].standard_normal(out=normals[k])
+                gens[i].random(out=uniforms[k])
+            rows = np.arange(act.size)  # block rows of the lanes still running
+            k0 = 0
+            while rows.size and k0 < T:
+                W = min(T - k0, max(1, _LANE_STEPS // rows.size))
+                L = rows.size
+                live = act[rows]
+                nrm = normals[rows, k0:k0 + W]
+                unf = uniforms[rows, k0:k0 + W]
+                k0 += W
 
-            if lines.vertical:
-                d0 = u0[..., None] - lines.c[slot]
-                d1 = u1[..., None] - lines.c[slot]
-                along0 = v0[..., None]
-                dalong = dv[..., None]
-            else:
-                d0 = (lines.nx[slot] * u0[..., None]
-                      + lines.ny[slot] * v0[..., None] - lines.c[slot])
-                d1 = (lines.nx[slot] * u1[..., None]
-                      + lines.ny[slot] * v1[..., None] - lines.c[slot])
-                along0 = lines.ax[slot] * u0[..., None] + lines.ay[slot] * v0[..., None]
-                dalong = lines.ax[slot] * du[..., None] + lines.ay[slot] * dv[..., None]
+                du = sqrt_h * nrm[..., 0]
+                dv = sqrt_h * nrm[..., 1]
+                U = _running_sum(u[live], du)
+                V = _running_sum(v[live], dv)
+                tt = _running_sum(t[live], np.full((L, W), h))
+                u0, u1, v0, v1 = U[:, :-1], U[:, 1:], V[:, :-1], V[:, 1:]
 
-            prod = d0 * d1
-            sign_change = prod < 0.0
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                f_lin = d0 / (d0 - d1)
-                p_cross = np.exp(-2.0 * prod / h)
-            bern = unf[..., 0:S]
-            f_uni = unf[..., S:2 * S]
-            crossed = valid & (sign_change | (bern < p_cross))
-            f = np.where(sign_change, f_lin, f_uni)
-            bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
-            along_f = along0 + f * dalong + bridge_sd * nrm[..., 2:2 + S]
+                if dynamic:
+                    cell = np.searchsorted(lines.c, u0)
+                    slot = cell[..., None] + _SLOT_OFFSETS
+                    valid = (slot >= 0) & (slot < n_lines)
+                    slot = np.clip(slot, 0, n_lines - 1)
+                else:
+                    slot = np.broadcast_to(np.arange(S, dtype=np.int64), (L, W, S))
+                    valid = True
 
-            # Crossings of one step in time order: the first exit ends the
-            # lane, earlier non-exit slit crossings count as passages.  A
-            # step's exit is resolved before its cap check; an exit later
-            # than ``time_cap`` is censored below.  A convex domain is left
-            # at every crossing; otherwise a crossing exits where it meets
-            # the boundary part of its line.
-            order = np.argsort(np.where(crossed, f, np.inf), axis=2)
-            crossed_r = np.take_along_axis(crossed, order, 2)
-            exit_r = crossed_r
-            if not lines.convex:
-                on_boundary = lines.gap(along_f, lines.par[slot]) <= 0.0
-                exit_r = exit_r & np.take_along_axis(on_boundary, order, 2)
-            has_exit = exit_r.any(axis=2)
-            capped = tt[:, 1:] >= time_cap
-            exhausted = lanes.steps[live, None] + np.arange(1, W + 1) >= max_steps
-            ends = has_exit | capped | exhausted
-            finished = ends.any(axis=1)
-            j_end = np.where(finished, ends.argmax(axis=1), W)
-            rank_end = np.full(L, S)
-            fin = np.flatnonzero(finished)
-            by_exit = has_exit[fin, j_end[fin]]
-            w = fin[by_exit]
-            rank_end[w] = exit_r[w, j_end[w]].argmax(axis=1)
+                if lines.vertical:
+                    d0 = u0[..., None] - lines.c[slot]
+                    d1 = u1[..., None] - lines.c[slot]
+                    along0 = v0[..., None]
+                    dalong = dv[..., None]
+                else:
+                    d0 = (lines.nx[slot] * u0[..., None]
+                          + lines.ny[slot] * v0[..., None] - lines.c[slot])
+                    d1 = (lines.nx[slot] * u1[..., None]
+                          + lines.ny[slot] * v1[..., None] - lines.c[slot])
+                    along0 = (lines.ax[slot] * u0[..., None]
+                              + lines.ay[slot] * v0[..., None])
+                    dalong = (lines.ax[slot] * du[..., None]
+                              + lines.ay[slot] * dv[..., None])
 
-            if windowed:
-                # Name the lane that stepping one step at a time would stop
-                # at: earliest step, then lowest index, among lanes that
-                # stand outside the window after a step they did not exit on.
-                out = (u1 < lo) | (u1 > hi)
-                out &= ~has_exit & (np.arange(W) <= j_end[:, None])
-                if out.any():
-                    k = out.any(axis=0).argmax()
-                    return live[out[:, k].argmax()]
+                prod = d0 * d1
+                sign_change = prod < 0.0
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    f_lin = d0 / (d0 - d1)
+                    p_cross = np.exp(-2.0 * prod / h)
+                bern = unf[..., 0:S]
+                f_uni = unf[..., S:2 * S]
+                crossed = valid & (sign_change | (bern < p_cross))
+                f = np.where(sign_change, f_lin, f_uni)
+                bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
+                along_f = along0 + f * dalong + bridge_sd * nrm[..., 2:2 + S]
 
-            if track_passages:
-                # Passage events (comb lines are all slits) in time order,
-                # cut at each lane's exit; the last crossed line before each
-                # event is a forward fill.
-                pos = np.arange(W * S).reshape(W, S)
-                cut = (j_end * S + rank_end)[:, None, None]
-                event = crossed_r & ~exit_r & (pos < cut)
-                seq = np.where(event, np.take_along_axis(slot, order, 2), -1)
-                seq = np.concatenate([lanes.last_line[live, None],
-                                      seq.reshape(L, W * S)], axis=1)
-                src = np.where(seq >= 0, np.arange(1 + W * S), 0)
-                np.maximum.accumulate(src, axis=1, out=src)
-                prev = np.take_along_axis(seq, src, 1)
-                new = (seq[:, 1:] >= 0) & (seq[:, 1:] != prev[:, :-1])
-                lanes.passages[live] += new.sum(axis=1)
-                lanes.last_line[live] = prev[:, -1]
+                # Crossings of one step in time order: the first exit ends
+                # the lane, earlier non-exit slit crossings count as
+                # passages.  A step's exit is resolved before its cap check;
+                # an exit later than ``time_cap`` is censored below.  A
+                # convex domain is left at every crossing; otherwise a
+                # crossing exits where it meets the boundary part of its line.
+                order = np.argsort(np.where(crossed, f, np.inf), axis=2)
+                crossed_r = np.take_along_axis(crossed, order, 2)
+                exit_r = crossed_r
+                if not lines.convex:
+                    on_boundary = lines.gap(along_f, lines.par[slot]) <= 0.0
+                    exit_r = exit_r & np.take_along_axis(on_boundary, order, 2)
+                has_exit = exit_r.any(axis=2)
+                capped = tt[:, 1:] >= time_cap
+                exhausted = steps[live, None] + np.arange(1, W + 1) >= max_steps
+                ends = has_exit | capped | exhausted
+                finished = ends.any(axis=1)
+                j_end = np.where(finished, ends.argmax(axis=1), W)
+                rank_end = np.full(L, S)
+                fin = np.flatnonzero(finished)
+                by_exit = has_exit[fin, j_end[fin]]
+                w = fin[by_exit]
+                rank_end[w] = exit_r[w, j_end[w]].argmax(axis=1)
 
-            if w.size:
-                jw = j_end[w]
-                sl = order[w, jw, rank_end[w]]
-                tau = tt[w, jw] + f[w, jw, sl] * h
-                # a path that exits after the cap survived to it: censor it
-                # at the cap, at the last grid position before the exit step
-                late = tau > time_cap
-                if late.any():
-                    wl = w[late]
-                    lanes.finish(live[wl], time_cap, U[wl, jw[late]],
-                                 V[wl, jw[late]], True)
-                    w, jw, sl, tau = w[~late], jw[~late], sl[~late], tau[~late]
-                lw = slot[w, jw, sl]
-                px, py = lines.snap(lw, along_f[w, jw, sl])
-                lanes.finish(live[w], tau, px, py, False)
+                if windowed:
+                    # Name the lane that stepping one step at a time would
+                    # stop at: earliest step, then lowest index, among lanes
+                    # that stand outside the window after a step they did
+                    # not exit on.
+                    out = (u1 < w_lo) | (u1 > w_hi)
+                    out &= ~has_exit & (np.arange(W) <= j_end[:, None])
+                    if out.any():
+                        k = out.any(axis=0).argmax()
+                        raise _window_escape(lo + int(live[out[:, k].argmax()]),
+                                             window)
+
                 if track_passages:
-                    lanes.passages[live[w]] += (
-                        lw != lanes.last_line[live[w]]).astype(np.int64)
+                    # Passage events (comb lines are all slits) in time
+                    # order, cut at each lane's exit; the last crossed line
+                    # before each event is a forward fill.
+                    pos = np.arange(W * S).reshape(W, S)
+                    cut = (j_end * S + rank_end)[:, None, None]
+                    event = crossed_r & ~exit_r & (pos < cut)
+                    seq = np.where(event, np.take_along_axis(slot, order, 2), -1)
+                    seq = np.concatenate([last_line[live, None],
+                                          seq.reshape(L, W * S)], axis=1)
+                    src = np.where(seq >= 0, np.arange(1 + W * S), 0)
+                    np.maximum.accumulate(src, axis=1, out=src)
+                    prev = np.take_along_axis(seq, src, 1)
+                    new = (seq[:, 1:] >= 0) & (seq[:, 1:] != prev[:, :-1])
+                    passages[live] += new.sum(axis=1)
+                    last_line[live] = prev[:, -1]
 
-            c = fin[~by_exit]
-            if c.size:
-                jc = j_end[c] + 1
-                lanes.finish(live[c], np.minimum(tt[c, jc], time_cap),
-                             U[c, jc], V[c, jc], True)
+                if w.size:
+                    jw = j_end[w]
+                    sl = order[w, jw, rank_end[w]]
+                    t_exit = tt[w, jw] + f[w, jw, sl] * h
+                    # a path that exits after the cap survived to it: censor
+                    # it at the cap, at the last grid position before the
+                    # exit step
+                    late = t_exit > time_cap
+                    if late.any():
+                        wl = w[late]
+                        finish(live[wl], time_cap, U[wl, jw[late]],
+                               V[wl, jw[late]], True)
+                        w, jw, sl, t_exit = (a[~late] for a in (w, jw, sl, t_exit))
+                    lw = slot[w, jw, sl]
+                    px, py = lines.snap(lw, along_f[w, jw, sl])
+                    finish(live[w], t_exit, px, py, False)
+                    if track_passages:
+                        passages[live[w]] += (
+                            lw != last_line[live[w]]).astype(np.int64)
 
-            lanes.steps[live] += np.minimum(j_end + 1, W)
-            lanes.u[live] = U[:, W]
-            lanes.v[live] = V[:, W]
-            lanes.t[live] = tt[:, W]
-            rows = rows[~finished]
-        return None
+                c = fin[~by_exit]
+                if c.size:
+                    jc = j_end[c] + 1
+                    finish(live[c], np.minimum(tt[c, jc], time_cap),
+                           U[c, jc], V[c, jc], True)
 
-    gen = np.random.Generator
-    return _Kernel(((gen.standard_normal, 2 + S), (gen.random, 2 * S)), block,
-                   (lo, hi), track_passages)
+                steps[live] += np.minimum(j_end + 1, W)
+                u[live] = U[:, W]
+                v[live] = V[:, W]
+                t[live] = tt[:, W]
+                rows = rows[~finished]
+            act = act[rows]
+            del normals, uniforms  # free this block's draws before the next
+            T = min(2 * T, _BLOCK_CAP)
+    return tau, eu, ev, censor, passages if track_passages else None, steps
 
 
 # ---------------------------------------------------------------------------
@@ -796,24 +749,12 @@ def _wos_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
 # drivers
 
 
-def _concat(parts):
-    """Join the column tuples of consecutive sample ranges."""
-    return tuple(None if cols[0] is None else np.concatenate(cols)
-                 for cols in zip(*parts))
-
-
 def _simulate_range(domain: SimDomain, start, params: SimParams,
                     lo: int, hi: int):
     """Run samples lo..hi-1 and return their columns (top-level so worker
     processes can unpickle it)."""
-    if params.engine == "WosTime":
-        return _wos_range(domain, start, params, lo, hi)
-    kernel = _euler_kernel(domain, params)
-    return _concat([
-        _run_chunk(kernel, start, params.master_seed,
-                   np.arange(c0, min(c0 + _CHUNK, hi), dtype=np.int64))
-        for c0 in range(lo, hi, _CHUNK)
-    ])
+    run = _wos_range if params.engine == "WosTime" else _euler_range
+    return run(domain, start, params, lo, hi)
 
 
 def _resolve(domain: SimDomain, start, params: SimParams) -> SimParams:
@@ -858,7 +799,7 @@ def run_batch(domain: SimDomain, start, n: int, params: SimParams) -> SampleSet:
     start = (float(start[0]), float(start[1]))
 
     if resolved.workers == 1 or n < 2 * _CHUNK:
-        parts = [_simulate_range(domain, start, resolved, 0, n)]
+        cols = _simulate_range(domain, start, resolved, 0, n)
     else:
         bounds = np.linspace(0, n, resolved.workers + 1).astype(int)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
@@ -869,4 +810,5 @@ def run_batch(domain: SimDomain, start, n: int, params: SimParams) -> SampleSet:
             futures = [pool.submit(_simulate_range, domain, start, resolved,
                                    lo, hi) for lo, hi in ranges]
             parts = [f.result() for f in futures]
-    return SampleSet(*_concat(parts), domain_fingerprint(domain), resolved)
+        cols = [None if c[0] is None else np.concatenate(c) for c in zip(*parts)]
+    return SampleSet(*cols, domain_fingerprint(domain), resolved)

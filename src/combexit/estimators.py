@@ -84,7 +84,7 @@ class TailDiagnostic:
 def _columns(samples: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     if samples.total == 0:
         raise ValueError("sample set is empty")
-    return samples.taus(), samples.censor_mask(), samples.params.time_cap
+    return samples.tau, samples.censor, samples.params.time_cap
 
 
 def synthetic_sample_set(taus, time_cap: float, censored=None) -> SampleSet:

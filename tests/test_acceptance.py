@@ -104,7 +104,7 @@ def test_criterion_04_strip_scaling_law():
     for d in (1.0, 2.0, 3.0):
         ss = run_batch(VerticalStrip(-d, d), (0.0, 0.0), n,
                        SimParams(engine="WosTime", master_seed=4))
-        taus = ss.taus()
+        taus = ss.tau
         mean = taus.mean()
         se = taus.std(ddof=1) / math.sqrt(n)
         assert abs(mean - d * d) <= 3.0 * se, f"d={d}: {mean:.4f} vs {d * d}"
@@ -196,7 +196,7 @@ def test_criterion_10_engine_cross_validation():
                               SimParams(engine=engine, master_seed=10))
             for engine in ("EulerBridge", "WosTime")
         }
-        pooled = np.concatenate([r.taus() for r in runs.values()])
+        pooled = np.concatenate([r.tau for r in runs.values()])
         grid = np.unique(np.quantile(pooled, np.linspace(0.1, 0.9, 9)))
         euler = survival_curve(runs["EulerBridge"], grid)
         wos = survival_curve(runs["WosTime"], grid)
@@ -211,10 +211,10 @@ def test_criterion_10_engine_cross_validation():
     gaps = []
     for h, eps in [(0.16, 0.08), (0.08, 0.04), (0.04, 0.02)]:
         me = run_batch(STRIP, (0.0, 0.0), n,
-                       SimParams(step_h=h, master_seed=40)).taus().mean()
+                       SimParams(step_h=h, master_seed=40)).tau.mean()
         mw = run_batch(STRIP, (0.0, 0.0), n,
                        SimParams(engine="WosTime", shell_eps=eps,
-                                 master_seed=40)).taus().mean()
+                                 master_seed=40)).tau.mean()
         gaps.append(abs(me - mw))
     assert gaps[0] > gaps[1] > gaps[2], f"halving not monotone: {gaps}"
 

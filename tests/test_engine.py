@@ -31,17 +31,13 @@ from combexit.reports import samples_to_csv
 from combexit.series import rect_exit_tb_prob
 
 
-def taus_of(ss):
-    return ss.taus()
-
-
 def exit_points(ss):
     return np.array([s.exit_point for s in ss.samples])
 
 
 def uncensored(ss):
-    keep = ~ss.censor_mask()
-    return exit_points(ss)[keep], ss.taus()[keep]
+    keep = ~ss.censor
+    return exit_points(ss)[keep], ss.tau[keep]
 
 
 def square_mean_exit_time():
@@ -60,7 +56,7 @@ class TestStatisticalOracles:
     def test_strip_mean_euler(self):
         ss = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 40_000,
                        SimParams(master_seed=101))
-        t = taus_of(ss)
+        t = ss.tau
         se = t.std(ddof=1) / math.sqrt(t.size)
         assert ss.censored == 0
         assert abs(t.mean() - 1.0) < 4.0 * se + 0.01
@@ -68,7 +64,7 @@ class TestStatisticalOracles:
     def test_strip_mean_wos(self):
         ss = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 40_000,
                        SimParams(engine="WosTime", master_seed=102))
-        t = taus_of(ss)
+        t = ss.tau
         se = t.std(ddof=1) / math.sqrt(t.size)
         assert abs(t.mean() - 1.0) < 4.0 * se
 
@@ -77,7 +73,7 @@ class TestStatisticalOracles:
         # analytic moment rather than against another simulation.
         ss = run_batch(VerticalStrip(-2.0, 2.0), (0.0, 0.0), 30_000,
                        SimParams(master_seed=103))
-        t = taus_of(ss)
+        t = ss.tau
         se = t.std(ddof=1) / math.sqrt(t.size)
         want = 4.0  # 2**2 * E[tau] of the unit strip
         assert abs(t.mean() - want) < 4.0 * se + 0.04
@@ -98,7 +94,7 @@ class TestStatisticalOracles:
         # P(tau > t) = erf(1 / sqrt(2 t)), so the median is 2.1981.
         ss = run_batch(HalfPlane(), (0.0, 1.0), 6_000,
                        SimParams(engine="WosTime", time_cap=1e8, master_seed=105))
-        med = np.median(taus_of(ss))
+        med = np.median(ss.tau)
         assert 1.9 < med < 2.5
 
     def test_wedge_engines_agree_on_median(self):
@@ -107,7 +103,7 @@ class TestStatisticalOracles:
         a = run_batch(w, start, 5_000, SimParams(master_seed=106, time_cap=1e3))
         b = run_batch(w, start, 5_000,
                       SimParams(engine="WosTime", master_seed=107, time_cap=1e3))
-        ma, mb = np.median(taus_of(a)), np.median(taus_of(b))
+        ma, mb = np.median(a.tau), np.median(b.tau)
         assert 0.85 < ma / mb < 1.18
 
 
@@ -128,7 +124,7 @@ class TestStructuralInvariants:
     def test_comb_passages_positive_and_tail_bounded(self):
         ss = run_batch(UNIFORM_COMB, (0.5, 0.0), 20_000, SimParams(master_seed=23))
         J = np.array([s.passages for s in ss.samples])
-        assert (J[~ss.censor_mask()] >= 1).all()
+        assert (J[~ss.censor] >= 1).all()
         n = J.size
         for j in range(1, 7):
             bound = 0.75**j
@@ -175,9 +171,9 @@ class TestStructuralInvariants:
     def test_censoring_at_time_cap(self):
         ss = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 2_000,
                        SimParams(time_cap=0.05, master_seed=27))
-        cen = ss.censor_mask()
+        cen = ss.censor
         assert cen.any() and ss.censored == cen.sum()
-        t = taus_of(ss)
+        t = ss.tau
         assert (t <= 0.05 + 1e-12).all()
         assert np.all(t[cen] == 0.05)
 
@@ -190,7 +186,7 @@ class TestStructuralInvariants:
             ss = run_batch(strip, (0.0, 0.0), 2_000,
                            SimParams(engine=engine_name, time_cap=0.05,
                                      master_seed=seed))
-            cen = ss.censor_mask()
+            cen = ss.censor
             assert cen.any()
             assert np.all(ss.tau[~cen] <= 0.05), seed
             assert np.all(ss.tau[cen] == 0.05), seed
@@ -230,12 +226,18 @@ class TestReproducibility:
                                      sample_index=i)
                 assert solo == batch.samples[i]
 
-    def test_wos_replay_across_pool_refills(self):
-        # 10k samples take the pool through several refills: samples 4096
-        # and on join it mid-batch, beside lanes still running
-        params = SimParams(engine="WosTime", master_seed=34)
-        batch = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 10_000, params)
-        for i in (0, 2047, 2048, 4095, 4096, 9_999):
+    @pytest.mark.parametrize("engine_name, indices", [
+        ("EulerBridge", (0, 4095, 4096, 8191, 8192, 8_999)),
+        ("WosTime", (0, 2047, 2048, 4095, 4096, 9_999)),
+    ], ids=["EulerBridge", "WosTime"])
+    def test_wos_replay_across_pool_refills(self, engine_name, indices):
+        # WosTime: 10k samples take the pool through several refills, so
+        # samples 4096 and on join it mid-batch, beside lanes still running.
+        # EulerBridge: 9k samples run in three chunks of at most 4096.
+        params = SimParams(engine=engine_name, master_seed=34)
+        batch = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), indices[-1] + 1,
+                          params)
+        for i in indices:
             solo = simulate_exit(VerticalStrip(-1.0, 1.0), (0.0, 0.0), params,
                                  sample_index=i)
             assert solo == batch.samples[i]
@@ -245,7 +247,7 @@ class TestReproducibility:
                       SimParams(master_seed=1))
         b = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 50,
                       SimParams(master_seed=2))
-        assert not np.array_equal(taus_of(a), taus_of(b))
+        assert not np.array_equal(a.tau, b.tau)
 
     def test_sampleset_metadata(self):
         ss = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 32,
@@ -265,10 +267,10 @@ def column_digest(ss):
     pts = exit_points(ss)
     passages = [-1 if s.passages is None else s.passages for s in ss.samples]
     cols = (
-        ss.taus().astype(np.float64),
+        ss.tau.astype(np.float64),
         np.ascontiguousarray(pts[:, 0], dtype=np.float64),
         np.ascontiguousarray(pts[:, 1], dtype=np.float64),
-        ss.censor_mask().astype(np.uint8),
+        ss.censor.astype(np.uint8),
         np.array(passages, dtype=np.int64),
         np.array([s.steps for s in ss.samples], dtype=np.int64),
     )
@@ -299,6 +301,12 @@ GUARD_CASES = {
                              dict(master_seed=46, max_steps=700)),
     "uniform-comb": (UNIFORM_COMB, (0.5, 0.0), 2_000,
                      dict(master_seed=47, time_cap=200.0)),
+    # More samples than one EulerBridge chunk of 4096 lanes; recorded with
+    # the generic chunk driver.
+    "uniform-comb-multichunk": (UNIFORM_COMB, (0.5, 0.0), 9_000,
+                                dict(master_seed=47, time_cap=20.0)),
+    "half-plane-multichunk": (HalfPlane(), (0.0, 1.0), 9_000,
+                              dict(master_seed=45, time_cap=40.0)),
     "wos-rectangle": (Rectangle(1.0, 0.5), (0.2, -0.1), 2_000,
                       dict(engine="WosTime", master_seed=61)),
     "wos-convex-wedge": (Wedge(math.pi / 2.0), (0.7, 0.7), 1_500,
@@ -347,6 +355,10 @@ GUARD_DIGESTS = {
         "25b002e700abe5ab1a9ceb434a9f63238d40dcfa834e8b7e86f2983fd91ca794",
     "uniform-comb":
         "d7b2c778a1ac833a45f10d8c08f025ff379803d9f94486a0370e55413482467b",
+    "uniform-comb-multichunk":
+        "659b220e6eae5e999e171eac74d21c52e7568804217d6c632439e0842d92cfc4",
+    "half-plane-multichunk":
+        "65d830c3f2cf22a69b8f5147329c869f05d58853977a977705b563bc212d753b",
     "wos-rectangle":
         "d544a4761f27ba0b59dbfb498558d29986d14c56d06cde476db759fe4e14bdd1",
     "wos-convex-wedge":
@@ -404,17 +416,20 @@ class TestBitIdentityGuard:
         assert str(err.value).startswith("sample 9 ")
 
     @pytest.mark.parametrize("radius, n, kw, named", [
-        (2, 9_000, dict(master_seed=49), 7),
-        (8, 20_000, dict(master_seed=2, time_cap=50.0), 15_155),
+        (2, 9_000, dict(engine="WosTime", master_seed=49), 7),
+        (8, 20_000, dict(engine="WosTime", master_seed=2, time_cap=50.0), 15_155),
+        (8, 12_000, dict(master_seed=1, time_cap=50.0), 8863),
     ])
     def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
-        # Recorded with the chunked driver, which ran samples 0-4095 to the
-        # end before starting 4096.  The first escape comes within the first
-        # pool fill; in the second no sample below 12288 escapes, and 15155
-        # joins the pool after several refills.
+        # The WosTime cases were recorded with the chunked driver, which ran
+        # samples 0-4095 to the end before starting 4096.  The first escape
+        # comes within the first pool fill; in the second no sample below
+        # 12288 escapes, and 15155 joins the pool after several refills.
+        # The EulerBridge case names a sample of its third chunk, recorded
+        # with the generic chunk driver.
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=radius))
         with pytest.raises(WindowEscapeError) as err:
-            run_batch(comb, (0.5, 0.0), n, SimParams(engine="WosTime", **kw))
+            run_batch(comb, (0.5, 0.0), n, SimParams(**kw))
         assert str(err.value).startswith(f"sample {named} ")
 
 
@@ -557,7 +572,7 @@ class TestCouplingProperties:
         for name, dom in (("short", short), ("tall", tall)):
             ss = run_batch(dom, (0.5, 0.0), 30_000,
                            SimParams(master_seed=21, time_cap=1e4))
-            t = ss.taus()
+            t = ss.tau
             means[name] = (t.mean(), t.std(ddof=1) / math.sqrt(t.size))
         joint = math.hypot(means["short"][1], means["tall"][1])
         assert means["tall"][0] >= means["short"][0] - 3.0 * joint
