@@ -53,6 +53,8 @@ Rows:
   count that only the driver's lane schedule sets;
 * ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
   samples on the half-plane from (0, 1) at time cap 1000, seed 7;
+* ``adversarial_stages3_s``: ``build_adversarial(3)`` at its default seed
+  (disk-law table built beforehand), every stage and candidate included;
 * ``read_samples_csv_200k_s``: ``read_samples_csv`` of a 200k-row sample
   file shaped like a strip WosTime batch's (exit points on the walls
   u = +-1, no passages), written by ``samples_to_csv`` and read once
@@ -235,6 +237,16 @@ def _halfplane_euler() -> dict:
                   time_cap=1000.0)
 
 
+def _adversarial_stages3() -> dict:
+    from combexit.adversarial import build_adversarial
+    from combexit.series import default_disk_law
+
+    default_disk_law()
+    t0 = time.perf_counter()
+    build_adversarial(3)
+    return {"value": time.perf_counter() - t0}
+
+
 def _strip_shaped_samples():
     """200k samples shaped like a strip WosTime batch's: exit points on the
     walls u = +-1, no passages."""
@@ -283,6 +295,7 @@ ROWS = {
     "strip_wos_run_batch_s": ("s", _strip_wos),
     "strip_wos_passes": ("count", _strip_wos_passes),
     "halfplane_euler_run_batch_s": ("s", _halfplane_euler),
+    "adversarial_stages3_s": ("s", _adversarial_stages3),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
     "samples_to_csv_200k_s": ("s", _samples_to_csv),
 }

@@ -2,16 +2,11 @@
 
 Analytic rectangle/strip series kernels, a certificate checker for moment
 finiteness, two cross-validating Monte Carlo engines, censoring-aware tail
-estimators, and a staged builder for one-sided combs with certified
+estimators, and a staged builder for one-sided combs with exact
 half-moment lower bounds.
 """
 
-from .adversarial import (
-    AdversarialTrace,
-    BudgetExhausted,
-    build_adversarial,
-    half_moment_lower_bound,
-)
+from .adversarial import AdversarialTrace, build_adversarial
 from .checker import (
     FINITE_CERTIFIED,
     INCONCLUSIVE,
@@ -64,6 +59,7 @@ from .series import (
     Theta0Result,
     disk_survival,
     rect_exit_tb_prob,
+    strip_half_moment,
     strip_moment,
     theta0,
 )

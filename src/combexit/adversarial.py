@@ -1,47 +1,41 @@
-"""Builds one-sided combs whose estimated 1/2-moment exceeds each stage index.
+"""Builds one-sided combs whose 1/2-moment provably exceeds each stage index.
 
 The construction starts from a half-strip (two full walls) and repeatedly
 converts the right wall into a unit tooth while pushing a fresh wall further
-out.  Successive stage domains are nested, because replacing a wall by a
-tooth opens a gap, so the half-moment never decreases from one stage to the
-next.  The search exploits this: the first stage aims directly at the final
-threshold plus a safety margin, and later stages then certify on their first
-candidate wall.  Aiming each stage only at its own index sounds natural but
-is hopeless in practice: growth past an existing tooth happens through a
-unit gap whose passage probability decays like 1/x, while the variance of
-the capped half-moment grows linearly in the wall position, so certifying
-stage 3 that way needs sample counts far beyond any realistic budget.
+out.  Started at (1, 0), the stage-1 domain is exactly the strip
+(0, x_1) x R, and every later stage domain contains it, as its only boundary
+left of x_1 is the wall at 0.  Exit times grow with the domain, so at every
+stage E_1[tau^{1/2}] >= ``strip_half_moment(1, x_1)``, an exact value less
+its rounding and truncation bound.  That one number certifies every stage
+at every seed, so all walls are fixed before anything is sampled: x_1 is
+the first candidate 2, 3, 5, 9, 17, ... whose bound exceeds the top stage
+index plus a safety margin.  The margin's remaining reason is the Monte
+Carlo cross-check, one WosTime batch per candidate wall logged beside the
+exact value: with it, the batch's mean - 3 SE also clears each stage index
+(2.48 to 2.64 at x_1 = 17 over seeds 0-11, for stage indices 1 and 2).
 
-After the first stage, candidate walls open a gap at least two and a half
-times the previous one and the increment doubles from there, so recorded
-gaps grow geometrically.  That keeps the emitted comb outside every gap
-class the certificate checker can extrapolate, which is the correct
-outcome: the finite-stage artifact contains a half-plane beyond its last
-tooth, so its true half-moment is infinite and a finiteness certificate at
-p = 1/2 would be wrong.  Only the infinite continuation of
-the construction has every stage bound at once; the artifact records how far
-the certificates actually got.
-
-Every certificate is the Monte Carlo mean of min(tau, cap)^{1/2} minus three
-standard errors.  Truncation biases the estimate downward, so clearing a
-threshold errs in the safe direction.
+Each later wall opens a gap two and a half times the previous one, so gaps
+grow geometrically.  That keeps the emitted comb outside every gap class
+the certificate checker can extrapolate, which is the correct outcome: the
+finite-stage artifact contains a half-plane beyond its last tooth, so its
+true half-moment is infinite and a finiteness certificate at p = 1/2 would
+be wrong.  The bound gains about 0.55 per doubling of x_1 while later gaps
+grow 2.5-fold per stage, so beyond 327 stages the walls would pass the
+largest float, and such stage counts are refused.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 from .engine import SimParams, run_batch
-from .estimators import MomentEstimate, estimate_moment
+from .estimators import estimate_moment
 from .geometry import CombDomain, CombSpec, ExplicitSlits, build_comb
+from .series import strip_half_moment
 
-__all__ = [
-    "AdversarialTrace",
-    "BudgetExhausted",
-    "build_adversarial",
-    "half_moment_lower_bound",
-]
+__all__ = ["AdversarialTrace", "build_adversarial"]
 
 _START = (1.0, 0.0)
 _TOOTH_HEIGHT = 1.0
@@ -51,32 +45,30 @@ _SAFETY_MARGIN = 0.5
 # 1/theta0^2, which approaches 4 from above as gaps widen; 2.5 keeps the
 # emitted comb safely outside that regime at p = 1/2 for any stage count.
 _GAP_GROWTH = 2.5
+# One WosTime batch per candidate wall, as a cross-check of the exact bound.
+_CROSS_CHECK = 4000
+_TIME_CAP = 1e16
 
 
 @dataclass(frozen=True)
 class AdversarialTrace:
     """One accepted stage: the wall chosen and the certificate behind it.
 
-    ``lower_bound`` is mean(min(tau, cap)^{1/2}) - 3 SE for the stage domain,
-    started at (1, 0); it strictly exceeds the stage index on every recorded
-    stage.  ``samples_used`` counts all Monte Carlo samples the stage spent,
-    including rejected candidates; ``search_iterations`` counts candidate
-    walls tried.
+    ``lower_bound`` bounds E_1[tau^{1/2}] on the stage domain from below;
+    it is the stage-1 strip's exact value on every stage.  ``estimate`` and
+    ``standard_error`` come from the accepted wall's cross-check batch, the
+    mean of min(tau, cap)^{1/2}.  ``samples_used`` and
+    ``search_iterations`` count the stage's cross-check samples and
+    candidate walls.
     """
 
     stage: int
     abscissa: float
     lower_bound: float
+    estimate: float
+    standard_error: float
     samples_used: int
     search_iterations: int
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised when mc_budget runs out; carries the stages completed so far."""
-
-    def __init__(self, message: str, trace: tuple[AdversarialTrace, ...]):
-        super().__init__(message)
-        self.trace = trace
 
 
 def _stage_domain(teeth: tuple[float, ...], wall: float | None) -> CombDomain:
@@ -88,110 +80,77 @@ def _stage_domain(teeth: tuple[float, ...], wall: float | None) -> CombDomain:
     return build_comb(CombSpec(ExplicitSlits(tuple(rows)), one_sided=True))
 
 
-def half_moment_lower_bound(
-    domain: CombDomain,
-    start: tuple[float, float],
-    n: int,
-    params: SimParams,
-) -> tuple[float, MomentEstimate]:
-    """Certified-direction bound mean(min(tau, cap)^{1/2}) - 3 SE.
-
-    Returns the bound together with the underlying estimate so callers can
-    inspect the width and the censored fraction.
-    """
-    samples = run_batch(domain, start, n, params)
-    est = estimate_moment(samples, 0.5)
-    return est.point_estimate - 3.0 * est.standard_error, est
+def _walls(stages: int) -> tuple[list[tuple[float, float]], list[float]] | None:
+    """The stage-1 candidates as (wall, exact bound), the last of them the
+    accepted x_1, and the walls x_1 < ... < x_stages; None if a wall would
+    not be a finite float."""
+    target = stages + _SAFETY_MARGIN
+    candidates = []
+    increment = 1.0
+    while not candidates or candidates[-1][1] <= target:
+        wall = _START[0] + increment
+        if not math.isfinite(wall):
+            return None
+        candidates.append((wall, strip_half_moment(_START[0], wall)))
+        increment *= 2
+    walls = [candidates[-1][0]]
+    gap = walls[0] - _START[0]
+    for _ in range(stages - 1):
+        gap *= _GAP_GROWTH
+        walls.append(walls[-1] + gap)
+    return (candidates, walls) if math.isfinite(walls[-1]) else None
 
 
 def build_adversarial(
-    stages: int,
-    mc_budget: int = 400_000,
-    params: SimParams | None = None,
-    samples_per_eval: int = 4000,
+    stages: int, seed: int = 0
 ) -> tuple[CombDomain, list[AdversarialTrace]]:
-    """Search out walls x_1 < x_2 < ... certifying E_1[tau^{1/2}] > n per stage.
+    """Walls x_1 < x_2 < ... with E_1[tau^{1/2}] provably above n at stage n.
 
     Stage n's domain keeps the teeth accumulated so far plus a terminal wall
-    at the candidate abscissa.  A candidate is accepted when its lower bound
-    clears the stage target, rejected when even mean + 3 SE falls short, and
-    re-evaluated with twice the samples otherwise.  The returned comb drops
-    the terminal wall, leaving the wall at 0 plus the accepted teeth.
+    at x_n.  Every wall comes from the exact bound before any sampling; each
+    stage-1 candidate and each later wall then gets one cross-check batch
+    at ``seed``, logged at INFO with its exact value.  The returned comb
+    drops the terminal wall, leaving the wall at 0 plus the accepted teeth.
 
-    Raises BudgetExhausted (with the partial trace attached) when the samples
-    run out, and ValueError when the time cap provably or visibly truncates
-    the estimate below a target that a farther wall could otherwise reach.
+    Raises ValueError for fewer than one stage, and for stage counts whose
+    walls would pass the largest float, naming the largest that fits.
     """
     if stages < 1:
         raise ValueError("stages must be at least 1")
-    if samples_per_eval < 2:
-        raise ValueError("samples_per_eval must be at least 2 to form a standard error")
-    if mc_budget < samples_per_eval:
-        raise ValueError("mc_budget is smaller than a single evaluation")
-    if params is None:
-        params = SimParams(engine="WosTime", time_cap=1e16)
-
-    top_target = stages + _SAFETY_MARGIN
-    if math.sqrt(params.time_cap) <= top_target:
+    plan = _walls(stages)
+    if plan is None:
+        # each candidate doubles the wall and adds less than 1 to its bound,
+        # and the 1024th doubling overflows, so no count from 1024 on fits
+        reachable = bisect.bisect_left(
+            range(1, min(stages, 1024)), True, key=lambda s: _walls(s) is None)
         raise ValueError(
-            f"time_cap={params.time_cap:g} cannot certify {stages} stages: "
-            f"min(tau, cap)^(1/2) never exceeds {math.sqrt(params.time_cap):g}, "
-            f"below the top target {top_target:g}; raise time_cap"
+            f"{stages} stages need walls beyond the largest float; at most "
+            f"{reachable} stages can be built"
         )
+    candidates, walls = plan
+    bound = candidates[-1][1]
+    # imported here: its 10-20 ms import would slow every other command too
+    import logging
+
+    log = logging.getLogger(__name__)
+    params = SimParams(engine="WosTime", time_cap=_TIME_CAP, master_seed=seed)
 
     trace: list[AdversarialTrace] = []
     teeth: tuple[float, ...] = ()
-    remaining = int(mc_budget)
-    prev = _START[0]
-    prev_gap = 1.0
-
-    for stage in range(1, stages + 1):
-        # The opening stage pays for all the others: nested domains keep the
-        # half-moment above whatever the first wall certified, so later
-        # stages only confirm their (smaller) thresholds.
-        target = top_target if stage == 1 else float(stage)
-        accepted = None
-        spent = 0
-        iterations = 0
-        increment = 1.0 if stage == 1 else _GAP_GROWTH * prev_gap
-        while accepted is None:
-            iterations += 1
-            wall = prev + increment
-            domain = _stage_domain(teeth, wall)
-            n_eval = int(samples_per_eval)
-            while True:
-                if n_eval > remaining:
-                    raise BudgetExhausted(
-                        f"stage {stage}: budget exhausted at wall candidate "
-                        f"x={wall:g} ({remaining} samples left, {n_eval} "
-                        f"needed next)",
-                        tuple(trace),
-                    )
-                lb, est = half_moment_lower_bound(domain, _START, n_eval, params)
-                remaining -= n_eval
-                spent += n_eval
-                if lb > target:
-                    accepted = (wall, lb)
-                    break
-                upper = est.point_estimate + 3.0 * est.standard_error
-                if upper <= target:
-                    if est.censored_fraction > 0.0:
-                        raise ValueError(
-                            f"stage {stage}: candidate x={wall:g} is censored "
-                            f"at time_cap={params.time_cap:g} "
-                            f"({est.censored_fraction:.2%} of samples) yet "
-                            f"its upper bound {upper:.3f} sits below the "
-                            f"target {target:g}; the cap is truncating the "
-                            f"very excursions a farther wall would lengthen, "
-                            f"so raise time_cap"
-                        )
-                    break
-                n_eval *= 2
-            increment *= 2
-        wall, lb = accepted
-        trace.append(AdversarialTrace(stage, wall, lb, spent, iterations))
+    for stage, wall in enumerate(walls, start=1):
+        tried = candidates if stage == 1 else [(wall, bound)]
+        for candidate, exact in tried:
+            samples = run_batch(_stage_domain(teeth, candidate), _START,
+                                _CROSS_CHECK, params)
+            est = estimate_moment(samples, 0.5)
+            log.info(
+                "stage %d, wall %g: exact bound %.6f on E_1[tau^1/2]; "
+                "cross-check %.4f +- %.4f from %d samples",
+                stage, candidate, exact, est.point_estimate,
+                est.standard_error, _CROSS_CHECK)
+        trace.append(AdversarialTrace(
+            stage, wall, bound, est.point_estimate, est.standard_error,
+            _CROSS_CHECK * len(tried), len(tried)))
         teeth += (wall,)
-        prev_gap = wall - prev
-        prev = wall
 
     return _stage_domain(teeth, None), trace

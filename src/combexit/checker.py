@@ -61,7 +61,7 @@ from .geometry import (
     UniformGaps,
     symmetrize,
 )
-from .series import SeriesParams, theta0
+from .series import theta0
 
 __all__ = [
     "GrowthClass",
@@ -176,7 +176,6 @@ def check_theorem1(
     growth_class: GrowthClass | None = None,
     *,
     policy: WindowPolicy | None = None,
-    series_params: SeriesParams | None = None,
 ) -> Verdict:
     """Certify E[tau^p] < infinity from the comb's aspect ratio.
 
@@ -198,7 +197,7 @@ def check_theorem1(
             ),
             growth_class_used=growth.tag(),
         )
-    res = theta0(comb.ell, series_params)
+    res = theta0(comb.ell)
     note += f"theta0({comb.ell:g})={res.theta0:.12g}; "
     return _certify(comb, p, res.theta0, growth, policy, note)
 

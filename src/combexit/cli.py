@@ -3,9 +3,8 @@
 Every subcommand writes a JSON report embedding its resolved configuration
 and sha256 fingerprints of the files it consumed; bulk samples go to CSV
 next to the report.  Exit codes: 0 on success, 2 on invalid arguments or
-malformed configuration, 3 when a run ends in a structurally inconclusive
-state (window escape, exhausted search budget) whose report is still
-written.
+malformed configuration, 3 when a batch escapes its comb window, a
+structurally inconclusive state whose report is still written.
 
 The default worker count for simulation batches comes from the
 COMBEXIT_WORKERS environment variable; an explicit --workers flag wins.
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, series
-from .adversarial import BudgetExhausted, build_adversarial
+from .adversarial import build_adversarial
 from .checker import check_refined_unit, check_theorem1
 from .engine import SimParams, WindowEscapeError, run_batch
 from .geometry import (
@@ -303,44 +302,12 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    params = SimParams(
-        engine="WosTime", time_cap=args.time_cap, master_seed=args.seed
-    )
     cfg = RunConfig(
         "construct",
         args.out,
-        {
-            "stages": args.stages,
-            "budget": args.budget,
-            "seed": args.seed,
-            "samples_per_eval": args.samples_per_eval,
-            "time_cap": args.time_cap,
-            "comb_out": args.comb_out,
-        },
+        {"stages": args.stages, "seed": args.seed, "comb_out": args.comb_out},
     )
-    try:
-        comb, trace = build_adversarial(
-            args.stages,
-            mc_budget=args.budget,
-            params=params,
-            samples_per_eval=args.samples_per_eval,
-        )
-    except BudgetExhausted as exc:
-        write_report(
-            args.out,
-            _payload(
-                cfg,
-                {
-                    "error": {
-                        "kind": "budget_exhausted",
-                        "message": str(exc),
-                    },
-                    "trace": [asdict(t) for t in exc.trace],
-                },
-            ),
-        )
-        return EXIT_INCONCLUSIVE
-
+    comb, trace = build_adversarial(args.stages, seed=args.seed)
     comb_cfg = domain_to_config(comb)
     write_text(args.comb_out, json.dumps(comb_cfg, indent=2, sort_keys=True) + "\n")
     write_report(
@@ -505,16 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("hill", "loglog"), default="hill")
     p.add_argument("--out", default="verdict.json")
 
-    p = sub.add_parser(
-        "construct", help="staged comb with certified half-moment bounds"
-    )
+    text = ("staged comb with exact half-moment lower bounds; exits 2 for a "
+            "stage count out of range, never 3 (a window escape), as every "
+            "sampled stage domain is walled")
+    p = sub.add_parser("construct", help=text, description=text)
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--budget", type=int, default=400_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--samples-per-eval", dest="samples_per_eval", type=int, default=4000
-    )
-    p.add_argument("--time-cap", dest="time_cap", type=float, default=1e16)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the cross-check batches")
     p.add_argument("--comb-out", dest="comb_out", default="adversarial-comb.json")
     p.add_argument("--out", default="construct.json")
 

@@ -1,9 +1,10 @@
 """Reference evaluations of the unit strip's exit-time law, for tests only.
 
-``combexit.series.strip_moment`` evaluates a closed form.  These oracles do
-not share its algorithm: the survival function by its spectral and image
-series, integer moments by an exact rational recursion, and fractional
-moments by scipy's quadrature of the survival function.
+``combexit.series.strip_moment`` and ``strip_half_moment`` evaluate closed
+forms.  These oracles do not share their algorithms: the survival function
+by its spectral and image series, integer moments by an exact rational
+recursion, fractional moments by scipy's quadrature of the survival
+function, and the half-moment from any start by its odd-sine series.
 """
 
 from __future__ import annotations
@@ -96,3 +97,21 @@ def _strip_moment_quadrature(p: float, params: SeriesParams) -> float:
     tail, _ = quad(lambda t: p * t ** (p - 1.0) * surv(t), 1.0, np.inf,
                    epsabs=tol, epsrel=tol, limit=200)
     return head + tail
+
+
+def odd_sine_half_moment(a: float, width: float, terms: int = 10**6):
+    """E_a[tau^(1/2)] on (0, width) by its first ``terms`` odd-sine terms,
+    and the Abel bound on the rest.
+
+    E_a[tau^p] = sum over odd n of (4/(n pi)) sin(n theta) Gamma(p+1)
+    (2 width^2 / (n^2 pi^2))^p with theta = pi a / width; at p = 1/2 the
+    coefficients c_n = (2 sqrt 2 width / pi^(3/2)) / n^2 decrease, and the
+    partial sums of sin(n theta) over odd n, sin(m theta)^2 / sin(theta),
+    lie in [0, 1 / sin(theta)], so the tail is at most the first omitted
+    coefficient over sin(theta).
+    """
+    theta = math.pi * a / width
+    n = np.arange(1, 2 * terms, 2, dtype=float)
+    scale = 2.0 * math.sqrt(2.0) * width / math.pi**1.5
+    value = scale * float(np.sum(np.sin(n * theta) / (n * n)))
+    return value, scale / (2 * terms + 1) ** 2 / math.sin(theta)

@@ -1,25 +1,36 @@
-"""Staged comb construction: certificates, search behavior, reproducibility."""
+"""Staged comb construction: exact certificates, cross-check batches,
+reproducibility."""
+
+import logging
 
 import numpy as np
 import pytest
 
-from combexit.adversarial import (
-    BudgetExhausted,
-    build_adversarial,
-    half_moment_lower_bound,
-)
+from combexit.adversarial import build_adversarial
 from combexit.checker import INCONCLUSIVE, check_theorem1
-from combexit.engine import SimParams
-from combexit.geometry import CombSpec, ExplicitSlits, build_comb
+from combexit.engine import SimParams, run_batch
+from combexit.estimators import estimate_moment
+from combexit.geometry import CombSpec, ExplicitSlits, VerticalStrip, build_comb
+from combexit.series import strip_half_moment
 
 START = (1.0, 0.0)
 EVAL_PARAMS = SimParams(engine="WosTime", time_cap=1e16, master_seed=11)
+# E_1[tau^(1/2)] on (0, 17) and on (0, 65), to the digits printed
+BOUND_17 = 2.697393
+BOUND_65 = 3.768201
 
 
 def strip_domain(wall):
     return build_comb(
         CombSpec(ExplicitSlits(((0.0, 0.0), (wall, 0.0))), one_sided=True)
     )
+
+
+def cross_check(domain, n=4000, params=EVAL_PARAMS):
+    """mean(min(tau, cap)^{1/2}) - 3 SE and the estimate, as the builder's
+    cross-check batches compute them."""
+    est = estimate_moment(run_batch(domain, START, n, params), 0.5)
+    return est.point_estimate - 3.0 * est.standard_error, est
 
 
 @pytest.fixture(scope="module")
@@ -67,38 +78,66 @@ class TestCertificates:
         assert trace[2].search_iterations == 1
 
 
+class TestExactPlan:
+    @pytest.mark.parametrize("stages, walls, bound", [
+        (2, [17.0, 57.0], BOUND_17), (3, [65.0, 225.0, 625.0], BOUND_65)])
+    def test_walls_and_bound_do_not_depend_on_the_seed(self, stages, walls, bound):
+        runs = [build_adversarial(stages, seed=seed) for seed in (0, 1)]
+        for comb, trace in runs:
+            np.testing.assert_array_equal(comb.xs, [0.0, *walls])
+            assert [t.lower_bound for t in trace] == [trace[0].lower_bound] * stages
+            assert bound <= trace[0].lower_bound < bound + 1e-6
+        assert runs[0][1][0].lower_bound == runs[1][1][0].lower_bound
+        # the cross-check batches do depend on the seed
+        assert runs[0][1][0].estimate != runs[1][1][0].estimate
+
+    def test_two_stage_bookkeeping(self):
+        _, trace = build_adversarial(2, seed=5)
+        assert [t.samples_used for t in trace] == [20000, 4000]
+        assert [t.search_iterations for t in trace] == [5, 1]
+        assert trace[0].lower_bound == strip_half_moment(1.0, 17.0)
+
+    def test_one_log_record_per_candidate(self, caplog):
+        with caplog.at_level(logging.INFO, logger="combexit.adversarial"):
+            build_adversarial(2)
+        records = [r for r in caplog.records if r.name == "combexit.adversarial"]
+        assert [r.args[:2] for r in records] == [
+            (1, 2.0), (1, 3.0), (1, 5.0), (1, 9.0), (1, 17.0), (2, 57.0)]
+
+    def test_stage_count_beyond_float_walls_is_refused_at_once(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr("combexit.adversarial.run_batch", no_sampling)
+        for stages in (328, 1_000_000):
+            with pytest.raises(ValueError, match="at most 327 stages"):
+                build_adversarial(stages)
+
+    def test_strip_batch_matches_the_exact_value(self):
+        est = estimate_moment(
+            run_batch(VerticalStrip(0.0, 17.0), START, 4000, EVAL_PARAMS), 0.5)
+        assert est.censored_fraction == 0.0
+        assert abs(est.point_estimate - BOUND_17) <= 4.5 * est.standard_error
+
+
 class TestSearchBehavior:
     def test_strip_estimate_grows_with_the_wall(self):
-        bounds = [
-            half_moment_lower_bound(strip_domain(w), START, 4000, EVAL_PARAMS)[0]
-            for w in (2.0, 8.0, 32.0)
-        ]
+        bounds = [cross_check(strip_domain(w))[0] for w in (2.0, 8.0, 32.0)]
         assert bounds[0] < bounds[1] < bounds[2]
         assert bounds[2] - bounds[0] > 1.0
 
     def test_candidate_doubling_is_monotone_within_noise(self):
         # nested domains: the wall at 2x strictly contains the wall at x
-        lb1, est1 = half_moment_lower_bound(strip_domain(16.0), START, 4000, EVAL_PARAMS)
-        lb2, est2 = half_moment_lower_bound(strip_domain(32.0), START, 4000, EVAL_PARAMS)
+        _, est1 = cross_check(strip_domain(16.0))
+        _, est2 = cross_check(strip_domain(32.0))
         joint = 3.0 * float(np.hypot(est1.standard_error, est2.standard_error))
         assert est2.point_estimate >= est1.point_estimate - joint
 
     def test_certificates_are_truncation_safe(self, three_stage):
+        # nothing is censored at the builder's cap, so the cross-check
+        # estimates are plain sample means
         _, trace = three_stage
-        # nothing was censored at the default cap, so the recorded bounds
-        # are plain mean-minus-3SE certificates
-        comb, _ = three_stage
-        lb, est = half_moment_lower_bound(
-            build_comb(
-                CombSpec(
-                    ExplicitSlits(((0.0, 0.0), (trace[0].abscissa, 0.0))),
-                    one_sided=True,
-                )
-            ),
-            START,
-            4000,
-            EVAL_PARAMS,
-        )
+        _, est = cross_check(strip_domain(trace[0].abscissa))
         assert est.censored_fraction == 0.0
         assert est.lower_bound_only is False
 
@@ -109,21 +148,6 @@ class TestReproducibility:
         comb2, trace2 = build_adversarial(3)
         assert trace1 == trace2
         np.testing.assert_array_equal(comb1.xs, comb2.xs)
-
-    def test_budget_exhaustion_reports_partial_trace(self, three_stage):
-        _, trace = three_stage
-        budget = trace[0].samples_used + 2000
-        with pytest.raises(BudgetExhausted) as exc:
-            build_adversarial(3, mc_budget=budget)
-        partial = exc.value.trace
-        assert 1 <= len(partial) < 3
-        for tr in partial:
-            assert tr.lower_bound > tr.stage
-
-    def test_budget_exhaustion_mid_first_stage(self):
-        with pytest.raises(BudgetExhausted) as exc:
-            build_adversarial(3, mc_budget=4000)
-        assert exc.value.trace == ()
 
 
 class TestOutputDomain:
@@ -146,16 +170,3 @@ class TestValidation:
     def test_rejects_nonpositive_stages(self):
         with pytest.raises(ValueError, match="stages"):
             build_adversarial(0)
-
-    def test_rejects_budget_below_one_evaluation(self):
-        with pytest.raises(ValueError, match="budget"):
-            build_adversarial(1, mc_budget=100, samples_per_eval=4000)
-
-    def test_rejects_degenerate_evaluation_size(self):
-        with pytest.raises(ValueError, match="samples_per_eval"):
-            build_adversarial(1, samples_per_eval=1)
-
-    def test_rejects_cap_below_top_threshold(self):
-        tiny_cap = SimParams(engine="WosTime", time_cap=4.0)
-        with pytest.raises(ValueError, match="raise time_cap"):
-            build_adversarial(3, params=tiny_cap)

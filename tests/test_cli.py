@@ -346,16 +346,25 @@ class TestConstruct:
         assert code == EXIT_OK
         assert load(check_out)["status"] == "Inconclusive"
 
-    def test_budget_exhaustion_exits_three_with_partial_trace(self, tmp_path):
+    def test_unreachable_stage_count_exits_two_at_once(self, tmp_path, capsys):
         out = tmp_path / "c.json"
+        t0 = time.perf_counter()
         code = run_command(
-            ["construct", "--stages", "3", "--budget", "4000",
-             "--out", str(out), "--comb-out", str(tmp_path / "comb.json")]
+            ["construct", "--stages", "1000000", "--out", str(out),
+             "--comb-out", str(tmp_path / "comb.json")]
         )
-        assert code == EXIT_INCONCLUSIVE
-        report = load(out)
-        assert report["error"]["kind"] == "budget_exhausted"
-        assert report["trace"] == []
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE
+        assert "at most 327 stages" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_search_flags_are_usage_errors(self, tmp_path):
+        for flag in ("--budget", "--samples-per-eval", "--time-cap"):
+            code = run_command(
+                ["construct", "--stages", "1", flag, "1",
+                 "--out", str(tmp_path / "c.json")]
+            )
+            assert code == EXIT_USAGE, flag
 
 
 class TestXval:

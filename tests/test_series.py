@@ -14,6 +14,7 @@ from combexit.series import (
     default_disk_law,
     disk_survival,
     rect_exit_tb_prob,
+    strip_half_moment,
     strip_moment,
     theta0,
 )
@@ -22,6 +23,7 @@ from strip_oracles import (
     _strip_moment_quadrature,
     _strip_survival_images,
     _strip_survival_spectral,
+    odd_sine_half_moment,
     strip_survival,
 )
 
@@ -194,6 +196,36 @@ def test_closed_form_matches_rational_oracle():
     for k in [*range(1, 31), 170, 177]:
         exact = float(_interval_moment_exact(k))
         assert strip_moment(k) == pytest.approx(exact, rel=1e-13, abs=0.0), k
+
+
+def test_half_moment_on_the_unit_strip():
+    # (0, 2) started at 1 is (-1, 1) started at 0
+    assert strip_half_moment(1.0, 2.0) == pytest.approx(
+        strip_moment(0.5), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a, width", [
+    *((1.0, float(w)) for w in range(3, 66)), (2.7, 17.3), (5.5, 12.0)])
+def test_half_moment_matches_odd_sine_series(a, width):
+    # a bound below the series value, by less than the series' own remainder
+    # plus the few 1e-14 the million-term sum itself rounds off
+    oracle, remainder = odd_sine_half_moment(a, width)
+    value = strip_half_moment(a, width)
+    assert oracle - remainder - 1e-13 <= value <= oracle + remainder + 1e-13
+
+
+def test_half_moment_increases_in_the_width():
+    widths = sorted({*np.linspace(2.0, 200.0, 397).tolist(),
+                     *(1.0 + 2.0**k for k in range(1, 1024))})
+    values = [strip_half_moment(1.0, w) for w in widths]
+    assert all(x < y for x, y in zip(values, values[1:]))
+
+
+def test_half_moment_validation():
+    for a, width in ((0.0, 2.0), (1.5, 2.0), (-1.0, 3.0), (1.0, math.inf),
+                     (math.nan, 2.0), (1e-300, 1e10)):
+        with pytest.raises(ValueError):
+            strip_half_moment(a, width)
 
 
 def test_moment_overflow_edge():
