@@ -34,6 +34,11 @@ Rows:
   range ``0..lanes-1`` is mapped onto those samples' substreams by wrapping
   ``_seed_words``, which every tree's WosTime driver seeds through, so both
   trees run the same lanes for the same jumps;
+* ``euler_steps_per_s_4096`` and ``euler_steps_per_s_32``: the same for
+  EulerBridge steps (``step_h = 0.04``), with half-plane lanes from (0, 1)
+  at time cap 1000 in both rows: 4096 lanes with K = 224 and 32 lanes with
+  K = 4064.  Each K ends a block (32 + 64 + 128 and 32 + ... + 2048 steps),
+  so every step drawn is run;
 * ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
@@ -62,10 +67,11 @@ Rows:
 * ``samples_to_csv_200k_s``: ``samples_to_csv`` of the same 200k samples,
   the mean of three encodes.
 
-The batch and pass-count rows also record their step totals.  When a
-change keeps every sample they agree between the trees; where they differ
-the script says so on stderr, records ``"steps_agree": false`` in the row
-and exits with status 1.  Not part of the test suite: a run takes a few minutes.
+The batch, pass-count and steps-per-second rows also record their step
+totals.  When a change keeps every sample they agree between the trees;
+where they differ the script says so on stderr, records ``"steps_agree":
+false`` in the row and exits with status 1.  Not part of the test suite: a
+run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -102,40 +108,56 @@ def _chunk_setup() -> dict:
     return {"value": _per_call(run, 20) / CHUNK * 1e6}
 
 
-def _wos_steps_per_s(domain, start, lanes: int, jumps: int, **params) -> dict:
-    from dataclasses import replace
-
+def _steps_per_s(domain, start, lanes: int, steps: int, **params) -> dict:
+    """Steps per second of ``lanes`` lanes that each run exactly ``steps``
+    steps; ``params`` pick the engine and its caps."""
     import numpy as np
 
     from combexit import engine
     from combexit.series import default_disk_law
 
     default_disk_law()
-    pilot = engine.SimParams(engine="WosTime", master_seed=SEED, **params)
-    steps = engine.run_batch(domain, start, 20_000, pilot).steps
-    picked = np.flatnonzero(steps >= jumps)[:lanes]
+    pilot = engine.SimParams(master_seed=SEED, max_steps=steps, **params)
+    picked = np.flatnonzero(
+        engine.run_batch(domain, start, 20_000, pilot).steps >= steps)[:lanes]
     if picked.size < lanes:
-        raise RuntimeError(f"only {picked.size} pilot samples live {jumps} jumps")
+        raise RuntimeError(f"only {picked.size} pilot samples live {steps} steps")
     seed_words = engine._seed_words
     engine._seed_words = lambda seed, indices: seed_words(
         seed, picked[np.asarray(indices, dtype=np.int64)])
-    resolved = engine._resolve(domain, start, replace(pilot, max_steps=jumps))
+    resolved = engine._resolve(domain, start, pilot)
     run = lambda: engine._simulate_range(domain, start, resolved, 0, lanes)  # noqa: E731
-    if int(run()[-1].sum()) != lanes * jumps:
+    if int(run()[-1].sum()) != lanes * steps:
         raise RuntimeError("a lane stopped before max_steps")
-    return {"value": lanes * jumps / _per_call(run, 20)}
+    return {"value": lanes * steps / _per_call(run, 20), "steps": lanes * steps}
 
 
 def _wos_full() -> dict:
     from combexit.geometry import VerticalStrip
 
-    return _wos_steps_per_s(VerticalStrip(-1.0, 1.0), (0.0, 0.0), CHUNK, 16)
+    return _steps_per_s(VerticalStrip(-1.0, 1.0), (0.0, 0.0), CHUNK, 16,
+                        engine="WosTime")
 
 
 def _wos_low() -> dict:
     from combexit.geometry import HalfPlane
 
-    return _wos_steps_per_s(HalfPlane(), (0.0, 1.0), 32, 32, time_cap=1000.0)
+    return _steps_per_s(HalfPlane(), (0.0, 1.0), 32, 32, engine="WosTime",
+                        time_cap=1000.0)
+
+
+def _euler_full() -> dict:
+    from combexit.geometry import HalfPlane
+
+    return _steps_per_s(HalfPlane(), (0.0, 1.0), CHUNK, 224,
+                        engine="EulerBridge", time_cap=1000.0)
+
+
+def _euler_low() -> dict:
+    from combexit.geometry import HalfPlane
+
+    return _steps_per_s(HalfPlane(), (0.0, 1.0), 32, 4064,
+                        engine="EulerBridge", time_cap=1000.0)
 
 
 def _times_from_uniform(lanes: int) -> dict:
@@ -285,6 +307,8 @@ ROWS = {
     "chunk_setup_us": ("us", _chunk_setup),
     "wos_steps_per_s_4096": ("1/s", _wos_full),
     "wos_steps_per_s_32": ("1/s", _wos_low),
+    "euler_steps_per_s_4096": ("1/s", _euler_full),
+    "euler_steps_per_s_32": ("1/s", _euler_low),
     "times_from_uniform_32_us": ("us", lambda: _times_from_uniform(32)),
     "times_from_uniform_4096_us": ("us", lambda: _times_from_uniform(4096)),
     "disk_law_first_s": ("s", _disk_law_first),

@@ -12,7 +12,9 @@ the first candidate 2, 3, 5, 9, 17, ... whose bound exceeds the top stage
 index plus a safety margin.  The margin's remaining reason is the Monte
 Carlo cross-check, one WosTime batch per candidate wall logged beside the
 exact value: with it, the batch's mean - 3 SE also clears each stage index
-(2.48 to 2.64 at x_1 = 17 over seeds 0-11, for stage indices 1 and 2).
+(2.50 to 2.68 at x_1 = 17 and 2.47 to 2.66 at x_2 = 57 over seeds 0-11,
+for stage indices 1 and 2).  Every batch of a run has its own master seed,
+so the later stages' batches do not replay the paths of stage 1.
 
 Each later wall opens a gap two and a half times the previous one, so gaps
 grow geometrically.  That keeps the emitted comb outside every gap class
@@ -27,8 +29,10 @@ largest float, and such stage counts are refused.
 from __future__ import annotations
 
 import bisect
+import hashlib
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import SimParams, run_batch
 from .estimators import estimate_moment
@@ -109,8 +113,9 @@ def build_adversarial(
     Stage n's domain keeps the teeth accumulated so far plus a terminal wall
     at x_n.  Every wall comes from the exact bound before any sampling; each
     stage-1 candidate and each later wall then gets one cross-check batch
-    at ``seed``, logged at INFO with its exact value.  The returned comb
-    drops the terminal wall, leaving the wall at 0 plus the accepted teeth.
+    at its own master seed derived from ``seed``, logged at INFO with its
+    exact value.  The returned comb drops the terminal wall, leaving the
+    wall at 0 plus the accepted teeth.
 
     Raises ValueError for fewer than one stage, and for stage counts whose
     walls would pass the largest float, naming the largest that fits.
@@ -134,6 +139,10 @@ def build_adversarial(
 
     log = logging.getLogger(__name__)
     params = SimParams(engine="WosTime", time_cap=_TIME_CAP, master_seed=seed)
+    # Batch k of the run samples at a 63-bit hash of ``seed`` plus k, so no
+    # batch replays another's paths and runs at different seeds start apart.
+    digest = hashlib.blake2b(str(seed).encode(), digest_size=8).digest()
+    seeds = (k % 2**63 for k in itertools.count(int.from_bytes(digest, "little")))
 
     trace: list[AdversarialTrace] = []
     teeth: tuple[float, ...] = ()
@@ -141,7 +150,8 @@ def build_adversarial(
         tried = candidates if stage == 1 else [(wall, bound)]
         for candidate, exact in tried:
             samples = run_batch(_stage_domain(teeth, candidate), _START,
-                                _CROSS_CHECK, params)
+                                _CROSS_CHECK,
+                                replace(params, master_seed=next(seeds)))
             est = estimate_moment(samples, 0.5)
             log.info(
                 "stage %d, wall %g: exact bound %.6f on E_1[tau^1/2]; "

@@ -24,9 +24,13 @@ and cross-validate each other.
     so multi-line events (comb teeth) are attributed to the first line
     actually hit.  The walk never depends on a crossing (a non-exit
     passage does not move it), so the kernel evaluates a window of many
-    steps per numpy pass: positions and times are running sums of the drawn
+    steps per numpy pass: positions are running sums of the drawn
     increments, and each lane stops at the first step in the window that
-    exits or hits a cap.
+    exits or hits a cap.  Live lanes share one clock (they start together
+    and step in lockstep), so time and step count are one running sum per
+    window.  Only the crossing test is evaluated for every lane, step and
+    line; the crossing fraction, the bridge point and the exit test are
+    computed at the crossings alone.
 
 ``WosTime``
     Walk-on-spheres with clocks.  Each jump moves to a uniform point on the
@@ -113,7 +117,10 @@ _ENGINES = ("EulerBridge", "WosTime")
 # ``_BLOCK_START`` steps, doubling up to ``_BLOCK_CAP``, and within a block
 # evaluates windows of ``_LANE_STEPS // live_lanes`` steps per numpy pass,
 # so a few long-lived lanes cost a few passes per block instead of one pass
-# per step; the constant bounds a pass's working set.  Windows only regroup
+# per step; the constant bounds a pass's dense ``(lanes, steps, lines)``
+# crossing test, while the bridge arithmetic runs only at the crossings it
+# finds.  The live lanes of a chunk share one clock, so a window's times
+# and cap tests are one row for all of them.  Windows only regroup
 # arithmetic on draws already made, so neither the per-sample substreams
 # nor the block schedule depend on them.
 _CHUNK = 4096
@@ -451,22 +458,51 @@ def _pcg64_uniforms(rng: np.ndarray) -> np.ndarray:
 # EulerBridge driver and kernel
 
 
-def _running_sum(x0, dx):
-    """``[x0, x0 + dx[0], (x0 + dx[0]) + dx[1], ...]`` along axis 1.
+def _walk(x0, normals, scale):
+    """The positions ``[x0, x0 + dx[0], (x0 + dx[0]) + dx[1], ...]`` along
+    axis 1, for the increments ``dx = scale * normals``.
 
     ``add.accumulate`` adds strictly left to right, so every entry has the
     bits that stepping one increment at a time would give.
     """
-    return np.add.accumulate(np.concatenate([x0[:, None], dx], axis=1), axis=1)
+    x = np.empty((x0.size, normals.shape[1] + 1))
+    x[:, 0] = x0
+    np.multiply(normals, scale, out=x[:, 1:])
+    return np.add.accumulate(x, axis=1, out=x)
+
+
+def _time_order(step, slot, f, S):
+    """Indices that put a list of crossings in time order within each step.
+
+    ``step`` labels the crossings' steps in ascending runs, ``slot`` their
+    positions ``0..S-1`` in the step's slot window and ``f`` their
+    fractions.  When some step has several crossings, every step is
+    ordered the way ``argsort`` orders its row of ``S`` fractions with
+    ``inf`` at the slots that did not cross, so ties fall as they would in
+    a sort of the whole window.
+    """
+    new = np.r_[True, step[1:] != step[:-1]]
+    if new.all():
+        return np.arange(step.size)
+    group = np.cumsum(new) - 1
+    fracs = np.full((group[-1] + 1, S), np.inf)
+    fracs[group, slot] = f
+    rank = np.empty(fracs.shape, dtype=np.int64)
+    np.put_along_axis(rank, np.argsort(fracs, axis=1), np.arange(S), axis=1)
+    order = np.empty(step.size, dtype=np.int64)
+    order[np.flatnonzero(new)[group] + rank[group, slot]] = np.arange(step.size)
+    return order
 
 
 def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     """Bridge-corrected Euler for samples ``lo..hi-1``, in chunks of at most
     ``_CHUNK`` lanes; returns their columns.
 
-    Lane state (``u``, ``v``, ``t``, ``steps`` and the passage bookkeeping)
-    and the result columns are arrays indexed by range row, and ``act``
-    holds the rows of the chunk's running lanes.  A chunk runs in lockstep
+    Lane state (``u``, ``v`` and the passage bookkeeping) and the result
+    columns are arrays indexed by range row, and ``act`` holds the rows of
+    the chunk's running lanes.  Every lane of a chunk starts at t = 0 and
+    they step in lockstep, so the running lanes share one clock: the
+    chunk's step count ``done`` and time ``t`` are scalars.  A chunk runs
     through blocks of ``T`` steps, ``T`` doubling from ``_BLOCK_START`` to
     ``_BLOCK_CAP``.  At the start of a block each running lane fills its
     ``(T, 2 + S)`` normals and then its ``(T, 2 * S)`` uniforms from its own
@@ -474,8 +510,13 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     lifetime alone, whatever chunk it runs in.
 
     Each pass of a block evaluates a window of ``W`` steps for the lanes
-    still running, on ``(lanes, W, S)`` arrays; whatever a lane computes
-    after its first exit or cap hit in the window is discarded.
+    still running.  Only the crossing tests are dense, on ``(lanes, W, S)``
+    arrays: the signed offsets of the ``W + 1`` positions from the lines,
+    the product of consecutive offsets, its ``exp`` and the Bernoulli test.
+    The crossing fraction, the bridge point and the exit test are computed
+    for the crossings alone, as a list in lane, step and time order.
+    Whatever a lane computes after its first exit or cap hit in the window
+    is discarded.
     """
     lines = domain.lines
     track_passages = isinstance(domain, CombDomain)
@@ -489,7 +530,7 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     sqrt_h = math.sqrt(h)
 
     n = hi - lo
-    u, v, t = np.full(n, start[0]), np.full(n, start[1]), np.zeros(n)
+    u, v = np.full(n, start[0]), np.full(n, start[1])
     steps = np.zeros(n, dtype=np.int64)
     passages = np.zeros(n, dtype=np.int64)
     last_line = np.full(n, -1, dtype=np.int64)
@@ -504,6 +545,7 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
         act = np.arange(c0, min(n, c0 + _CHUNK))
         gens = [np.random.Generator(np.random.PCG64(entropy(w)))
                 for w in _seed_words(params.master_seed, lo + act)]
+        t, done = 0.0, 0
         T = _BLOCK_START
         while act.size:
             normals = np.empty((act.size, T, 2 + S))
@@ -517,111 +559,114 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
                 W = min(T - k0, max(1, _LANE_STEPS // rows.size))
                 L = rows.size
                 live = act[rows]
-                nrm = normals[rows, k0:k0 + W]
-                unf = uniforms[rows, k0:k0 + W]
-                k0 += W
+                U = _walk(u[live], normals[rows, k0:k0 + W, 0], sqrt_h)
+                V = _walk(v[live], normals[rows, k0:k0 + W, 1], sqrt_h)
+                tt = np.full(W + 1, h)
+                tt[0] = t
+                np.add.accumulate(tt, out=tt)
 
-                du = sqrt_h * nrm[..., 0]
-                dv = sqrt_h * nrm[..., 1]
-                U = _running_sum(u[live], du)
-                V = _running_sum(v[live], dv)
-                tt = _running_sum(t[live], np.full((L, W), h))
-                u0, u1, v0, v1 = U[:, :-1], U[:, 1:], V[:, :-1], V[:, 1:]
-
+                # signed offsets before (d0) and after (d1) each step
                 if dynamic:
-                    cell = np.searchsorted(lines.c, u0)
-                    slot = cell[..., None] + _SLOT_OFFSETS
+                    slot = (np.searchsorted(lines.c, U[:, :-1])[..., None]
+                            + _SLOT_OFFSETS)
                     valid = (slot >= 0) & (slot < n_lines)
                     slot = np.clip(slot, 0, n_lines - 1)
+                    d0 = U[:, :-1, None] - lines.c[slot]
+                    d1 = U[:, 1:, None] - lines.c[slot]
                 else:
-                    slot = np.broadcast_to(np.arange(S, dtype=np.int64), (L, W, S))
-                    valid = True
+                    D = (U[..., None] - lines.c if lines.vertical else
+                         lines.nx * U[..., None] + lines.ny * V[..., None] - lines.c)
+                    d0, d1 = D[:, :-1], D[:, 1:]
 
-                if lines.vertical:
-                    d0 = u0[..., None] - lines.c[slot]
-                    d1 = u1[..., None] - lines.c[slot]
-                    along0 = v0[..., None]
-                    dalong = dv[..., None]
-                else:
-                    d0 = (lines.nx[slot] * u0[..., None]
-                          + lines.ny[slot] * v0[..., None] - lines.c[slot])
-                    d1 = (lines.nx[slot] * u1[..., None]
-                          + lines.ny[slot] * v1[..., None] - lines.c[slot])
-                    along0 = (lines.ax[slot] * u0[..., None]
-                              + lines.ay[slot] * v0[..., None])
-                    dalong = (lines.ax[slot] * du[..., None]
-                              + lines.ay[slot] * dv[..., None])
-
+                # A sign change (prod < 0) makes exp(...) at least 1, above
+                # every uniform, so the Bernoulli test takes it as a crossing.
                 prod = d0 * d1
-                sign_change = prod < 0.0
-                with np.errstate(divide="ignore", invalid="ignore",
-                                 over="ignore"):
-                    f_lin = d0 / (d0 - d1)
-                    p_cross = np.exp(-2.0 * prod / h)
-                bern = unf[..., 0:S]
-                f_uni = unf[..., S:2 * S]
-                crossed = valid & (sign_change | (bern < p_cross))
-                f = np.where(sign_change, f_lin, f_uni)
-                bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
-                along_f = along0 + f * dalong + bridge_sd * nrm[..., 2:2 + S]
+                with np.errstate(over="ignore"):
+                    crossed = uniforms[rows, k0:k0 + W, :S] < np.exp(-2.0 * prod / h)
+                if dynamic:
+                    crossed &= valid
 
-                # Crossings of one step in time order: the first exit ends
-                # the lane, earlier non-exit slit crossings count as
-                # passages.  A step's exit is resolved before its cap check;
-                # an exit later than ``time_cap`` is censored below.  A
-                # convex domain is left at every crossing; otherwise a
-                # crossing exits where it meets the boundary part of its line.
-                order = np.argsort(np.where(crossed, f, np.inf), axis=2)
-                crossed_r = np.take_along_axis(crossed, order, 2)
-                exit_r = crossed_r
-                if not lines.convex:
-                    on_boundary = lines.gap(along_f, lines.par[slot]) <= 0.0
-                    exit_r = exit_r & np.take_along_axis(on_boundary, order, 2)
-                has_exit = exit_r.any(axis=2)
-                capped = tt[:, 1:] >= time_cap
-                exhausted = steps[live, None] + np.arange(1, W + 1) >= max_steps
-                ends = has_exit | capped | exhausted
-                finished = ends.any(axis=1)
-                j_end = np.where(finished, ends.argmax(axis=1), W)
-                rank_end = np.full(L, S)
-                fin = np.flatnonzero(finished)
-                by_exit = has_exit[fin, j_end[fin]]
-                w = fin[by_exit]
-                rank_end[w] = exit_r[w, j_end[w]].argmax(axis=1)
+                # The crossings as a list: fraction, bridge point on the
+                # line, and whether it meets the line's boundary part.  A
+                # same-side crossing draws its fraction, a sign change takes
+                # the linear one.  A convex domain is left at every crossing.
+                li, si = np.divmod(np.flatnonzero(crossed), S)
+                li, wi = np.divmod(li, W)
+                line = slot[li, wi, si] if dynamic else si
+                d0k, d1k = d0[li, wi, si], d1[li, wi, si]
+                r, j = rows[li], k0 + wi
+                f = uniforms[r, j, S + si]
+                lin = prod[li, wi, si] < 0.0
+                f[lin] = d0k[lin] / (d0k[lin] - d1k[lin])
+                bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
+                z = normals[r, j, 2 + si]
+                dv = sqrt_h * normals[r, j, 1]
+                if lines.vertical:
+                    along = V[li, wi] + f * dv + bridge_sd * z
+                else:
+                    ax, ay = lines.ax[line], lines.ay[line]
+                    du = sqrt_h * normals[r, j, 0]
+                    along = (ax * U[li, wi] + ay * V[li, wi]
+                             + f * (ax * du + ay * dv) + bridge_sd * z)
+                if lines.convex:
+                    exits = np.ones(li.size, dtype=bool)
+                else:
+                    exits = lines.gap(along, lines.par[line]) <= 0.0
+                if S > 1:
+                    o = _time_order(li * W + wi, si, f, S)
+                    li, wi, line, f, along, exits = (
+                        a[o] for a in (li, wi, line, f, along, exits))
+                k0 += W
+
+                # The first exit of a lane ends it, unless the shared clock
+                # hits a cap at an earlier step.  A step's exit is resolved
+                # before its cap check; an exit later than ``time_cap`` is
+                # censored below.
+                x = np.flatnonzero(exits)
+                x = x[np.r_[True, li[x[1:]] != li[x[:-1]]]] if x.size else x
+                first_exit = np.full(L, li.size)
+                first_exit[li[x]] = x
+                j_exit = np.full(L, W + 1)
+                j_exit[li[x]] = wi[x]
+                cap = ((tt[1:] >= time_cap)
+                       | (np.arange(done + 1, done + W + 1) >= max_steps))
+                j_end = np.minimum(j_exit, cap.argmax() if cap.any() else W)
+                by_exit = j_exit == j_end
+                finished = j_end < W
 
                 if windowed:
                     # Name the lane that stepping one step at a time would
                     # stop at: earliest step, then lowest index, among lanes
                     # that stand outside the window after a step they did
                     # not exit on.
-                    out = (u1 < w_lo) | (u1 > w_hi)
-                    out &= ~has_exit & (np.arange(W) <= j_end[:, None])
+                    out = (U[:, 1:] < w_lo) | (U[:, 1:] > w_hi)
+                    out &= np.arange(W) < (j_end + ~by_exit)[:, None]
                     if out.any():
                         k = out.any(axis=0).argmax()
                         raise _window_escape(lo + int(live[out[:, k].argmax()]),
                                              window)
 
                 if track_passages:
-                    # Passage events (comb lines are all slits) in time
-                    # order, cut at each lane's exit; the last crossed line
-                    # before each event is a forward fill.
-                    pos = np.arange(W * S).reshape(W, S)
-                    cut = (j_end * S + rank_end)[:, None, None]
-                    event = crossed_r & ~exit_r & (pos < cut)
-                    seq = np.where(event, np.take_along_axis(slot, order, 2), -1)
-                    seq = np.concatenate([last_line[live, None],
-                                          seq.reshape(L, W * S)], axis=1)
-                    src = np.where(seq >= 0, np.arange(1 + W * S), 0)
-                    np.maximum.accumulate(src, axis=1, out=src)
-                    prev = np.take_along_axis(seq, src, 1)
-                    new = (seq[:, 1:] >= 0) & (seq[:, 1:] != prev[:, :-1])
-                    passages[live] += new.sum(axis=1)
-                    last_line[live] = prev[:, -1]
+                    # Passage events (comb lines are all slits): the
+                    # crossings before each lane's first exit, up to its
+                    # last step.  An event passes a tooth when its line
+                    # differs from the lane's previous event's.
+                    e = np.flatnonzero(~exits & (wi <= j_end[li])
+                                       & (np.arange(li.size) < first_exit[li]))
+                    if e.size:
+                        el, eline = li[e], line[e]
+                        head = np.r_[True, el[1:] != el[:-1]]
+                        prev = np.r_[-1, eline[:-1]]
+                        prev[head] = last_line[live[el[head]]]
+                        passages[live] += np.bincount(el[eline != prev], minlength=L)
+                        tail = np.r_[head[1:], True]
+                        last_line[live[el[tail]]] = eline[tail]
 
+                w = np.flatnonzero(by_exit)
                 if w.size:
+                    xw = first_exit[w]
                     jw = j_end[w]
-                    sl = order[w, jw, rank_end[w]]
-                    t_exit = tt[w, jw] + f[w, jw, sl] * h
+                    t_exit = tt[jw] + f[xw] * h
                     # a path that exits after the cap survived to it: censor
                     # it at the cap, at the last grid position before the
                     # exit step
@@ -630,25 +675,26 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
                         wl = w[late]
                         finish(live[wl], time_cap, U[wl, jw[late]],
                                V[wl, jw[late]], True)
-                        w, jw, sl, t_exit = (a[~late] for a in (w, jw, sl, t_exit))
-                    lw = slot[w, jw, sl]
-                    px, py = lines.snap(lw, along_f[w, jw, sl])
+                        w, xw, t_exit = (a[~late] for a in (w, xw, t_exit))
+                    lw = line[xw]
+                    px, py = lines.snap(lw, along[xw])
                     finish(live[w], t_exit, px, py, False)
                     if track_passages:
                         passages[live[w]] += (
                             lw != last_line[live[w]]).astype(np.int64)
 
-                c = fin[~by_exit]
+                c = np.flatnonzero(finished & ~by_exit)
                 if c.size:
                     jc = j_end[c] + 1
-                    finish(live[c], np.minimum(tt[c, jc], time_cap),
+                    finish(live[c], np.minimum(tt[jc], time_cap),
                            U[c, jc], V[c, jc], True)
 
-                steps[live] += np.minimum(j_end + 1, W)
-                u[live] = U[:, W]
-                v[live] = V[:, W]
-                t[live] = tt[:, W]
-                rows = rows[~finished]
+                steps[live[finished]] = done + j_end[finished] + 1
+                run = ~finished
+                u[live[run]] = U[run, W]
+                v[live[run]] = V[run, W]
+                t, done = tt[W], done + W
+                rows = rows[run]
             act = act[rows]
             del normals, uniforms  # free this block's draws before the next
             T = min(2 * T, _BLOCK_CAP)

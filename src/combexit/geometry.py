@@ -228,9 +228,36 @@ class BoundaryLines:
         return (self.c[i] * self.nx[i] + s * self.ax[i],
                 self.c[i] * self.ny[i] + s * self.ay[i])
 
+    @cached_property
+    def _axes(self):
+        """For axis-aligned lines that are not all vertical: per line, which
+        of ``(u, v)`` gives the offset ``d`` and with which sign, then the
+        same for the along-coordinate ``s``; None for any other set."""
+        if self.vertical:
+            return None
+        rows = []
+        for nx, ny, ax, ay in zip(self.nx.tolist(), self.ny.tolist(),
+                                  self.ax.tolist(), self.ay.tolist()):
+            if {abs(nx), abs(ny)} != {0.0, 1.0} or {abs(ax), abs(ay)} != {0.0, 1.0}:
+                return None
+            rows.append((int(nx == 0.0), nx + ny, int(ax == 0.0), ax + ay))
+        return rows
+
     def _scan(self, u, v) -> np.ndarray:
         """``(lines, points)`` distances from every point to every line."""
-        return self._to(np.s_[:, None], u, v)
+        if self._axes is None:
+            return self._to(np.s_[:, None], u, v)
+        # Rectangle and half-plane sides, one line at a time: d and s are
+        # +-u or +-v.  The general form gives the same up to the sign of a
+        # zero, which abs and hypot drop.
+        uv = (u, v)
+        out = np.empty((self.c.size, u.size))
+        for k, (d_row, d_sign, s_row, s_sign) in enumerate(self._axes):
+            d, s = uv[d_row], uv[s_row]
+            d = (d if d_sign > 0.0 else -d) - self.c[k]
+            s = s if s_sign > 0.0 else -s
+            self._from_offsets(d, s, self.par[k], out=out[k])
+        return out
 
     def _to(self, i, u, v) -> np.ndarray:
         """Distances from the points to the lines ``i``, an index whose
@@ -240,8 +267,14 @@ class BoundaryLines:
         else:
             d = self.nx[i] * u + self.ny[i] * v - self.c[i]
             s = self.ax[i] * u + self.ay[i] * v
-        g = self.gap(s, self.par[i])
-        return np.hypot(d, g, out=np.abs(d), where=g > 0.0)
+        return self._from_offsets(d, s, self.par[i])
+
+    def _from_offsets(self, d, s, par, out=None) -> np.ndarray:
+        """Distances from points at signed offsets ``d`` and
+        along-coordinates ``s`` to the boundary parts of lines with
+        parameters ``par``."""
+        g = self.gap(s, par)
+        return np.hypot(d, g, out=np.abs(d, out=out), where=g > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,25 @@ class TestExactPlan:
         assert [r.args[:2] for r in records] == [
             (1, 2.0), (1, 3.0), (1, 5.0), (1, 9.0), (1, 17.0), (2, 57.0)]
 
+    def test_cross_checks_are_independent(self, three_stage):
+        # stages 2 and 3 add walls beyond x_1; batches sharing a seed would
+        # replay stage 2's paths and give stage 3 the same estimate
+        _, trace = three_stage
+        assert trace[1].estimate != trace[2].estimate
+
+    def test_every_batch_has_its_own_seed(self, monkeypatch):
+        seeds = []
+
+        def recording(domain, start, n, params):
+            seeds.append(params.master_seed)
+            return run_batch(domain, start, 50, params)
+
+        monkeypatch.setattr("combexit.adversarial.run_batch", recording)
+        for seed in (0, 1):
+            build_adversarial(2, seed=seed)
+        assert len(seeds) == 12
+        assert len(set(seeds)) == 12
+
     def test_stage_count_beyond_float_walls_is_refused_at_once(self, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled before refusing")

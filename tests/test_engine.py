@@ -19,6 +19,7 @@ from combexit.engine import (
 from combexit.geometry import (
     CombSpec,
     ExplicitSlits,
+    GeometricGaps,
     HalfPlane,
     Rectangle,
     UniformGaps,
@@ -307,6 +308,21 @@ GUARD_CASES = {
                                 dict(master_seed=47, time_cap=20.0)),
     "half-plane-multichunk": (HalfPlane(), (0.0, 1.0), 9_000,
                               dict(master_seed=45, time_cap=40.0)),
+    # Five slits, two of them full walls: static slots with S > 1, passages
+    # and a non-convex domain.
+    "explicit-comb": (
+        build_comb(CombSpec(ExplicitSlits(((-2.5, 0.0), (-1.0, 0.5), (0.0, 1.0),
+                                           (1.5, 0.8), (3.0, 0.0))))),
+        (0.5, 0.0), 2_000, dict(master_seed=71, time_cap=100.0)),
+    # 17 lines with unequal gaps: slot windows found per step.
+    "geometric-comb": (
+        build_comb(CombSpec(GeometricGaps(1.5, 1.0), window_radius=8)),
+        (0.2, 0.0), 2_000, dict(master_seed=72, time_cap=20.0)),
+    # A finite lower escape edge: the wall of a one-sided comb.
+    "one-sided-uniform-comb": (
+        build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=40,
+                            one_sided=True)),
+        (0.5, 0.0), 2_000, dict(master_seed=73, time_cap=200.0)),
     "wos-rectangle": (Rectangle(1.0, 0.5), (0.2, -0.1), 2_000,
                       dict(engine="WosTime", master_seed=61)),
     "wos-convex-wedge": (Wedge(math.pi / 2.0), (0.7, 0.7), 1_500,
@@ -359,6 +375,12 @@ GUARD_DIGESTS = {
         "659b220e6eae5e999e171eac74d21c52e7568804217d6c632439e0842d92cfc4",
     "half-plane-multichunk":
         "65d830c3f2cf22a69b8f5147329c869f05d58853977a977705b563bc212d753b",
+    "explicit-comb":
+        "b2e510cba918c46808f8436b1b14ecda51682d73e538c3fc7dcb12cc64b4b1b9",
+    "geometric-comb":
+        "d23745e3ef98d143410ebab85e8c1fcfd9398368f4ba5325ad23c155dcf6ce60",
+    "one-sided-uniform-comb":
+        "987aca50706256529bde23276b45adf4fe946fe0e75dff8d42284b59f7e050c0",
     "wos-rectangle":
         "d544a4761f27ba0b59dbfb498558d29986d14c56d06cde476db759fe4e14bdd1",
     "wos-convex-wedge":
