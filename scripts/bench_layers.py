@@ -23,8 +23,8 @@ Rows:
   at its first step: ``run_batch`` of 4096 half-plane samples from (0, 1)
   with ``step_h = 0.04`` and ``max_steps = 1``, divided by 4096.  Each lane
   is seeded, builds its ``Generator`` and draws its first block of 32 steps
-  (half-plane widths: (32, 3) normals and (32, 2) uniforms); one kernel
-  pass then ends every lane;
+  (its path normals, and in trees that draw crossing variates from the
+  stream, those too); one kernel pass then ends every lane;
 * ``wos_steps_per_s_4096`` and ``wos_steps_per_s_32``: WosTime jumps per
   second of ``_simulate_range`` at full and at low lane occupancy, seeding
   and lane set-up included.  The lanes are the first samples at seed 7 that
@@ -32,13 +32,15 @@ Rows:
   jumps exactly ``K`` times: 4096 strip lanes from the origin with K = 16,
   and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32.  The
   range ``0..lanes-1`` is mapped onto those samples' substreams by wrapping
-  ``_seed_words``, which every tree's WosTime driver seeds through, so both
-  trees run the same lanes for the same jumps;
+  ``_seed_words``, which every tree's drivers seed through, and
+  ``_sample_keys`` where a tree hashes EulerBridge crossing variates from
+  it, so both trees run the same lanes for the same jumps;
 * ``euler_steps_per_s_4096`` and ``euler_steps_per_s_32``: the same for
   EulerBridge steps (``step_h = 0.04``), with half-plane lanes from (0, 1)
   at time cap 1000 in both rows: 4096 lanes with K = 224 and 32 lanes with
-  K = 4064.  Each K ends a block (32 + 64 + 128 and 32 + ... + 2048 steps),
-  so every step drawn is run;
+  K = 4064.  Each K ends a block (32 + 64 + 128, and 32 + ... + 2048 or
+  32 + ... + 1024 + 1024 + 1024 steps under a cap of 8192 or of 1024), so
+  every step drawn is run;
 * ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
@@ -58,6 +60,10 @@ Rows:
   count that only the driver's lane schedule sets;
 * ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
   samples on the half-plane from (0, 1) at time cap 1000, seed 7;
+* ``uniform_comb_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
+  samples on the uniform comb (gaps and teeth 1, window radius 40) from
+  (0.5, 0) at time cap 200, seed 7: the dense case, where nearly every
+  step lies close enough to some tooth for a crossing to be possible;
 * ``adversarial_stages3_s``: ``build_adversarial(3)`` at its default seed
   (disk-law table built beforehand), every stage and candidate included;
 * ``read_samples_csv_200k_s``: ``read_samples_csv`` of a 200k-row sample
@@ -122,9 +128,13 @@ def _steps_per_s(domain, start, lanes: int, steps: int, **params) -> dict:
         engine.run_batch(domain, start, 20_000, pilot).steps >= steps)[:lanes]
     if picked.size < lanes:
         raise RuntimeError(f"only {picked.size} pilot samples live {steps} steps")
-    seed_words = engine._seed_words
-    engine._seed_words = lambda seed, indices: seed_words(
-        seed, picked[np.asarray(indices, dtype=np.int64)])
+    def remapped(words):
+        return lambda seed, indices: words(
+            seed, picked[np.asarray(indices, dtype=np.int64)])
+
+    engine._seed_words = remapped(engine._seed_words)
+    if hasattr(engine, "_sample_keys"):
+        engine._sample_keys = remapped(engine._sample_keys)
     resolved = engine._resolve(domain, start, pilot)
     run = lambda: engine._simulate_range(domain, start, resolved, 0, lanes)  # noqa: E731
     if int(run()[-1].sum()) != lanes * steps:
@@ -259,6 +269,13 @@ def _halfplane_euler() -> dict:
                   time_cap=1000.0)
 
 
+def _uniform_comb_euler() -> dict:
+    from combexit.geometry import CombSpec, UniformGaps, build_comb
+
+    comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=40))
+    return _batch(comb, (0.5, 0.0), 8192, engine="EulerBridge", time_cap=200.0)
+
+
 def _adversarial_stages3() -> dict:
     from combexit.adversarial import build_adversarial
     from combexit.series import default_disk_law
@@ -319,6 +336,7 @@ ROWS = {
     "strip_wos_run_batch_s": ("s", _strip_wos),
     "strip_wos_passes": ("count", _strip_wos_passes),
     "halfplane_euler_run_batch_s": ("s", _halfplane_euler),
+    "uniform_comb_euler_run_batch_s": ("s", _uniform_comb_euler),
     "adversarial_stages3_s": ("s", _adversarial_stages3),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
     "samples_to_csv_200k_s": ("s", _samples_to_csv),

@@ -28,9 +28,10 @@ and cross-validate each other.
     increments, and each lane stops at the first step in the window that
     exits or hits a cap.  Live lanes share one clock (they start together
     and step in lockstep), so time and step count are one running sum per
-    window.  Only the crossing test is evaluated for every lane, step and
-    line; the crossing fraction, the bridge point and the exit test are
-    computed at the crossings alone.
+    window.  Only one product per lane, step and line is dense; the
+    crossing test runs at the pairs where ``exp(-2*d0*d1/h)`` reaches
+    ``2**-53``, and the crossing fraction, the bridge point and the exit
+    test at the crossings alone.
 
 ``WosTime``
     Walk-on-spheres with clocks.  Each jump moves to a uniform point on the
@@ -59,23 +60,33 @@ numpy's ``SeedSequence`` algorithm (``_seed_words``), then:
   PCG64's own seeding step) when it joins the pool, and jump ``k`` reads
   doubles ``2k`` and ``2k + 1`` of the stream;
 * an EulerBridge lane gets a ``Generator(PCG64(_Entropy(words)))``, so
-  numpy itself seeds it.  ``_euler_range`` runs a sample range in chunks
-  of ``_CHUNK`` lanes, each in lockstep through a fixed schedule of blocks
-  of doubling length; at the start of a block every running lane fills the
-  block's normals and uniforms from its own generator, so a lane's draws
-  depend only on its own lifetime.  Its normals come from numpy's ziggurat
-  ``standard_normal``, which has no bit-exact vectorized form here, so it
-  keeps a generator per lane and cannot take new lanes mid-block.
+  numpy itself seeds it, and its path is that generator's
+  ``standard_normal`` sequence, two normals per step.  numpy's ziggurat
+  has no bit-exact vectorized form here, so each lane keeps its generator
+  and fills blocks of path normals from it; the normal fill is
+  concatenation-consistent, so the block lengths only regroup one
+  sequence.
+* every other EulerBridge variate (the crossing test's uniform, the
+  same-side crossing fraction and the bridge normal) is a SplitMix64 hash
+  of the sample's key, the step, the line and a slot (``_splitmix64``,
+  where the counter layout and its range are stated).  The key is word 4
+  of ``SeedSequence((master_seed, i)).generate_state(5, np.uint64)``
+  (``_sample_keys``).  A hash is computed only where its variate is read.
+  A pair crosses when its uniform ``u``, a multiple of ``2**-53`` in
+  (0, 1], is at most ``exp(-2*d0*d1/h)``; no pair where that is below
+  ``2**-53`` can pass, so ``u`` is hashed only at the pairs where it is
+  not, and the fraction and bridge normal only at the crossings found.
 
 Both engines run a sample range through one function of the same shape,
 ``_euler_range`` and ``_wos_range``, which return the range's columns.
 
-``TestSeeding`` pins both paths to numpy's own ``SeedSequence``, ``PCG64``
-and ``Generator`` draws.  Results are therefore bit-identical for any
-worker count or batch partitioning, and individual samples can be replayed
-in isolation.  How many lanes run together, when a WosTime lane joins the
-pool and how many steps an EulerBridge pass evaluates only regroup
-arithmetic on draws already made, so they never change a sample.
+``TestSeeding`` and ``TestCrossingVariates`` pin both paths to numpy's
+own ``SeedSequence``, ``PCG64`` and ``Generator`` draws and the hash to
+SplitMix64.  Results are therefore bit-identical for any worker count or
+batch partitioning, and individual samples can be replayed in isolation.
+How many lanes run together, when a WosTime lane joins the pool, the
+EulerBridge block lengths and how many steps a pass evaluates only regroup
+arithmetic on the same variates, so they never change a sample.
 
 Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
 records are built only on request.  Passage counts are recorded for comb
@@ -113,20 +124,23 @@ _ENGINES = ("EulerBridge", "WosTime")
 # the pool is free.  Every lane draws from its private substream, so the
 # width bounds working memory and sets how many lanes share a numpy pass,
 # but never changes a sample (only which sample a WosTime window escape
-# names, see ``_wos_range``).  EulerBridge draws in blocks of
-# ``_BLOCK_START`` steps, doubling up to ``_BLOCK_CAP``, and within a block
-# evaluates windows of ``_LANE_STEPS // live_lanes`` steps per numpy pass,
-# so a few long-lived lanes cost a few passes per block instead of one pass
-# per step; the constant bounds a pass's dense ``(lanes, steps, lines)``
-# crossing test, while the bridge arithmetic runs only at the crossings it
-# finds.  The live lanes of a chunk share one clock, so a window's times
-# and cap tests are one row for all of them.  Windows only regroup
-# arithmetic on draws already made, so neither the per-sample substreams
-# nor the block schedule depend on them.
+# names, see ``_wos_range``).  EulerBridge lanes draw their path normals
+# in blocks of ``_BLOCK_START`` steps, doubling up to ``_BLOCK_CAP``: a
+# lane's draws past its last step are wasted, so the cap bounds the waste
+# and the block memory of long-lived lanes, while doubling keeps the
+# per-lane generator calls few for short-lived ones.  Within a block a pass
+# evaluates a window of ``_LANE_STEPS // live_lanes`` steps, so a few
+# long-lived lanes cost a few passes per block instead of one pass per
+# step; the constant bounds a pass's dense ``(lanes, steps, lines)``
+# offsets, while the hashed variates and the bridge arithmetic run only at
+# the pairs and crossings they concern.  The live lanes of a chunk share
+# one clock, so a window's times and cap tests are one row for all of
+# them.  Blocks and windows only regroup the same variates, so no sample
+# depends on these constants.
 _CHUNK = 4096
 _LANE_STEPS = 1 << 15
 _BLOCK_START = 32
-_BLOCK_CAP = 8192
+_BLOCK_CAP = 1024
 
 # Crossing tests only see lines whose current slot window contains them.
 # With step_h <= min_gap**2 / 25 a six-slot window reaches two full gaps
@@ -135,6 +149,11 @@ _BLOCK_CAP = 8192
 # exp(-200); sub-slot combs just enumerate every line.
 _COMB_SLOTS = 6
 _SLOT_OFFSETS = np.arange(-3, 3, dtype=np.int64)
+
+# A step crosses a line when its crossing uniform, at least 2**-53, is at
+# most exp(-2 * d0 * d1 / h).  exp(-2 * 18.4) is below 2**-53 (which is
+# exp(-36.74)), so pairs with d0 * d1 >= _FAR * h never cross.
+_FAR = 18.4
 
 class WindowEscapeError(RuntimeError):
     """A trajectory left the materialized window of a truncated comb.
@@ -270,7 +289,8 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
 # its pool mixing on uint32 words and ``generate_state(4, uint64)``
 # (constants from numpy's ``bit_generator.pyx``).  PCG64 turns those words
 # into its state itself when ``_Entropy`` hands it a row (EulerBridge), and
-# ``_pcg64_start`` does the same in numpy (WosTime).
+# ``_pcg64_start`` does the same in numpy (WosTime).  ``_sample_keys``
+# continues the same output to a fifth word, EulerBridge's hash key.
 _MASK32 = 0xFFFFFFFF
 
 
@@ -284,7 +304,7 @@ def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
 
 
 _HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)   # pool mixing
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)    # generate_state
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 10)   # generate_state
 
 
 def _hashmix(x, consts):
@@ -296,10 +316,10 @@ def _hashmix(x, consts):
     return x
 
 
-def _seed_words(master_seed: int, indices) -> np.ndarray:
-    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
-    every ``i`` in ``indices`` (each below 2**63), computed in one
-    vectorized pass: an ``(n, 4)`` uint64 array, one row per index.
+def _seed_pool(master_seed: int, indices) -> np.ndarray:
+    """The mixed entropy pool of ``SeedSequence((master_seed, i))`` for
+    every ``i`` in ``indices`` (each below 2**63): a ``(4, n)`` uint32 array,
+    one column per index.
 
     SeedSequence writes each integer as little-endian uint32 words (one word
     below 2**32, two from there on) and zero-pads the entropy to its pool of
@@ -326,10 +346,31 @@ def _seed_words(master_seed: int, indices) -> np.ndarray:
         r -= np.uint32(0x4973F715) * h
         r ^= r >> np.uint32(16)
         pool[dst] = r
-    out = _hashmix(np.concatenate([pool, pool]), _HASH_B).astype(np.uint64)
+    return pool
+
+
+def _seed_words(master_seed: int, indices) -> np.ndarray:
+    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
+    every ``i`` in ``indices`` (each below 2**63), computed in one
+    vectorized pass: an ``(n, 4)`` uint64 array, one row per index."""
+    pool = _seed_pool(master_seed, indices)
+    out = _hashmix(np.concatenate([pool, pool]), _HASH_B[:9]).astype(np.uint64)
     # PCG64 reads the four words from the row's memory as laid out in C
     # order, so a strided row would seed it wrongly without an error
     return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+
+
+def _sample_keys(master_seed: int, indices) -> np.ndarray:
+    """Word 4 of ``SeedSequence((master_seed, i)).generate_state(5,
+    np.uint64)`` for every ``i`` in ``indices``, as a uint64 array.
+
+    SeedSequence's output is prefix-consistent, so the first four words
+    are ``_seed_words``; the fifth hashes pool words 0 and 1 with the next
+    two hash constants.
+    """
+    lo, hi = _hashmix(_seed_pool(master_seed, indices)[:2],
+                      _HASH_B[8:]).astype(np.uint64)
+    return lo | hi << np.uint64(32)
 
 
 @cache
@@ -455,6 +496,44 @@ def _pcg64_uniforms(rng: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# counter-addressed variates (EulerBridge crossings)
+
+
+# An EulerBridge path reads only its normals from a stream.  Every other
+# variate is a hash of where it is read (Salmon et al., "Parallel random
+# numbers: as easy as 1, 2, 3", SC'11): variate ``j`` of line ``l`` (its
+# index in ``lines.c``) at step ``k`` of a sample (counted from 0) is
+# output ``4 * (k * len(lines.c) + l) + j`` of SplitMix64 (Steele, Lea &
+# Flood, OOPSLA 2014) seeded with the sample's key (``_sample_keys``).
+# Slot 0 is the crossing test's uniform, slot 1 the same-side crossing
+# fraction, slots 2 and 3 the Box-Muller pair of the bridge normal.  The
+# state advances by an odd constant and the mix is a bijection, so a
+# sample never reads one word twice while ``(k + 1) * len(lines.c) <=
+# 2**62``.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(key, counter):
+    """Output ``counter`` (from 0) of SplitMix64 seeded with ``key``, on
+    uint64 arrays: the mix of the state ``key + (counter + 1) * gamma``."""
+    z = key + (counter + np.uint64(1)) * _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniform(key, counter):
+    """The double in (0, 1] that ``_splitmix64(key, counter)`` gives: its
+    top 53 bits plus one, times 2**-53.  It is never 0, so its log is
+    finite and it never passes a test ``u <= p`` with ``p < 2**-53``."""
+    return ((_splitmix64(key, counter) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+
+# ---------------------------------------------------------------------------
 # EulerBridge driver and kernel
 
 
@@ -505,16 +584,19 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     chunk's step count ``done`` and time ``t`` are scalars.  A chunk runs
     through blocks of ``T`` steps, ``T`` doubling from ``_BLOCK_START`` to
     ``_BLOCK_CAP``.  At the start of a block each running lane fills its
-    ``(T, 2 + S)`` normals and then its ``(T, 2 * S)`` uniforms from its own
-    ``Generator``, so the draws a sample consumes depend on its own
-    lifetime alone, whatever chunk it runs in.
+    ``(T, 2)`` path normals from its own ``Generator``, one call per lane;
+    these continue the lane's one normal sequence, whatever chunk or block
+    it runs in.
 
     Each pass of a block evaluates a window of ``W`` steps for the lanes
-    still running.  Only the crossing tests are dense, on ``(lanes, W, S)``
-    arrays: the signed offsets of the ``W + 1`` positions from the lines,
-    the product of consecutive offsets, its ``exp`` and the Bernoulli test.
-    The crossing fraction, the bridge point and the exit test are computed
-    for the crossings alone, as a list in lane, step and time order.
+    still running.  Only the signed offsets of the ``W + 1`` positions from
+    the ``S`` lines and the product of consecutive offsets are dense, on
+    ``(lanes, W, S)`` arrays.  The pairs whose product is small enough for
+    ``exp(-2*d0*d1/h)`` to reach ``2**-53`` become a list, in lane, step and
+    slot order; their crossing uniforms are hashed from ``keys`` (one per
+    range row), the global step ``done + w`` and the line, and tested.  The
+    crossing fraction, the bridge point and the exit test are computed for
+    the crossings that pass, sorted into time order within each step.
     Whatever a lane computes after its first exit or cap hit in the window
     is discarded.
     """
@@ -540,19 +622,19 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     def finish(idx, t_end, pu, pv, censored):
         tau[idx], eu[idx], ev[idx], censor[idx] = t_end, pu, pv, censored
 
+    keys = np.zeros(n, dtype=np.uint64)
     entropy = _entropy_type()
     for c0 in range(0, n, _CHUNK):
         act = np.arange(c0, min(n, c0 + _CHUNK))
         gens = [np.random.Generator(np.random.PCG64(entropy(w)))
                 for w in _seed_words(params.master_seed, lo + act)]
+        keys[act] = _sample_keys(params.master_seed, lo + act)
         t, done = 0.0, 0
         T = _BLOCK_START
         while act.size:
-            normals = np.empty((act.size, T, 2 + S))
-            uniforms = np.empty((act.size, T, 2 * S))
+            normals = np.empty((act.size, T, 2))
             for k, i in enumerate((act - c0).tolist()):
                 gens[i].standard_normal(out=normals[k])
-                gens[i].random(out=uniforms[k])
             rows = np.arange(act.size)  # block rows of the lanes still running
             k0 = 0
             while rows.size and k0 < T:
@@ -578,28 +660,39 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
                          lines.nx * U[..., None] + lines.ny * V[..., None] - lines.c)
                     d0, d1 = D[:, :-1], D[:, 1:]
 
-                # A sign change (prod < 0) makes exp(...) at least 1, above
-                # every uniform, so the Bernoulli test takes it as a crossing.
+                # A pair crosses when its slot-0 uniform is at most
+                # exp(-2*d0*d1/h).  Only the pairs ``near`` finds can pass,
+                # so the uniforms and the exp are computed for those alone.
+                # A sign change (prod < 0) gives above 1, so it always
+                # crosses.
                 prod = d0 * d1
-                with np.errstate(over="ignore"):
-                    crossed = uniforms[rows, k0:k0 + W, :S] < np.exp(-2.0 * prod / h)
+                near = prod < _FAR * h
                 if dynamic:
-                    crossed &= valid
+                    near &= valid
+                flat = np.flatnonzero(near)
+                li, si = np.divmod(flat, S)
+                li, wi = np.divmod(li, W)
+                line = slot.ravel()[flat] if dynamic else si
+                key = keys[live[li]]
+                counter = (4 * ((done + wi) * n_lines + line)).astype(np.uint64)
+                pk = prod.ravel()[flat]
+                with np.errstate(over="ignore"):
+                    c = np.flatnonzero(_uniform(key, counter) <= np.exp(-2.0 * pk / h))
+                li, wi, si, line, key, counter, pk = (
+                    a[c] for a in (li, wi, si, line, key, counter, pk))
 
                 # The crossings as a list: fraction, bridge point on the
                 # line, and whether it meets the line's boundary part.  A
-                # same-side crossing draws its fraction, a sign change takes
+                # same-side crossing reads its fraction, a sign change takes
                 # the linear one.  A convex domain is left at every crossing.
-                li, si = np.divmod(np.flatnonzero(crossed), S)
-                li, wi = np.divmod(li, W)
-                line = slot[li, wi, si] if dynamic else si
                 d0k, d1k = d0[li, wi, si], d1[li, wi, si]
                 r, j = rows[li], k0 + wi
-                f = uniforms[r, j, S + si]
-                lin = prod[li, wi, si] < 0.0
+                f = _uniform(key, counter + 1)
+                lin = pk < 0.0
                 f[lin] = d0k[lin] / (d0k[lin] - d1k[lin])
                 bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
-                z = normals[r, j, 2 + si]
+                z = (np.sqrt(-2.0 * np.log(_uniform(key, counter + 2)))
+                     * np.cos(2.0 * math.pi * _uniform(key, counter + 3)))
                 dv = sqrt_h * normals[r, j, 1]
                 if lines.vertical:
                     along = V[li, wi] + f * dv + bridge_sd * z
@@ -696,7 +789,7 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
                 t, done = tt[W], done + W
                 rows = rows[run]
             act = act[rows]
-            del normals, uniforms  # free this block's draws before the next
+            del normals  # free this block's draws before the next
             T = min(2 * T, _BLOCK_CAP)
     return tau, eu, ev, censor, passages if track_passages else None, steps
 
@@ -805,6 +898,8 @@ def _simulate_range(domain: SimDomain, start, params: SimParams,
 
 def _resolve(domain: SimDomain, start, params: SimParams) -> SimParams:
     u0, v0 = float(start[0]), float(start[1])
+    if not (math.isfinite(u0) and math.isfinite(v0)):
+        raise ValueError(f"start point ({u0:g}, {v0:g}) is not finite")
     if not bool(domain.contains(u0, v0)):
         raise ValueError(f"start point ({u0:g}, {v0:g}) is not inside the domain")
     if params.engine == "EulerBridge":

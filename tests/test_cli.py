@@ -433,6 +433,16 @@ class TestExitCodes:
             VerticalStrip(-1.0, 1.0)
 
 
+    def test_non_finite_start_is_a_usage_error(self, tmp_path, capsys):
+        domain = write_json(tmp_path / "half_plane.json", {"type": "half_plane"})
+        code = run_command(
+            ["simulate", "--domain", domain, "--start", "nan,1", "--n", "10",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == EXIT_USAGE
+        assert "start point (nan, 1) is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_flag(self, capsys):
         assert run_command(["theta0", "--frequency", "1"]) == EXIT_USAGE
         capsys.readouterr()

@@ -358,29 +358,29 @@ GUARD_CASES = {
 
 GUARD_DIGESTS = {
     "strip":
-        "a87ff5a01b37f62d12af6de098640af1327bbb26c534c3f84da73959a234e739",
+        "6444c373c16e6fd2f9294b36aeb1f3863582712028035083f8891a71f357da1f",
     "rectangle":
-        "6108feba85e8075ace085be874e934c4dbafe8ebbeb5f598bab9743083bdee11",
+        "e2192e3e2ac11511d5b68a67aba623fb699e141d8d40b74626236043f1fc31fa",
     "convex-wedge":
-        "f3f9679d41d44989a7230cbda1da906e27f1d8d9d72c67d06255a6a29f85105e",
+        "cac06f68486dee22fcc716d771146b9c4484a73045c4730a746894179a6e30a8",
     "reflex-wedge":
-        "603147890064d2c289f7431f01483a60cdd1a9e5bd2531c04de4aaad996a87df",
+        "03404e2b9d9fc63033e992c2a99003c5dd9d0bb96d2bed47c605c6d296e00ab3",
     "half-plane-time-cap":
-        "6dee36e91cb38055b06863793d3cb1fe459328df51f0355b3462e4461384e04b",
+        "7ec9aa856d4f5637f0e78a243a9551c02a4bfe7df791e535c4e8376bcfe95f58",
     "half-plane-max-steps":
-        "25b002e700abe5ab1a9ceb434a9f63238d40dcfa834e8b7e86f2983fd91ca794",
+        "4681c67555d0e1d83238756a9f0bf6b3ca7df12e26886d0e8ca94dfcd7f7fbfc",
     "uniform-comb":
-        "d7b2c778a1ac833a45f10d8c08f025ff379803d9f94486a0370e55413482467b",
+        "19dd0563302574401ceb79ca42046cda4c86c1d4cd70b295b65f401abdb3353c",
     "uniform-comb-multichunk":
-        "659b220e6eae5e999e171eac74d21c52e7568804217d6c632439e0842d92cfc4",
+        "a9b407791c1e31369520666ae462df09c63c8e153900ea39dfdcc68acca74167",
     "half-plane-multichunk":
-        "65d830c3f2cf22a69b8f5147329c869f05d58853977a977705b563bc212d753b",
+        "675f76f2365f1badaef3b7099d42e0076849c03433d262edf03cc87ed5d77141",
     "explicit-comb":
-        "b2e510cba918c46808f8436b1b14ecda51682d73e538c3fc7dcb12cc64b4b1b9",
+        "0596f7a98f3e002fbc33dc8a2b055af09e46cb03f2a798fc8c768b38daa7c68f",
     "geometric-comb":
-        "d23745e3ef98d143410ebab85e8c1fcfd9398368f4ba5325ad23c155dcf6ce60",
+        "f40f8ffc1672f8c3bdcda76b54e05d275bc7bfbc55d11a0d01dc5291cd5db062",
     "one-sided-uniform-comb":
-        "987aca50706256529bde23276b45adf4fe946fe0e75dff8d42284b59f7e050c0",
+        "be58b2c532f97923ed2a69d2e369ddb69b2dcbc8dfc61a2c960c1ea041cb3de8",
     "wos-rectangle":
         "d544a4761f27ba0b59dbfb498558d29986d14c56d06cde476db759fe4e14bdd1",
     "wos-convex-wedge":
@@ -425,7 +425,7 @@ class TestBitIdentityGuard:
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
-        assert str(err.value).startswith("sample 640 ")
+        assert str(err.value).startswith("sample 52 ")
 
     def test_wos_window_escape_names_the_same_sample(self):
         # Recorded before the WosTime kernel packed its running lanes: 120
@@ -440,15 +440,16 @@ class TestBitIdentityGuard:
     @pytest.mark.parametrize("radius, n, kw, named", [
         (2, 9_000, dict(engine="WosTime", master_seed=49), 7),
         (8, 20_000, dict(engine="WosTime", master_seed=2, time_cap=50.0), 15_155),
-        (8, 12_000, dict(master_seed=1, time_cap=50.0), 8863),
+        (8, 12_000, dict(master_seed=1, time_cap=50.0), 882),
+        (10, 12_000, dict(master_seed=10, time_cap=50.0), 6802),
     ])
     def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
         # The WosTime cases were recorded with the chunked driver, which ran
         # samples 0-4095 to the end before starting 4096.  The first escape
         # comes within the first pool fill; in the second no sample below
         # 12288 escapes, and 15155 joins the pool after several refills.
-        # The EulerBridge case names a sample of its third chunk, recorded
-        # with the generic chunk driver.
+        # The first EulerBridge case names a sample of its first chunk, the
+        # second one of its second chunk.
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=radius))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), n, SimParams(**kw))
@@ -472,6 +473,14 @@ class TestSeeding:
         assert words.flags.c_contiguous  # PCG64 reads each row's memory
         assert words.tolist() == [
             np.random.SeedSequence((seed, i)).generate_state(4, np.uint64).tolist()
+            for i in INDICES]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_keys_match_numpy(self, seed):
+        keys = engine._sample_keys(seed, np.array(INDICES))
+        assert keys.dtype == np.uint64 and keys.shape == (len(INDICES),)
+        assert keys.tolist() == [
+            int(np.random.SeedSequence((seed, i)).generate_state(5, np.uint64)[4])
             for i in INDICES]
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -510,16 +519,18 @@ class TestSeeding:
         with pytest.raises(ValueError, match="four uint64 words"):
             entropy.generate_state(n_words, dtype)
 
-    # Recorded at the commit before vectorized seeding, when each sample
-    # drew from its own Generator(PCG64(SeedSequence((seed, i)))).  The
-    # WosTime samples outlive the first block of 32 draws.
+    # The WosTime samples were recorded at the commit before vectorized
+    # seeding, when each sample drew from its own
+    # Generator(PCG64(SeedSequence((seed, i)))), and outlive the first
+    # block of 32 draws.  The EulerBridge ones were recorded when crossing
+    # variates became hashes keyed on the fifth SeedSequence word.
     FAR_SAMPLES = {
         ("EulerBridge", 2**40):
-            ExitSample(1.8752952657536646, (-3.0, -1.1127644102475525),
-                       False, 4, 47, "EulerBridge"),
+            ExitSample(2.060139648037026, (0.0, -1.377494763749619),
+                       False, 2, 52, "EulerBridge"),
         ("EulerBridge", 2**63 - 1):
-            ExitSample(1.6479964544966, (-1.0, 1.3150943363231054),
-                       False, 3, 42, "EulerBridge"),
+            ExitSample(4.0137427114303215, (1.0, 1.1837099161203566),
+                       False, 5, 101, "EulerBridge"),
         ("WosTime", 2**40):
             ExitSample(0.3723381687292404, (1.0, 1.3908952365542648),
                        False, None, 27, "WosTime"),
@@ -550,6 +561,74 @@ class TestSeeding:
                           sample_index=index)
 
 
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_reference(seed, n):
+    """The first ``n`` outputs of SplitMix64 seeded with ``seed`` (Steele,
+    Lea & Flood 2014), on Python ints: the state advances by the golden
+    gamma and each output mixes it."""
+    out = []
+    for _ in range(n):
+        seed = (seed + SPLITMIX_GAMMA) % 2**64
+        z = (seed ^ seed >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ z >> 31)
+    return out
+
+
+class TestCrossingVariates:
+    """EulerBridge reads its path from numpy's normals and every crossing
+    variate from a SplitMix64 hash of (sample key, step, line, slot); these
+    pin both, and check that the block schedule only regroups them."""
+
+    def test_reference_matches_published_outputs(self):
+        # splitmix64.c's first outputs from seed 1234567
+        assert splitmix64_reference(1234567, 3) == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+    @pytest.mark.parametrize("key", [0, 1234567, 2**63 + 11, 2**64 - 1])
+    def test_hash_is_splitmix64(self, key):
+        # the state runs through key + k * gamma, so output c of ``key`` is
+        # the first output of key + c * gamma
+        far = [2**32 - 1, 2**32, 2**32 + 3, 2**40 + 7, 2**62 - 1, 2**64 - 2]
+        want = splitmix64_reference(key, 40) + [
+            splitmix64_reference((key + c * SPLITMIX_GAMMA) % 2**64, 1)[0]
+            for c in far]
+        keys = np.full(40 + len(far), key, dtype=np.uint64)
+        counters = np.array(list(range(40)) + far, dtype=np.uint64)
+        assert engine._splitmix64(keys, counters).tolist() == want
+        assert engine._uniform(keys, counters).tolist() == [
+            ((w >> 11) + 1) * 2.0**-53 for w in want]
+
+    def test_censored_path_is_numpys_normal_sequence(self):
+        # a max_steps-censored sample stands where numpy's own normals put
+        # it: two per step, summed from the start one step at a time
+        params = SimParams(master_seed=46, max_steps=700)
+        ss = run_batch(HalfPlane(), (0.0, 1.0), 100, params)
+        picked = np.flatnonzero(ss.censor)[:3]
+        assert picked.size == 3 and (ss.steps[picked] == 700).all()
+        for i in picked.tolist():
+            normals = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((46, i)))).standard_normal((700, 2))
+            steps = math.sqrt(ss.params.step_h) * normals
+            path = np.cumsum(np.vstack([[0.0, 1.0], steps]), axis=0)
+            assert (ss.u[i], ss.v[i]) == tuple(path[-1].tolist())
+
+    @pytest.mark.parametrize("case", ["half-plane-time-cap", "uniform-comb",
+                                      "explicit-comb"])
+    def test_block_schedule_only_regroups(self, case, monkeypatch):
+        # the half-plane, dynamic comb slots and static slots with S > 1
+        domain, start, _, kw = GUARD_CASES[case]
+        reference = column_digest(run_batch(domain, start, 300, SimParams(**kw)))
+        for block_start, block_cap, lane_steps in ((3, 40, 700), (256, 256, 1 << 17)):
+            monkeypatch.setattr(engine, "_BLOCK_START", block_start)
+            monkeypatch.setattr(engine, "_BLOCK_CAP", block_cap)
+            monkeypatch.setattr(engine, "_LANE_STEPS", lane_steps)
+            assert column_digest(run_batch(domain, start, 300,
+                                           SimParams(**kw))) == reference
+
+
 CSV_CASES = {
     "wos-strip": (VerticalStrip(-1.0, 1.0), (0.0, 0.0), 500,
                   dict(engine="WosTime", master_seed=51)),
@@ -561,7 +640,7 @@ CSV_DIGESTS = {
     "wos-strip":
         "50f073cc01550de480f054c2d3857c4d72388351acf8634c662f90ea61605bc3",
     "euler-uniform-comb":
-        "997387e6f48639b131aedbbf82ae7aac8716fbb2a663f3317f503c6a909f4756",
+        "6476287315d4ed57608a1b001cd4578d4f94776edfe99df3633630cf787ec4fb",
 }
 
 
@@ -636,6 +715,20 @@ class TestValidation:
             run_batch(VerticalStrip(-1.0, 1.0), (1.5, 0.0), 10, SimParams())
         with pytest.raises(ValueError, match="inside"):
             simulate_exit(Rectangle(1.0, 1.0), (0.0, 2.0), SimParams())
+
+    @pytest.mark.parametrize("domain, start", [
+        (HalfPlane(), (math.nan, 1.0)),
+        (HalfPlane(), (0.0, math.inf)),
+        (VerticalStrip(-1.0, 1.0), (0.5, math.nan)),
+        (UNIFORM_COMB, (0.5, math.nan)),
+    ], ids=["half-plane-nan", "half-plane-inf", "strip-nan", "comb-nan"])
+    @pytest.mark.parametrize("engine_name", ["EulerBridge", "WosTime"])
+    def test_non_finite_start(self, domain, start, engine_name):
+        params = SimParams(engine=engine_name, time_cap=100.0)
+        with pytest.raises(ValueError, match="start point .* is not finite"):
+            run_batch(domain, start, 1_000, params)
+        with pytest.raises(ValueError, match="start point .* is not finite"):
+            simulate_exit(domain, start, params)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="at least 1"):
