@@ -49,6 +49,10 @@ Rows:
   ``import combexit.cli``, including any import it triggers;
 * ``rectangle_distance_us``: ``lines.distance`` of 4096 points inside the
   rectangle (-2, 2) x (-1, 1);
+* ``theta0_us``: one ``theta0(1.0)``, the mean over 20,000 calls;
+* ``check_ms``: one ``check_theorem1`` at p = 2 of the uniform comb (gaps
+  and teeth 1, window radius 40), built beforehand, the mean over 2000
+  calls;
 * ``import_cli_s``: ``import combexit.cli``;
 * ``replay_ms``: one ``simulate_exit`` of a strip WosTime sample, the mean
   over indices 0-199 (disk-law table built beforehand), which pays the
@@ -211,6 +215,22 @@ def _rectangle_distance() -> dict:
     return {"value": _per_call(lambda: lines.distance(u, v), 2000) * 1e6}
 
 
+def _theta0() -> dict:
+    from combexit.series import theta0
+
+    theta0(1.0)
+    return {"value": _per_call(lambda: theta0(1.0), 20_000) * 1e6}
+
+
+def _check() -> dict:
+    from combexit.checker import check_theorem1
+    from combexit.geometry import CombSpec, UniformGaps, build_comb
+
+    comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=40))
+    check_theorem1(comb, 2.0)
+    return {"value": _per_call(lambda: check_theorem1(comb, 2.0), 2000) * 1e3}
+
+
 def _import_cli() -> dict:
     t0 = time.perf_counter()
     import combexit.cli  # noqa: F401
@@ -331,6 +351,8 @@ ROWS = {
     "disk_law_first_s": ("s", _disk_law_first),
     "strip_moment_first_ms": ("ms", _strip_moment_first),
     "rectangle_distance_us": ("us", _rectangle_distance),
+    "theta0_us": ("us", _theta0),
+    "check_ms": ("ms", _check),
     "import_cli_s": ("s", _import_cli),
     "replay_ms": ("ms", _replay),
     "strip_wos_run_batch_s": ("s", _strip_wos),

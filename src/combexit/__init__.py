@@ -12,7 +12,6 @@ from .checker import (
     INCONCLUSIVE,
     GrowthClass,
     Verdict,
-    WindowPolicy,
     check_refined_unit,
     check_theorem1,
     geometric_threshold,
@@ -55,7 +54,6 @@ from .geometry import (
     symmetrize,
 )
 from .series import (
-    SeriesParams,
     Theta0Result,
     disk_survival,
     rect_exit_tb_prob,

@@ -42,6 +42,12 @@ The convergence test is stated with weights theta^(j/p) starting at j = 1
 while the numeric bound starts at j = 0 with maxima shifted by one; the two
 series converge together, and this module always reports the j = 0 form.
 
+A comb with no generative model (an explicit slit list) is extrapolated
+from its window: the largest ratio rho of M_{j+1}/M_j from index 1 on is
+taken to bound all later growth, and certification demands
+rho * theta0^(1/p) <= 0.95, a margin of 0.05 so that one noisy ratio near
+the boundary cannot flip the verdict.
+
 A verdict is never "infinite": the condition is sufficient only, so the
 negative outcome is Inconclusive.
 """
@@ -65,7 +71,6 @@ from .series import theta0
 
 __all__ = [
     "GrowthClass",
-    "WindowPolicy",
     "Verdict",
     "growth_class_of",
     "geometric_threshold",
@@ -77,6 +82,11 @@ FINITE_CERTIFIED = "FiniteCertified"
 INCONCLUSIVE = "Inconclusive"
 
 _KINDS = ("bounded", "polynomial", "geometric", "window")
+
+# Window extrapolation: ratios M_{j+1}/M_j are read from this index on, and
+# the extrapolated term weight must stay this far below 1.
+_WINDOW_START = 1
+_WINDOW_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -108,26 +118,6 @@ class GrowthClass:
         if self.kind == "polynomial":
             return f"polynomial(degree={self.degree:g})"
         return self.kind
-
-
-@dataclass(frozen=True)
-class WindowPolicy:
-    """How a bare window table is extrapolated beyond its last index.
-
-    Ratios M_{j+1}/M_j are inspected for j >= start_index; their maximum rho
-    is taken as a bound on all future growth, and certification additionally
-    demands rho * theta0^(1/p) <= 1 - margin so that a single noisy ratio
-    near the boundary cannot flip the verdict.
-    """
-
-    start_index: int = 1
-    margin: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.start_index < 1:
-            raise ValueError("start_index counts passages and must be >= 1")
-        if not (0.0 < self.margin < 1.0):
-            raise ValueError("margin must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -174,15 +164,13 @@ def check_theorem1(
     comb: CombDomain,
     p: float,
     growth_class: GrowthClass | None = None,
-    *,
-    policy: WindowPolicy | None = None,
 ) -> Verdict:
     """Certify E[tau^p] < infinity from the comb's aspect ratio.
 
     One-sided combs are symmetrized first: the one-sided domain is contained
     in its symmetrization, so any certified bound transfers.
     """
-    comb, p, growth, policy, note = _common_setup(comb, p, growth_class, policy)
+    comb, p, growth, note = _common_setup(comb, p, growth_class)
     if math.isinf(comb.ell):
         return Verdict(
             status=INCONCLUSIVE,
@@ -199,15 +187,13 @@ def check_theorem1(
         )
     res = theta0(comb.ell)
     note += f"theta0({comb.ell:g})={res.theta0:.12g}; "
-    return _certify(comb, p, res.theta0, growth, policy, note)
+    return _certify(comb, p, res.theta0, growth, note)
 
 
 def check_refined_unit(
     comb: CombDomain,
     p: float,
     growth_class: GrowthClass | None = None,
-    *,
-    policy: WindowPolicy | None = None,
 ) -> Verdict:
     """Certify with the universal factor 3/4, valid for unit-height slits
     separated by gaps of at least 1."""
@@ -218,12 +204,12 @@ def check_refined_unit(
             "refined proposition inapplicable: needs all heights exactly 1 "
             "and every gap at least 1"
         )
-    comb, p, growth, policy, note = _common_setup(comb, p, growth_class, policy)
+    comb, p, growth, note = _common_setup(comb, p, growth_class)
     note += "universal per-passage factor 3/4 for unit heights and gaps >= 1; "
-    return _certify(comb, p, 0.75, growth, policy, note)
+    return _certify(comb, p, 0.75, growth, note)
 
 
-def _common_setup(comb, p, growth_class, policy):
+def _common_setup(comb, p, growth_class):
     if comb.kind != "comb":
         raise TypeError("a comb domain is required")
     if not (p > 0) or not math.isfinite(p):
@@ -235,10 +221,10 @@ def _common_setup(comb, p, growth_class, policy):
     if len(comb.prefix_max) == 0:
         raise ValueError("empty window: the comb has no gaps to bound passages with")
     growth = growth_class or growth_class_of(comb)
-    return comb, float(p), growth, policy or WindowPolicy(), note
+    return comb, float(p), growth, note
 
 
-def _certify(comb, p, theta, growth, policy, note) -> Verdict:
+def _certify(comb, p, theta, growth, note) -> Verdict:
     q = theta ** (1.0 / p)
     maxima = comb.prefix_max
     if q >= 1.0:
@@ -291,30 +277,30 @@ def _certify(comb, p, theta, growth, policy, note) -> Verdict:
 
     # bare window table
     j_total = len(maxima)
-    if j_total < policy.start_index + 1:
+    if j_total < _WINDOW_START + 1:
         return _inconclusive(
             p, theta, growth,
             note + (
                 f"window of {j_total} passage maxima is too short to observe "
-                f"growth ratios from index {policy.start_index}"
+                f"growth ratios from index {_WINDOW_START}"
             ),
         )
-    ratios = maxima[policy.start_index:] / maxima[policy.start_index - 1 : -1]
+    ratios = maxima[_WINDOW_START:] / maxima[_WINDOW_START - 1 : -1]
     rho = float(np.max(ratios))
-    if q * rho > 1.0 - policy.margin:
+    if q * rho > 1.0 - _WINDOW_MARGIN:
         return _inconclusive(
             p, theta, growth,
             note + (
                 f"observed growth ratio {rho:.6g} gives weight {q * rho:.6g} "
-                f"above the certification cutoff {1.0 - policy.margin:g} "
-                f"(margin {policy.margin:g})"
+                f"above the certification cutoff {1.0 - _WINDOW_MARGIN:g} "
+                f"(margin {_WINDOW_MARGIN:g})"
             ),
         )
     bound = _window_partial(maxima, q) + maxima[-1] * q**j_total * rho / (1.0 - q * rho)
     reason = note + (
-        f"window ratios bounded by {rho:.6g} from index {policy.start_index}; "
+        f"window ratios bounded by {rho:.6g} from index {_WINDOW_START}; "
         f"tail extrapolated at that ratio with weight {q * rho:.6g} <= "
-        f"{1.0 - policy.margin:g}"
+        f"{1.0 - _WINDOW_MARGIN:g}"
     )
     return _certified(p, theta, bound, growth, reason)
 

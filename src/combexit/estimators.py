@@ -14,7 +14,8 @@ half-plane and is the calibration regime; for general combs the survival
 tail need not be regularly varying, so the estimate is a diagnostic, not a
 proof.  The Hill estimator treats capped values as right-censored: they
 enter the log-excess sum at the cap but not the exceedance count, the
-standard censored-Pareto likelihood correction.
+standard censored-Pareto likelihood correction.  The log-log regression
+always fits the quantile window (0.80, 0.99).
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ UNCERTAIN = "Uncertain"
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+# Quantile window of the log-log regression.
+_LOGLOG_WINDOW = (0.80, 0.99)
+
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -67,10 +71,10 @@ class TailDiagnostic:
     """Estimated survival-tail exponent H with a 95% band.
 
     ``method`` is "hill" (top-k order statistics, ``k`` set) or "loglog"
-    (least-squares slope of log-survival over a quantile window,
-    ``fit_range`` set).  ``n_effective`` counts the observations that
-    actually inform the estimate: uncensored exceedances for Hill, samples
-    inside the fit window for the regression.
+    (least-squares slope of log-survival over the quantile window
+    ``fit_range``, always (0.80, 0.99)).  ``n_effective`` counts the
+    observations that actually inform the estimate: uncensored exceedances
+    for Hill, samples inside the fit window for the regression.
     """
 
     H_hat: float
@@ -187,11 +191,8 @@ def _hill(taus: np.ndarray, cen: np.ndarray, k: int | None) -> TailDiagnostic:
                           k=int(k), fit_range=None, n_effective=n_unc)
 
 
-def _loglog(taus: np.ndarray, cap: float,
-            fit_range: tuple[float, float]) -> TailDiagnostic:
-    q_lo, q_hi = fit_range
-    if not 0.0 < q_lo < q_hi < 1.0:
-        raise ValueError("fit_range quantiles must satisfy 0 < lo < hi < 1")
+def _loglog(taus: np.ndarray, cap: float) -> TailDiagnostic:
+    q_lo, q_hi = _LOGLOG_WINDOW
     levels = np.linspace(q_lo, q_hi, 25)
     t_pts = np.quantile(taus, levels)
     keep = (t_pts > 0.0) & (t_pts < cap)
@@ -211,15 +212,15 @@ def _loglog(taus: np.ndarray, cap: float,
                           fit_range=(float(q_lo), float(q_hi)), n_effective=n_eff)
 
 
-def tail_index(samples: SampleSet, method: str = "hill", k: int | None = None,
-               fit_range: tuple[float, float] = (0.80, 0.99)) -> TailDiagnostic:
+def tail_index(samples: SampleSet, method: str = "hill",
+               k: int | None = None) -> TailDiagnostic:
     """Estimate the survival-tail exponent of the exit time.
 
     "hill": maximum-likelihood slope of the top-k log excesses, with capped
     values treated as right-censored.  "loglog": ordinary least squares on
-    log-survival versus log-t across a mid-quantile window (error bars are
-    the naive regression ones and ignore dependence between points; prefer
-    Hill when both apply).
+    log-survival versus log-t at 25 quantile levels across the window
+    (0.80, 0.99) (error bars are the naive regression ones and ignore
+    dependence between points; prefer Hill when both apply).
 
     Hill carries a second-order bias that its 95% interval does not cover.
     On the quarter-plane wedge, whose exponent is exactly H = 2, WosTime
@@ -234,7 +235,7 @@ def tail_index(samples: SampleSet, method: str = "hill", k: int | None = None,
     if method == "hill":
         return _hill(taus, cen, k)
     if method == "loglog":
-        return _loglog(taus, cap, fit_range)
+        return _loglog(taus, cap)
     raise ValueError(f"method must be 'hill' or 'loglog', got {method!r}")
 
 

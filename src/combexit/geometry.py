@@ -21,7 +21,14 @@ half-plane edge are segments, wedge sides are rays).  Both samplers read
 that description: EulerBridge tests bridge crossings of the lines, and
 WosTime takes its jump radius from ``distance`` and its exit point from
 ``nearest``.  ``contains`` stays per class, because it validates start
-points with the domain's own exact comparisons.
+points with the domain's own exact comparisons; a point with a non-finite
+coordinate lies in no domain.
+
+Each generator and each domain other than the comb states its validity
+once, in ``__post_init__``: every field must be finite and the values in
+range, however the object was built.  The checks do not convert values, so
+a domain built from ints keeps its own fingerprint.  Its dataclass fields
+are its config keys, and its ``kind`` names it in a config.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -62,12 +69,29 @@ __all__ = [
 # generators
 
 
+def _validate(obj, in_range: bool, message: str) -> None:
+    """Raise ValueError naming the first non-finite field of ``obj``, or
+    with ``message`` if ``in_range`` is false."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{obj.kind} field {f.name!r} must be finite, "
+                             f"got {value!r}")
+    if not in_range:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class UniformGaps:
     """Abscissas x_n = spacing * n, constant slit height."""
 
+    kind: ClassVar[str] = "uniform"
     spacing: float
     height: float
+
+    def __post_init__(self) -> None:
+        _validate(self, self.spacing > 0 and self.height > 0,
+                  "uniform generator needs spacing > 0 and height > 0")
 
     def abscissa(self, n: int) -> float:
         return self.spacing * n
@@ -77,9 +101,14 @@ class UniformGaps:
 class PolynomialGaps:
     """Abscissas x_n = sign(n) * coefficient * |n|**degree, constant height."""
 
+    kind: ClassVar[str] = "polynomial"
     degree: float
     coefficient: float
     height: float
+
+    def __post_init__(self) -> None:
+        _validate(self, self.degree >= 0 and self.coefficient > 0 and self.height > 0,
+                  "polynomial generator needs degree >= 0, coefficient > 0, height > 0")
 
     def abscissa(self, n: int) -> float:
         return math.copysign(self.coefficient * abs(n) ** self.degree, n) if n else 0.0
@@ -93,8 +122,13 @@ class GeometricGaps:
     gap sequence is geometric with the declared ratio.
     """
 
+    kind: ClassVar[str] = "geometric"
     ratio: float
     height: float
+
+    def __post_init__(self) -> None:
+        _validate(self, self.ratio > 1 and self.height > 0,
+                  "geometric generator needs ratio > 1 and height > 0")
 
     def abscissa(self, n: int) -> float:
         return math.copysign(self.ratio ** abs(n) - 1.0, n) if n else 0.0
@@ -102,8 +136,10 @@ class GeometricGaps:
 
 @dataclass(frozen=True)
 class ExplicitSlits:
-    """A finite, exact list of (abscissa, height) pairs."""
+    """A finite, exact list of (abscissa, height) pairs, validated when the
+    comb is built."""
 
+    kind: ClassVar[str] = "explicit"
     slits: tuple[tuple[float, float], ...]
 
 
@@ -283,6 +319,7 @@ class BoundaryLines:
 
 @dataclass(frozen=True, eq=False)
 class CombDomain:
+    kind: ClassVar[str] = "comb"
     spec: CombSpec
     xs: np.ndarray            # sorted abscissas, length 2J+1 (two-sided) or J+1
     bs: np.ndarray            # declared heights, aligned with xs
@@ -292,34 +329,12 @@ class CombDomain:
     min_gap: float
     prefix_max: np.ndarray    # M_j = max over gap labels |n| <= j of a_n^2, j = 1..J
     ell: float                # aspect ratio; closed-form sup when the generator allows
-    ell_is_window_only: bool  # True when ell could only be evaluated over the window
     truncated: bool           # True for parametric generators (finite window of an
                               # infinite comb); escape past the outer slits is an error
 
     @property
-    def kind(self) -> str:
-        return "comb"
-
-    @property
     def n_lines(self) -> int:
         return len(self.xs)
-
-    def center_index(self) -> int:
-        return 0 if self.one_sided else self.window_radius
-
-    def gap(self, label: int) -> float:
-        """Gap by mirrored label: a_{+n} = x_n - x_{n-1}, a_{-n} = x_{-n+1} - x_{-n}."""
-        J = self.window_radius
-        if label == 0 or abs(label) > J:
-            raise ValueError(f"gap label must have 1 <= |n| <= {J}, got {label}")
-        if self.one_sided:
-            if label < 0:
-                raise ValueError("one-sided comb has no negative gap labels")
-            return float(self.xs[label] - self.xs[label - 1])
-        c = self.center_index()
-        if label > 0:
-            return float(self.xs[c + label] - self.xs[c + label - 1])
-        return float(self.xs[c + label + 1] - self.xs[c + label])
 
     def scale(self) -> float:
         # Single-line combs have no gap; the slit half-height is then the
@@ -335,7 +350,7 @@ class CombDomain:
 
     def contains(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
-        inside = self.lines.distance(u, v) > 0.0
+        inside = (self.lines.distance(u, v) > 0.0) & _finite(u, v)
         if self.one_sided:
             inside = inside & (u > self.xs[0])
         return inside
@@ -345,12 +360,13 @@ class CombDomain:
 class Rectangle:
     """K^b_{-a,a}: the open box (-a, a) x (-b, b)."""
 
+    kind: ClassVar[str] = "rectangle"
     half_width: float
     half_height: float
 
-    @property
-    def kind(self) -> str:
-        return "rectangle"
+    def __post_init__(self) -> None:
+        _validate(self, self.half_width > 0 and self.half_height > 0,
+                  "rectangle needs positive half sizes")
 
     def scale(self) -> float:
         return min(self.half_width, self.half_height)
@@ -374,12 +390,12 @@ class Rectangle:
 class VerticalStrip:
     """S_{c,d}: the open strip c < Re z < d."""
 
+    kind: ClassVar[str] = "vertical_strip"
     left: float
     right: float
 
-    @property
-    def kind(self) -> str:
-        return "vertical_strip"
+    def __post_init__(self) -> None:
+        _validate(self, self.left < self.right, "vertical strip needs left < right")
 
     def scale(self) -> float:
         return (self.right - self.left) / 2.0
@@ -390,18 +406,19 @@ class VerticalStrip:
 
     def contains(self, u, v):
         u = np.asarray(u, float)
-        return (u > self.left) & (u < self.right)
+        return (u > self.left) & (u < self.right) & _finite(u, v)
 
 
 @dataclass(frozen=True)
 class Wedge:
     """W_alpha = {0 < arg z < alpha}, apex at the origin."""
 
+    kind: ClassVar[str] = "wedge"
     angle: float
 
-    @property
-    def kind(self) -> str:
-        return "wedge"
+    def __post_init__(self) -> None:
+        _validate(self, 0.0 < self.angle < 2.0 * math.pi,
+                  "wedge angle must be in (0, 2*pi)")
 
     def scale(self) -> float:
         return 1.0
@@ -423,16 +440,14 @@ class Wedge:
         theta = np.arctan2(v, u)
         theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
         r = np.hypot(u, v)
-        return (r > 0.0) & (theta > 0.0) & (theta < self.angle)
+        return (r > 0.0) & (theta > 0.0) & (theta < self.angle) & _finite(u, v)
 
 
 @dataclass(frozen=True)
 class HalfPlane:
     """The open upper half plane Im z > 0."""
 
-    @property
-    def kind(self) -> str:
-        return "half_plane"
+    kind: ClassVar[str] = "half_plane"
 
     def scale(self) -> float:
         return 1.0
@@ -443,7 +458,11 @@ class HalfPlane:
             _RULE_SEGMENT, [(0.0, 1.0, 0.0, 1.0, 0.0, np.inf)], convex=True)
 
     def contains(self, u, v):
-        return np.asarray(v, float) > 0.0
+        return (np.asarray(v, float) > 0.0) & _finite(u, v)
+
+
+def _finite(u, v) -> np.ndarray:
+    return np.isfinite(u) & np.isfinite(v)
 
 
 SimDomain = Union[CombDomain, Rectangle, VerticalStrip, Wedge, HalfPlane]
@@ -483,7 +502,7 @@ def build_comb(spec: CombSpec) -> CombDomain:
     phys_gaps = np.diff(xs)
     min_gap = float(phys_gaps.min()) if phys_gaps.size else math.inf
     prefix_max = _prefix_max(phys_gaps, J, spec.one_sided)
-    ell, window_only = _aspect_ratio(gen, xs, bs, spec.one_sided)
+    ell = _aspect_ratio(gen, xs, bs, spec.one_sided)
 
     return CombDomain(
         spec=spec,
@@ -495,7 +514,6 @@ def build_comb(spec: CombSpec) -> CombDomain:
         min_gap=min_gap,
         prefix_max=prefix_max,
         ell=ell,
-        ell_is_window_only=window_only,
         truncated=truncated,
     )
 
@@ -506,15 +524,6 @@ def _materialize_parametric(gen, spec: CombSpec):
         raise ValueError("window_radius is required for parametric generators")
     if J < 1:
         raise ValueError("window_radius must be >= 1")
-    if isinstance(gen, UniformGaps):
-        if gen.spacing <= 0 or gen.height <= 0:
-            raise ValueError("uniform generator needs spacing > 0 and height > 0")
-    elif isinstance(gen, PolynomialGaps):
-        if gen.degree < 0 or gen.coefficient <= 0 or gen.height <= 0:
-            raise ValueError("polynomial generator needs degree >= 0, coefficient > 0, height > 0")
-    elif isinstance(gen, GeometricGaps):
-        if gen.ratio <= 1 or gen.height <= 0:
-            raise ValueError("geometric generator needs ratio > 1 and height > 0")
     ns = range(0, J + 1) if spec.one_sided else range(-J, J + 1)
     xs = np.array([gen.abscissa(n) for n in ns], dtype=float)
     bs = np.full(xs.shape, float(gen.height))
@@ -573,8 +582,8 @@ def _window_aspect_ratio(xs: np.ndarray, bs: np.ndarray) -> float:
     return float(np.max(num / den))
 
 
-def _aspect_ratio(gen, xs, bs, one_sided: bool):
-    """(ell, window_only).  Closed-form sup for parametric generators.
+def _aspect_ratio(gen, xs, bs, one_sided: bool) -> float:
+    """The aspect ratio ell.  Closed-form sup for parametric generators.
 
     For uniform, geometric, and polynomial generators with degree >= 1 the
     ratio is maximized at the innermost gaps, so the sup over the infinite
@@ -590,14 +599,14 @@ def _aspect_ratio(gen, xs, bs, one_sided: bool):
         mirror_xs, mirror_bs = xs, bs
 
     if isinstance(gen, UniformGaps):
-        return gen.height / gen.spacing, False
+        return gen.height / gen.spacing
     if isinstance(gen, GeometricGaps):
-        return gen.height / (gen.ratio - 1.0), False
+        return gen.height / (gen.ratio - 1.0)
     if isinstance(gen, PolynomialGaps):
         if gen.degree >= 1.0:
-            return gen.height / gen.coefficient, False
-        return math.inf, False
-    return _window_aspect_ratio(mirror_xs, mirror_bs), True
+            return gen.height / gen.coefficient
+        return math.inf
+    return _window_aspect_ratio(mirror_xs, mirror_bs)
 
 
 def symmetrize(comb: CombDomain) -> CombDomain:
@@ -620,19 +629,27 @@ def symmetrize(comb: CombDomain) -> CombDomain:
 # JSON configs
 
 
+_GENERATORS = {cls.kind: cls for cls in
+               (UniformGaps, PolynomialGaps, GeometricGaps, ExplicitSlits)}
+_SHAPES = {cls.kind: cls for cls in (Rectangle, VerticalStrip, Wedge, HalfPlane)}
+
+
+def _class_for(table: dict, kind, what: str):
+    if isinstance(kind, str) and kind in table:
+        return table[kind]
+    raise ValueError(f"unknown {what} {kind!r}")
+
+
+def _from_fields(cls, cfg: dict):
+    """An instance of ``cls`` whose every field is read from ``cfg`` as a float."""
+    return cls(**{f.name: float(cfg[f.name]) for f in fields(cls)})
+
+
 def comb_spec_to_config(spec: CombSpec) -> dict:
     gen = spec.generator
-    if isinstance(gen, UniformGaps):
-        g = {"kind": "uniform", "spacing": gen.spacing, "height": gen.height}
-    elif isinstance(gen, PolynomialGaps):
-        g = {"kind": "polynomial", "degree": gen.degree,
-             "coefficient": gen.coefficient, "height": gen.height}
-    elif isinstance(gen, GeometricGaps):
-        g = {"kind": "geometric", "ratio": gen.ratio, "height": gen.height}
-    elif isinstance(gen, ExplicitSlits):
-        g = {"kind": "explicit", "slits": [[x, b] for x, b in gen.slits]}
-    else:  # pragma: no cover
-        raise TypeError(f"unknown generator {gen!r}")
+    g = {"kind": gen.kind, **asdict(gen)}
+    if isinstance(gen, ExplicitSlits):
+        g["slits"] = [[x, b] for x, b in gen.slits]
     cfg = {"generator": g, "one_sided": spec.one_sided}
     if spec.window_radius is not None:
         cfg["window_radius"] = spec.window_radius
@@ -642,21 +659,16 @@ def comb_spec_to_config(spec: CombSpec) -> dict:
 def comb_spec_from_config(cfg: dict) -> CombSpec:
     try:
         g = cfg["generator"]
-        kind = g["kind"]
-        if kind == "uniform":
-            gen = UniformGaps(float(g["spacing"]), float(g["height"]))
-        elif kind == "polynomial":
-            gen = PolynomialGaps(float(g["degree"]), float(g["coefficient"]),
-                                 float(g["height"]))
-        elif kind == "geometric":
-            gen = GeometricGaps(float(g["ratio"]), float(g["height"]))
-        elif kind == "explicit":
+        cls = _class_for(_GENERATORS, g["kind"], "generator kind")
+        if cls is ExplicitSlits:
             gen = ExplicitSlits(tuple((float(x), float(b)) for x, b in g["slits"]))
         else:
-            raise ValueError(f"unknown generator kind {kind!r}")
+            gen = _from_fields(cls, g)
     except KeyError as exc:
         raise ValueError(f"comb spec missing field {exc.args[0]!r}") from None
     wr = cfg.get("window_radius")
+    if wr is not None and not math.isfinite(float(wr)):
+        raise ValueError(f"comb spec field 'window_radius' must be finite, got {wr!r}")
     return CombSpec(gen, window_radius=None if wr is None else int(wr),
                     one_sided=bool(cfg.get("one_sided", False)))
 
@@ -664,15 +676,8 @@ def comb_spec_from_config(cfg: dict) -> CombSpec:
 def domain_to_config(domain: SimDomain) -> dict:
     if isinstance(domain, CombDomain):
         return {"type": "comb", "spec": comb_spec_to_config(domain.spec)}
-    if isinstance(domain, Rectangle):
-        return {"type": "rectangle", "half_width": domain.half_width,
-                "half_height": domain.half_height}
-    if isinstance(domain, VerticalStrip):
-        return {"type": "vertical_strip", "left": domain.left, "right": domain.right}
-    if isinstance(domain, Wedge):
-        return {"type": "wedge", "angle": domain.angle}
-    if isinstance(domain, HalfPlane):
-        return {"type": "half_plane"}
+    if type(domain) in _SHAPES.values():
+        return {"type": domain.kind, **asdict(domain)}
     raise TypeError(f"unknown domain {domain!r}")
 
 
@@ -682,26 +687,9 @@ def domain_from_config(cfg: dict) -> SimDomain:
         kind = cfg["type"]
         if kind == "comb":
             return build_comb(comb_spec_from_config(cfg["spec"]))
-        if kind == "rectangle":
-            dom = Rectangle(float(cfg["half_width"]), float(cfg["half_height"]))
-            if dom.half_width <= 0 or dom.half_height <= 0:
-                raise ValueError("rectangle needs positive half sizes")
-            return dom
-        if kind == "vertical_strip":
-            dom = VerticalStrip(float(cfg["left"]), float(cfg["right"]))
-            if dom.left >= dom.right:
-                raise ValueError("vertical strip needs left < right")
-            return dom
-        if kind == "wedge":
-            dom = Wedge(float(cfg["angle"]))
-            if not 0.0 < dom.angle < 2.0 * math.pi:
-                raise ValueError("wedge angle must be in (0, 2*pi)")
-            return dom
-        if kind == "half_plane":
-            return HalfPlane()
+        return _from_fields(_class_for(_SHAPES, kind, "domain type"), cfg)
     except KeyError as exc:
         raise ValueError(f"domain config missing field {exc.args[0]!r}") from None
-    raise ValueError(f"unknown domain type {kind!r}")
 
 
 def domain_fingerprint(domain: SimDomain) -> str:

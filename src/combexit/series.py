@@ -17,10 +17,12 @@ Four families of deterministic evaluations live here:
   draws exactly what scipy's interpolant would give.
 
 No module of the package imports scipy; the tests use it to rebuild the
-shipped constants and as an independent oracle.  The rectangle series
-alternates with a certified remainder bound, and the beta series is
-accelerated with a truncation error far below rounding.  Everything is
-pure: same inputs, same bits.
+shipped constants and as an independent oracle.  The numerics are fixed:
+the rectangle series alternates with a certified remainder bound below
+1e-12, which it reaches in at most 10 terms; the beta series is
+accelerated with a truncation error far below rounding; the disk law is
+tabulated on at least 4096 knots up to the CDF value 0.999 from the
+96-mode eigenfunction series.  Everything is pure: same inputs, same bits.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SeriesParams",
     "Theta0Result",
-    "DEFAULT_SERIES_PARAMS",
     "rect_exit_tb_prob",
     "theta0",
     "strip_moment",
@@ -45,26 +45,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Truncation budget shared by the series evaluators.
-
-    ``truncation_terms`` is a hard cap; evaluators pick the smallest count
-    that certifies ``abs_tolerance`` and raise if the cap is too small for
-    the requested accuracy.
-    """
-
-    truncation_terms: int = 2048
-    abs_tolerance: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.truncation_terms < 1:
-            raise ValueError("truncation_terms must be a positive integer")
-        if not (self.abs_tolerance > 0) or not math.isfinite(self.abs_tolerance):
-            raise ValueError("abs_tolerance must be a positive real")
-
-
-DEFAULT_SERIES_PARAMS = SeriesParams()
+# Certified absolute accuracy of the rectangle series.
+_RECT_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,66 +71,58 @@ def _sech(x: np.ndarray) -> np.ndarray:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _rect_series(a: float, b: float, params: SeriesParams) -> tuple[float, float]:
+def _rect_series(a: float, b: float) -> tuple[float, float]:
     """Direct series for the top/bottom exit probability, orientation a >= b.
 
     Terms alternate with strictly decreasing magnitude, so the remainder
     after K terms is at most (4/pi) * |term_K|, itself below
-    (8/pi) * exp(-x_K) / (2K+1).
+    (8/pi) * exp(-x_K) / (2K+1).  Summing K = ceil(L / (2 step) + 1/2)
+    terms, with L = ln(8 / (pi 1e-12)), puts the returned bound below
+    1e-12; as a >= b gives step >= pi/2, K is at most 10.
     """
     step = math.pi * a / (2.0 * b)
-    # smallest K with (8/pi) e^{-(2K+1) step} <= abs_tolerance, conservatively
-    need = math.log(8.0 / (math.pi * params.abs_tolerance)) / (2.0 * step)
+    need = math.log(8.0 / (math.pi * _RECT_TOLERANCE)) / (2.0 * step)
     terms = max(2, math.ceil(need + 0.5))
-    terms = min(terms, params.truncation_terms)
     k = np.arange(terms)
     x = (2 * k + 1) * step
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     total = float(np.sum(signs * _sech(x) / (2 * k + 1)))
     x_next = (2 * terms + 1) * step
     bound = (8.0 / math.pi) * math.exp(-x_next) / (2 * terms + 1)
-    if bound > params.abs_tolerance:
-        raise ValueError(
-            f"truncation_terms={params.truncation_terms} cannot reach "
-            f"abs_tolerance={params.abs_tolerance:g} at aspect ratio "
-            f"{b / a:g}; certified remainder is {bound:.3g}"
-        )
     return 1.0 - (4.0 / math.pi) * total, bound
 
 
-def _rect_tb_with_bound(a: float, b: float, params: SeriesParams) -> tuple[float, float]:
+def _rect_tb_with_bound(a: float, b: float) -> tuple[float, float]:
     # The defining series converges like exp(-pi*a/b); for the tall
     # orientation evaluate the rotated rectangle and use that the two side
     # pairs exhaust the boundary.
     if b <= a:
-        value, bound = _rect_series(a, b, params)
+        value, bound = _rect_series(a, b)
     else:
-        other, bound = _rect_series(b, a, params)
+        other, bound = _rect_series(b, a)
         value = 1.0 - other
     return min(max(value, 0.0), 1.0), bound
 
 
-def rect_exit_tb_prob(a: float, b: float, params: SeriesParams | None = None) -> float:
+def rect_exit_tb_prob(a: float, b: float) -> float:
     """Probability that Brownian motion from the center of (-a,a) x (-b,b)
-    exits through the top or bottom side."""
-    params = params or DEFAULT_SERIES_PARAMS
+    exits through the top or bottom side, to within 1e-12."""
     if not (a > 0 and b > 0) or not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("rectangle half-dimensions must be positive and finite")
-    value, _ = _rect_tb_with_bound(a, b, params)
+    value, _ = _rect_tb_with_bound(a, b)
     return value
 
 
-def theta0(ell: float, params: SeriesParams | None = None) -> Theta0Result:
+def theta0(ell: float) -> Theta0Result:
     """Survival factor of a single passage across a gap of aspect ratio ell.
 
     For ell beyond roughly 23 the top/bottom exit probability drops under one
     ulp of 1 and the factor rounds to exactly 1.0; downstream certification
     treats that as "no geometric decay", the conservative reading.
     """
-    params = params or DEFAULT_SERIES_PARAMS
     if not (ell > 0) or not math.isfinite(ell):
         raise ValueError("aspect ratio ell must be positive and finite")
-    p_tb, bound = _rect_tb_with_bound(1.0, ell, params)
+    p_tb, bound = _rect_tb_with_bound(1.0, ell)
     return Theta0Result(
         ell=float(ell),
         p_top_bottom=p_tb,
@@ -381,29 +355,21 @@ _J1_AT_ZEROS = np.array([
 ])
 
 
-def _disk_modes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 1 <= n_modes <= _J0_ZEROS.size:
-        raise ValueError(f"n_modes must be between 1 and {_J0_ZEROS.size}, "
-                         f"the number of shipped Bessel zeros; got {n_modes}")
-    zeros = _J0_ZEROS[:n_modes]
-    coeffs = 2.0 / (zeros * _J1_AT_ZEROS[:n_modes])
-    rates = 0.5 * zeros * zeros
-    return rates, coeffs
+# Decay rates j_k^2 / 2 and weights 2 / (j_k J1(j_k)) of the 96 modes.
+_DISK_RATES = 0.5 * _J0_ZEROS * _J0_ZEROS
+_DISK_COEFFS = 2.0 / (_J0_ZEROS * _J1_AT_ZEROS)
 
 
-def disk_survival(t, n_modes: int = 96):
+def disk_survival(t):
     """Survival function of the unit-disk exit time from the center.
 
     The eigenfunction series needs ~30 modes at t = 0.01 and fewer later;
-    the default mode count keeps full accuracy on t >= 0.01, which is all
-    the table builder evaluates (below that the CDF is under 1e-16).  The
-    series reads the 96 shipped Bessel zeros, so ``n_modes`` above 96 raises
-    ValueError.
+    its 96 modes keep full accuracy on t >= 0.01, which is all the table
+    builder evaluates (below that the CDF is under 1e-16).
     """
     scalar = np.ndim(t) == 0
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    rates, coeffs = _disk_modes(n_modes)
-    out = np.clip(np.exp(-np.outer(arr, rates)) @ coeffs, 0.0, 1.0)
+    out = np.clip(np.exp(-np.outer(arr, _DISK_RATES)) @ _DISK_COEFFS, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -548,43 +514,39 @@ class DiskLawTable:
         return out
 
 
-def build_disk_law(n_knots: int = 4096, u_cut: float = 0.999,
-                   n_modes: int = 96, t_lo: float = 0.01) -> DiskLawTable:
+# The disk-law table: at least this many knots, from t = _DISK_T_LO up to
+# the CDF value _DISK_U_CUT, past which the law is inverted analytically.
+_DISK_KNOTS = 4096
+_DISK_U_CUT = 0.999
+_DISK_T_LO = 0.01
+
+
+def build_disk_law() -> DiskLawTable:
     """Tabulate the inverse CDF of the unit-disk exit time and validate it.
 
-    Raises if the implied mean and second moment disagree with the exact
-    values beyond the resolution the knot count should deliver.
+    The table has at least 4096 knots (4285) on [0.01, t_cut], where the CDF
+    reaches 0.999.  Raises if the implied mean and second moment disagree
+    with the exact values beyond the resolution the knot count should
+    deliver.
     """
-    if n_knots < 16:
-        raise ValueError("table needs at least 16 knots")
-    if not (0.9 < u_cut < 1.0):
-        raise ValueError("u_cut must sit in the exponential tail, in (0.9, 1)")
-    rates, coeffs = _disk_modes(n_modes)
-    lam1, c1 = float(rates[0]), float(coeffs[0])
+    lam1, c1 = float(_DISK_RATES[0]), float(_DISK_COEFFS[0])
     log_c1 = math.log(c1)
-    t_cut = (log_c1 - math.log1p(-u_cut)) / lam1
+    t_cut = (log_c1 - math.log1p(-_DISK_U_CUT)) / lam1
     # CDF values below float resolution collapse into flats (and can even
     # wobble backwards by one ulp) near t_lo; knots there are dropped so the
     # interpolant is well posed. Events that tiny never occur at
-    # double-precision uniform granularity. Oversample until the kept count
-    # still meets the request.
-    n_raw = n_knots + max(64, n_knots // 8)
-    for _ in range(4):
-        t = np.geomspace(t_lo, t_cut, n_raw)
-        t[-1] = t_cut
-        u = 1.0 - disk_survival(t, n_modes)
-        running = np.maximum.accumulate(u)
-        keep = np.concatenate(([True], u[1:] > running[:-1]))
-        if int(keep.sum()) >= n_knots:
-            break
-        n_raw *= 2
+    # double-precision uniform granularity.  Oversampling by an eighth
+    # leaves 4285 of 4608 knots.
+    t = np.geomspace(_DISK_T_LO, t_cut, _DISK_KNOTS + _DISK_KNOTS // 8)
+    t[-1] = t_cut
+    u = 1.0 - disk_survival(t)
+    running = np.maximum.accumulate(u)
+    keep = np.concatenate(([True], u[1:] > running[:-1]))
     u, t = u[keep], t[keep]
-    if len(u) < n_knots:
-        raise RuntimeError("could not place the requested number of table knots")
     cubics = _pchip_cubics(u, t)
     guide, guide_knots = _guide(u)
 
-    eps = 1.0 - u_cut
+    eps = 1.0 - _DISK_U_CUT
     big_l = log_c1 - math.log(eps)
     tail_mean = eps * (big_l + 1.0) / lam1
     tail_second = eps * (big_l * big_l + 2.0 * big_l + 2.0) / (lam1 * lam1)

@@ -17,16 +17,19 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from combexit.series import DEFAULT_SERIES_PARAMS, SeriesParams
-
 _IMAGES_CROSSOVER = 0.1
 
+# Absolute accuracy the spectral series and the quadrature aim for, and the
+# spectral series' term cap.
+_ABS_TOLERANCE = 1e-12
+_MAX_TERMS = 2048
 
-def _strip_survival_spectral(t: np.ndarray, params: SeriesParams) -> np.ndarray:
+
+def _strip_survival_spectral(t: np.ndarray) -> np.ndarray:
     tmin = float(np.min(t))
-    target = math.log(4.0 / (math.pi * params.abs_tolerance))
+    target = math.log(4.0 / (math.pi * _ABS_TOLERANCE))
     need = math.sqrt(target * 8.0 / (math.pi**2 * tmin))
-    terms = min(params.truncation_terms, max(2, math.ceil((need - 1.0) / 2.0) + 1))
+    terms = min(_MAX_TERMS, max(2, math.ceil((need - 1.0) / 2.0) + 1))
     k = np.arange(terms)
     rates = (2 * k + 1) ** 2 * math.pi**2 / 8.0
     weights = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / (2 * k + 1)
@@ -47,9 +50,8 @@ def _strip_survival_images(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def strip_survival(t, params: SeriesParams | None = None):
+def strip_survival(t):
     """P(exit time of BM from (-1,1) started at 0 exceeds t). Vectorized."""
-    params = params or DEFAULT_SERIES_PARAMS
     scalar = np.ndim(t) == 0
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
@@ -57,7 +59,7 @@ def strip_survival(t, params: SeriesParams | None = None):
     out = np.empty_like(arr)
     late = arr >= _IMAGES_CROSSOVER
     if np.any(late):
-        out[late] = _strip_survival_spectral(arr[late], params)
+        out[late] = _strip_survival_spectral(arr[late])
     if not np.all(late):
         out[~late] = _strip_survival_images(arr[~late])
     out = np.clip(out, 0.0, 1.0)
@@ -84,13 +86,13 @@ def _interval_moment_exact(k: int) -> Fraction:
     return poly[0]
 
 
-def _strip_moment_quadrature(p: float, params: SeriesParams) -> float:
+def _strip_moment_quadrature(p: float) -> float:
     # E[tau^p] = int_0^inf p t^{p-1} S(t) dt; substituting t = s^{1/p} on the
     # head removes the endpoint singularity for p < 1
-    tol = max(params.abs_tolerance, 1e-13)
+    tol = max(_ABS_TOLERANCE, 1e-13)
 
     def surv(t: float) -> float:
-        return strip_survival(t, params)
+        return strip_survival(t)
 
     head, _ = quad(lambda s: surv(s ** (1.0 / p)), 0.0, 1.0,
                    epsabs=tol, epsrel=tol, limit=200)

@@ -9,7 +9,6 @@ from combexit.checker import (
     INCONCLUSIVE,
     GrowthClass,
     Verdict,
-    WindowPolicy,
     check_refined_unit,
     check_theorem1,
     geometric_threshold,
@@ -172,8 +171,6 @@ def test_window_policy_start_index():
                                one_sided=True))
     strict = check_theorem1(comb, 4.0)
     assert strict.status == INCONCLUSIVE
-    relaxed = check_theorem1(comb, 4.0, policy=WindowPolicy(start_index=2))
-    assert relaxed.status == FINITE_CERTIFIED
 
 
 def test_window_policy_margin():
@@ -186,8 +183,6 @@ def test_window_policy_margin():
     default = check_theorem1(comb, 1.0)
     assert default.status == INCONCLUSIVE
     assert "margin" in default.reason
-    loose = check_theorem1(comb, 1.0, policy=WindowPolicy(margin=0.01))
-    assert loose.status == FINITE_CERTIFIED
 
 
 def test_window_too_short():
@@ -241,10 +236,6 @@ def test_input_validation():
         GrowthClass("geometric")
     with pytest.raises(ValueError):
         GrowthClass("polynomial", degree=0.5)
-    with pytest.raises(ValueError):
-        WindowPolicy(start_index=0)
-    with pytest.raises(ValueError):
-        WindowPolicy(margin=1.5)
 
 
 def test_growth_class_inference():

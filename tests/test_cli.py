@@ -443,6 +443,26 @@ class TestExitCodes:
         assert "start point (nan, 1) is not finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("engine", ["EulerBridge", "WosTime"])
+    @pytest.mark.parametrize("walls,start,named", [
+        ("\"left\": -Infinity, \"right\": Infinity", "0,0", "'left'"),
+        ("\"left\": 0, \"right\": Infinity", "0.5,0", "'right'"),
+    ])
+    def test_non_finite_domain_parameter_is_a_usage_error(
+            self, tmp_path, capsys, engine, walls, start, named):
+        # json reads Infinity; the domain refuses it before any sampling
+        domain = tmp_path / "strip.json"
+        domain.write_text('{"type": "vertical_strip", ' + walls + "}\n",
+                          encoding="utf-8")
+        code = run_command(
+            ["simulate", "--domain", str(domain), "--start", start, "--n", "10",
+             "--engine", engine, "--out", str(tmp_path / "r.json")]
+        )
+        assert code == EXIT_USAGE
+        assert f"{named} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r-samples.csv").exists()
+
     def test_unknown_flag(self, capsys):
         assert run_command(["theta0", "--frequency", "1"]) == EXIT_USAGE
         capsys.readouterr()

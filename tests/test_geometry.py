@@ -19,6 +19,7 @@ from combexit.geometry import (
     comb_spec_from_config,
     comb_spec_to_config,
     domain_from_config,
+    domain_fingerprint,
     domain_to_config,
     symmetrize,
 )
@@ -42,8 +43,6 @@ def test_geometric_window_hand_values():
     # x_n = sign(n) (2^|n| - 1): gaps by mirrored label are 1, 2, 4
     comb = build_comb(CombSpec(GeometricGaps(2.0, 1.0), window_radius=3))
     assert np.array_equal(comb.xs, [-7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0])
-    for n, g in [(1, 1.0), (-1, 1.0), (2, 2.0), (-2, 2.0), (3, 4.0), (-3, 4.0)]:
-        assert comb.gap(n) == g
     assert np.array_equal(comb.prefix_max, [1.0, 4.0, 16.0])
     assert comb.ell == 1.0  # heights 1, innermost gaps 1
 
@@ -104,7 +103,7 @@ def test_symmetrize_restriction_roundtrip():
     one = build_comb(CombSpec(UniformGaps(0.5, 2.0), window_radius=4, one_sided=True))
     two = symmetrize(one)
     # restriction back to n >= 0 recovers the one-sided data
-    c = two.center_index()
+    c = two.window_radius
     assert np.array_equal(two.xs[c:], one.xs)
     assert np.array_equal(two.bs[c:], one.bs)
 
@@ -212,6 +211,53 @@ def test_wedge_contains_and_distance():
     assert dist(w, *p) == pytest.approx(math.sin(th), abs=1e-12)
 
 
+NON_FINITE_POINTS = [(bad, 0.5) for bad in (math.nan, math.inf, -math.inf)] + \
+    [(0.5, bad) for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("domain", [
+    HalfPlane(),
+    VerticalStrip(-1.0, 1.0),
+    Rectangle(1.0, 1.0),
+    Wedge(1.5 * math.pi),
+    build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3)),
+    build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3, one_sided=True)),
+], ids=["half-plane", "strip", "rectangle", "wedge", "comb", "one-sided-comb"])
+@pytest.mark.parametrize("point", NON_FINITE_POINTS, ids=repr)
+def test_contains_refuses_non_finite_points(domain, point):
+    u, v = point
+    assert not domain.contains(u, v)
+    assert not domain.contains(np.array([u]), np.array([v]))[0]
+    # the same point made finite is inside
+    assert domain.contains(np.nan_to_num(u, posinf=0.5, neginf=0.5, nan=0.5),
+                           np.nan_to_num(v, posinf=0.5, neginf=0.5, nan=0.5))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: Rectangle(-1, 1), "positive half sizes"),
+    (lambda: Rectangle(1.0, math.nan), "'half_height' must be finite"),
+    (lambda: VerticalStrip(-math.inf, math.inf), "'left' must be finite"),
+    (lambda: VerticalStrip(0.0, math.inf), "'right' must be finite"),
+    (lambda: VerticalStrip(1, 1), "left < right"),
+    (lambda: Wedge(math.inf), "'angle' must be finite"),
+    (lambda: Wedge(0.0), "angle"),
+    (lambda: UniformGaps(1.0, math.inf), "'height' must be finite"),
+    (lambda: PolynomialGaps(math.nan, 1.0, 1.0), "'degree' must be finite"),
+    (lambda: PolynomialGaps(1.0, 0.0, 1.0), "coefficient > 0"),
+    (lambda: GeometricGaps(math.inf, 1.0), "'ratio' must be finite"),
+])
+def test_directly_built_domains_are_validated(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_non_finite_window_radius_is_refused():
+    cfg = comb_spec_to_config(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
+    cfg["window_radius"] = math.inf
+    with pytest.raises(ValueError, match="'window_radius' must be finite"):
+        comb_spec_from_config(cfg)
+
+
 def test_config_roundtrip():
     specs = [
         CombSpec(UniformGaps(1.0, 2.0), window_radius=4),
@@ -263,4 +309,43 @@ def test_two_sided_explicit_needs_center():
 def test_all_wall_comb_has_degenerate_ell():
     comb = build_comb(CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 0.0))), one_sided=True))
     assert comb.ell == 0.0
-    assert comb.ell_is_window_only
+
+
+# Digests of the canonical config JSON, recorded before the config code was
+# table-driven; an int-built strip keeps its own digest, as nothing converts
+# the values a domain is built from.
+FINGERPRINT_PINS = {
+    "rectangle": (lambda: Rectangle(1.0, 0.5),
+                  "81b6755d9bfa63be6aab56883fa8015fa1de7b8397f0a8caedd107508bbf9179"),
+    "strip": (lambda: VerticalStrip(-1.0, 1.0),
+              "bd2d1bdd504750d8b4004f7df9cc635ab0821699504763a000989bc171e31cdb"),
+    "strip-int": (lambda: VerticalStrip(-1, 1),
+                  "b31b8b76e00e71b2305789b0d310cae6f8131c4fdb5dc91d071ac7604abc2c68"),
+    "wedge": (lambda: Wedge(math.pi / 3.0),
+              "1016fc96f0ae947e480cb3785cb83100329cb8d8807c289a0d42ce45c488167d"),
+    "half-plane": (HalfPlane,
+                   "cef28bd0bba5811699aa204b8a0312fad45a60f280dcec9beb9a7b97aa1ae407"),
+    "uniform-comb": (
+        lambda: build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=40)),
+        "d1f213972f0af8f19e590ef717578a47430372921ab3dbc48f4ea85d94f9d3e7"),
+    "polynomial-comb": (
+        lambda: build_comb(CombSpec(PolynomialGaps(2.0, 0.5, 1.5), window_radius=5)),
+        "7c4a22ffb4fc72fe82b4a2377b429f9b4603c55f7c51abad8bb440186fbc8286"),
+    "geometric-comb": (
+        lambda: build_comb(CombSpec(GeometricGaps(1.5, 1.0), window_radius=8,
+                                    one_sided=True)),
+        "cb17811a34751571448808a6b38c06afede9834220b8bd27090a3ac2a690d5ee"),
+    "explicit-comb": (
+        lambda: build_comb(CombSpec(ExplicitSlits(((-2.0, 1.0), (0.0, 0.5), (1.5, 2.0))))),
+        "2f7e03aa51c2f508607760bd4a42fc61332c1d98296845d2124e1516c090dc65"),
+    "one-sided-explicit-comb": (
+        lambda: build_comb(CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 1.0), (5.0, 0.0))),
+                                    one_sided=True)),
+        "b4f88611ab582ac82366bb2cff76fc8a1750263c305ae412f1ca85e6087660b0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINT_PINS))
+def test_domain_fingerprint_pins(name):
+    build, digest = FINGERPRINT_PINS[name]
+    assert domain_fingerprint(build()) == digest

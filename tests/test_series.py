@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from combexit.series import (
-    DEFAULT_SERIES_PARAMS,
-    SeriesParams,
     build_disk_law,
     default_disk_law,
     disk_survival,
@@ -57,16 +55,6 @@ def test_rect_validation():
         rect_exit_tb_prob(1.0, -2.0)
     with pytest.raises(ValueError):
         rect_exit_tb_prob(1.0, math.inf)
-
-
-def test_series_params_validation():
-    with pytest.raises(ValueError):
-        SeriesParams(truncation_terms=0)
-    with pytest.raises(ValueError):
-        SeriesParams(abs_tolerance=0.0)
-    # a cap too small for the requested tolerance is reported, not hidden
-    with pytest.raises(ValueError, match="cannot reach"):
-        rect_exit_tb_prob(1.0, 1.0, SeriesParams(truncation_terms=2))
 
 
 @given(st.floats(0.3, 5.0), st.floats(0.3, 5.0))
@@ -135,7 +123,7 @@ def test_survival_monotone_and_vectorized():
 def test_survival_representations_agree():
     # both expansions are accurate on a band around the crossover
     t = np.linspace(0.02, 0.3, 57)
-    spectral = _strip_survival_spectral(t, DEFAULT_SERIES_PARAMS)
+    spectral = _strip_survival_spectral(t)
     images = _strip_survival_images(t)
     assert np.max(np.abs(spectral - images)) < 1e-13
 
@@ -170,7 +158,7 @@ def test_fractional_moments_frozen():
 def test_quadrature_path_matches_recursion():
     # the quadrature oracle against the closed form at integer orders
     for p in (1.0, 2.0):
-        quad_val = _strip_moment_quadrature(p, DEFAULT_SERIES_PARAMS)
+        quad_val = _strip_moment_quadrature(p)
         assert quad_val == pytest.approx(strip_moment(p), abs=1e-9)
 
 
@@ -188,7 +176,7 @@ def test_moment_validation():
 
 def test_closed_form_matches_quadrature_oracle():
     for p in (0.1, 0.25, 0.5, 0.75, 1.5, 2.5, 5, 7.3, 12, 30.5, 60.5):
-        oracle = _strip_moment_quadrature(p, DEFAULT_SERIES_PARAMS)
+        oracle = _strip_moment_quadrature(p)
         assert strip_moment(p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
 
 
@@ -337,22 +325,6 @@ class TestDiskLawMatchesScipy:
         u = 0.3
         assert np.ndim(table.times_from_uniform(u)) == 0
         assert table.times_from_uniform(u) == table.times_from_uniform([u])[0]
-
-
-def test_disk_modes_beyond_the_shipped_constants():
-    # the series reads only the 96 shipped zeros
-    with pytest.raises(ValueError, match="n_modes"):
-        disk_survival(1.0, n_modes=97)
-    assert disk_survival(1.0, n_modes=96) == disk_survival(1.0)
-    with pytest.raises(ValueError, match="n_modes"):
-        disk_survival(1.0, n_modes=0)
-
-
-def test_disk_table_validation_errors():
-    with pytest.raises(ValueError):
-        build_disk_law(n_knots=4)
-    with pytest.raises(ValueError):
-        build_disk_law(u_cut=0.5)
 
 
 def test_disk_time_at_u_one_is_finite():
