@@ -75,7 +75,9 @@ Rows:
   u = +-1, no passages), written by ``samples_to_csv`` and read once
   beforehand so that it sits in the page cache; the mean of three reads;
 * ``samples_to_csv_200k_s``: ``samples_to_csv`` of the same 200k samples,
-  the mean of three encodes.
+  the mean of three encodes;
+* ``tail_index_200k_ms``: ``tail_index`` of the same 200k samples (Hill at
+  the default ``k``), the mean of five calls after one warm-up call.
 
 The batch, pass-count and steps-per-second rows also record their step
 totals.  When a change keeps every sample they agree between the trees;
@@ -164,14 +166,14 @@ def _euler_full() -> dict:
     from combexit.geometry import HalfPlane
 
     return _steps_per_s(HalfPlane(), (0.0, 1.0), CHUNK, 224,
-                        engine="EulerBridge", time_cap=1000.0)
+                        engine="EulerBridge", step_h=0.04, time_cap=1000.0)
 
 
 def _euler_low() -> dict:
     from combexit.geometry import HalfPlane
 
     return _steps_per_s(HalfPlane(), (0.0, 1.0), 32, 4064,
-                        engine="EulerBridge", time_cap=1000.0)
+                        engine="EulerBridge", step_h=0.04, time_cap=1000.0)
 
 
 def _times_from_uniform(lanes: int) -> dict:
@@ -339,6 +341,14 @@ def _samples_to_csv() -> dict:
     return {"value": _per_call(lambda: samples_to_csv(samples), 3)}
 
 
+def _tail_index() -> dict:
+    from combexit.estimators import tail_index
+
+    samples = _strip_shaped_samples()
+    tail_index(samples)
+    return {"value": _per_call(lambda: tail_index(samples), 5) * 1e3}
+
+
 # name: (unit, child function)
 ROWS = {
     "chunk_setup_us": ("us", _chunk_setup),
@@ -362,6 +372,7 @@ ROWS = {
     "adversarial_stages3_s": ("s", _adversarial_stages3),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
     "samples_to_csv_200k_s": ("s", _samples_to_csv),
+    "tail_index_200k_ms": ("ms", _tail_index),
 }
 
 

@@ -13,22 +13,36 @@ and cross-validate each other.
     other crossings are tooth passages.  Between consecutive grid
     points the path is a Brownian bridge, so a line at signed distances
     ``d0, d1`` (same side) is crossed with probability ``exp(-2*d0*d1/h)``;
-    sign changes are crossings with certainty.  The crossing fraction for a
-    detected same-side excursion is drawn uniformly on (0, 1), a first-order
-    approximation to the true argmin law that costs O(sqrt(h)) bias and is
-    controlled by the step-halving cross checks.  A sign change takes the
-    linear fraction ``d0 / (d0 - d1)``, which is biased late: a path
-    starting 0.3 from a line and ending 0.2 past it after ``h = 1`` first
-    hits it at a mean fraction of 0.27, where the linear fraction says
-    0.60.  Crossings within a step are resolved in fractional-time order,
-    so multi-line events (comb teeth) are attributed to the first line
-    actually hit.  The walk never depends on a crossing (a non-exit
-    passage does not move it), so the kernel evaluates a window of many
-    steps per numpy pass: positions are running sums of the drawn
-    increments, and each lane stops at the first step in the window that
-    exits or hits a cap.  Live lanes share one clock (they start together
-    and step in lockstep), so time and step count are one running sum per
-    window.  Only one product per lane, step and line is dense; the
+    sign changes are crossings with certainty.  A crossing's time follows
+    its exact law: the bridge first hits the line at the fraction
+    ``s / (1 + s)`` of the step, with ``s`` inverse Gaussian of mean
+    ``|d0| / |d1|`` and shape ``d0**2 / h`` (``_crossing_fraction``, drawn by
+    Michael, Schucany & Haas 1976).  A path starting 0.3 from a line and
+    ending 0.2 past it after ``h = 1`` first hits it at a mean fraction of
+    0.263, where the linear fraction ``d0 / (d0 - d1)`` says 0.60.  For a
+    convex domain cut by one line (the half-plane) the crossing test and
+    the exit time are then exact at any step, so its default step is
+    ``scale**2 / 4``, the largest the guard accepts; every other domain
+    defaults to ``scale**2 / 25``.  With several lines each is tested on
+    its own, once per step, and crossings within a step are resolved in
+    fractional-time order, so multi-line events (comb teeth) are
+    attributed to the first line hit.  That misses a bridge that crosses a
+    comb's line in the gap near a tooth's tip and touches the tooth later
+    in the same step, so near tips the passages are undercounted and the
+    exit time runs long.  From (0.5, 0) in the uniform comb with gap 1 and
+    ``window_radius`` 60, at the default ``h = 0.04`` and 40k samples per
+    engine (seed 9), EulerBridge's E[tau] exceeds WosTime's by +14.2%,
+    +10.1% and +3.1% at tooth heights 0.25, 1 and 4 (25, 17 and 5 combined
+    standard errors).  Under the earlier crossing-time rules (a uniform
+    fraction for a same-side crossing, the linear one for a sign change) it
+    read +14.1%, +9.5% and +3.0%, so the exact times do not reduce it; at
+    height 1 it shrank like ``sqrt(h)`` there.  The walk never depends on
+    a crossing (a non-exit passage does not move it), so the kernel
+    evaluates a window of many steps per numpy pass: positions are running
+    sums of the drawn increments, and each lane stops at the first step in
+    the window that exits or hits a cap.  Live lanes share one clock (they
+    start together and step in lockstep), so time and step count are one
+    running sum per window.  Only one product per lane, step and line is dense; the
     crossing test runs at the pairs where ``exp(-2*d0*d1/h)`` reaches
     ``2**-53``, and the crossing fraction, the bridge point and the exit
     test at the crossings alone.
@@ -67,15 +81,16 @@ numpy's ``SeedSequence`` algorithm (``_seed_words``), then:
   concatenation-consistent, so the block lengths only regroup one
   sequence.
 * every other EulerBridge variate (the crossing test's uniform, the
-  same-side crossing fraction and the bridge normal) is a SplitMix64 hash
-  of the sample's key, the step, the line and a slot (``_splitmix64``,
-  where the counter layout and its range are stated).  The key is word 4
-  of ``SeedSequence((master_seed, i)).generate_state(5, np.uint64)``
-  (``_sample_keys``).  A hash is computed only where its variate is read.
+  crossing time's uniform and normal, and the bridge normal) is a
+  SplitMix64 hash of the sample's key, the step, the line and a slot
+  (``_splitmix64``, where the counter layout and its range are stated).
+  The key is word 4 of ``SeedSequence((master_seed, i)).generate_state(5,
+  np.uint64)`` (``_sample_keys``).  A hash is computed only where its variate is read.
   A pair crosses when its uniform ``u``, a multiple of ``2**-53`` in
   (0, 1], is at most ``exp(-2*d0*d1/h)``; no pair where that is below
   ``2**-53`` can pass, so ``u`` is hashed only at the pairs where it is
-  not, and the fraction and bridge normal only at the crossings found.
+  not, and the crossing time and bridge normal only at the crossings
+  found.
 
 Both engines run a sample range through one function of the same shape,
 ``_euler_range`` and ``_wos_range``, which return the range's columns.
@@ -169,9 +184,12 @@ class SimParams:
     """Sampler configuration.
 
     ``step_h`` and ``shell_eps`` default to None and are resolved per
-    domain at run time: ``step_h = min_gap**2 / 25`` and
-    ``shell_eps = 1e-4 * scale``.  Resolved values are echoed back in the
-    ``SampleSet`` so a run is reproducible from its report alone.
+    domain at run time from its ``scale()`` (a comb's ``min_gap``):
+    ``step_h = scale**2 / 4`` for a convex domain cut by one line (the
+    half-plane, where EulerBridge is exact at any step) and
+    ``scale**2 / 25`` otherwise, and ``shell_eps = 1e-4 * scale``.
+    Resolved values are echoed back in the ``SampleSet`` so a run is
+    reproducible from its report alone.
     """
 
     engine: str = "EulerBridge"
@@ -264,7 +282,13 @@ class SampleSet:
 
 def _resolve_step_h(params: SimParams, domain: SimDomain) -> float:
     scale = domain.scale()
-    h = params.step_h if params.step_h is not None else scale * scale / 25.0
+    lines = domain.lines
+    # A convex domain cut by one line (the half-plane) is exact at any step,
+    # so it takes the largest step the guard below accepts.
+    one_line = lines.convex and len(lines.c) == 1
+    h = params.step_h
+    if h is None:
+        h = scale * scale / (4.0 if one_line else 25.0)
     if h > scale * scale / 4.0:
         raise ValueError(
             f"step_h={h:g} exceeds scale**2/4={scale * scale / 4.0:g}; "
@@ -505,8 +529,9 @@ def _pcg64_uniforms(rng: np.ndarray) -> np.ndarray:
 # index in ``lines.c``) at step ``k`` of a sample (counted from 0) is
 # output ``4 * (k * len(lines.c) + l) + j`` of SplitMix64 (Steele, Lea &
 # Flood, OOPSLA 2014) seeded with the sample's key (``_sample_keys``).
-# Slot 0 is the crossing test's uniform, slot 1 the same-side crossing
-# fraction, slots 2 and 3 the Box-Muller pair of the bridge normal.  The
+# Slot 0 is the crossing test's uniform, slot 1 the crossing time's
+# uniform, and slots 2 and 3 a Box-Muller pair whose sine half is the
+# crossing time's normal and whose cosine half is the bridge normal.  The
 # state advances by an odd constant and the mix is a bijection, so a
 # sample never reads one word twice while ``(k + 1) * len(lines.c) <=
 # 2**62``.
@@ -548,6 +573,31 @@ def _walk(x0, normals, scale):
     x[:, 0] = x0
     np.multiply(normals, scale, out=x[:, 1:])
     return np.add.accumulate(x, axis=1, out=x)
+
+
+def _crossing_fraction(x, y, h, nu, u):
+    """The fraction of a step at which a Brownian bridge first hits a line,
+    given that it does, from a standard normal ``nu`` and a uniform ``u``.
+
+    The bridge runs over time ``h`` from distance ``x`` to distance ``y``
+    of the line, on either side of it; ``x`` and ``y`` are not both 0.
+    Its first hit comes at ``s / (1 + s)`` of the step, where ``s`` is
+    inverse Gaussian with mean ``mu = x / y`` and shape ``x**2 / h``: the
+    density ``x exp(-x**2 / 2t) / sqrt(2 pi t**3)`` of the first hit at
+    ``t``, times the density of going on from the line to ``y`` (or to its
+    mirror image), in ``s = t / (h - t)``.  Michael, Schucany & Haas (1976)
+    draw ``s``: of the two roots ``mu / r`` and ``mu * r`` with ``r = 1 + a
+    + sqrt(a**2 + 2a)``, ``a = mu * nu**2 * h / (2 x**2)``, take the first
+    when ``u * (mu + mu / r) <= mu``.  This root form has no cancellation.
+    At ``y = 0`` the draw is ``s = inf`` and the fraction 1; at ``x = 0``
+    it is 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = x / y
+        a = nu * nu * h / (2.0 * x * y)   # mu * nu**2 * h / (2 x**2)
+        r = 1.0 + a + np.sqrt(a * (a + 2.0))
+        s = np.where(u * (mu + mu / r) <= mu, mu / r, mu * r)
+        return 1.0 / (1.0 + 1.0 / s)
 
 
 def _time_order(step, slot, f, S):
@@ -675,24 +725,26 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
                 line = slot.ravel()[flat] if dynamic else si
                 key = keys[live[li]]
                 counter = (4 * ((done + wi) * n_lines + line)).astype(np.uint64)
-                pk = prod.ravel()[flat]
                 with np.errstate(over="ignore"):
-                    c = np.flatnonzero(_uniform(key, counter) <= np.exp(-2.0 * pk / h))
-                li, wi, si, line, key, counter, pk = (
-                    a[c] for a in (li, wi, si, line, key, counter, pk))
+                    c = np.flatnonzero(_uniform(key, counter)
+                                       <= np.exp(-2.0 * prod.ravel()[flat] / h))
+                li, wi, si, line, key, counter = (
+                    a[c] for a in (li, wi, si, line, key, counter))
 
                 # The crossings as a list: fraction, bridge point on the
-                # line, and whether it meets the line's boundary part.  A
-                # same-side crossing reads its fraction, a sign change takes
-                # the linear one.  A convex domain is left at every crossing.
-                d0k, d1k = d0[li, wi, si], d1[li, wi, si]
+                # line, and whether it meets the line's boundary part.  The
+                # fraction is drawn from its exact law by the slot-1 uniform
+                # and the sine half of the slot-2/3 Box-Muller pair; the
+                # cosine half is the bridge normal.  A convex domain is left
+                # at every crossing.
                 r, j = rows[li], k0 + wi
-                f = _uniform(key, counter + 1)
-                lin = pk < 0.0
-                f[lin] = d0k[lin] / (d0k[lin] - d1k[lin])
-                bridge_sd = np.sqrt(np.maximum(h * f * (1.0 - f), 0.0))
-                z = (np.sqrt(-2.0 * np.log(_uniform(key, counter + 2)))
-                     * np.cos(2.0 * math.pi * _uniform(key, counter + 3)))
+                rho = np.sqrt(-2.0 * np.log(_uniform(key, counter + 2)))
+                theta = 2.0 * math.pi * _uniform(key, counter + 3)
+                f = _crossing_fraction(
+                    np.abs(d0[li, wi, si]), np.abs(d1[li, wi, si]), h,
+                    rho * np.sin(theta), _uniform(key, counter + 1))
+                bridge_sd = np.sqrt(h * f * (1.0 - f))
+                z = rho * np.cos(theta)
                 dv = sqrt_h * normals[r, j, 1]
                 if lines.vertical:
                     along = V[li, wi] + f * dv + bridge_sd * z

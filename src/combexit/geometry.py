@@ -332,10 +332,6 @@ class CombDomain:
     truncated: bool           # True for parametric generators (finite window of an
                               # infinite comb); escape past the outer slits is an error
 
-    @property
-    def n_lines(self) -> int:
-        return len(self.xs)
-
     def scale(self) -> float:
         # Single-line combs have no gap; the slit half-height is then the
         # only intrinsic length (and 1.0 the last resort for a bare line).
@@ -669,6 +665,8 @@ def comb_spec_from_config(cfg: dict) -> CombSpec:
     wr = cfg.get("window_radius")
     if wr is not None and not math.isfinite(float(wr)):
         raise ValueError(f"comb spec field 'window_radius' must be finite, got {wr!r}")
+    if wr is not None and float(wr) != int(float(wr)):
+        raise ValueError(f"comb spec field 'window_radius' must be an integer, got {wr!r}")
     return CombSpec(gen, window_radius=None if wr is None else int(wr),
                     one_sided=bool(cfg.get("one_sided", False)))
 

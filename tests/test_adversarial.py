@@ -65,7 +65,7 @@ class TestCertificates:
         comb, trace = build_adversarial(1)
         assert len(trace) == 1
         assert trace[0].lower_bound > 1.0
-        assert comb.n_lines == 2
+        assert len(comb.xs) == 2
 
     def test_trace_bookkeeping(self, three_stage):
         _, trace = three_stage

@@ -463,6 +463,17 @@ class TestExitCodes:
         assert not (tmp_path / "r.json").exists()
         assert not (tmp_path / "r-samples.csv").exists()
 
+    def test_fractional_window_radius_is_a_usage_error(self, tmp_path, capsys):
+        # int() would truncate 2.7 and certify the J = 2 comb
+        comb = dict(UNIFORM_COMB)
+        comb["spec"] = dict(comb["spec"], window_radius=2.7)
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", write_json(tmp_path / "comb.json", comb),
+                            "--p", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "'window_radius' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag(self, capsys):
         assert run_command(["theta0", "--frequency", "1"]) == EXIT_USAGE
         capsys.readouterr()

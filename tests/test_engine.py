@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import kstest
 
 from combexit import engine
 from combexit.engine import (
@@ -52,6 +54,8 @@ def square_mean_exit_time():
 
 UNIFORM_COMB = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=40))
 
+Z99 = 2.5758293035489004
+
 
 class TestStatisticalOracles:
     def test_strip_mean_euler(self):
@@ -97,6 +101,29 @@ class TestStatisticalOracles:
                        SimParams(engine="WosTime", time_cap=1e8, master_seed=105))
         med = np.median(ss.tau)
         assert 1.9 < med < 2.5
+
+    def test_half_plane_levy_survival_at_default_step(self):
+        # One line: the bridge test and the crossing time are exact, so the
+        # default step is the largest the guard accepts.  The grid is the
+        # one perfbench's halfplane-euler check reads.
+        n = 40_000
+        ss = run_batch(HalfPlane(), (0.0, 1.0), n,
+                       SimParams(time_cap=1e3, master_seed=1703))
+        assert ss.params.step_h == 0.25
+        for t in (0.25, 1.0, 4.0, 16.0, 64.0, 256.0):
+            want = math.erf(1.0 / math.sqrt(2.0 * t))
+            band = Z99 * math.sqrt(want * (1.0 - want) / n)
+            got = np.count_nonzero(ss.tau > t) / n
+            assert abs(got - want) <= band, f"t={t:g}: {got:.4f} vs {want:.4f}"
+
+    @pytest.mark.parametrize("h, seed", [(0.01, 1704), (0.04, 1705), (0.16, 1706)])
+    def test_strip_mean_flat_in_step(self, h, seed):
+        ss = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 100_000,
+                       SimParams(step_h=h, master_seed=seed))
+        t = ss.tau
+        se = t.std(ddof=1) / math.sqrt(t.size)
+        assert ss.censored == 0
+        assert abs(t.mean() - 1.0) <= Z99 * se, f"{t.mean():.4f} +- {se:.4f}"
 
     def test_wedge_engines_agree_on_median(self):
         w = Wedge(math.pi / 2.0)
@@ -358,29 +385,29 @@ GUARD_CASES = {
 
 GUARD_DIGESTS = {
     "strip":
-        "6444c373c16e6fd2f9294b36aeb1f3863582712028035083f8891a71f357da1f",
+        "f45c935cf0b305ebfe3b405994b8a73c8eb384ca211f9ec9a2ec3c172b1df1b1",
     "rectangle":
-        "e2192e3e2ac11511d5b68a67aba623fb699e141d8d40b74626236043f1fc31fa",
+        "19b684c1c4ab2dc2bef02d4176d9a99af485185b8599cca7e5bd5abd4dad2d55",
     "convex-wedge":
-        "cac06f68486dee22fcc716d771146b9c4484a73045c4730a746894179a6e30a8",
+        "96fc096424a9d0f3d511f95da9a27b0c5cfae32ca31cf6aa02e2622f5548b391",
     "reflex-wedge":
-        "03404e2b9d9fc63033e992c2a99003c5dd9d0bb96d2bed47c605c6d296e00ab3",
+        "4925dac8f051ef283b700ee1efcdaec8f14b7ec7067f3dd27058fbecf3a95da6",
     "half-plane-time-cap":
-        "7ec9aa856d4f5637f0e78a243a9551c02a4bfe7df791e535c4e8376bcfe95f58",
+        "7e1a9e991d15f943deb16f703a141a1ae4e60a85d503d25aa52481a21498cf08",
     "half-plane-max-steps":
-        "4681c67555d0e1d83238756a9f0bf6b3ca7df12e26886d0e8ca94dfcd7f7fbfc",
+        "20d9843f57fb03ae327b7c94fc9fff75ed268deaf64124869b65ba1325407e77",
     "uniform-comb":
-        "19dd0563302574401ceb79ca42046cda4c86c1d4cd70b295b65f401abdb3353c",
+        "b42bfee55133ca189f8c6b04734d6958bded15e24f40f5a953e399fd48510077",
     "uniform-comb-multichunk":
-        "a9b407791c1e31369520666ae462df09c63c8e153900ea39dfdcc68acca74167",
+        "605729339f417e6757cea6a334d0c88ea71924e59f2b663c82b80a0e65b3862f",
     "half-plane-multichunk":
-        "675f76f2365f1badaef3b7099d42e0076849c03433d262edf03cc87ed5d77141",
+        "e3a72569c3a1abd578de4ed3c293449cb7d504e932e8a0e093d9348dc801999c",
     "explicit-comb":
-        "0596f7a98f3e002fbc33dc8a2b055af09e46cb03f2a798fc8c768b38daa7c68f",
+        "14f252d7a221a9825825c8986256c05bca77f9f4d0e77705fc9f5bc5abe9dca3",
     "geometric-comb":
-        "f40f8ffc1672f8c3bdcda76b54e05d275bc7bfbc55d11a0d01dc5291cd5db062",
+        "84fdad94c977c6f794d691b03f03f5dbba2bb453808e7ecb530bdb4e3001b1d6",
     "one-sided-uniform-comb":
-        "be58b2c532f97923ed2a69d2e369ddb69b2dcbc8dfc61a2c960c1ea041cb3de8",
+        "9c000bb2e6fbe88dd7a14019901b7f2da65044a933cb82dce489bafc1e4d49df",
     "wos-rectangle":
         "d544a4761f27ba0b59dbfb498558d29986d14c56d06cde476db759fe4e14bdd1",
     "wos-convex-wedge":
@@ -440,8 +467,8 @@ class TestBitIdentityGuard:
     @pytest.mark.parametrize("radius, n, kw, named", [
         (2, 9_000, dict(engine="WosTime", master_seed=49), 7),
         (8, 20_000, dict(engine="WosTime", master_seed=2, time_cap=50.0), 15_155),
-        (8, 12_000, dict(master_seed=1, time_cap=50.0), 882),
-        (10, 12_000, dict(master_seed=10, time_cap=50.0), 6802),
+        (8, 12_000, dict(master_seed=1, time_cap=50.0), 1758),
+        (10, 12_000, dict(master_seed=1, time_cap=50.0), 5525),
     ])
     def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
         # The WosTime cases were recorded with the chunked driver, which ran
@@ -523,13 +550,14 @@ class TestSeeding:
     # seeding, when each sample drew from its own
     # Generator(PCG64(SeedSequence((seed, i)))), and outlive the first
     # block of 32 draws.  The EulerBridge ones were recorded when crossing
-    # variates became hashes keyed on the fifth SeedSequence word.
+    # times began to follow their exact law (the variates are hashes keyed
+    # on the fifth SeedSequence word).
     FAR_SAMPLES = {
         ("EulerBridge", 2**40):
-            ExitSample(2.060139648037026, (0.0, -1.377494763749619),
+            ExitSample(2.076751481567701, (0.0, -1.3751925797065156),
                        False, 2, 52, "EulerBridge"),
         ("EulerBridge", 2**63 - 1):
-            ExitSample(4.0137427114303215, (1.0, 1.1837099161203566),
+            ExitSample(4.022956762858422, (1.0, 1.2174635733962795),
                        False, 5, 101, "EulerBridge"),
         ("WosTime", 2**40):
             ExitSample(0.3723381687292404, (1.0, 1.3908952365542648),
@@ -640,7 +668,7 @@ CSV_DIGESTS = {
     "wos-strip":
         "50f073cc01550de480f054c2d3857c4d72388351acf8634c662f90ea61605bc3",
     "euler-uniform-comb":
-        "6476287315d4ed57608a1b001cd4578d4f94776edfe99df3633630cf787ec4fb",
+        "e7278eb5966c7f4b80aa122e30caf6bfb2bd9bcc12d16a2eafc643486af080f9",
 }
 
 
@@ -707,6 +735,57 @@ class TestCouplingProperties:
         se = math.sqrt(frac * (1.0 - frac) / len(pts))
         floor = 0.5 * rect_exit_tb_prob(1.0, beta)
         assert frac >= floor - 3.0 * se
+
+
+def first_hit_density(x, y, h):
+    """The first-hit density, up to a constant, of a line at distance ``x``
+    for a Brownian bridge that ends at distance ``y`` (either side) after
+    ``h``: hitting at ``t`` (density ``x exp(-x**2/2t) / sqrt(2 pi t**3)``)
+    and going on from the line to ``y``, or to its mirror image by the
+    reflection principle, in the remaining ``h - t``."""
+    return lambda t: (t**-1.5 * (h - t)**-0.5
+                      * math.exp(-x * x / (2.0 * t) - y * y / (2.0 * (h - t))))
+
+
+class TestCrossingTimeLaw:
+    """The kernel's crossing fraction (``_crossing_fraction``) against the
+    bridge's first-hit law, integrated numerically."""
+
+    @staticmethod
+    def fractions(x, y, h, n, seed):
+        rng = np.random.default_rng(seed)
+        nu = rng.standard_normal(n)
+        u = rng.random(n)
+        return engine._crossing_fraction(np.full(n, x), np.full(n, abs(y)), h, nu, u)
+
+    def test_sign_change_mean(self):
+        # the exact mean is 0.2629; the linear fraction 0.3 / (0.3 + 0.2)
+        # = 0.6 is late
+        x, y, h, n = 0.3, -0.2, 1.0, 200_000
+        density = first_hit_density(x, y, h)
+        exact = (quad(lambda t: t / h * density(t), 0.0, h)[0]
+                 / quad(density, 0.0, h)[0])
+        assert round(exact, 4) == 0.2629
+        f = self.fractions(x, y, h, n, 1701)
+        se = f.std(ddof=1) / math.sqrt(n)
+        assert abs(f.mean() - exact) <= Z99 * se, f"{f.mean():.4f} vs {exact:.4f}"
+
+    def test_same_side_first_hit_law(self):
+        x, y, h, n = 0.3, 0.2, 0.25, 20_000
+        density = first_hit_density(x, y, h)
+        edges = np.linspace(0.0, h, 2001)
+        mass = np.r_[0.0, np.cumsum([quad(density, a, b)[0]
+                                     for a, b in zip(edges[:-1], edges[1:])])]
+        cdf = lambda q: np.interp(q * h, edges, mass / mass[-1])  # noqa: E731
+        assert kstest(self.fractions(x, y, h, n, 1702), cdf).pvalue >= 0.01
+
+    def test_ends_on_the_line(self):
+        # a path that ends on the line hits it at the end of the step, one
+        # that starts on it at the start
+        f = engine._crossing_fraction(np.array([0.3, 0.0]), np.array([0.0, 0.2]),
+                                      0.04, np.array([0.7, -1.1]),
+                                      np.array([0.4, 0.9]))
+        assert f.tolist() == [1.0, 0.0]
 
 
 class TestValidation:

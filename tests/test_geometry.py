@@ -258,6 +258,15 @@ def test_non_finite_window_radius_is_refused():
         comb_spec_from_config(cfg)
 
 
+def test_fractional_window_radius_is_refused():
+    cfg = comb_spec_to_config(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
+    cfg["window_radius"] = 2.7
+    with pytest.raises(ValueError, match="'window_radius' must be an integer"):
+        comb_spec_from_config(cfg)
+    cfg["window_radius"] = 2.0
+    assert comb_spec_from_config(cfg).window_radius == 2
+
+
 def test_config_roundtrip():
     specs = [
         CombSpec(UniformGaps(1.0, 2.0), window_radius=4),
