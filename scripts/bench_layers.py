@@ -32,9 +32,9 @@ Rows:
   jumps exactly ``K`` times: 4096 strip lanes from the origin with K = 16,
   and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32.  The
   range ``0..lanes-1`` is mapped onto those samples' substreams by wrapping
-  ``_seed_words``, which every tree's drivers seed through, and
-  ``_sample_keys`` where a tree hashes EulerBridge crossing variates from
-  it, so both trees run the same lanes for the same jumps;
+  ``_seed_words`` and ``_sample_keys``, which every tree's drivers seed
+  through (where a tree has them), so each tree runs lanes that live the
+  same number of jumps;
 * ``euler_steps_per_s_4096`` and ``euler_steps_per_s_32``: the same for
   EulerBridge steps (``step_h = 0.04``), with half-plane lanes from (0, 1)
   at time cap 1000 in both rows: 4096 lanes with K = 224 and 32 lanes with
@@ -60,8 +60,9 @@ Rows:
 * ``strip_wos_run_batch_s``: ``run_batch`` of 200k WosTime samples on the
   strip from the origin at seed 7 (disk-law table built beforehand);
 * ``strip_wos_passes``: the number of WosTime kernel passes in that batch,
-  counted as calls of ``_pcg64_uniforms`` (one per pass in every tree), a
-  count that only the driver's lane schedule sets;
+  counted as calls of ``DiskLawTable.times_from_uniform`` (one per pass in
+  every tree), a count that the driver's lane schedule and the samples'
+  lifetimes set;
 * ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
   samples on the half-plane from (0, 1) at time cap 1000, seed 7;
 * ``uniform_comb_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
@@ -270,17 +271,17 @@ def _strip_wos() -> dict:
 
 
 def _strip_wos_passes() -> dict:
-    from combexit import engine
+    from combexit.series import DiskLawTable
 
-    draw = engine._pcg64_uniforms
+    invert = DiskLawTable.times_from_uniform
     passes = 0
 
-    def counted(rng):
+    def counted(table, u):
         nonlocal passes
         passes += 1
-        return draw(rng)
+        return invert(table, u)
 
-    engine._pcg64_uniforms = counted
+    DiskLawTable.times_from_uniform = counted
     return {**_strip_wos(), "value": passes}
 
 

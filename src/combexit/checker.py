@@ -24,19 +24,20 @@ subadditivity of x^p gives instead
 
     E[tau^p]  <=  m_p * sum_{j>=0} theta0^j * M_{j+1}^p.
 
-Both series converge under the same condition (a ratio test reads
-theta0^(1/p) times the growth of M_j in the first and its p-th power in the
-second), so finiteness of E[tau^p] follows whenever the series converges.
-The checker decides convergence from a declared growth class of the window
-maxima M_j and reports the numeric value of the series
-sum_{j>=0} theta0^(j/p) * M_{j+1} (window partial sum plus a certified
-tail) as ``bound_on_moment_root``.
+With ``a = min(p, 1)`` both are one rule: ``x -> E[x^p]^(a/p)`` is
+subadditive, so
 
-That number is a bound on E[tau^p]^(1/p) only at p = 1, where m_1 = 1.
-For p > 1 it omits the factor m_p^(1/p) > 1: on the uniform comb (unit
-gaps and heights, factor 0.75 from ``check_refined_unit``) it reads 7.46
-at p = 2, where the Minkowski bound is 9.64.  For p < 1 it bounds nothing: at p = 1/2 it reads
-2.29, where the subadditive bound on the root is 13.85.
+    E[tau^p]^(1/p)  <=  m_p^(1/p) * S^(1/a),
+    S = sum_{j>=0} theta0^(j*a/p) * M_{j+1}^a,
+
+and ``bound_on_moment_root`` is that number (window partial sum plus a
+certified tail).  On the uniform comb (unit gaps and heights, factor 0.75
+from ``check_refined_unit``) it reads 9.64 at p = 2 and 13.85 at p = 1/2.
+The terms of S are the a-th powers of those of sum theta0^(j/p) M_{j+1},
+so both series converge under the same condition (a ratio test reads
+theta0^(1/p) times the growth of M_j), and finiteness of E[tau^p] follows
+whenever it holds.  The checker decides convergence from a declared growth
+class of the window maxima M_j.
 
 The convergence test is stated with weights theta^(j/p) starting at j = 1
 while the numeric bound starts at j = 0 with maxima shifted by one; the two
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -67,7 +69,7 @@ from .geometry import (
     UniformGaps,
     symmetrize,
 )
-from .series import theta0
+from .series import strip_moment, theta0
 
 __all__ = [
     "GrowthClass",
@@ -226,7 +228,11 @@ def _common_setup(comb, p, growth_class):
 
 def _certify(comb, p, theta, growth, note) -> Verdict:
     q = theta ** (1.0 / p)
-    maxima = comb.prefix_max
+    # the series S of the module docstring: weight w = q**a on M_{j+1}**a
+    a = min(p, 1.0)
+    w = theta ** (a / p)
+    maxima = comb.prefix_max ** a
+    j_total = len(maxima)
     if q >= 1.0:
         return _inconclusive(
             p, theta, growth,
@@ -234,12 +240,12 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
         )
 
     if growth.kind == "bounded":
-        bound = _window_partial(maxima, q) + maxima[-1] * q ** len(maxima) / (1.0 - q)
+        tail = maxima[-1] * w**j_total / (1.0 - w)
         reason = note + (
-            f"gap maxima bounded by {maxima[-1]:g}; geometric tail with "
-            f"weight {q:.6g} converges for any exponent"
+            f"gap maxima bounded by {comb.prefix_max[-1]:g}; geometric tail "
+            f"with weight {q:.6g} converges for any exponent"
         )
-        return _certified(p, theta, bound, growth, reason)
+        return _certified(p, theta, maxima, w, tail, growth, reason)
 
     if growth.kind == "geometric":
         r2 = growth.ratio**2
@@ -252,31 +258,28 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
                     f"{geometric_threshold(p, theta):.6g}"
                 ),
             )
-        j = len(maxima)
-        bound = _window_partial(maxima, q) + maxima[-1] * q**j * r2 / (1.0 - q * r2)
+        tail = maxima[-1] * w**j_total * r2**a / (1.0 - w * r2**a)
         reason = note + (
             f"gap ratio {growth.ratio:g}: term weight {q * r2:.6g} < 1, below "
             f"the certifiable ratio {geometric_threshold(p, theta):.6g}"
         )
-        return _certified(p, theta, bound, growth, reason)
+        return _certified(p, theta, maxima, w, tail, growth, reason)
 
     if growth.kind == "polynomial":
         gen = comb.spec.generator
         if isinstance(gen, PolynomialGaps):
-            tail = _polynomial_tail_from_gaps(gen, len(maxima), q)
+            tail = _polynomial_tail_from_gaps(gen, j_total, w, a)
         else:
             tail = _polynomial_tail_from_model(
-                float(maxima[-1]), len(maxima), q, 2.0 * (growth.degree - 1.0)
+                float(maxima[-1]), j_total, w, 2.0 * (growth.degree - 1.0) * a
             )
-        bound = _window_partial(maxima, q) + tail
         reason = note + (
             f"polynomial gap growth of degree {growth.degree:g} is beaten by "
             f"the geometric weight {q:.6g}"
         )
-        return _certified(p, theta, bound, growth, reason)
+        return _certified(p, theta, maxima, w, tail, growth, reason)
 
     # bare window table
-    j_total = len(maxima)
     if j_total < _WINDOW_START + 1:
         return _inconclusive(
             p, theta, growth,
@@ -285,7 +288,7 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
                 f"growth ratios from index {_WINDOW_START}"
             ),
         )
-    ratios = maxima[_WINDOW_START:] / maxima[_WINDOW_START - 1 : -1]
+    ratios = comb.prefix_max[_WINDOW_START:] / comb.prefix_max[_WINDOW_START - 1 : -1]
     rho = float(np.max(ratios))
     if q * rho > 1.0 - _WINDOW_MARGIN:
         return _inconclusive(
@@ -296,16 +299,20 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
                 f"(margin {_WINDOW_MARGIN:g})"
             ),
         )
-    bound = _window_partial(maxima, q) + maxima[-1] * q**j_total * rho / (1.0 - q * rho)
+    tail = maxima[-1] * w**j_total * rho**a / (1.0 - w * rho**a)
     reason = note + (
         f"window ratios bounded by {rho:.6g} from index {_WINDOW_START}; "
         f"tail extrapolated at that ratio with weight {q * rho:.6g} <= "
         f"{1.0 - _WINDOW_MARGIN:g}"
     )
-    return _certified(p, theta, bound, growth, reason)
+    return _certified(p, theta, maxima, w, tail, growth, reason)
 
 
-def _certified(p, theta, bound, growth, reason) -> Verdict:
+def _certified(p, theta, maxima, w, tail, growth, reason) -> Verdict:
+    """The verdict whose bound is ``m_p^(1/p) * S^(1/a)``, with S the window
+    sum of ``w^j * maxima[j]`` plus ``tail``."""
+    series = float(np.dot(w ** np.arange(len(maxima)), maxima)) + tail
+    bound = _strip_moment_root(p) * series ** (1.0 / min(p, 1.0))
     return Verdict(FINITE_CERTIFIED, p, theta, float(bound), reason, growth.tag())
 
 
@@ -313,8 +320,16 @@ def _inconclusive(p, theta, growth, reason) -> Verdict:
     return Verdict(INCONCLUSIVE, p, theta, math.inf, reason, growth.tag())
 
 
-def _window_partial(maxima: np.ndarray, q: float) -> float:
-    return float(np.dot(q ** np.arange(len(maxima)), maxima))
+@cache
+def _strip_moment_root(p: float) -> float:
+    """``m_p^(1/p)`` for the unit strip, cached because ``strip_moment``
+    costs about 20 us.  From about order 177.81 on m_p overflows a float,
+    so the same closed form is taken in logs there; its Dirichlet beta
+    factor, ``1 - 3^-(2p+1) + ...``, is 1 to double precision."""
+    if p < 177.0:
+        return strip_moment(p) ** (1.0 / p)
+    return 8.0 / math.pi**2 * math.exp(
+        (math.log(4.0 / math.pi) + math.lgamma(p + 1.0)) / p)
 
 
 def _polynomial_tail(block_terms, start_j: int, q: float) -> float:
@@ -338,16 +353,17 @@ def _polynomial_tail(block_terms, start_j: int, q: float) -> float:
     raise RuntimeError("polynomial tail did not converge within the iteration budget")
 
 
-def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float) -> float:
-    """Sum q^j * gap(j+1)^2 for j >= start_j with exact generator gaps.
+def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float,
+                               a: float) -> float:
+    """Sum q^j * gap(j+1)^(2a) for j >= start_j with exact generator gaps.
 
-    Gap ratios decrease toward 1 for degree >= 1, so the last squared gap
-    ratio of a block bounds every later one.
+    Gap ratios decrease toward 1 for degree >= 1, so the last gap ratio of
+    a block, to the power 2a, bounds every later term ratio over q.
     """
     def block_terms(j0, j1):
         labels = np.arange(j0 + 1, j1 + 1, dtype=float)
         gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
-        return q ** np.arange(j0, j1) * gaps**2, (gaps[-1] / gaps[-2]) ** 2
+        return q ** np.arange(j0, j1) * gaps ** (2.0 * a), (gaps[-1] / gaps[-2]) ** (2.0 * a)
 
     return _polynomial_tail(block_terms, start_j, q)
 

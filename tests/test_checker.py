@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from combexit import checker
 from combexit.checker import (
     FINITE_CERTIFIED,
     INCONCLUSIVE,
@@ -23,7 +24,7 @@ from combexit.geometry import (
     UniformGaps,
     build_comb,
 )
-from combexit.series import theta0
+from combexit.series import strip_moment, theta0
 
 
 def uniform_comb(spacing=1.0, height=1.0, radius=3, one_sided=False):
@@ -38,16 +39,45 @@ def geometric_gap_comb(r, n_gaps=8):
                                one_sided=True))
 
 
+def uniform_bound(spacing, theta, p):
+    """The bound on E[tau^p]^(1/p) for uniform gaps: m_p^(1/p) S^(1/a) with
+    a = min(p, 1) and S = spacing^(2a) / (1 - theta^(a/p))."""
+    a = min(p, 1.0)
+    series = spacing ** (2.0 * a) / (1.0 - theta ** (a / p))
+    return strip_moment(p) ** (1.0 / p) * series ** (1.0 / a)
+
+
 def test_uniform_certified_with_closed_form_bound():
     comb = uniform_comb()
-    for p in (1.0, 2.0, 10.0):
+    for p in (0.5, 1.0, 2.0, 10.0):
         v = check_theorem1(comb, p)
         assert v.status == FINITE_CERTIFIED
-        q = v.theta0_used ** (1.0 / p)
-        assert v.bound_on_moment_root == pytest.approx(1.0 / (1.0 - q), rel=1e-12)
+        assert v.bound_on_moment_root == pytest.approx(
+            uniform_bound(1.0, v.theta0_used, p), rel=1e-12)
         assert v.theta0_used == pytest.approx(0.75, abs=1e-12)
         assert v.growth_class_used == "bounded"
     assert check_theorem1(comb, 1.0).bound_on_moment_root == pytest.approx(4.0, rel=1e-12)
+
+
+def test_uniform_bound_carries_the_strip_moment():
+    # factor 0.75: Minkowski at p = 2 gives sqrt(5/3) / (1 - sqrt(0.75)),
+    # subadditivity at p = 1/2 gives (m_(1/2) / (1 - 0.75))^2
+    comb = uniform_comb()
+    assert check_refined_unit(comb, 2.0).bound_on_moment_root == pytest.approx(
+        9.6361137499, rel=1e-9)
+    assert check_refined_unit(comb, 0.5).bound_on_moment_root == pytest.approx(
+        13.854111054, rel=1e-9)
+
+
+def test_bound_past_the_strip_moment_float_range():
+    # m_p overflows a float from about p = 177.81 on; the log form takes
+    # over at 177 and agrees with strip_moment where both are finite
+    for p in (177.0, 177.5):
+        assert checker._strip_moment_root(p) == pytest.approx(
+            strip_moment(p) ** (1.0 / p), rel=1e-13)
+    v = check_theorem1(uniform_comb(), 200.0)
+    assert v.status == FINITE_CERTIFIED
+    assert math.isfinite(v.bound_on_moment_root)
 
 
 def test_refined_geometric_acceptance_pair():
@@ -259,8 +289,9 @@ def test_uniform_bound_closed_form_property(spacing, height, p):
     v = check_theorem1(comb, p)
     q = v.theta0_used ** (1.0 / p)
     if v.status == FINITE_CERTIFIED:
-        expect = spacing**2 / (1.0 - q)
+        expect = uniform_bound(spacing, v.theta0_used, p)
         assert v.bound_on_moment_root == pytest.approx(expect, rel=1e-9)
-        assert v.bound_on_moment_root >= comb.prefix_max[0]
+        # at least the first passage's own bound
+        assert v.bound_on_moment_root >= strip_moment(p) ** (1.0 / p) * comb.prefix_max[0]
     else:
         assert q >= 1.0  # only the saturated factor can block a uniform comb

@@ -3,6 +3,7 @@ invariants (exits land on the boundary), and bit-level reproducibility."""
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from combexit.geometry import (
     domain_fingerprint,
 )
 from combexit.reports import samples_to_csv
-from combexit.series import rect_exit_tb_prob
+from combexit.series import default_disk_law, rect_exit_tb_prob
 
 
 def exit_points(ss):
@@ -53,6 +54,10 @@ def square_mean_exit_time():
 
 
 UNIFORM_COMB = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=40))
+
+# WosTime's lane pool width: tests that must cross a pool refill size
+# their batches from it.
+_POOL = engine._WOS_POOL
 
 Z99 = 2.5758293035489004
 
@@ -93,6 +98,20 @@ class TestStatisticalOracles:
         assert abs(top_bottom - want) < 4.0 * sigma
         se = t.std(ddof=1) / math.sqrt(t.size)
         assert abs(t.mean() - square_mean_exit_time()) < 4.0 * se + 0.005
+
+    def test_strip_asymmetric_start_wos(self):
+        # From (0.5, 0) in the strip (-1, 1) the walk exits at u = +1 with
+        # probability 0.75, and E[tau] = (1 - 0.5) * (1 + 0.5) = 0.75.  The
+        # other WosTime gates start where the domain is symmetric, so they
+        # cannot see a skewed jump direction.
+        n = 100_000
+        ss = run_batch(VerticalStrip(-1.0, 1.0), (0.5, 0.0), n,
+                       SimParams(engine="WosTime", master_seed=1801))
+        assert ss.censored == 0
+        right = np.count_nonzero(ss.u > 0.0) / n
+        assert abs(right - 0.75) <= Z99 * math.sqrt(0.75 * 0.25 / n), right
+        se = ss.tau.std(ddof=1) / math.sqrt(n)
+        assert abs(ss.tau.mean() - 0.75) <= Z99 * se, f"{ss.tau.mean():.4f} +- {se:.4f}"
 
     def test_half_plane_median_wos(self):
         # Exit time is the level-hitting time of the vertical coordinate:
@@ -256,12 +275,15 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("engine_name, indices", [
         ("EulerBridge", (0, 4095, 4096, 8191, 8192, 8_999)),
-        ("WosTime", (0, 2047, 2048, 4095, 4096, 9_999)),
+        ("WosTime", (0, _POOL // 2 - 1, _POOL // 2, _POOL - 1, _POOL,
+                     5 * _POOL // 2 - 1)),
     ], ids=["EulerBridge", "WosTime"])
     def test_wos_replay_across_pool_refills(self, engine_name, indices):
-        # WosTime: 10k samples take the pool through several refills, so
-        # samples 4096 and on join it mid-batch, beside lanes still running.
-        # EulerBridge: 9k samples run in three chunks of at most 4096.
+        # WosTime: 2.5 pools of samples take the pool through several
+        # refills, so samples from _POOL on join it mid-batch, beside lanes
+        # still running.  EulerBridge: 9k samples run in three chunks of at
+        # most 4096.  Two workers split the batch in two ranges, each of
+        # which still crosses a refill or a chunk boundary.
         params = SimParams(engine=engine_name, master_seed=34)
         batch = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), indices[-1] + 1,
                           params)
@@ -269,6 +291,9 @@ class TestReproducibility:
             solo = simulate_exit(VerticalStrip(-1.0, 1.0), (0.0, 0.0), params,
                                  sample_index=i)
             assert solo == batch.samples[i]
+        split = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), indices[-1] + 1,
+                          replace(params, workers=2))
+        assert column_digest(split) == column_digest(batch)
 
     def test_seed_changes_draws(self):
         a = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), 50,
@@ -372,13 +397,13 @@ GUARD_CASES = {
                                            (9.0, 0.0))), one_sided=True)),
         (1.0, 0.0), 2_000, dict(engine="WosTime", master_seed=67)),
     # More samples than one WosTime lane pool holds, so later samples join
-    # the pool as earlier ones finish; recorded with the chunked driver.
-    "wos-strip-refill": (VerticalStrip(-1.0, 1.0), (0.0, 0.0), 10_000,
+    # the pool as earlier ones finish.
+    "wos-strip-refill": (VerticalStrip(-1.0, 1.0), (0.0, 0.0), 5 * _POOL // 2,
                          dict(engine="WosTime", master_seed=68)),
-    "wos-uniform-comb-refill": (UNIFORM_COMB, (0.5, 0.0), 9_000,
+    "wos-uniform-comb-refill": (UNIFORM_COMB, (0.5, 0.0), 9 * _POOL // 4,
                                 dict(engine="WosTime", master_seed=69,
                                      time_cap=200.0)),
-    "wos-half-plane-max-steps-refill": (HalfPlane(), (0.0, 1.0), 9_000,
+    "wos-half-plane-max-steps-refill": (HalfPlane(), (0.0, 1.0), 9 * _POOL // 4,
                                         dict(engine="WosTime", master_seed=70,
                                              max_steps=40)),
 }
@@ -409,25 +434,25 @@ GUARD_DIGESTS = {
     "one-sided-uniform-comb":
         "9c000bb2e6fbe88dd7a14019901b7f2da65044a933cb82dce489bafc1e4d49df",
     "wos-rectangle":
-        "d544a4761f27ba0b59dbfb498558d29986d14c56d06cde476db759fe4e14bdd1",
+        "8af60381c093a6dd7d9e802567305457a9027e1d62eba508c9262a5adfe5e615",
     "wos-convex-wedge":
-        "5f4242ee2a8915d30e5e70fac506dd2a0d33acd93ccbe9513e5c2945371162b8",
+        "7ddaab6960b992e97ec7b71f3c005f52df048b3eb9c90e695ed34e4bc9c0b769",
     "wos-reflex-wedge":
-        "cd0d8ad2a40873d01a3dd5753c4447c7a7670ea8494020614f3cf10d45aae279",
+        "8180feff1957a7ff0f43f56a28567ad4c0c55f38c780ed90d557c314c6de8d0f",
     "wos-half-plane-time-cap":
-        "f3444c7036261edb38dbeac979f069686607ae4f8091d7976fc6a315558eaa49",
+        "3a2fc1026b770967e64d8bb64d91ee7d70599a661434c708fc547cdb5009354c",
     "wos-uniform-comb":
-        "23677a6131143b44a6d7feffb4e8606ea14367770bfa8a764e6ed26ee83669ef",
+        "069b75abae420375510ee61d3b5d3108a174a7e61113b5029497d9fc62174583",
     "wos-uniform-comb-j200":
-        "4651f5c9eb387ecaa10d5a84922191cc2d5e7ef493b6d10457514f220d91e43a",
+        "16eea2d66c8f09883142c8a0380e7a2bbadb1478ee5ae1f51a15a4301c3f5d7c",
     "wos-one-sided-explicit":
-        "428c9811f01ed675ccc744281c4040c7ea9125d695a12c707e90eb57238711d8",
+        "57bcd7da369441f3b45525ba0520d727431323f2c99fad3d1b49761dfa615017",
     "wos-strip-refill":
-        "f92fa3a71d7e0fa2d19c057f1f18bfedafa5c870d6b297d4d311c1006e8e7284",
+        "228ccf3a51888713bc00b36bca739d0c6f8a0afd63bf84b67ac874c6b4484030",
     "wos-uniform-comb-refill":
-        "2d3237b5aee826d48c5a19ada557792426a8a749c80c934273af18868eb82a89",
+        "a04f99c4e0c17714693195267cf961914494063b24ebf74c037483911df3f2e0",
     "wos-half-plane-max-steps-refill":
-        "66200ed296ea9d36223e1577366d3b1d9dd0b19e138653bf71f6ee66663313e2",
+        "aa588154f372fad4e59d6c7cab831038d2a8b08e8a7d96f37a602d755228bd9a",
 }
 
 
@@ -455,28 +480,26 @@ class TestBitIdentityGuard:
         assert str(err.value).startswith("sample 52 ")
 
     def test_wos_window_escape_names_the_same_sample(self):
-        # Recorded before the WosTime kernel packed its running lanes: 120
-        # lanes first stand outside the window at the same jump, and the
-        # lowest of their indices is named.
+        # Sample by sample, 3 is the lowest index that stands outside the
+        # window at jump 2, the earliest jump any of the 2000 escapes at.
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000,
                       SimParams(engine="WosTime", master_seed=48))
-        assert str(err.value).startswith("sample 9 ")
+        assert str(err.value).startswith("sample 3 ")
 
     @pytest.mark.parametrize("radius, n, kw, named", [
-        (2, 9_000, dict(engine="WosTime", master_seed=49), 7),
-        (8, 20_000, dict(engine="WosTime", master_seed=2, time_cap=50.0), 15_155),
+        (2, 9 * _POOL // 4, dict(engine="WosTime", master_seed=49), 16),
+        (8, 5 * _POOL // 4, dict(engine="WosTime", master_seed=2, time_cap=50.0),
+         20_202),
         (8, 12_000, dict(master_seed=1, time_cap=50.0), 1758),
         (10, 12_000, dict(master_seed=1, time_cap=50.0), 5525),
     ])
     def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
-        # The WosTime cases were recorded with the chunked driver, which ran
-        # samples 0-4095 to the end before starting 4096.  The first escape
-        # comes within the first pool fill; in the second no sample below
-        # 12288 escapes, and 15155 joins the pool after several refills.
-        # The first EulerBridge case names a sample of its first chunk, the
-        # second one of its second chunk.
+        # The first WosTime case escapes within the first pool fill; in the
+        # second no sample of the first fill escapes, and the one named
+        # joined the pool at a refill.  The first EulerBridge case names a
+        # sample of its first chunk, the second one of its second chunk.
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=radius))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), n, SimParams(**kw))
@@ -488,10 +511,13 @@ INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
 
 
 class TestSeeding:
-    """The drivers hash many samples' seed words in one vectorized pass
-    and seed each lane's PCG64 from them, as a ``Generator`` (EulerBridge)
-    or as numpy arrays they step themselves (WosTime); these pin every step
-    to numpy's own ``SeedSequence``, ``PCG64`` and ``random()``."""
+    """The drivers run numpy's ``SeedSequence`` algorithm on many samples
+    in one vectorized pass: its first four words seed an EulerBridge
+    lane's ``Generator(PCG64)``, and its fifth is the sample's hash key,
+    from which WosTime draws every jump and EulerBridge every crossing
+    variate.  These pin the words, the keys and the ``Generator`` to numpy's
+    own ``SeedSequence``, ``PCG64`` and ``Generator``, and WosTime's draws
+    to a SplitMix64 reference on Python ints."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_states_match_numpy(self, seed):
@@ -511,22 +537,40 @@ class TestSeeding:
             for i in INDICES]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_numpy_pcg64_draws_like_numpy(self, seed):
-        # lane j makes 35 + 7 j jumps of two uniforms each, so the lanes
-        # leave the packed set one by one and the rest keep drawing
-        jumps = 35 + 7 * np.arange(len(INDICES))
-        rng = engine._pcg64_start(engine._seed_words(seed, INDICES))
-        drawn = [[] for _ in INDICES]
-        live = np.arange(len(INDICES))
-        for k in range(jumps.max()):
-            keep = jumps[live] > k
-            live, rng = live[keep], rng[:, keep]
-            for j, pair in zip(live, engine._pcg64_uniforms(rng).T.tolist()):
-                drawn[j] += pair
-        for i, n, ours in zip(INDICES, jumps, drawn):
-            theirs = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, i)))).random(2 * n)
-            assert ours == theirs.tolist()
+    def test_wos_jumps_read_splitmix64_outputs(self, seed, monkeypatch):
+        # Jump k of sample i reads SplitMix64 outputs 2k (its angle) and
+        # 2k + 1 (its disk-law time) under the sample's key, word 4 of
+        # numpy's SeedSequence((seed, i)).generate_state(5, uint64).
+        reads, times = [], []
+        uniform = engine._uniform
+        law = type(default_disk_law())
+        invert = law.times_from_uniform
+
+        def read(key, counter):
+            out = uniform(key, counter)
+            reads.extend(zip(np.broadcast_to(key, counter.shape).ravel().tolist(),
+                             counter.ravel().tolist(), out.ravel().tolist()))
+            return out
+
+        def read_times(table, u):
+            times.extend(u.tolist())
+            return invert(table, u)
+
+        monkeypatch.setattr(engine, "_uniform", read)
+        monkeypatch.setattr(law, "times_from_uniform", read_times)
+        params = SimParams(engine="WosTime", master_seed=seed)
+        for index in (0, 2**40, 2**63 - 1):
+            reads.clear()
+            times.clear()
+            sample = simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
+                                   sample_index=index)
+            key = int(np.random.SeedSequence((seed, index))
+                      .generate_state(5, np.uint64)[4])
+            want = [((w >> 11) + 1) * 2.0**-53
+                    for w in splitmix64_reference(key, 2 * sample.steps)]
+            assert sample.steps > 1
+            assert reads == [(key, c, x) for c, x in enumerate(want)]
+            assert times == want[1::2]
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
     def test_entropy_generator_draws_like_numpy(self, seed):
@@ -546,12 +590,10 @@ class TestSeeding:
         with pytest.raises(ValueError, match="four uint64 words"):
             entropy.generate_state(n_words, dtype)
 
-    # The WosTime samples were recorded at the commit before vectorized
-    # seeding, when each sample drew from its own
-    # Generator(PCG64(SeedSequence((seed, i)))), and outlive the first
-    # block of 32 draws.  The EulerBridge ones were recorded when crossing
-    # times began to follow their exact law (the variates are hashes keyed
-    # on the fifth SeedSequence word).
+    # The WosTime samples were recorded when jumps began to draw from the
+    # SplitMix64 hash of the sample key.  The EulerBridge ones were
+    # recorded when crossing times began to follow their exact law (the
+    # variates are hashes keyed on the fifth SeedSequence word).
     FAR_SAMPLES = {
         ("EulerBridge", 2**40):
             ExitSample(2.076751481567701, (0.0, -1.3751925797065156),
@@ -560,11 +602,11 @@ class TestSeeding:
             ExitSample(4.022956762858422, (1.0, 1.2174635733962795),
                        False, 5, 101, "EulerBridge"),
         ("WosTime", 2**40):
-            ExitSample(0.3723381687292404, (1.0, 1.3908952365542648),
-                       False, None, 27, "WosTime"),
+            ExitSample(0.5535592579482235, (-1.0, 1.6537935631217289),
+                       False, None, 21, "WosTime"),
         ("WosTime", 2**63 - 1):
-            ExitSample(2.073884092592774, (1.0, -1.0062740948206028),
-                       False, None, 53, "WosTime"),
+            ExitSample(1.8405827062449662, (-1.0, -1.0582956526755167),
+                       False, None, 22, "WosTime"),
     }
 
     @pytest.mark.parametrize("key", sorted(FAR_SAMPLES),
@@ -576,9 +618,14 @@ class TestSeeding:
                                sample_index=index)
         assert sample == self.FAR_SAMPLES[key]
         # the same sample from numpy's own per-sample seeding
-        monkeypatch.setattr(engine, "_seed_words", lambda seed, indices: np.array(
-            [np.random.SeedSequence((seed, int(i))).generate_state(4, np.uint64)
-             for i in indices]))
+        def numpy_state(seed, indices):
+            return np.array([np.random.SeedSequence((seed, int(i)))
+                             .generate_state(5, np.uint64) for i in indices])
+
+        monkeypatch.setattr(engine, "_seed_words",
+                            lambda seed, indices: numpy_state(seed, indices)[:, :4])
+        monkeypatch.setattr(engine, "_sample_keys",
+                            lambda seed, indices: numpy_state(seed, indices)[:, 4])
         assert simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                              sample_index=index) == sample
 
@@ -666,7 +713,7 @@ CSV_CASES = {
 
 CSV_DIGESTS = {
     "wos-strip":
-        "50f073cc01550de480f054c2d3857c4d72388351acf8634c662f90ea61605bc3",
+        "fd0cb8d3714dc1e04d3bdb59100afc5f4e186882703b0969f895d6efa9a1024b",
     "euler-uniform-comb":
         "e7278eb5966c7f4b80aa122e30caf6bfb2bd9bcc12d16a2eafc643486af080f9",
 }
