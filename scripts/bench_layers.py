@@ -22,9 +22,9 @@ Rows:
 * ``chunk_setup_us``: the EulerBridge cost per lane of a chunk that ends
   at its first step: ``run_batch`` of 4096 half-plane samples from (0, 1)
   with ``step_h = 0.04`` and ``max_steps = 1``, divided by 4096.  Each lane
-  is seeded, builds its ``Generator`` and draws its first block of 32 steps
-  (its path normals, and in trees that draw crossing variates from the
-  stream, those too); one kernel pass then ends every lane;
+  gets its hash key and one kernel pass of 8 steps (the window that 4096
+  lanes fill) ends every lane; trees that seeded a numpy ``Generator`` per
+  lane also paid for it and its first block of 32 steps of normals here;
 * ``wos_steps_per_s_4096`` and ``wos_steps_per_s_32``: WosTime jumps per
   second of ``_simulate_range`` at full and at low lane occupancy, seeding
   and lane set-up included.  The lanes are the first samples at seed 7 that
@@ -32,15 +32,16 @@ Rows:
   jumps exactly ``K`` times: 4096 strip lanes from the origin with K = 16,
   and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32.  The
   range ``0..lanes-1`` is mapped onto those samples' substreams by wrapping
-  ``_seed_words`` and ``_sample_keys``, which every tree's drivers seed
-  through (where a tree has them), so each tree runs lanes that live the
-  same number of jumps;
+  ``_sample_keys`` and ``_seed_words``, through which the sampler seeds
+  its lanes (each where a tree has it), so each tree runs lanes that live the same
+  number of jumps;
 * ``euler_steps_per_s_4096`` and ``euler_steps_per_s_32``: the same for
   EulerBridge steps (``step_h = 0.04``), with half-plane lanes from (0, 1)
   at time cap 1000 in both rows: 4096 lanes with K = 224 and 32 lanes with
-  K = 4064.  Each K ends a block (32 + 64 + 128, and 32 + ... + 2048 or
-  32 + ... + 1024 + 1024 + 1024 steps under a cap of 8192 or of 1024), so
-  every step drawn is run;
+  K = 4064.  Hashed path normals cover exactly the steps a pass runs, so
+  every K is a whole number of passes' steps.  The K values are those of
+  trees that drew normals in blocks (each K ended a block there), kept so
+  that the rows stay comparable across trees;
 * ``times_from_uniform_32_us`` and ``times_from_uniform_4096_us``: one
   disk-law inversion of 32 and of 4096 uniforms;
 * ``disk_law_first_s``: the first ``default_disk_law()`` after
@@ -57,6 +58,9 @@ Rows:
 * ``replay_ms``: one ``simulate_exit`` of a strip WosTime sample, the mean
   over indices 0-199 (disk-law table built beforehand), which pays the
   WosTime driver's fixed cost, seeding included, once per call;
+* ``euler_replay_ms``: the same for EulerBridge samples on the strip
+  (default step), which pays the fixed cost of ``_euler_range`` and its
+  first short windows once per call;
 * ``strip_wos_run_batch_s``: ``run_batch`` of 200k WosTime samples on the
   strip from the origin at seed 7 (disk-law table built beforehand);
 * ``strip_wos_passes``: the number of WosTime kernel passes in that batch,
@@ -139,9 +143,9 @@ def _steps_per_s(domain, start, lanes: int, steps: int, **params) -> dict:
         return lambda seed, indices: words(
             seed, picked[np.asarray(indices, dtype=np.int64)])
 
-    engine._seed_words = remapped(engine._seed_words)
-    if hasattr(engine, "_sample_keys"):
-        engine._sample_keys = remapped(engine._sample_keys)
+    for name in ("_sample_keys", "_seed_words"):
+        if hasattr(engine, name):
+            setattr(engine, name, remapped(getattr(engine, name)))
     resolved = engine._resolve(domain, start, pilot)
     run = lambda: engine._simulate_range(domain, start, resolved, 0, lanes)  # noqa: E731
     if int(run()[-1].sum()) != lanes * steps:
@@ -240,13 +244,13 @@ def _import_cli() -> dict:
     return {"value": time.perf_counter() - t0}
 
 
-def _replay() -> dict:
+def _replay(engine: str = "WosTime") -> dict:
     from combexit.engine import SimParams, simulate_exit
     from combexit.geometry import VerticalStrip
     from combexit.series import default_disk_law
 
     default_disk_law()
-    strip, params = VerticalStrip(-1.0, 1.0), SimParams(engine="WosTime", master_seed=SEED)
+    strip, params = VerticalStrip(-1.0, 1.0), SimParams(engine=engine, master_seed=SEED)
     simulate_exit(strip, (0.0, 0.0), params, sample_index=0)
     t0 = time.perf_counter()
     for i in range(200):
@@ -366,6 +370,7 @@ ROWS = {
     "check_ms": ("ms", _check),
     "import_cli_s": ("s", _import_cli),
     "replay_ms": ("ms", _replay),
+    "euler_replay_ms": ("ms", lambda: _replay("EulerBridge")),
     "strip_wos_run_batch_s": ("s", _strip_wos),
     "strip_wos_passes": ("count", _strip_wos_passes),
     "halfplane_euler_run_batch_s": ("s", _halfplane_euler),

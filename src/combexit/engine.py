@@ -36,7 +36,13 @@ and cross-validate each other.
     standard errors).  Under the earlier crossing-time rules (a uniform
     fraction for a same-side crossing, the linear one for a sign change) it
     read +14.1%, +9.5% and +3.0%, so the exact times do not reduce it; at
-    height 1 it shrank like ``sqrt(h)`` there.  The walk never depends on
+    height 1 it shrank like ``sqrt(h)`` there.  On a rectangle the same
+    one-line-at-a-time test puts exits exactly on corners, where harmonic
+    measure has no mass: a step whose bridge reaches one side's line beyond
+    the corner exits on that line, and ``lines.snap`` clips the point to
+    the corner.  From the centre of ``Rectangle(1, 1)`` (40k samples, seed
+    31) 1.98%, 1.26% and 0.36% of exits land on a corner at ``step_h``
+    0.25, 0.16 and the default 0.04.  The walk never depends on
     a crossing (a non-exit passage does not move it), so the kernel
     evaluates a window of many steps per numpy pass: positions are running
     sums of the drawn increments, and each lane stops at the first step in
@@ -63,41 +69,34 @@ and cross-validate each other.
     end.  A jump's two uniforms are SplitMix64 hashes of the lane's key and
     its jump count, so a lane carries one key word and no generator state.
 
-Sample ``i`` of a batch draws from its own substreams, all derived from
-``SeedSequence((master_seed, i))``.  The drivers hash the seed words of
-many samples in one vectorized pass of numpy's ``SeedSequence`` algorithm
-(``_seed_words`` and ``_sample_keys``), then:
-
-* every variate but EulerBridge's path normals is a SplitMix64 hash of the
-  sample's key and a counter that names the variate (``_splitmix64``,
-  where both engines' counter layouts and their range are stated).  The
-  key is word 4 of ``SeedSequence((master_seed, i)).generate_state(5,
-  np.uint64)`` (``_sample_keys``), and a hash is computed only where its
-  variate is read.  A WosTime jump reads two: its angle and its disk-law
-  time.  EulerBridge reads the crossing test's uniform, the crossing
-  time's uniform and normal, and the bridge normal.  A pair crosses when
-  its uniform ``u``, a multiple of ``2**-53`` in (0, 1], is at most
-  ``exp(-2*d0*d1/h)``; no pair where that is below ``2**-53`` can pass, so
-  ``u`` is hashed only at the pairs where it is not, and the crossing time
-  and bridge normal only at the crossings found.
-* an EulerBridge lane gets a ``Generator(PCG64(_Entropy(words)))`` from
-  the first four words, so numpy itself seeds it, and its path is that
-  generator's ``standard_normal`` sequence, two normals per step.  numpy's
-  ziggurat has no bit-exact vectorized form here, so each lane keeps its
-  generator and fills blocks of path normals from it; the normal fill is
-  concatenation-consistent, so the block lengths only regroup one
-  sequence.
+Sample ``i`` of a batch has one key, word 4 of
+``SeedSequence((master_seed, i)).generate_state(5, np.uint64)``, computed
+for many samples in one vectorized pass of numpy's ``SeedSequence``
+algorithm (``_sample_keys``).  Every variate of either
+engine is a SplitMix64 hash of that key and a counter that names the
+variate (``_splitmix64``, where both engines' counter layouts and their
+range are stated), computed only where the variate is read, so a lane
+carries its key and no generator state.  A WosTime jump reads two
+uniforms: its angle and its disk-law time.  An EulerBridge step reads one
+Box-Muller pair for its path (``_box_muller``); at a line it may cross it
+reads the crossing test's uniform, and at a crossing the crossing time's
+uniform and a Box-Muller pair for the crossing time's normal and the
+bridge normal.  A pair crosses when its uniform ``u``, a multiple of
+``2**-53`` in (0, 1], is at most ``exp(-2*d0*d1/h)``; no pair where that is
+below ``2**-53`` can pass, so ``u`` is hashed only at the pairs where it is
+not.  Every direction, a WosTime jump's and a Box-Muller pair's, comes from
+one helper, ``_on_circle``.
 
 Both engines run a sample range through one function of the same shape,
 ``_euler_range`` and ``_wos_range``, which return the range's columns.
 
-``TestSeeding`` and ``TestCrossingVariates`` pin the seeding to numpy's
-own ``SeedSequence``, ``PCG64`` and ``Generator`` and the hash to
-SplitMix64.  Results are therefore bit-identical for any worker count or
-batch partitioning, and individual samples can be replayed in isolation.
-How many lanes run together, when a WosTime lane joins the pool, the
-EulerBridge block lengths and how many steps a pass evaluates only regroup
-arithmetic on the same variates, so they never change a sample.
+``TestSeeding`` and ``TestCrossingVariates`` pin the keys to numpy's own
+``SeedSequence``, the hash to SplitMix64 and the EulerBridge path to a
+Box-Muller of its hashed uniforms.  Results are therefore bit-identical for
+any worker count or batch partitioning, and individual samples can be
+replayed in isolation.  How many lanes run together, when a WosTime lane
+joins the pool and how many steps an EulerBridge pass evaluates only
+regroup arithmetic on the same variates, so they never change a sample.
 
 Results are numpy columns (``SampleSet``); per-sample ``ExitSample``
 records are built only on request.  Passage counts are recorded for comb
@@ -110,7 +109,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -132,32 +131,29 @@ _ENGINES = ("EulerBridge", "WosTime")
 # Lane widths: ``_euler_range`` runs a sample range in chunks of
 # ``_CHUNK`` lanes in lockstep, and ``_wos_range`` streams one through a
 # pool of at most ``_WOS_POOL`` lanes, starting the next samples whenever
-# half the pool is free.  Every lane draws from its private substream, so a
-# width bounds working memory and sets how many lanes share a numpy pass,
-# but never changes a sample (only which sample a WosTime window escape
-# names, see ``_wos_range``).  ``_CHUNK`` also bounds the ``(lanes, T, 2)``
-# blocks of EulerBridge path normals; a WosTime lane holds six scalars, so
-# its pool is wider, which spreads each pass's fixed numpy cost over more
-# jumps.  In 200k-sample strip batches (2 vCPU) 4096 lanes took 0.45 s,
-# 8192 0.35 s, and 16384, 32768 and 65536 lanes 0.26-0.31 s, within noise
-# of each other.  EulerBridge lanes draw their path normals
-# in blocks of ``_BLOCK_START`` steps, doubling up to ``_BLOCK_CAP``: a
-# lane's draws past its last step are wasted, so the cap bounds the waste
-# and the block memory of long-lived lanes, while doubling keeps the
-# per-lane generator calls few for short-lived ones.  Within a block a pass
-# evaluates a window of ``_LANE_STEPS // live_lanes`` steps, so a few
-# long-lived lanes cost a few passes per block instead of one pass per
-# step; the constant bounds a pass's dense ``(lanes, steps, lines)``
-# offsets, while the hashed variates and the bridge arithmetic run only at
-# the pairs and crossings they concern.  The live lanes of a chunk share
-# one clock, so a window's times and cap tests are one row for all of
-# them.  Blocks and windows only regroup the same variates, so no sample
-# depends on these constants.
+# half the pool is free.  Every variate is a hash of the sample's key and
+# its own counter, so a width bounds working memory and sets how many lanes
+# share a numpy pass, but never changes a sample (only which sample a
+# WosTime window escape names, see ``_wos_range``).  A WosTime lane holds
+# six scalars, so its pool is wide, which spreads each pass's fixed numpy
+# cost over more jumps.  In 200k-sample strip batches (2 vCPU) 4096 lanes
+# took 0.45 s, 8192 0.35 s, and 16384, 32768 and 65536 lanes 0.26-0.31 s,
+# within noise of each other.  An EulerBridge pass evaluates a window of
+# ``min(span, _LANE_STEPS // live_lanes)`` steps, at least one, where
+# ``span`` starts at ``_WINDOW_START`` and doubles each pass of a chunk.
+# ``_LANE_STEPS`` bounds a pass's dense ``(lanes, steps, lines)`` offsets
+# and ``(lanes, steps)`` hashed path normals, so a few long-lived lanes
+# cost a few passes instead of one pass per step; the doubling start keeps
+# a short-lived chunk (a single-sample replay) from hashing steps it never
+# takes.  The hashed crossing variates and the bridge arithmetic run only
+# at the pairs and crossings they concern.  The live lanes of a chunk
+# share one clock, so a window's times and cap tests are one row for all
+# of them.  Windows only regroup the same variates, so no sample depends
+# on these constants.
 _CHUNK = 4096
 _WOS_POOL = 16384
 _LANE_STEPS = 1 << 15
-_BLOCK_START = 32
-_BLOCK_CAP = 1024
+_WINDOW_START = 32
 
 # Crossing tests only see lines whose current slot window contains them.
 # With step_h <= min_gap**2 / 25 a six-slot window reaches two full gaps
@@ -311,12 +307,11 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
 
 # Building ``SeedSequence((master_seed, i))`` one object at a time costs
 # about 18 us per sample, most of a short-lived WosTime batch, so
-# ``_seed_words`` runs SeedSequence's algorithm on many samples at once:
-# its pool mixing on uint32 words and ``generate_state(4, uint64)``
-# (constants from numpy's ``bit_generator.pyx``).  PCG64 turns those words
-# into its state itself when ``_Entropy`` hands it a row (EulerBridge).
-# ``_sample_keys`` continues the same output to a fifth word, the hash key
-# of both engines.
+# ``_sample_keys`` runs SeedSequence's algorithm on many samples at once:
+# its pool mixing on uint32 words (``_seed_pool``) and the fifth uint64
+# word of ``generate_state`` (constants from numpy's ``bit_generator.pyx``).
+# That word is the sample's hash key, from which both engines draw every
+# variate.
 _MASK32 = 0xFFFFFFFF
 
 
@@ -375,54 +370,19 @@ def _seed_pool(master_seed: int, indices) -> np.ndarray:
     return pool
 
 
-def _seed_words(master_seed: int, indices) -> np.ndarray:
-    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
-    every ``i`` in ``indices`` (each below 2**63), computed in one
-    vectorized pass: an ``(n, 4)`` uint64 array, one row per index."""
-    pool = _seed_pool(master_seed, indices)
-    out = _hashmix(np.concatenate([pool, pool]), _HASH_B[:9]).astype(np.uint64)
-    # PCG64 reads the four words from the row's memory as laid out in C
-    # order, so a strided row would seed it wrongly without an error
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-
-
 def _sample_keys(master_seed: int, indices) -> np.ndarray:
     """Word 4 of ``SeedSequence((master_seed, i)).generate_state(5,
-    np.uint64)`` for every ``i`` in ``indices``, as a uint64 array.
+    np.uint64)`` for every ``i`` in ``indices`` (each below 2**63), computed
+    in one vectorized pass, as a uint64 array.
 
-    SeedSequence's output is prefix-consistent, so the first four words
-    are ``_seed_words``; the fifth hashes pool words 0 and 1 with the next
-    two hash constants.
+    Output uint32 word ``w`` of ``generate_state`` hashes pool word
+    ``w % 4`` with hash constants ``w`` and ``w + 1``, so the fifth uint64
+    word (uint32 words 8 and 9) hashes pool words 0 and 1 with constants 8
+    to 10.
     """
     lo, hi = _hashmix(_seed_pool(master_seed, indices)[:2],
                       _HASH_B[8:]).astype(np.uint64)
     return lo | hi << np.uint64(32)
-
-
-@cache
-def _entropy_type() -> type:
-    """``_Entropy``, defined on first use: subclassing numpy's
-    ``ISeedSequence`` at import would load ``numpy.random`` into every
-    command, also those that never sample."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Entropy(ISeedSequence):
-        """A seed sequence that hands ``PCG64`` one precomputed row of
-        ``_seed_words``, so ``PCG64(_Entropy(row))`` starts where
-        ``PCG64(SeedSequence((master_seed, i)))`` does."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for (4, np.uint64); the identity test spares that
-            # request a dtype conversion, about 0.5 us of each lane's set-up
-            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-                raise ValueError("_Entropy holds exactly four uint64 words, got a "
-                                 f"request for {n_words} {np.dtype(dtype)} words")
-            return self.words
-
-    return _Entropy
 
 
 def _escape_window(domain: SimDomain) -> tuple[float, float]:
@@ -454,21 +414,28 @@ def _window_escape(index: int, window: tuple[float, float]) -> WindowEscapeError
 #
 # * WosTime: jump ``k`` of a sample (counted from 0) reads output ``2k``
 #   for its angle and ``2k + 1`` for its disk-law time.
-# * EulerBridge (its path normals come from the lane's ``Generator``):
-#   variate ``j`` of line ``l`` (its index in ``lines.c``) at step ``k`` is
-#   output ``4 * (k * len(lines.c) + l) + j``.  Slot 0 is the crossing
-#   test's uniform, slot 1 the crossing time's uniform, and slots 2 and 3 a
-#   Box-Muller pair whose sine half is the crossing time's normal and whose
-#   cosine half is the bridge normal.
+# * EulerBridge path: step ``k`` reads the Box-Muller pair of outputs
+#   ``2**63 + 2k`` (its radius) and ``2**63 + 2k + 1`` (its angle); the
+#   cosine half is the step's u normal and the sine half its v normal.
+# * EulerBridge crossings: variate ``j`` of line ``l`` (its index in
+#   ``lines.c``) at step ``k`` is output ``4 * (k * len(lines.c) + l) + j``.
+#   Slot 0 is the crossing test's uniform, slot 1 the crossing time's
+#   uniform, and slots 2 and 3 a Box-Muller pair whose sine half is the
+#   crossing time's normal and whose cosine half is the bridge normal.
 #
-# The state advances by an odd constant and the mix is a bijection, so a
-# sample never reads one word twice while its counters stay below 2**64;
-# ``max_steps`` keeps them far below 2**63.  Across samples, the keys are
-# SeedSequence outputs, random 64-bit words, so two samples that read
-# ``C1`` and ``C2`` outputs pass through a common state with probability at
-# most ``(C1 + C2) / 2**64``, and a batch of ``n`` samples that reads ``D``
-# outputs in all does so with probability at most ``n * D / 2**64``
-# (about 2**-24 for 200k strip samples of WosTime).
+# The path counters are at least 2**63, and the crossing counters stay
+# below it (the path ones below 2**64) while ``(k + 1) * len(lines.c) <=
+# 2**61``, far beyond any ``max_steps`` that runs in practice.  The state
+# advances by an odd constant and the mix is a bijection, so a sample never
+# reads one word twice while its counters are distinct and below 2**64.
+# Across samples, the keys are SeedSequence outputs, random 64-bit words.
+# Two samples that read ``C1`` and ``C2`` outputs, each from one run of
+# consecutive counters, pass through a common state with probability at
+# most ``(C1 + C2) / 2**64``, so a WosTime batch of ``n`` samples that
+# reads ``D`` outputs in all does so with probability at most
+# ``n * D / 2**64`` (about 2**-24 for 200k strip samples).  An EulerBridge
+# sample reads two runs, its crossing and its path counters, which doubles
+# both bounds.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
@@ -490,6 +457,33 @@ def _uniform(key, counter):
     top 53 bits plus one, times 2**-53.  It is never 0, so its log is
     finite and it never passes a test ``u <= p`` with ``p < 2**-53``."""
     return ((_splitmix64(key, counter) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+
+_PATH = np.uint64(2**63)   # first counter of the EulerBridge path pairs
+
+
+def _on_circle(radius, u):
+    """The point at ``radius`` from the origin in the direction of the
+    angle ``2 pi (u - 1/2)``, uniform on (-pi, pi] for a uniform ``u``, as
+    ``(radius * cos, radius * sin)``.
+
+    Both are computed from the tangent ``g`` of the half angle: cos =
+    ``(1 - g**2) / (1 + g**2)`` and sin = ``2 g / (1 + g**2)``.  numpy 2.4 on
+    x86-64 vectorizes float64 tan but not cos and sin, which cost about
+    20 ns a double each.
+    """
+    g = np.tan(math.pi * (u - 0.5))
+    g2 = g * g
+    scale = radius / (1.0 + g2)
+    return scale * (1.0 - g2), scale * (2.0 * g)
+
+
+def _box_muller(key, counter):
+    """A pair of independent standard normals from the uniforms
+    ``_uniform(key, counter)`` (the radius) and ``_uniform(key, counter +
+    1)`` (the angle), as ``(cosine half, sine half)``."""
+    rho = np.sqrt(-2.0 * np.log(_uniform(key, counter)))
+    return _on_circle(rho, _uniform(key, counter + np.uint64(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +559,19 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     columns are arrays indexed by range row, and ``act`` holds the rows of
     the chunk's running lanes.  Every lane of a chunk starts at t = 0 and
     they step in lockstep, so the running lanes share one clock: the
-    chunk's step count ``done`` and time ``t`` are scalars.  A chunk runs
-    through blocks of ``T`` steps, ``T`` doubling from ``_BLOCK_START`` to
-    ``_BLOCK_CAP``.  At the start of a block each running lane fills its
-    ``(T, 2)`` path normals from its own ``Generator``, one call per lane;
-    these continue the lane's one normal sequence, whatever chunk or block
-    it runs in.
+    chunk's step count ``done`` and time ``t`` are scalars.
 
-    Each pass of a block evaluates a window of ``W`` steps for the lanes
-    still running.  Only the signed offsets of the ``W + 1`` positions from
-    the ``S`` lines and the product of consecutive offsets are dense, on
+    Each pass evaluates a window of ``W`` steps for the lanes still
+    running (``_WINDOW_START`` gives its length).  The window's path
+    normals are hashed for all of them in one call, from ``keys`` (one per
+    range row) and the global steps ``done .. done + W - 1``, so a lane's
+    path does not depend on the chunk or window it runs in.  Only the path,
+    the signed offsets of the ``W + 1`` positions from the ``S`` lines and
+    the product of consecutive offsets are dense, on ``(lanes, W)`` and
     ``(lanes, W, S)`` arrays.  The pairs whose product is small enough for
     ``exp(-2*d0*d1/h)`` to reach ``2**-53`` become a list, in lane, step and
-    slot order; their crossing uniforms are hashed from ``keys`` (one per
-    range row), the global step ``done + w`` and the line, and tested.  The
+    slot order; their crossing uniforms are hashed from the lane's key,
+    the global step ``done + w`` and the line, and tested.  The
     crossing fraction, the bridge point and the exit test are computed for
     the crossings that pass, sorted into time order within each step.
     Whatever a lane computes after its first exit or cap hit in the window
@@ -607,176 +600,162 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
         tau[idx], eu[idx], ev[idx], censor[idx] = t_end, pu, pv, censored
 
     keys = np.zeros(n, dtype=np.uint64)
-    entropy = _entropy_type()
     for c0 in range(0, n, _CHUNK):
         act = np.arange(c0, min(n, c0 + _CHUNK))
-        gens = [np.random.Generator(np.random.PCG64(entropy(w)))
-                for w in _seed_words(params.master_seed, lo + act)]
         keys[act] = _sample_keys(params.master_seed, lo + act)
-        t, done = 0.0, 0
-        T = _BLOCK_START
+        t, done, span = 0.0, 0, _WINDOW_START
         while act.size:
-            normals = np.empty((act.size, T, 2))
-            for k, i in enumerate((act - c0).tolist()):
-                gens[i].standard_normal(out=normals[k])
-            rows = np.arange(act.size)  # block rows of the lanes still running
-            k0 = 0
-            while rows.size and k0 < T:
-                W = min(T - k0, max(1, _LANE_STEPS // rows.size))
-                L = rows.size
-                live = act[rows]
-                U = _walk(u[live], normals[rows, k0:k0 + W, 0], sqrt_h)
-                V = _walk(v[live], normals[rows, k0:k0 + W, 1], sqrt_h)
-                tt = np.full(W + 1, h)
-                tt[0] = t
-                np.add.accumulate(tt, out=tt)
+            L = act.size
+            W = min(span, max(1, _LANE_STEPS // L))
+            span *= 2
+            zu, zv = _box_muller(
+                keys[act, None],
+                _PATH + np.arange(2 * done, 2 * (done + W), 2, dtype=np.uint64))
+            U = _walk(u[act], zu, sqrt_h)
+            V = _walk(v[act], zv, sqrt_h)
+            tt = np.full(W + 1, h)
+            tt[0] = t
+            np.add.accumulate(tt, out=tt)
 
-                # signed offsets before (d0) and after (d1) each step
-                if dynamic:
-                    slot = (np.searchsorted(lines.c, U[:, :-1])[..., None]
-                            + _SLOT_OFFSETS)
-                    valid = (slot >= 0) & (slot < n_lines)
-                    slot = np.clip(slot, 0, n_lines - 1)
-                    d0 = U[:, :-1, None] - lines.c[slot]
-                    d1 = U[:, 1:, None] - lines.c[slot]
-                else:
-                    D = (U[..., None] - lines.c if lines.vertical else
-                         lines.nx * U[..., None] + lines.ny * V[..., None] - lines.c)
-                    d0, d1 = D[:, :-1], D[:, 1:]
+            # signed offsets before (d0) and after (d1) each step
+            if dynamic:
+                slot = (np.searchsorted(lines.c, U[:, :-1])[..., None]
+                        + _SLOT_OFFSETS)
+                valid = (slot >= 0) & (slot < n_lines)
+                slot = np.clip(slot, 0, n_lines - 1)
+                d0 = U[:, :-1, None] - lines.c[slot]
+                d1 = U[:, 1:, None] - lines.c[slot]
+            else:
+                D = (U[..., None] - lines.c if lines.vertical else
+                     lines.nx * U[..., None] + lines.ny * V[..., None] - lines.c)
+                d0, d1 = D[:, :-1], D[:, 1:]
 
-                # A pair crosses when its slot-0 uniform is at most
-                # exp(-2*d0*d1/h).  Only the pairs ``near`` finds can pass,
-                # so the uniforms and the exp are computed for those alone.
-                # A sign change (prod < 0) gives above 1, so it always
-                # crosses.
-                prod = d0 * d1
-                near = prod < _FAR * h
-                if dynamic:
-                    near &= valid
-                flat = np.flatnonzero(near)
-                li, si = np.divmod(flat, S)
-                li, wi = np.divmod(li, W)
-                line = slot.ravel()[flat] if dynamic else si
-                key = keys[live[li]]
-                counter = (4 * ((done + wi) * n_lines + line)).astype(np.uint64)
-                with np.errstate(over="ignore"):
-                    c = np.flatnonzero(_uniform(key, counter)
-                                       <= np.exp(-2.0 * prod.ravel()[flat] / h))
-                li, wi, si, line, key, counter = (
-                    a[c] for a in (li, wi, si, line, key, counter))
+            # A pair crosses when its slot-0 uniform is at most
+            # exp(-2*d0*d1/h).  Only the pairs ``near`` finds can pass,
+            # so the uniforms and the exp are computed for those alone.
+            # A sign change (prod < 0) gives above 1, so it always
+            # crosses.
+            prod = d0 * d1
+            near = prod < _FAR * h
+            if dynamic:
+                near &= valid
+            flat = np.flatnonzero(near)
+            li, si = np.divmod(flat, S)
+            li, wi = np.divmod(li, W)
+            line = slot.ravel()[flat] if dynamic else si
+            key = keys[act[li]]
+            counter = (4 * ((done + wi) * n_lines + line)).astype(np.uint64)
+            with np.errstate(over="ignore"):
+                c = np.flatnonzero(_uniform(key, counter)
+                                   <= np.exp(-2.0 * prod.ravel()[flat] / h))
+            li, wi, si, line, key, counter = (
+                a[c] for a in (li, wi, si, line, key, counter))
 
-                # The crossings as a list: fraction, bridge point on the
-                # line, and whether it meets the line's boundary part.  The
-                # fraction is drawn from its exact law by the slot-1 uniform
-                # and the sine half of the slot-2/3 Box-Muller pair; the
-                # cosine half is the bridge normal.  A convex domain is left
-                # at every crossing.
-                r, j = rows[li], k0 + wi
-                rho = np.sqrt(-2.0 * np.log(_uniform(key, counter + 2)))
-                theta = 2.0 * math.pi * _uniform(key, counter + 3)
-                f = _crossing_fraction(
-                    np.abs(d0[li, wi, si]), np.abs(d1[li, wi, si]), h,
-                    rho * np.sin(theta), _uniform(key, counter + 1))
-                bridge_sd = np.sqrt(h * f * (1.0 - f))
-                z = rho * np.cos(theta)
-                dv = sqrt_h * normals[r, j, 1]
-                if lines.vertical:
-                    along = V[li, wi] + f * dv + bridge_sd * z
-                else:
-                    ax, ay = lines.ax[line], lines.ay[line]
-                    du = sqrt_h * normals[r, j, 0]
-                    along = (ax * U[li, wi] + ay * V[li, wi]
-                             + f * (ax * du + ay * dv) + bridge_sd * z)
-                if lines.convex:
-                    exits = np.ones(li.size, dtype=bool)
-                else:
-                    exits = lines.gap(along, lines.par[line]) <= 0.0
-                if S > 1:
-                    o = _time_order(li * W + wi, si, f, S)
-                    li, wi, line, f, along, exits = (
-                        a[o] for a in (li, wi, line, f, along, exits))
-                k0 += W
+            # The crossings as a list: fraction, bridge point on the
+            # line, and whether it meets the line's boundary part.  The
+            # fraction is drawn from its exact law by the slot-1 uniform
+            # and the sine half of the slot-2/3 Box-Muller pair; the
+            # cosine half is the bridge normal.  A convex domain is left
+            # at every crossing.
+            z, nu = _box_muller(key, counter + np.uint64(2))
+            f = _crossing_fraction(
+                np.abs(d0[li, wi, si]), np.abs(d1[li, wi, si]), h,
+                nu, _uniform(key, counter + np.uint64(1)))
+            bridge_sd = np.sqrt(h * f * (1.0 - f))
+            dv = sqrt_h * zv[li, wi]
+            if lines.vertical:
+                along = V[li, wi] + f * dv + bridge_sd * z
+            else:
+                ax, ay = lines.ax[line], lines.ay[line]
+                du = sqrt_h * zu[li, wi]
+                along = (ax * U[li, wi] + ay * V[li, wi]
+                         + f * (ax * du + ay * dv) + bridge_sd * z)
+            if lines.convex:
+                exits = np.ones(li.size, dtype=bool)
+            else:
+                exits = lines.gap(along, lines.par[line]) <= 0.0
+            if S > 1:
+                o = _time_order(li * W + wi, si, f, S)
+                li, wi, line, f, along, exits = (
+                    a[o] for a in (li, wi, line, f, along, exits))
 
-                # The first exit of a lane ends it, unless the shared clock
-                # hits a cap at an earlier step.  A step's exit is resolved
-                # before its cap check; an exit later than ``time_cap`` is
-                # censored below.
-                x = np.flatnonzero(exits)
-                x = x[np.r_[True, li[x[1:]] != li[x[:-1]]]] if x.size else x
-                first_exit = np.full(L, li.size)
-                first_exit[li[x]] = x
-                j_exit = np.full(L, W + 1)
-                j_exit[li[x]] = wi[x]
-                cap = ((tt[1:] >= time_cap)
-                       | (np.arange(done + 1, done + W + 1) >= max_steps))
-                j_end = np.minimum(j_exit, cap.argmax() if cap.any() else W)
-                by_exit = j_exit == j_end
-                finished = j_end < W
+            # The first exit of a lane ends it, unless the shared clock
+            # hits a cap at an earlier step.  A step's exit is resolved
+            # before its cap check; an exit later than ``time_cap`` is
+            # censored below.
+            x = np.flatnonzero(exits)
+            x = x[np.r_[True, li[x[1:]] != li[x[:-1]]]] if x.size else x
+            first_exit = np.full(L, li.size)
+            first_exit[li[x]] = x
+            j_exit = np.full(L, W + 1)
+            j_exit[li[x]] = wi[x]
+            cap = ((tt[1:] >= time_cap)
+                   | (np.arange(done + 1, done + W + 1) >= max_steps))
+            j_end = np.minimum(j_exit, cap.argmax() if cap.any() else W)
+            by_exit = j_exit == j_end
+            finished = j_end < W
 
-                if windowed:
-                    # Name the lane that stepping one step at a time would
-                    # stop at: earliest step, then lowest index, among lanes
-                    # that stand outside the window after a step they did
-                    # not exit on.
-                    out = (U[:, 1:] < w_lo) | (U[:, 1:] > w_hi)
-                    out &= np.arange(W) < (j_end + ~by_exit)[:, None]
-                    if out.any():
-                        k = out.any(axis=0).argmax()
-                        raise _window_escape(lo + int(live[out[:, k].argmax()]),
-                                             window)
+            if windowed:
+                # Name the lane that stepping one step at a time would
+                # stop at: earliest step, then lowest index, among lanes
+                # that stand outside the window after a step they did
+                # not exit on.
+                out = (U[:, 1:] < w_lo) | (U[:, 1:] > w_hi)
+                out &= np.arange(W) < (j_end + ~by_exit)[:, None]
+                if out.any():
+                    k = out.any(axis=0).argmax()
+                    raise _window_escape(lo + int(act[out[:, k].argmax()]),
+                                         window)
 
+            if track_passages:
+                # Passage events (comb lines are all slits): the
+                # crossings before each lane's first exit, up to its
+                # last step.  An event passes a tooth when its line
+                # differs from the lane's previous event's.
+                e = np.flatnonzero(~exits & (wi <= j_end[li])
+                                   & (np.arange(li.size) < first_exit[li]))
+                if e.size:
+                    el, eline = li[e], line[e]
+                    head = np.r_[True, el[1:] != el[:-1]]
+                    prev = np.r_[-1, eline[:-1]]
+                    prev[head] = last_line[act[el[head]]]
+                    passages[act] += np.bincount(el[eline != prev], minlength=L)
+                    tail = np.r_[head[1:], True]
+                    last_line[act[el[tail]]] = eline[tail]
+
+            w = np.flatnonzero(by_exit)
+            if w.size:
+                xw = first_exit[w]
+                jw = j_end[w]
+                t_exit = tt[jw] + f[xw] * h
+                # a path that exits after the cap survived to it: censor
+                # it at the cap, at the last grid position before the
+                # exit step
+                late = t_exit > time_cap
+                if late.any():
+                    wl = w[late]
+                    finish(act[wl], time_cap, U[wl, jw[late]],
+                           V[wl, jw[late]], True)
+                    w, xw, t_exit = (a[~late] for a in (w, xw, t_exit))
+                lw = line[xw]
+                px, py = lines.snap(lw, along[xw])
+                finish(act[w], t_exit, px, py, False)
                 if track_passages:
-                    # Passage events (comb lines are all slits): the
-                    # crossings before each lane's first exit, up to its
-                    # last step.  An event passes a tooth when its line
-                    # differs from the lane's previous event's.
-                    e = np.flatnonzero(~exits & (wi <= j_end[li])
-                                       & (np.arange(li.size) < first_exit[li]))
-                    if e.size:
-                        el, eline = li[e], line[e]
-                        head = np.r_[True, el[1:] != el[:-1]]
-                        prev = np.r_[-1, eline[:-1]]
-                        prev[head] = last_line[live[el[head]]]
-                        passages[live] += np.bincount(el[eline != prev], minlength=L)
-                        tail = np.r_[head[1:], True]
-                        last_line[live[el[tail]]] = eline[tail]
+                    passages[act[w]] += (
+                        lw != last_line[act[w]]).astype(np.int64)
 
-                w = np.flatnonzero(by_exit)
-                if w.size:
-                    xw = first_exit[w]
-                    jw = j_end[w]
-                    t_exit = tt[jw] + f[xw] * h
-                    # a path that exits after the cap survived to it: censor
-                    # it at the cap, at the last grid position before the
-                    # exit step
-                    late = t_exit > time_cap
-                    if late.any():
-                        wl = w[late]
-                        finish(live[wl], time_cap, U[wl, jw[late]],
-                               V[wl, jw[late]], True)
-                        w, xw, t_exit = (a[~late] for a in (w, xw, t_exit))
-                    lw = line[xw]
-                    px, py = lines.snap(lw, along[xw])
-                    finish(live[w], t_exit, px, py, False)
-                    if track_passages:
-                        passages[live[w]] += (
-                            lw != last_line[live[w]]).astype(np.int64)
+            c = np.flatnonzero(finished & ~by_exit)
+            if c.size:
+                jc = j_end[c] + 1
+                finish(act[c], np.minimum(tt[jc], time_cap),
+                       U[c, jc], V[c, jc], True)
 
-                c = np.flatnonzero(finished & ~by_exit)
-                if c.size:
-                    jc = j_end[c] + 1
-                    finish(live[c], np.minimum(tt[jc], time_cap),
-                           U[c, jc], V[c, jc], True)
-
-                steps[live[finished]] = done + j_end[finished] + 1
-                run = ~finished
-                u[live[run]] = U[run, W]
-                v[live[run]] = V[run, W]
-                t, done = tt[W], done + W
-                rows = rows[run]
-            act = act[rows]
-            del normals  # free this block's draws before the next
-            T = min(2 * T, _BLOCK_CAP)
+            steps[act[finished]] = done + j_end[finished] + 1
+            run = ~finished
+            u[act[run]] = U[run, W]
+            v[act[run]] = V[run, W]
+            t, done = tt[W], done + W
+            act = act[run]
     return tau, eu, ev, censor, passages if track_passages else None, steps
 
 
@@ -845,18 +824,11 @@ def _wos_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
             row, u, v, t, steps, r, key = (
                 a.take(keep) for a in (row, u, v, t, steps, r, key))
 
-        # The jump's direction at the angle 2 pi (ang_u - 1/2), uniform on
-        # (-pi, pi], from the tangent g of its half: cos = (1 - g**2) /
-        # (1 + g**2) and sin = 2 g / (1 + g**2).  numpy 2.4 on x86-64
-        # vectorizes float64 tan but not cos and sin, which cost about
-        # 20 ns a lane each.
         ang_u, time_u = _uniform(key, 2 * steps.astype(np.uint64) + slots)
-        g = np.tan(math.pi * (ang_u - 0.5))
-        g2 = g * g
-        scale = r / (1.0 + g2)
+        du, dv = _on_circle(r, ang_u)
         t += r * r * table.times_from_uniform(time_u)
-        u += scale * (1.0 - g2)
-        v += scale * (2.0 * g)
+        u += du
+        v += dv
         steps += 1
 
         if windowed:

@@ -71,20 +71,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 def test_commands_leave_scipy_unloaded(tmp_path):
     """The strip moments, the walk-on-spheres disk law and the checker need
-    no scipy: strip-moment, a WosTime simulate, construct and a check of its
-    comb each run without loading it."""
+    no scipy, and both samplers hash every variate themselves, so none
+    needs numpy's random module: strip-moment, a simulate with each engine,
+    construct and a check of its comb each run without loading either."""
     write_json(tmp_path / "strip.json", STRIP)
     for argv in (
         ["strip-moment", "--p", "0.5", "--out", "moment.json"],
         ["simulate", "--domain", "strip.json", "--start", "0,0", "--engine",
          "WosTime", "--n", "300", "--seed", "3", "--workers", "1",
          "--out", "sim.json", "--csv", "s.csv"],
+        ["simulate", "--domain", "strip.json", "--start", "0,0", "--engine",
+         "EulerBridge", "--n", "300", "--seed", "3", "--workers", "1",
+         "--out", "euler.json", "--csv", "e.csv"],
         ["construct", "--stages", "2", "--seed", "3", "--out", "construct.json",
          "--comb-out", "comb.json"],
         ["check", "--comb", "comb.json", "--p", "0.5", "--out", "check.json"],
     ):
         code = f"from combexit.cli import run_command; assert run_command({argv!r}) == 0"
-        assert _loaded_after(code, tmp_path) == [], argv[0]
+        assert _loaded_after(code, tmp_path, ("scipy", "numpy.random")) == [], argv[0]
 
 
 class TestScalarCommands:

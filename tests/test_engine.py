@@ -335,9 +335,10 @@ def column_digest(ss):
 
 _REFLEX = 1.5 * math.pi
 
-# Sizes are chosen so that the early blocks hold more lanes than one kernel
-# pass covers, and the long-lived half-plane runs reach blocks where a few
-# lanes are evaluated over many steps per pass.
+# Sizes are chosen so that a chunk's first passes hold too many lanes for a
+# full window (more than ``_LANE_STEPS // _WINDOW_START``), and the
+# long-lived half-plane runs reach passes where a few lanes are evaluated
+# over many steps.
 GUARD_CASES = {
     "strip": (VerticalStrip(-1.0, 1.0), (0.3, 0.0), 2_000,
               dict(master_seed=41)),
@@ -354,8 +355,7 @@ GUARD_CASES = {
                              dict(master_seed=46, max_steps=700)),
     "uniform-comb": (UNIFORM_COMB, (0.5, 0.0), 2_000,
                      dict(master_seed=47, time_cap=200.0)),
-    # More samples than one EulerBridge chunk of 4096 lanes; recorded with
-    # the generic chunk driver.
+    # More samples than one EulerBridge chunk of 4096 lanes.
     "uniform-comb-multichunk": (UNIFORM_COMB, (0.5, 0.0), 9_000,
                                 dict(master_seed=47, time_cap=20.0)),
     "half-plane-multichunk": (HalfPlane(), (0.0, 1.0), 9_000,
@@ -410,29 +410,29 @@ GUARD_CASES = {
 
 GUARD_DIGESTS = {
     "strip":
-        "f45c935cf0b305ebfe3b405994b8a73c8eb384ca211f9ec9a2ec3c172b1df1b1",
+        "8482b4ce00daa71102d28514fa592c0fe2abdd1285b5b61ebfea5c2272ec9dc1",
     "rectangle":
-        "19b684c1c4ab2dc2bef02d4176d9a99af485185b8599cca7e5bd5abd4dad2d55",
+        "13f28a330a04a0fe87d54eefc3d33922595c18e485d59d17fa024fad3cdf2f55",
     "convex-wedge":
-        "96fc096424a9d0f3d511f95da9a27b0c5cfae32ca31cf6aa02e2622f5548b391",
+        "9c53cc93a8ca6da333cb66604a24774a860b6ce91f4065550c72611ffbbe62c6",
     "reflex-wedge":
-        "4925dac8f051ef283b700ee1efcdaec8f14b7ec7067f3dd27058fbecf3a95da6",
+        "0db42a313a7494cc5abec7fcb046804b0fc424121a48e265889a809093fd496f",
     "half-plane-time-cap":
-        "7e1a9e991d15f943deb16f703a141a1ae4e60a85d503d25aa52481a21498cf08",
+        "426bfbe8b98ec819bc72153f6a8743970bc048a68d43d0ae2dcb5dc6add654f1",
     "half-plane-max-steps":
-        "20d9843f57fb03ae327b7c94fc9fff75ed268deaf64124869b65ba1325407e77",
+        "97490ffe1b3a077244ecc2183c8778bcab7cbc0c49dbd8c8ac28842f984c613e",
     "uniform-comb":
-        "b42bfee55133ca189f8c6b04734d6958bded15e24f40f5a953e399fd48510077",
+        "ab72a9ade307334264b7c63790e50226a337ea1b76bcfc8f5d2da471a251e119",
     "uniform-comb-multichunk":
-        "605729339f417e6757cea6a334d0c88ea71924e59f2b663c82b80a0e65b3862f",
+        "717e0198e6cdac75de6f52f692d8cf9b209adeabcd851d741410566bda35ca1a",
     "half-plane-multichunk":
-        "e3a72569c3a1abd578de4ed3c293449cb7d504e932e8a0e093d9348dc801999c",
+        "6a578aa5bbfdb58e85dd11036181fce383c0fb513376cf6ab5ca3a07695ddf1b",
     "explicit-comb":
-        "14f252d7a221a9825825c8986256c05bca77f9f4d0e77705fc9f5bc5abe9dca3",
+        "44a5bd3ca8c1253c13765318d4b8205aa7b949f8187864e67692c12a949bcbb0",
     "geometric-comb":
-        "84fdad94c977c6f794d691b03f03f5dbba2bb453808e7ecb530bdb4e3001b1d6",
+        "ae39888df0bf6780a7bd5812a7b695a823c761ccc43ac30d9d94cc832778ed94",
     "one-sided-uniform-comb":
-        "9c000bb2e6fbe88dd7a14019901b7f2da65044a933cb82dce489bafc1e4d49df",
+        "db6e42ff75cd300e53fccd138b19246996a0b86bdd722c2d87580886007a17bf",
     "wos-rectangle":
         "8af60381c093a6dd7d9e802567305457a9027e1d62eba508c9262a5adfe5e615",
     "wos-convex-wedge":
@@ -477,7 +477,7 @@ class TestBitIdentityGuard:
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
-        assert str(err.value).startswith("sample 52 ")
+        assert str(err.value).startswith("sample 1492 ")
 
     def test_wos_window_escape_names_the_same_sample(self):
         # Sample by sample, 3 is the lowest index that stands outside the
@@ -492,8 +492,8 @@ class TestBitIdentityGuard:
         (2, 9 * _POOL // 4, dict(engine="WosTime", master_seed=49), 16),
         (8, 5 * _POOL // 4, dict(engine="WosTime", master_seed=2, time_cap=50.0),
          20_202),
-        (8, 12_000, dict(master_seed=1, time_cap=50.0), 1758),
-        (10, 12_000, dict(master_seed=1, time_cap=50.0), 5525),
+        (7, 12_000, dict(master_seed=1, time_cap=50.0), 4090),
+        (8, 12_000, dict(master_seed=1, time_cap=50.0), 4207),
     ])
     def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
         # The first WosTime case escapes within the first pool fill; in the
@@ -512,21 +512,10 @@ INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
 
 class TestSeeding:
     """The drivers run numpy's ``SeedSequence`` algorithm on many samples
-    in one vectorized pass: its first four words seed an EulerBridge
-    lane's ``Generator(PCG64)``, and its fifth is the sample's hash key,
-    from which WosTime draws every jump and EulerBridge every crossing
-    variate.  These pin the words, the keys and the ``Generator`` to numpy's
-    own ``SeedSequence``, ``PCG64`` and ``Generator``, and WosTime's draws
-    to a SplitMix64 reference on Python ints."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_seed_states_match_numpy(self, seed):
-        words = engine._seed_words(seed, np.array(INDICES))
-        assert words.dtype == np.uint64 and words.shape == (len(INDICES), 4)
-        assert words.flags.c_contiguous  # PCG64 reads each row's memory
-        assert words.tolist() == [
-            np.random.SeedSequence((seed, i)).generate_state(4, np.uint64).tolist()
-            for i in INDICES]
+    in one vectorized pass: its fifth uint64 word is the sample's hash key,
+    from which WosTime draws every jump and EulerBridge its path and every
+    crossing variate.  These pin the keys to numpy's own ``SeedSequence``
+    and WosTime's draws to a SplitMix64 reference on Python ints."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sample_keys_match_numpy(self, seed):
@@ -572,35 +561,16 @@ class TestSeeding:
             assert reads == [(key, c, x) for c, x in enumerate(want)]
             assert times == want[1::2]
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
-    def test_entropy_generator_draws_like_numpy(self, seed):
-        indices = [0, 2**32, 2**40]
-        for i, row in zip(indices, engine._seed_words(seed, indices)):
-            ours = np.random.Generator(np.random.PCG64(engine._entropy_type()(row)))
-            theirs = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, i))))
-            for draw in (lambda g: g.random(7), lambda g: g.standard_normal(7)):
-                assert draw(ours).tolist() == draw(theirs).tolist()
-
-    @pytest.mark.parametrize("n_words, dtype", [
-        (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, "float64")])
-    def test_entropy_refuses_other_requests(self, n_words, dtype):
-        entropy = engine._entropy_type()(engine._seed_words(3, [4])[0])
-        assert entropy.generate_state(4, "uint64").shape == (4,)
-        with pytest.raises(ValueError, match="four uint64 words"):
-            entropy.generate_state(n_words, dtype)
-
     # The WosTime samples were recorded when jumps began to draw from the
-    # SplitMix64 hash of the sample key.  The EulerBridge ones were
-    # recorded when crossing times began to follow their exact law (the
-    # variates are hashes keyed on the fifth SeedSequence word).
+    # SplitMix64 hash of the sample key, the EulerBridge ones when its path
+    # normals did too.
     FAR_SAMPLES = {
         ("EulerBridge", 2**40):
-            ExitSample(2.076751481567701, (0.0, -1.3751925797065156),
-                       False, 2, 52, "EulerBridge"),
+            ExitSample(1.4649975263292117, (1.0, 1.6777601167593432),
+                       False, 1, 37, "EulerBridge"),
         ("EulerBridge", 2**63 - 1):
-            ExitSample(4.022956762858422, (1.0, 1.2174635733962795),
-                       False, 5, 101, "EulerBridge"),
+            ExitSample(1.5243108627306907, (-3.0, -1.891795219007917),
+                       False, 4, 39, "EulerBridge"),
         ("WosTime", 2**40):
             ExitSample(0.5535592579482235, (-1.0, 1.6537935631217289),
                        False, None, 21, "WosTime"),
@@ -617,15 +587,12 @@ class TestSeeding:
         sample = simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                                sample_index=index)
         assert sample == self.FAR_SAMPLES[key]
-        # the same sample from numpy's own per-sample seeding
-        def numpy_state(seed, indices):
+        # the same sample from keys of numpy's own per-sample seeding
+        def numpy_keys(seed, indices):
             return np.array([np.random.SeedSequence((seed, int(i)))
-                             .generate_state(5, np.uint64) for i in indices])
+                             .generate_state(5, np.uint64)[4] for i in indices])
 
-        monkeypatch.setattr(engine, "_seed_words",
-                            lambda seed, indices: numpy_state(seed, indices)[:, :4])
-        monkeypatch.setattr(engine, "_sample_keys",
-                            lambda seed, indices: numpy_state(seed, indices)[:, 4])
+        monkeypatch.setattr(engine, "_sample_keys", numpy_keys)
         assert simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                              sample_index=index) == sample
 
@@ -653,9 +620,10 @@ def splitmix64_reference(seed, n):
 
 
 class TestCrossingVariates:
-    """EulerBridge reads its path from numpy's normals and every crossing
-    variate from a SplitMix64 hash of (sample key, step, line, slot); these
-    pin both, and check that the block schedule only regroups them."""
+    """EulerBridge reads its path from SplitMix64 hashes of (sample key,
+    step, slot) and every crossing variate from hashes of (sample key,
+    step, line, slot); these pin the hash and the path, and check that the
+    window schedule only regroups them."""
 
     def test_reference_matches_published_outputs(self):
         # splitmix64.c's first outputs from seed 1234567
@@ -676,30 +644,44 @@ class TestCrossingVariates:
         assert engine._uniform(keys, counters).tolist() == [
             ((w >> 11) + 1) * 2.0**-53 for w in want]
 
-    def test_censored_path_is_numpys_normal_sequence(self):
-        # a max_steps-censored sample stands where numpy's own normals put
-        # it: two per step, summed from the start one step at a time
+    def test_censored_path_is_hashed_box_muller(self):
+        # A max_steps-censored sample stands where its hashed Box-Muller
+        # pairs put it: step k reads SplitMix64 outputs 2**63 + 2k (the
+        # radius) and 2**63 + 2k + 1 (the angle) under the sample's key, and
+        # the steps are summed from the start one at a time.  The engine
+        # takes cos and sin from the tangent of the half angle, so its sums
+        # agree with math.cos and math.sin to rounding only.
         params = SimParams(master_seed=46, max_steps=700)
         ss = run_batch(HalfPlane(), (0.0, 1.0), 100, params)
         picked = np.flatnonzero(ss.censor)[:3]
         assert picked.size == 3 and (ss.steps[picked] == 700).all()
+        sqrt_h = math.sqrt(ss.params.step_h)
         for i in picked.tolist():
-            normals = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((46, i)))).standard_normal((700, 2))
-            steps = math.sqrt(ss.params.step_h) * normals
-            path = np.cumsum(np.vstack([[0.0, 1.0], steps]), axis=0)
-            assert (ss.u[i], ss.v[i]) == tuple(path[-1].tolist())
+            key = int(np.random.SeedSequence((46, i)).generate_state(5, np.uint64)[4])
+            # output 2**63 + c of ``key`` is output c of key + 2**63 * gamma
+            words = splitmix64_reference((key + 2**63 * SPLITMIX_GAMMA) % 2**64,
+                                         2 * 700)
+            uniforms = [((w >> 11) + 1) * 2.0**-53 for w in words]
+            u, v = 0.0, 1.0
+            for radius_u, angle_u in zip(uniforms[0::2], uniforms[1::2]):
+                rho = math.sqrt(-2.0 * math.log(radius_u))
+                angle = 2.0 * math.pi * (angle_u - 0.5)
+                u += sqrt_h * rho * math.cos(angle)
+                v += sqrt_h * rho * math.sin(angle)
+            assert ss.u[i] == pytest.approx(u, rel=0.0, abs=1e-9)
+            assert ss.v[i] == pytest.approx(v, rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("case", ["half-plane-time-cap", "uniform-comb",
                                       "explicit-comb"])
-    def test_block_schedule_only_regroups(self, case, monkeypatch):
-        # the half-plane, dynamic comb slots and static slots with S > 1
+    def test_window_schedule_only_regroups(self, case, monkeypatch):
+        # the half-plane, dynamic comb slots and static slots with S > 1,
+        # under other first windows, pass sizes and chunk widths
         domain, start, _, kw = GUARD_CASES[case]
         reference = column_digest(run_batch(domain, start, 300, SimParams(**kw)))
-        for block_start, block_cap, lane_steps in ((3, 40, 700), (256, 256, 1 << 17)):
-            monkeypatch.setattr(engine, "_BLOCK_START", block_start)
-            monkeypatch.setattr(engine, "_BLOCK_CAP", block_cap)
+        for window_start, lane_steps, chunk in ((3, 700, 37), (256, 1 << 17, 4096)):
+            monkeypatch.setattr(engine, "_WINDOW_START", window_start)
             monkeypatch.setattr(engine, "_LANE_STEPS", lane_steps)
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
             assert column_digest(run_batch(domain, start, 300,
                                            SimParams(**kw))) == reference
 
@@ -715,7 +697,7 @@ CSV_DIGESTS = {
     "wos-strip":
         "fd0cb8d3714dc1e04d3bdb59100afc5f4e186882703b0969f895d6efa9a1024b",
     "euler-uniform-comb":
-        "e7278eb5966c7f4b80aa122e30caf6bfb2bd9bcc12d16a2eafc643486af080f9",
+        "b52045ae6fd5e1cbf1cb26d4a9e418f329dcea97e116490d7538e6e5a0c38cb9",
 }
 
 
