@@ -31,10 +31,9 @@ Rows:
   live at least ``K`` jumps, run with ``max_steps = K``, so every lane
   jumps exactly ``K`` times: 4096 strip lanes from the origin with K = 16,
   and 32 half-plane lanes from (0, 1) at time cap 1000 with K = 32.  The
-  range ``0..lanes-1`` is mapped onto those samples' substreams by wrapping
-  ``_sample_keys`` and ``_seed_words``, through which the sampler seeds
-  its lanes (each where a tree has it), so each tree runs lanes that live the same
-  number of jumps;
+  range ``0..lanes-1`` is mapped onto those samples' keys by wrapping
+  ``_sample_keys``, through which the sampler seeds its lanes, so each tree
+  runs lanes that live the same number of jumps;
 * ``euler_steps_per_s_4096`` and ``euler_steps_per_s_32``: the same for
   EulerBridge steps (``step_h = 0.04``), with half-plane lanes from (0, 1)
   at time cap 1000 in both rows: 4096 lanes with K = 224 and 32 lanes with
@@ -139,13 +138,9 @@ def _steps_per_s(domain, start, lanes: int, steps: int, **params) -> dict:
         engine.run_batch(domain, start, 20_000, pilot).steps >= steps)[:lanes]
     if picked.size < lanes:
         raise RuntimeError(f"only {picked.size} pilot samples live {steps} steps")
-    def remapped(words):
-        return lambda seed, indices: words(
-            seed, picked[np.asarray(indices, dtype=np.int64)])
-
-    for name in ("_sample_keys", "_seed_words"):
-        if hasattr(engine, name):
-            setattr(engine, name, remapped(getattr(engine, name)))
+    keys = engine._sample_keys
+    engine._sample_keys = lambda seed, indices: keys(
+        seed, picked[np.asarray(indices, dtype=np.int64)])
     resolved = engine._resolve(domain, start, pilot)
     run = lambda: engine._simulate_range(domain, start, resolved, 0, lanes)  # noqa: E731
     if int(run()[-1].sum()) != lanes * steps:

@@ -12,7 +12,7 @@ the first candidate 2, 3, 5, 9, 17, ... whose bound exceeds the top stage
 index plus a safety margin.  The margin's remaining reason is the Monte
 Carlo cross-check, one WosTime batch per candidate wall logged beside the
 exact value: with it, the batch's mean - 3 SE also clears each stage index
-(2.50 to 2.68 at x_1 = 17 and 2.47 to 2.66 at x_2 = 57 over seeds 0-11,
+(2.50 to 2.62 at x_1 = 17 and 2.49 to 2.63 at x_2 = 57 over seeds 0-11,
 for stage indices 1 and 2).  Every batch of a run has its own master seed,
 so the later stages' batches do not replay the paths of stage 1.
 

@@ -31,8 +31,8 @@ and cross-validate each other.
     in the same step, so near tips the passages are undercounted and the
     exit time runs long.  From (0.5, 0) in the uniform comb with gap 1 and
     ``window_radius`` 60, at the default ``h = 0.04`` and 40k samples per
-    engine (seed 9), EulerBridge's E[tau] exceeds WosTime's by +14.2%,
-    +10.1% and +3.1% at tooth heights 0.25, 1 and 4 (25, 17 and 5 combined
+    engine (seed 9), EulerBridge's E[tau] exceeds WosTime's by +13.6%,
+    +9.4% and +2.1% at tooth heights 0.25, 1 and 4 (23, 16 and 4 combined
     standard errors).  Under the earlier crossing-time rules (a uniform
     fraction for a same-side crossing, the linear one for a sign change) it
     read +14.1%, +9.5% and +3.0%, so the exact times do not reduce it; at
@@ -41,7 +41,7 @@ and cross-validate each other.
     measure has no mass: a step whose bridge reaches one side's line beyond
     the corner exits on that line, and ``lines.snap`` clips the point to
     the corner.  From the centre of ``Rectangle(1, 1)`` (40k samples, seed
-    31) 1.98%, 1.26% and 0.36% of exits land on a corner at ``step_h``
+    31) 1.88%, 1.34% and 0.33% of exits land on a corner at ``step_h``
     0.25, 0.16 and the default 0.04.  The walk never depends on
     a crossing (a non-exit passage does not move it), so the kernel
     evaluates a window of many steps per numpy pass: positions are running
@@ -69,11 +69,10 @@ and cross-validate each other.
     end.  A jump's two uniforms are SplitMix64 hashes of the lane's key and
     its jump count, so a lane carries one key word and no generator state.
 
-Sample ``i`` of a batch has one key, word 4 of
-``SeedSequence((master_seed, i)).generate_state(5, np.uint64)``, computed
-for many samples in one vectorized pass of numpy's ``SeedSequence``
-algorithm (``_sample_keys``).  Every variate of either
-engine is a SplitMix64 hash of that key and a counter that names the
+One hash, SplitMix64, runs from the seed to every variate.  Sample ``i``
+of a batch has one key, output ``i`` of SplitMix64 seeded with the mixed
+``master_seed`` (``_sample_keys``).  Every variate of either engine is a
+SplitMix64 hash of that key and a counter that names the
 variate (``_splitmix64``, where both engines' counter layouts and their
 range are stated), computed only where the variate is read, so a lane
 carries its key and no generator state.  A WosTime jump reads two
@@ -90,11 +89,11 @@ one helper, ``_on_circle``.
 Both engines run a sample range through one function of the same shape,
 ``_euler_range`` and ``_wos_range``, which return the range's columns.
 
-``TestSeeding`` and ``TestCrossingVariates`` pin the keys to numpy's own
-``SeedSequence``, the hash to SplitMix64 and the EulerBridge path to a
-Box-Muller of its hashed uniforms.  Results are therefore bit-identical for
-any worker count or batch partitioning, and individual samples can be
-replayed in isolation.  How many lanes run together, when a WosTime lane
+``TestSeeding`` and ``TestCrossingVariates`` pin the keys and the hash to
+a SplitMix64 reference and the EulerBridge path to a Box-Muller of its
+hashed uniforms.  Results are therefore bit-identical for any worker
+count or batch partitioning, and individual samples can be replayed in
+isolation.  How many lanes run together, when a WosTime lane
 joins the pool and how many steps an EulerBridge pass evaluates only
 regroup arithmetic on the same variates, so they never change a sample.
 
@@ -207,6 +206,10 @@ class SimParams:
             raise ValueError("shell_eps must be positive")
         if not self.time_cap > 0.0:
             raise ValueError("time_cap must be positive")
+        for name in ("master_seed", "max_steps", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.workers < 1:
@@ -305,86 +308,6 @@ def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
     return eps
 
 
-# Building ``SeedSequence((master_seed, i))`` one object at a time costs
-# about 18 us per sample, most of a short-lived WosTime batch, so
-# ``_sample_keys`` runs SeedSequence's algorithm on many samples at once:
-# its pool mixing on uint32 words (``_seed_pool``) and the fifth uint64
-# word of ``generate_state`` (constants from numpy's ``bit_generator.pyx``).
-# That word is the sample's hash key, from which both engines draw every
-# variate.
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
-    """The successive values of a SeedSequence hash constant, as a column."""
-    out = [h]
-    for _ in range(n):
-        h = (h * mult) & _MASK32
-        out.append(h)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)   # pool mixing
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 10)   # generate_state
-
-
-def _hashmix(x, consts):
-    """SeedSequence's ``hashmix`` of row ``k`` of ``x`` with hash constants
-    ``consts[k]`` and ``consts[k + 1]``."""
-    x = x ^ consts[:-1]
-    x *= consts[1:]
-    x ^= x >> np.uint32(16)
-    return x
-
-
-def _seed_pool(master_seed: int, indices) -> np.ndarray:
-    """The mixed entropy pool of ``SeedSequence((master_seed, i))`` for
-    every ``i`` in ``indices`` (each below 2**63): a ``(4, n)`` uint32 array,
-    one column per index.
-
-    SeedSequence writes each integer as little-endian uint32 words (one word
-    below 2**32, two from there on) and zero-pads the entropy to its pool of
-    four words.  A 63-bit seed and index fill at most four words, so an
-    index of one word hashes exactly like its two-word form with a zero high
-    word, and both cases share one code path.
-    """
-    master_seed = int(master_seed)
-    idx = np.asarray(indices, dtype=np.uint64)
-    words = [master_seed & _MASK32]
-    if master_seed >> 32:
-        words.append(master_seed >> 32)
-    pool = np.zeros((4, idx.size), dtype=np.uint32)
-    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    pool[len(words)] = idx & np.uint64(_MASK32)
-    pool[len(words) + 1] = idx >> np.uint64(32)
-    pool = _hashmix(pool, _HASH_A[:5])
-    # Mixing word ``src`` into the other three reads only ``src`` and the
-    # word it updates, so the three updates run as one.
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        h = _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
-        r = np.uint32(0xCA01F9DD) * pool[dst]
-        r -= np.uint32(0x4973F715) * h
-        r ^= r >> np.uint32(16)
-        pool[dst] = r
-    return pool
-
-
-def _sample_keys(master_seed: int, indices) -> np.ndarray:
-    """Word 4 of ``SeedSequence((master_seed, i)).generate_state(5,
-    np.uint64)`` for every ``i`` in ``indices`` (each below 2**63), computed
-    in one vectorized pass, as a uint64 array.
-
-    Output uint32 word ``w`` of ``generate_state`` hashes pool word
-    ``w % 4`` with hash constants ``w`` and ``w + 1``, so the fifth uint64
-    word (uint32 words 8 and 9) hashes pool words 0 and 1 with constants 8
-    to 10.
-    """
-    lo, hi = _hashmix(_seed_pool(master_seed, indices)[:2],
-                      _HASH_B[8:]).astype(np.uint64)
-    return lo | hi << np.uint64(32)
-
-
 def _escape_window(domain: SimDomain) -> tuple[float, float]:
     """Abscissas a sample must stay between: the outermost materialized
     slits of a truncated comb, the wall of a one-sided one."""
@@ -428,14 +351,17 @@ def _window_escape(index: int, window: tuple[float, float]) -> WindowEscapeError
 # 2**61``, far beyond any ``max_steps`` that runs in practice.  The state
 # advances by an odd constant and the mix is a bijection, so a sample never
 # reads one word twice while its counters are distinct and below 2**64.
-# Across samples, the keys are SeedSequence outputs, random 64-bit words.
-# Two samples that read ``C1`` and ``C2`` outputs, each from one run of
-# consecutive counters, pass through a common state with probability at
-# most ``(C1 + C2) / 2**64``, so a WosTime batch of ``n`` samples that
-# reads ``D`` outputs in all does so with probability at most
-# ``n * D / 2**64`` (about 2**-24 for 200k strip samples).  An EulerBridge
-# sample reads two runs, its crossing and its path counters, which doubles
-# both bounds.
+# The keys are SplitMix64 outputs too (``_sample_keys``), so one master
+# seed's keys are distinct, and two master seeds' first ``n`` keys share a
+# word only when their mixed seed words differ by ``m * gamma`` with
+# ``|m| < n``: probability at most about ``2n / 2**64``.  Taking the keys
+# as random 64-bit words, two samples that read ``C1`` and ``C2`` outputs,
+# each from one run of consecutive counters, pass through a common state
+# with probability at most ``(C1 + C2) / 2**64``, so a WosTime batch of
+# ``n`` samples that reads ``D`` outputs in all does so with probability at
+# most ``n * D / 2**64`` (about 2**-24 for 200k strip samples).  An
+# EulerBridge sample reads two runs, its crossing and its path counters,
+# which doubles both bounds.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
@@ -450,6 +376,16 @@ def _splitmix64(key, counter):
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
+
+
+def _sample_keys(master_seed: int, indices) -> np.ndarray:
+    """The hash keys of samples ``indices`` (each below 2**63), as a uint64
+    array: output ``i`` of SplitMix64 seeded with output 0 of SplitMix64
+    seeded with ``master_seed``.  Mixing the seed first keeps two seeds
+    that differ by a multiple of the golden increment from giving the same
+    keys at shifted indices."""
+    seed = _splitmix64(np.array([master_seed], dtype=np.uint64), np.uint64(0))
+    return _splitmix64(seed, np.asarray(indices, dtype=np.uint64))
 
 
 def _uniform(key, counter):
@@ -526,29 +462,6 @@ def _crossing_fraction(x, y, h, nu, u):
         r = 1.0 + a + np.sqrt(a * (a + 2.0))
         s = np.where(u * (mu + mu / r) <= mu, mu / r, mu * r)
         return 1.0 / (1.0 + 1.0 / s)
-
-
-def _time_order(step, slot, f, S):
-    """Indices that put a list of crossings in time order within each step.
-
-    ``step`` labels the crossings' steps in ascending runs, ``slot`` their
-    positions ``0..S-1`` in the step's slot window and ``f`` their
-    fractions.  When some step has several crossings, every step is
-    ordered the way ``argsort`` orders its row of ``S`` fractions with
-    ``inf`` at the slots that did not cross, so ties fall as they would in
-    a sort of the whole window.
-    """
-    new = np.r_[True, step[1:] != step[:-1]]
-    if new.all():
-        return np.arange(step.size)
-    group = np.cumsum(new) - 1
-    fracs = np.full((group[-1] + 1, S), np.inf)
-    fracs[group, slot] = f
-    rank = np.empty(fracs.shape, dtype=np.int64)
-    np.put_along_axis(rank, np.argsort(fracs, axis=1), np.arange(S), axis=1)
-    order = np.empty(step.size, dtype=np.int64)
-    order[np.flatnonzero(new)[group] + rank[group, slot]] = np.arange(step.size)
-    return order
 
 
 def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
@@ -674,8 +587,12 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
                 exits = np.ones(li.size, dtype=bool)
             else:
                 exits = lines.gap(along, lines.par[line]) <= 0.0
-            if S > 1:
-                o = _time_order(li * W + wi, si, f, S)
+            # Time order within each step: the list is in slot order
+            # within a step and the sort is stable, so tied fractions
+            # keep their slot order.
+            step = li * W + wi
+            if (step[1:] == step[:-1]).any():
+                o = np.lexsort((f, step))
                 li, wi, line, f, along, exits = (
                     a[o] for a in (li, wi, line, f, along, exits))
 

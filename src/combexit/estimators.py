@@ -224,10 +224,10 @@ def tail_index(samples: SampleSet, method: str = "hill",
 
     Hill carries a second-order bias that its 95% interval does not cover.
     On the quarter-plane wedge, whose exponent is exactly H = 2, WosTime
-    batches of n = 30k at the default k = n^(2/3) give H_hat = 1.806, 1.845
-    and 1.777 at seeds 0, 1 and 2 (``scripts/tail_calibration.py``), and
+    batches of n = 30k at the default k = n^(2/3) give H_hat = 1.726, 1.761
+    and 1.756 at seeds 0, 1 and 2 (``scripts/tail_calibration.py``), and
     each interval misses 2.  The estimate falls as k grows: at seed 1 it is
-    2.05 at k = 100, 1.81 at 400 and 1.67 at 3000.
+    1.88 at k = 100, 1.72 at 400 and 1.61 at 3000.
     """
     taus, cen, cap = _columns(samples)
     if taus.size < 1000:
@@ -249,8 +249,8 @@ def moment_verdict(diag: TailDiagnostic, p: float) -> str:
 
     The band inherits the Hill bias stated in :func:`tail_index`: on the
     quarter-plane wedge (H = 2, n = 30k) every band lies below 2, so
-    p = 1.95 is called infinite-likely at seeds 0 and 2 although the moment
-    is finite.
+    p = 1.95 is called infinite-likely at seeds 0, 1 and 2 although the
+    moment is finite.
     """
     if not p > 0.0:
         raise ValueError("moment order p must be positive")

@@ -410,49 +410,49 @@ GUARD_CASES = {
 
 GUARD_DIGESTS = {
     "strip":
-        "8482b4ce00daa71102d28514fa592c0fe2abdd1285b5b61ebfea5c2272ec9dc1",
+        "4893c580061e65c5781ecae19d475fb1fd9698eda2c2153d01c26fe1c3c44f2d",
     "rectangle":
-        "13f28a330a04a0fe87d54eefc3d33922595c18e485d59d17fa024fad3cdf2f55",
+        "b8f09a436014509bca6256aed4680b2a24eec056ec848f359d629cb95ab2a602",
     "convex-wedge":
-        "9c53cc93a8ca6da333cb66604a24774a860b6ce91f4065550c72611ffbbe62c6",
+        "93e7097a39e0274e3e695f4cb2865002a80ed5d27d3678c0009239461ddb3c8f",
     "reflex-wedge":
-        "0db42a313a7494cc5abec7fcb046804b0fc424121a48e265889a809093fd496f",
+        "83a060ad2aa3a8866ce81c820451a66cedf14c4699ce698885bccda44fbae166",
     "half-plane-time-cap":
-        "426bfbe8b98ec819bc72153f6a8743970bc048a68d43d0ae2dcb5dc6add654f1",
+        "c2ee82f5cf7b78d0b90aed99ed1788d7d5a27e22ffe903132cbced167406279e",
     "half-plane-max-steps":
-        "97490ffe1b3a077244ecc2183c8778bcab7cbc0c49dbd8c8ac28842f984c613e",
+        "72ee08f5e2b081b8c140d0164f3d026d41494c8757371b70b6dcd0b484eeab4e",
     "uniform-comb":
-        "ab72a9ade307334264b7c63790e50226a337ea1b76bcfc8f5d2da471a251e119",
+        "c583324cacb6c50acfbf3ddf26fa54a9c226c75374102d0a03d4724ed28238b8",
     "uniform-comb-multichunk":
-        "717e0198e6cdac75de6f52f692d8cf9b209adeabcd851d741410566bda35ca1a",
+        "16d2cf031539a43b6781f7a9e6fabcc18bf481248cac90d9f84ff59e09170f85",
     "half-plane-multichunk":
-        "6a578aa5bbfdb58e85dd11036181fce383c0fb513376cf6ab5ca3a07695ddf1b",
+        "065661a1efabbb0c44ca64f21c58829f7afa4dbb600aa345856048945be2d8fe",
     "explicit-comb":
-        "44a5bd3ca8c1253c13765318d4b8205aa7b949f8187864e67692c12a949bcbb0",
+        "3a5e6d475eadace5911456e2ad21a31a7f20f3db942397a39a730a0ee5f6129b",
     "geometric-comb":
-        "ae39888df0bf6780a7bd5812a7b695a823c761ccc43ac30d9d94cc832778ed94",
+        "eb06fdc8214d49b5d76f572e35c7109145f7143b92c5cc8893b32577978e82d4",
     "one-sided-uniform-comb":
-        "db6e42ff75cd300e53fccd138b19246996a0b86bdd722c2d87580886007a17bf",
+        "5616840c75a55979414dc7f318fc6760af22b1312850c80d16c952b1ec978b0c",
     "wos-rectangle":
-        "8af60381c093a6dd7d9e802567305457a9027e1d62eba508c9262a5adfe5e615",
+        "ac932378e85ac9380d1abfdad9bd9742314cc21c15f8692b6a0d66357a7f9ff6",
     "wos-convex-wedge":
-        "7ddaab6960b992e97ec7b71f3c005f52df048b3eb9c90e695ed34e4bc9c0b769",
+        "436eddb6bc9db25b5ca9742ebccbe9e966ad7ccbdd05578fb4479a3952c746e3",
     "wos-reflex-wedge":
-        "8180feff1957a7ff0f43f56a28567ad4c0c55f38c780ed90d557c314c6de8d0f",
+        "41fde21282029f29fc79916ec5e3c50c52d058eaf7a55d0ef3c97b2810e303ca",
     "wos-half-plane-time-cap":
-        "3a2fc1026b770967e64d8bb64d91ee7d70599a661434c708fc547cdb5009354c",
+        "c5e32927168a1fb175e9ba107581f02aec98e97c39d83a12d1db06f97683d5c6",
     "wos-uniform-comb":
-        "069b75abae420375510ee61d3b5d3108a174a7e61113b5029497d9fc62174583",
+        "00c3b0098fbb801ede7f4bfaafc98047e706131468b371712c34548d2f077666",
     "wos-uniform-comb-j200":
-        "16eea2d66c8f09883142c8a0380e7a2bbadb1478ee5ae1f51a15a4301c3f5d7c",
+        "b36a38a46309f46efa85409154f0f5b0d3b3a53108eadb529a4f912bb439cfb8",
     "wos-one-sided-explicit":
-        "57bcd7da369441f3b45525ba0520d727431323f2c99fad3d1b49761dfa615017",
+        "cd3b3deb654915af3d7c3920eeb935f77df2bb625b5c5788d562966d22595101",
     "wos-strip-refill":
-        "228ccf3a51888713bc00b36bca739d0c6f8a0afd63bf84b67ac874c6b4484030",
+        "790e71048b2b7e7baba41211ba1efd6b834af856b3407cf87e3ee08e6a55dca7",
     "wos-uniform-comb-refill":
-        "a04f99c4e0c17714693195267cf961914494063b24ebf74c037483911df3f2e0",
+        "4d5088b9df971d6ca9b4b3b508f48ba962bd8e3d002c691faa22d750b3ed7733",
     "wos-half-plane-max-steps-refill":
-        "aa588154f372fad4e59d6c7cab831038d2a8b08e8a7d96f37a602d755228bd9a",
+        "19be8c135f5c4c1895dd8dce810db777cabad7e80bedb9161b32c3e954156604",
 }
 
 
@@ -477,29 +477,32 @@ class TestBitIdentityGuard:
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000, SimParams(master_seed=48))
-        assert str(err.value).startswith("sample 1492 ")
+        assert str(err.value).startswith("sample 1399 ")
 
     def test_wos_window_escape_names_the_same_sample(self):
-        # Sample by sample, 3 is the lowest index that stands outside the
+        # Sample by sample, 27 is the lowest index that stands outside the
         # window at jump 2, the earliest jump any of the 2000 escapes at.
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), 2_000,
                       SimParams(engine="WosTime", master_seed=48))
-        assert str(err.value).startswith("sample 3 ")
+        assert str(err.value).startswith("sample 27 ")
 
     @pytest.mark.parametrize("radius, n, kw, named", [
-        (2, 9 * _POOL // 4, dict(engine="WosTime", master_seed=49), 16),
+        (2, 9 * _POOL // 4, dict(engine="WosTime", master_seed=49), 7),
         (8, 5 * _POOL // 4, dict(engine="WosTime", master_seed=2, time_cap=50.0),
-         20_202),
-        (7, 12_000, dict(master_seed=1, time_cap=50.0), 4090),
-        (8, 12_000, dict(master_seed=1, time_cap=50.0), 4207),
-    ])
+         19_717),
+        (7, 12_000, dict(master_seed=1, time_cap=50.0), 1402),
+        (8, 12_000, dict(master_seed=2, time_cap=50.0), 4804),
+    ], ids=["wos-first-fill", "wos-refill", "euler-first-chunk",
+            "euler-second-chunk"])
     def test_wos_window_escape_beyond_one_pool(self, radius, n, kw, named):
         # The first WosTime case escapes within the first pool fill; in the
         # second no sample of the first fill escapes, and the one named
         # joined the pool at a refill.  The first EulerBridge case names a
-        # sample of its first chunk, the second one of its second chunk.
+        # sample of its first chunk, the second one of its second chunk; at
+        # seed 1 every radius up to 8 that escapes names a first-chunk
+        # sample, so the second runs at seed 2.
         comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=radius))
         with pytest.raises(WindowEscapeError) as err:
             run_batch(comb, (0.5, 0.0), n, SimParams(**kw))
@@ -511,25 +514,32 @@ INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
 
 
 class TestSeeding:
-    """The drivers run numpy's ``SeedSequence`` algorithm on many samples
-    in one vectorized pass: its fifth uint64 word is the sample's hash key,
-    from which WosTime draws every jump and EulerBridge its path and every
-    crossing variate.  These pin the keys to numpy's own ``SeedSequence``
-    and WosTime's draws to a SplitMix64 reference on Python ints."""
+    """One hash runs from the seed to every variate: sample ``i``'s key is
+    output ``i`` of SplitMix64 seeded with the first SplitMix64 output of
+    the master seed, and WosTime draws every jump and EulerBridge its path
+    and every crossing variate from SplitMix64 seeded with that key.  These
+    pin the keys and WosTime's draws to a SplitMix64 reference on Python
+    ints."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_sample_keys_match_numpy(self, seed):
+    def test_sample_keys_are_splitmix64(self, seed):
         keys = engine._sample_keys(seed, np.array(INDICES))
         assert keys.dtype == np.uint64 and keys.shape == (len(INDICES),)
-        assert keys.tolist() == [
-            int(np.random.SeedSequence((seed, i)).generate_state(5, np.uint64)[4])
-            for i in INDICES]
+        assert keys.tolist() == [reference_key(seed, i) for i in INDICES]
+
+    def test_golden_shifted_seeds_share_no_key(self):
+        # Seed 2**64 - gamma plus gamma wraps to seed 0, so without the
+        # seed mix its keys would be seed 0's shifted by one index.
+        shifted = 2**64 - SPLITMIX_GAMMA
+        assert shifted == 0x61C8864680B583EB
+        indices = np.arange(100)
+        assert not (set(engine._sample_keys(0, indices).tolist())
+                    & set(engine._sample_keys(shifted, indices).tolist()))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_wos_jumps_read_splitmix64_outputs(self, seed, monkeypatch):
         # Jump k of sample i reads SplitMix64 outputs 2k (its angle) and
-        # 2k + 1 (its disk-law time) under the sample's key, word 4 of
-        # numpy's SeedSequence((seed, i)).generate_state(5, uint64).
+        # 2k + 1 (its disk-law time) under the sample's key.
         reads, times = [], []
         uniform = engine._uniform
         law = type(default_disk_law())
@@ -553,30 +563,28 @@ class TestSeeding:
             times.clear()
             sample = simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                                    sample_index=index)
-            key = int(np.random.SeedSequence((seed, index))
-                      .generate_state(5, np.uint64)[4])
+            key = reference_key(seed, index)
             want = [((w >> 11) + 1) * 2.0**-53
                     for w in splitmix64_reference(key, 2 * sample.steps)]
             assert sample.steps > 1
             assert reads == [(key, c, x) for c, x in enumerate(want)]
             assert times == want[1::2]
 
-    # The WosTime samples were recorded when jumps began to draw from the
-    # SplitMix64 hash of the sample key, the EulerBridge ones when its path
-    # normals did too.
+    # Recorded when the sample keys began to come from SplitMix64 of the
+    # mixed master seed.
     FAR_SAMPLES = {
         ("EulerBridge", 2**40):
-            ExitSample(1.4649975263292117, (1.0, 1.6777601167593432),
-                       False, 1, 37, "EulerBridge"),
+            ExitSample(1.1711696379257506, (0.0, -1.1201117513716565),
+                       False, 1, 30, "EulerBridge"),
         ("EulerBridge", 2**63 - 1):
-            ExitSample(1.5243108627306907, (-3.0, -1.891795219007917),
-                       False, 4, 39, "EulerBridge"),
+            ExitSample(0.4629264813096892, (1.0, -1.1290338415117223),
+                       False, 1, 12, "EulerBridge"),
         ("WosTime", 2**40):
-            ExitSample(0.5535592579482235, (-1.0, 1.6537935631217289),
-                       False, None, 21, "WosTime"),
+            ExitSample(4.588275148099446, (3.0, -1.0722110479404117),
+                       False, None, 36, "WosTime"),
         ("WosTime", 2**63 - 1):
-            ExitSample(1.8405827062449662, (-1.0, -1.0582956526755167),
-                       False, None, 22, "WosTime"),
+            ExitSample(4.864462202151886, (0.0, -1.264189862404339),
+                       False, None, 35, "WosTime"),
     }
 
     @pytest.mark.parametrize("key", sorted(FAR_SAMPLES),
@@ -587,12 +595,12 @@ class TestSeeding:
         sample = simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                                sample_index=index)
         assert sample == self.FAR_SAMPLES[key]
-        # the same sample from keys of numpy's own per-sample seeding
-        def numpy_keys(seed, indices):
-            return np.array([np.random.SeedSequence((seed, int(i)))
-                             .generate_state(5, np.uint64)[4] for i in indices])
+        # the same sample from keys of the SplitMix64 reference
+        def reference_keys(seed, indices):
+            return np.array([reference_key(seed, int(i)) for i in indices],
+                            dtype=np.uint64)
 
-        monkeypatch.setattr(engine, "_sample_keys", numpy_keys)
+        monkeypatch.setattr(engine, "_sample_keys", reference_keys)
         assert simulate_exit(UNIFORM_COMB, (0.5, 0.0), params,
                              sample_index=index) == sample
 
@@ -617,6 +625,14 @@ def splitmix64_reference(seed, n):
         z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
         out.append(z ^ z >> 31)
     return out
+
+
+def reference_key(master_seed, index):
+    """Sample ``index``'s key: output ``index`` of SplitMix64 seeded with
+    the first output of SplitMix64 seeded with ``master_seed``.  Output
+    ``c`` of a seed is the first output of the seed plus ``c * gamma``."""
+    word = splitmix64_reference(master_seed, 1)[0]
+    return splitmix64_reference((word + index * SPLITMIX_GAMMA) % 2**64, 1)[0]
 
 
 class TestCrossingVariates:
@@ -657,7 +673,7 @@ class TestCrossingVariates:
         assert picked.size == 3 and (ss.steps[picked] == 700).all()
         sqrt_h = math.sqrt(ss.params.step_h)
         for i in picked.tolist():
-            key = int(np.random.SeedSequence((46, i)).generate_state(5, np.uint64)[4])
+            key = reference_key(46, i)
             # output 2**63 + c of ``key`` is output c of key + 2**63 * gamma
             words = splitmix64_reference((key + 2**63 * SPLITMIX_GAMMA) % 2**64,
                                          2 * 700)
@@ -695,9 +711,9 @@ CSV_CASES = {
 
 CSV_DIGESTS = {
     "wos-strip":
-        "fd0cb8d3714dc1e04d3bdb59100afc5f4e186882703b0969f895d6efa9a1024b",
+        "def3485485a063086def6e8ea53bc1b40a62554522c1e41f47905daf835178af",
     "euler-uniform-comb":
-        "b52045ae6fd5e1cbf1cb26d4a9e418f329dcea97e116490d7538e6e5a0c38cb9",
+        "86fc3bba7a7f9649e552523b5beff795dfd82329340dbb8622fc1e5e1550604b",
 }
 
 
@@ -851,6 +867,19 @@ class TestValidation:
             SimParams(time_cap=0.0)
         with pytest.raises(ValueError, match="workers"):
             SimParams(workers=0)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("name", ["master_seed", "max_steps", "workers"])
+    def test_params_refuse_non_integers(self, name, value):
+        # A fractional or boolean seed would run as int(value) while the
+        # report echoes the value given.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimParams(engine="WosTime", **{name: value})
+
+    def test_params_take_numpy_integers(self):
+        params = SimParams(master_seed=np.uint64(5), max_steps=np.int32(7),
+                           workers=np.int64(2))
+        assert (params.master_seed, params.max_steps, params.workers) == (5, 7, 2)
 
     def test_step_h_invariant_vs_domain(self):
         # gap 1 means step_h must stay below 1/4
