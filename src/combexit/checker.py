@@ -3,7 +3,7 @@
 The certificate rests on a per-passage survival factor theta0 derived from
 the comb's gap/height aspect ratio: each passage between neighboring slit
 abscissas ends the excursion with probability at least 1 - theta0.  M_j is
-the largest squared gap among the gap labels |n| <= j (``prefix_max``).
+the largest squared gap among the gap labels |n| <= j (``_passage_maxima``).
 
 The passage strip.  Cut the path at its crossings of slit lines.  Passage
 j (j = 0, 1, ...) starts on a slit line x_n and lasts until the path first
@@ -173,22 +173,19 @@ def check_theorem1(
     in its symmetrization, so any certified bound transfers.
     """
     comb, p, growth, note = _common_setup(comb, p, growth_class)
-    if math.isinf(comb.ell):
-        return Verdict(
-            status=INCONCLUSIVE,
-            p=p,
-            theta0_used=1.0,
-            bound_on_moment_root=math.inf,
-            reason=note + (
+    ell = _aspect_ratio(comb)
+    if math.isinf(ell):
+        return _inconclusive(
+            p, 1.0, growth,
+            note + (
                 "aspect ratio ell is unbounded, so no single passage factor "
                 "applies; removing slits from the complement only increases "
                 "exit times, so deleting the offending slits to lower ell "
                 "and re-checking is sound"
             ),
-            growth_class_used=growth.tag(),
         )
-    res = theta0(comb.ell)
-    note += f"theta0({comb.ell:g})={res.theta0:.12g}; "
+    res = theta0(ell)
+    note += f"theta0({ell:g})={res.theta0:.12g}; "
     return _certify(comb, p, res.theta0, growth, note)
 
 
@@ -220,10 +217,41 @@ def _common_setup(comb, p, growth_class):
     if comb.one_sided:
         comb = symmetrize(comb)
         note = "one-sided comb symmetrized (contained in the symmetric domain); "
-    if len(comb.prefix_max) == 0:
+    if comb.window_radius == 0:
         raise ValueError("empty window: the comb has no gaps to bound passages with")
     growth = growth_class or growth_class_of(comb)
     return comb, float(p), growth, note
+
+
+def _passage_maxima(comb: CombDomain) -> np.ndarray:
+    """M_j for j = 1..J on a two-sided comb: the largest squared gap among
+    the labels |n| <= j, label +n the gap (x_{n-1}, x_n) and -n its mirror
+    (x_{-n}, x_{-n+1}).  These are exactly the gaps reachable within j
+    passages from x_0."""
+    gaps = np.diff(comb.xs)
+    J = comb.window_radius
+    return np.maximum.accumulate(np.maximum(gaps[J:] ** 2, gaps[:J][::-1] ** 2))
+
+
+def _aspect_ratio(comb: CombDomain) -> float:
+    """The aspect ratio ell of a two-sided comb with J >= 1: the sup over
+    slits of max(b_{n-1}, b_{n+1}) / min(a_n, a_{n+1}).
+
+    An explicit list gets the literal window value (slits whose both
+    neighbor heights are 0 contribute 0; the all-walls comb has ell = 0).
+    The parametric generators have one height, and their gaps never shrink
+    except at polynomial degree below 1, where they shrink to zero and the
+    sup is infinite; otherwise the innermost gap x_1 - x_0 gives the sup
+    over the infinite comb.
+    """
+    gen = comb.spec.generator
+    if isinstance(gen, ExplicitSlits):
+        gaps = np.diff(comb.xs)
+        num = np.maximum(comb.bs[:-2], comb.bs[2:])
+        return float(np.max(num / np.minimum(gaps[:-1], gaps[1:])))
+    if isinstance(gen, PolynomialGaps) and gen.degree < 1.0:
+        return math.inf
+    return gen.height / gen.abscissa(1)
 
 
 def _certify(comb, p, theta, growth, note) -> Verdict:
@@ -231,39 +259,14 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
     # the series S of the module docstring: weight w = q**a on M_{j+1}**a
     a = min(p, 1.0)
     w = theta ** (a / p)
-    maxima = comb.prefix_max ** a
+    m = _passage_maxima(comb)
+    maxima = m**a
     j_total = len(maxima)
     if q >= 1.0:
         return _inconclusive(
             p, theta, growth,
             note + f"per-passage factor theta0^(1/p)={q:g} carries no decay",
         )
-
-    if growth.kind == "bounded":
-        tail = maxima[-1] * w**j_total / (1.0 - w)
-        reason = note + (
-            f"gap maxima bounded by {comb.prefix_max[-1]:g}; geometric tail "
-            f"with weight {q:.6g} converges for any exponent"
-        )
-        return _certified(p, theta, maxima, w, tail, growth, reason)
-
-    if growth.kind == "geometric":
-        r2 = growth.ratio**2
-        if q * r2 >= 1.0:
-            return _inconclusive(
-                p, theta, growth,
-                note + (
-                    f"gap ratio {growth.ratio:g} gives weight {q * r2:.6g} >= 1 "
-                    f"per term; certifiable only below ratio "
-                    f"{geometric_threshold(p, theta):.6g}"
-                ),
-            )
-        tail = maxima[-1] * w**j_total * r2**a / (1.0 - w * r2**a)
-        reason = note + (
-            f"gap ratio {growth.ratio:g}: term weight {q * r2:.6g} < 1, below "
-            f"the certifiable ratio {geometric_threshold(p, theta):.6g}"
-        )
-        return _certified(p, theta, maxima, w, tail, growth, reason)
 
     if growth.kind == "polynomial":
         gen = comb.spec.generator
@@ -279,33 +282,50 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
         )
         return _certified(p, theta, maxima, w, tail, growth, reason)
 
-    # bare window table
-    if j_total < _WINDOW_START + 1:
-        return _inconclusive(
-            p, theta, growth,
-            note + (
-                f"window of {j_total} passage maxima is too short to observe "
-                f"growth ratios from index {_WINDOW_START}"
-            ),
+    # Every other class bounds each later ratio M_{j+1}/M_j by one number
+    # R, so its tail is geometric at weight w * R**a.
+    if growth.kind == "bounded":
+        ratio, refusal = 1.0, None
+        reason = (
+            f"gap maxima bounded by {m[-1]:g}; geometric tail "
+            f"with weight {q:.6g} converges for any exponent"
         )
-    ratios = comb.prefix_max[_WINDOW_START:] / comb.prefix_max[_WINDOW_START - 1 : -1]
-    rho = float(np.max(ratios))
-    if q * rho > 1.0 - _WINDOW_MARGIN:
-        return _inconclusive(
-            p, theta, growth,
-            note + (
-                f"observed growth ratio {rho:.6g} gives weight {q * rho:.6g} "
-                f"above the certification cutoff {1.0 - _WINDOW_MARGIN:g} "
-                f"(margin {_WINDOW_MARGIN:g})"
-            ),
+    elif growth.kind == "geometric":
+        ratio = growth.ratio**2
+        threshold = geometric_threshold(p, theta)
+        refusal = (
+            f"gap ratio {growth.ratio:g} gives weight {q * ratio:.6g} >= 1 "
+            f"per term; certifiable only below ratio {threshold:.6g}"
+        ) if q * ratio >= 1.0 else None
+        reason = (
+            f"gap ratio {growth.ratio:g}: term weight {q * ratio:.6g} < 1, below "
+            f"the certifiable ratio {threshold:.6g}"
         )
-    tail = maxima[-1] * w**j_total * rho**a / (1.0 - w * rho**a)
-    reason = note + (
-        f"window ratios bounded by {rho:.6g} from index {_WINDOW_START}; "
-        f"tail extrapolated at that ratio with weight {q * rho:.6g} <= "
-        f"{1.0 - _WINDOW_MARGIN:g}"
-    )
-    return _certified(p, theta, maxima, w, tail, growth, reason)
+    else:
+        # bare window table
+        if j_total < _WINDOW_START + 1:
+            return _inconclusive(
+                p, theta, growth,
+                note + (
+                    f"window of {j_total} passage maxima is too short to observe "
+                    f"growth ratios from index {_WINDOW_START}"
+                ),
+            )
+        ratio = float(np.max(m[_WINDOW_START:] / m[_WINDOW_START - 1 : -1]))
+        refusal = (
+            f"observed growth ratio {ratio:.6g} gives weight {q * ratio:.6g} "
+            f"above the certification cutoff {1.0 - _WINDOW_MARGIN:g} "
+            f"(margin {_WINDOW_MARGIN:g})"
+        ) if q * ratio > 1.0 - _WINDOW_MARGIN else None
+        reason = (
+            f"window ratios bounded by {ratio:.6g} from index {_WINDOW_START}; "
+            f"tail extrapolated at that ratio with weight {q * ratio:.6g} <= "
+            f"{1.0 - _WINDOW_MARGIN:g}"
+        )
+    if refusal is not None:
+        return _inconclusive(p, theta, growth, note + refusal)
+    tail = maxima[-1] * w**j_total * ratio**a / (1.0 - w * ratio**a)
+    return _certified(p, theta, maxima, w, tail, growth, note + reason)
 
 
 def _certified(p, theta, maxima, w, tail, growth, reason) -> Verdict:

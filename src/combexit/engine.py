@@ -200,6 +200,9 @@ class SimParams:
     def __post_init__(self) -> None:
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
+        for name in ("step_h", "shell_eps", "time_cap"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got a bool")
         if self.step_h is not None and not self.step_h > 0.0:
             raise ValueError("step_h must be positive")
         if self.shell_eps is not None and not self.shell_eps > 0.0:
@@ -816,6 +819,8 @@ def run_batch(domain: SimDomain, start, n: int, params: SimParams) -> SampleSet:
     range; the per-sample substreams make the output identical for every
     worker count.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     resolved = _resolve(domain, start, params)

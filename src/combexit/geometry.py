@@ -327,8 +327,6 @@ class CombDomain:
     one_sided: bool
     window_radius: int        # J
     min_gap: float
-    prefix_max: np.ndarray    # M_j = max over gap labels |n| <= j of a_n^2, j = 1..J
-    ell: float                # aspect ratio; closed-form sup when the generator allows
     truncated: bool           # True for parametric generators (finite window of an
                               # infinite comb); escape past the outer slits is an error
 
@@ -484,7 +482,8 @@ def build_comb(spec: CombSpec) -> CombDomain:
         raise ValueError("non-finite abscissa or height")
     if np.any(bs < 0.0):
         raise ValueError("negative slit height")
-    if np.any(np.diff(xs) <= 0.0):
+    gaps = np.diff(xs)
+    if np.any(gaps <= 0.0):
         raise ValueError("non-increasing abscissas")
 
     center = 0 if spec.one_sided else J
@@ -495,10 +494,7 @@ def build_comb(spec: CombSpec) -> CombDomain:
     if spec.one_sided:
         line_heights[0] = 0.0  # the wall at x_0 is a full line
 
-    phys_gaps = np.diff(xs)
-    min_gap = float(phys_gaps.min()) if phys_gaps.size else math.inf
-    prefix_max = _prefix_max(phys_gaps, J, spec.one_sided)
-    ell = _aspect_ratio(gen, xs, bs, spec.one_sided)
+    min_gap = float(gaps.min()) if gaps.size else math.inf
 
     return CombDomain(
         spec=spec,
@@ -508,8 +504,6 @@ def build_comb(spec: CombSpec) -> CombDomain:
         one_sided=spec.one_sided,
         window_radius=J,
         min_gap=min_gap,
-        prefix_max=prefix_max,
-        ell=ell,
         truncated=truncated,
     )
 
@@ -542,67 +536,6 @@ def _materialize_explicit(gen: ExplicitSlits, spec: CombSpec):
         raise ValueError(f"window_radius={spec.window_radius} inconsistent with "
                          f"{len(xs)} explicit slits (inferred J={J})")
     return xs, bs, J
-
-
-def _prefix_max(phys_gaps: np.ndarray, J: int, one_sided: bool) -> np.ndarray:
-    """M_j for j = 1..J under mirrored gap labels.
-
-    Two-sided: label +n is the gap (x_{n-1}, x_n), label -n the mirror gap
-    (x_{-n}, x_{-n+1}); M_j collects labels with |n| <= j.  This is the
-    symmetric reading of "max over |n| <= j" and is exactly the set of gaps
-    reachable within j grid passages from x_0.
-    """
-    if J == 0:
-        return np.empty(0)
-    out = np.empty(J)
-    cur = 0.0
-    for j in range(1, J + 1):
-        if one_sided:
-            g = phys_gaps[j - 1]
-            cur = max(cur, g * g)
-        else:
-            gp = phys_gaps[J + j - 1]
-            gm = phys_gaps[J - j]
-            cur = max(cur, gp * gp, gm * gm)
-        out[j - 1] = cur
-    return out
-
-
-def _window_aspect_ratio(xs: np.ndarray, bs: np.ndarray) -> float:
-    """sup over interior slits of max(b_{n-1}, b_{n+1}) / min(a_n, a_{n+1})."""
-    if len(xs) < 3:
-        return 0.0
-    gaps = np.diff(xs)
-    num = np.maximum(bs[:-2], bs[2:])
-    den = np.minimum(gaps[:-1], gaps[1:])
-    return float(np.max(num / den))
-
-
-def _aspect_ratio(gen, xs, bs, one_sided: bool) -> float:
-    """The aspect ratio ell.  Closed-form sup for parametric generators.
-
-    For uniform, geometric, and polynomial generators with degree >= 1 the
-    ratio is maximized at the innermost gaps, so the sup over the infinite
-    comb has a closed form.  Polynomial degree in (0, 1) makes gaps shrink
-    to zero and the true sup is infinite.  Explicit lists get the literal
-    window value (slits whose both neighbor heights are 0 contribute 0 to
-    the sup; the degenerate all-walls case yields ell = 0).
-    """
-    if one_sided:
-        mirror_xs = np.concatenate([-xs[:0:-1], xs])
-        mirror_bs = np.concatenate([bs[:0:-1], bs])
-    else:
-        mirror_xs, mirror_bs = xs, bs
-
-    if isinstance(gen, UniformGaps):
-        return gen.height / gen.spacing
-    if isinstance(gen, GeometricGaps):
-        return gen.height / (gen.ratio - 1.0)
-    if isinstance(gen, PolynomialGaps):
-        if gen.degree >= 1.0:
-            return gen.height / gen.coefficient
-        return math.inf
-    return _window_aspect_ratio(mirror_xs, mirror_bs)
 
 
 def symmetrize(comb: CombDomain) -> CombDomain:

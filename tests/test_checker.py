@@ -292,6 +292,7 @@ def test_uniform_bound_closed_form_property(spacing, height, p):
         expect = uniform_bound(spacing, v.theta0_used, p)
         assert v.bound_on_moment_root == pytest.approx(expect, rel=1e-9)
         # at least the first passage's own bound
-        assert v.bound_on_moment_root >= strip_moment(p) ** (1.0 / p) * comb.prefix_max[0]
+        assert v.bound_on_moment_root >= (strip_moment(p) ** (1.0 / p)
+                                          * checker._passage_maxima(comb)[0])
     else:
         assert q >= 1.0  # only the saturated factor can block a uniform comb

@@ -139,6 +139,19 @@ class TestScalarCommands:
         assert report["bound_on_moment_root"] > 0.0
         assert comb in report["config"]["inputs"]
 
+    def test_check_reads_a_bare_comb_spec(self, tmp_path):
+        # the README's second form: the comb spec without the domain wrapper
+        reports = []
+        for name, config in (("domain", UNIFORM_COMB), ("spec", UNIFORM_COMB["spec"])):
+            out = tmp_path / f"{name}-r.json"
+            comb = write_json(tmp_path / f"{name}.json", config)
+            assert run_command(["check", "--comb", comb, "--p", "3",
+                                "--out", str(out)]) == EXIT_OK
+            reports.append(load(out))
+        assert reports[0]["status"] == reports[1]["status"] == "FiniteCertified"
+        assert (reports[0]["bound_on_moment_root"]
+                == reports[1]["bound_on_moment_root"])
+
 
 class TestSimulate:
     def test_same_seed_gives_identical_csv_bytes(self, tmp_path):
@@ -476,6 +489,51 @@ class TestExitCodes:
                             "--p", "1", "--out", str(out)])
         assert code == EXIT_USAGE
         assert "'window_radius' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start", ["0", "0,0,0"])
+    def test_start_needs_two_coordinates(self, tmp_path, capsys, start):
+        domain = write_json(tmp_path / "strip.json", STRIP)
+        out = tmp_path / "r.json"
+        code = run_command(["simulate", "--domain", domain, "--start", start,
+                            "--n", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"start must be 'U,V', got {start!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ("x", "COMBEXIT_WORKERS='x' is not an integer"),
+        ("0", "COMBEXIT_WORKERS must be at least 1, got 0"),
+    ])
+    def test_bad_worker_env_var(self, tmp_path, capsys, monkeypatch, raw, message):
+        monkeypatch.setenv("COMBEXIT_WORKERS", raw)
+        domain = write_json(tmp_path / "strip.json", STRIP)
+        out = tmp_path / "r.json"
+        code = run_command(["simulate", "--domain", domain, "--start", "0,0",
+                            "--n", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        (STRIP, "describes a vertical_strip, not a comb"),
+        ({"spacing": 1.0}, "expected a domain config or a comb spec"),
+    ])
+    def test_check_needs_a_comb(self, tmp_path, capsys, config, message):
+        comb = write_json(tmp_path / "comb.json", config)
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", comb, "--p", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_xval_with_every_sample_at_the_cap(self, tmp_path, capsys):
+        domain = write_json(tmp_path / "strip.json", STRIP)
+        out = tmp_path / "x.json"
+        code = run_command(["xval", "--domain", domain, "--n", "200",
+                            "--time-cap", "1e-9", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "no usable grid points" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag(self, capsys):

@@ -876,6 +876,22 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SimParams(engine="WosTime", **{name: value})
 
+    @pytest.mark.parametrize("name", ["step_h", "shell_eps", "time_cap"])
+    def test_params_refuse_bool_floats(self, name):
+        # True would run as 1.0 while the report echoes true
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            SimParams(engine="WosTime", **{name: True})
+
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None])
+    def test_batch_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), n, SimParams())
+
+    def test_batch_size_takes_numpy_integers(self):
+        result = run_batch(VerticalStrip(-1.0, 1.0), (0.0, 0.0), np.int64(3),
+                           SimParams(engine="WosTime"))
+        assert result.total == 3
+
     def test_params_take_numpy_integers(self):
         params = SimParams(master_seed=np.uint64(5), max_steps=np.int32(7),
                            workers=np.int64(2))

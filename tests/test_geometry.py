@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from combexit.checker import _aspect_ratio, _passage_maxima
 from combexit.geometry import (
     BoundaryLines,
     CombSpec,
@@ -34,8 +35,8 @@ def test_uniform_window():
     comb = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
     assert np.array_equal(comb.xs, np.arange(-3.0, 4.0))
     assert comb.min_gap == 1.0
-    assert comb.ell == 1.0
-    assert np.array_equal(comb.prefix_max, np.ones(3))
+    assert _aspect_ratio(comb) == 1.0
+    assert np.array_equal(_passage_maxima(comb), np.ones(3))
     assert comb.truncated
 
 
@@ -43,8 +44,8 @@ def test_geometric_window_hand_values():
     # x_n = sign(n) (2^|n| - 1): gaps by mirrored label are 1, 2, 4
     comb = build_comb(CombSpec(GeometricGaps(2.0, 1.0), window_radius=3))
     assert np.array_equal(comb.xs, [-7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0])
-    assert np.array_equal(comb.prefix_max, [1.0, 4.0, 16.0])
-    assert comb.ell == 1.0  # heights 1, innermost gaps 1
+    assert np.array_equal(_passage_maxima(comb), [1.0, 4.0, 16.0])
+    assert _aspect_ratio(comb) == 1.0  # heights 1, innermost gaps 1
 
 
 def test_build_validation_errors():
@@ -73,15 +74,16 @@ def test_build_is_deterministic():
     spec = CombSpec(PolynomialGaps(2.0, 0.5, 1.5), window_radius=5)
     a, b = build_comb(spec), build_comb(spec)
     assert np.array_equal(a.xs, b.xs)
-    assert np.array_equal(a.prefix_max, b.prefix_max)
-    assert a.ell == b.ell
+    assert np.array_equal(_passage_maxima(a), _passage_maxima(b))
+    assert _aspect_ratio(a) == _aspect_ratio(b)
 
 
 def test_polynomial_ell_closed_forms():
-    assert build_comb(CombSpec(PolynomialGaps(2.0, 0.5, 1.5), window_radius=4)).ell == 3.0
+    assert _aspect_ratio(build_comb(CombSpec(PolynomialGaps(2.0, 0.5, 1.5),
+                                             window_radius=4))) == 3.0
     # degree < 1: gaps shrink, the true sup is infinite
     frac = build_comb(CombSpec(PolynomialGaps(0.5, 1.0, 1.0), window_radius=4))
-    assert math.isinf(frac.ell)
+    assert math.isinf(_aspect_ratio(frac))
 
 
 def test_symmetrize_mirror_rule():
@@ -317,7 +319,7 @@ def test_two_sided_explicit_needs_center():
 
 def test_all_wall_comb_has_degenerate_ell():
     comb = build_comb(CombSpec(ExplicitSlits(((0.0, 0.0), (2.0, 0.0))), one_sided=True))
-    assert comb.ell == 0.0
+    assert _aspect_ratio(symmetrize(comb)) == 0.0
 
 
 # Digests of the canonical config JSON, recorded before the config code was
