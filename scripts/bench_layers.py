@@ -78,8 +78,15 @@ Rows:
   file shaped like a strip WosTime batch's (exit points on the walls
   u = +-1, no passages), written by ``samples_to_csv`` and read once
   beforehand so that it sits in the page cache; the mean of three reads;
-* ``samples_to_csv_200k_s``: ``samples_to_csv`` of the same 200k samples,
-  the mean of three encodes;
+* ``samples_to_csv_200k_s``: what ``simulate`` pays for the same 200k
+  samples' file: encode, atomic write into a temporary directory and
+  sha256, the mean of three writes after one warm-up.  Trees whose
+  ``samples_to_csv`` returns the text write and hash it with
+  ``write_text`` and ``fingerprint_bytes``, as their CLI did;
+* ``simulate_strip_200k_peak_rss_mib``: the peak RSS (``ru_maxrss`` from
+  ``os.wait4``) of ``python -m combexit.cli simulate`` of 200k WosTime
+  samples on the strip from the origin at seed 7, spawned from the row's
+  own small interpreter;
 * ``tail_index_200k_ms``: ``tail_index`` of the same 200k samples (Hill at
   the default ``k``), the mean of five calls after one warm-up call.
 
@@ -93,6 +100,7 @@ run takes a few minutes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -323,22 +331,60 @@ def _strip_shaped_samples():
         "bench", SimParams(engine="WosTime"))
 
 
+def _write_csv(samples, path: Path) -> str:
+    """What ``simulate`` pays for its sample file: encode it, write it
+    atomically to ``path`` and take its sha256.  Trees whose
+    ``samples_to_csv(samples)`` returns the text write and hash it
+    separately, as their CLI did; later trees stream it to ``path``."""
+    from combexit import reports
+
+    if len(inspect.signature(reports.samples_to_csv).parameters) == 1:
+        text = reports.samples_to_csv(samples)
+        reports.write_text(path, text)
+        return reports.fingerprint_bytes(text.encode("utf-8"))
+    return reports.samples_to_csv(samples, path)
+
+
 def _read_samples_csv() -> dict:
-    from combexit.reports import read_samples_csv, samples_to_csv
+    from combexit.reports import read_samples_csv
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "samples.csv"
-        path.write_text(samples_to_csv(_strip_shaped_samples()), encoding="utf-8")
+        _write_csv(_strip_shaped_samples(), path)
         read_samples_csv(path)
         return {"value": _per_call(lambda: read_samples_csv(path), 3)}
 
 
 def _samples_to_csv() -> dict:
-    from combexit.reports import samples_to_csv
-
     samples = _strip_shaped_samples()
-    samples_to_csv(samples)
-    return {"value": _per_call(lambda: samples_to_csv(samples), 3)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.csv"
+        _write_csv(samples, path)
+        return {"value": _per_call(lambda: _write_csv(samples, path), 3)}
+
+
+def _simulate_peak_rss() -> dict:
+    """Peak RSS of a ``combexit simulate`` process, from ``os.wait4``.
+
+    Spawned from this small interpreter: a child started by vfork inherits
+    its parent's RSS high-water mark, so a large parent would raise the
+    child's ``ru_maxrss`` to its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        domain = Path(tmp) / "strip.json"
+        domain.write_text(json.dumps(
+            {"type": "vertical_strip", "left": -1.0, "right": 1.0}))
+        argv = [sys.executable, "-m", "combexit.cli", "simulate",
+                "--domain", str(domain), "--start", "0,0", "--n", "200000",
+                "--engine", "WosTime", "--seed", str(SEED),
+                "--out", str(Path(tmp) / "simulate.json"),
+                "--csv", str(Path(tmp) / "samples.csv")]
+        # the row's own stdout carries its JSON result
+        quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+        _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        raise RuntimeError(f"simulate exited with status {status}")
+    return {"value": usage.ru_maxrss / 1024}  # Linux reports KiB
 
 
 def _tail_index() -> dict:
@@ -373,6 +419,7 @@ ROWS = {
     "adversarial_stages3_s": ("s", _adversarial_stages3),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
     "samples_to_csv_200k_s": ("s", _samples_to_csv),
+    "simulate_strip_200k_peak_rss_mib": ("MiB", _simulate_peak_rss),
     "tail_index_200k_ms": ("ms", _tail_index),
 }
 

@@ -90,6 +90,11 @@ _KINDS = ("bounded", "polynomial", "geometric", "window")
 _WINDOW_START = 1
 _WINDOW_MARGIN = 0.05
 
+# The polynomial tail is summed in blocks of this many terms, at most this
+# many blocks; a weight within about 1e-13 of 1 spends the whole budget.
+_TAIL_BLOCK = 4096
+_TAIL_BLOCKS = 20_000
+
 
 @dataclass(frozen=True)
 class GrowthClass:
@@ -276,6 +281,14 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
             tail = _polynomial_tail_from_model(
                 float(maxima[-1]), j_total, w, 2.0 * (growth.degree - 1.0) * a
             )
+        if tail is None:
+            return _inconclusive(
+                p, theta, growth,
+                note + (
+                    f"polynomial tail at weight {q:.6g} did not converge within "
+                    f"the budget of {_TAIL_BLOCKS} blocks of {_TAIL_BLOCK} terms"
+                ),
+            )
         reason = note + (
             f"polynomial gap growth of degree {growth.degree:g} is beaten by "
             f"the geometric weight {q:.6g}"
@@ -352,8 +365,9 @@ def _strip_moment_root(p: float) -> float:
         (math.log(4.0 / math.pi) + math.lgamma(p + 1.0)) / p)
 
 
-def _polynomial_tail(block_terms, start_j: int, q: float) -> float:
-    """Sum a tail series from index ``start_j`` in blocks of 4096 terms.
+def _polynomial_tail(block_terms, start_j: int, q: float) -> float | None:
+    """Sum a tail series from index ``start_j`` in blocks of ``_TAIL_BLOCK``
+    terms, or None when ``_TAIL_BLOCKS`` blocks leave it unconverged.
 
     ``block_terms(j0, j1)`` returns the terms for indices ``j0 .. j1-1``
     and ``rho``, a bound on every later term ratio divided by ``q``.  Term
@@ -363,18 +377,17 @@ def _polynomial_tail(block_terms, start_j: int, q: float) -> float:
     """
     total = 0.0
     j = start_j
-    block = 4096
-    for _ in range(20_000):
-        terms, rho = block_terms(j, j + block)
+    for _ in range(_TAIL_BLOCKS):
+        terms, rho = block_terms(j, j + _TAIL_BLOCK)
         total += float(terms.sum())
-        j += block
+        j += _TAIL_BLOCK
         if q * rho < 1.0 and terms[-1] < 1e-17 * max(total, 1.0):
             return total + terms[-1] * q * rho / (1.0 - q * rho)
-    raise RuntimeError("polynomial tail did not converge within the iteration budget")
+    return None
 
 
 def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float,
-                               a: float) -> float:
+                               a: float) -> float | None:
     """Sum q^j * gap(j+1)^(2a) for j >= start_j with exact generator gaps.
 
     Gap ratios decrease toward 1 for degree >= 1, so the last gap ratio of
@@ -389,7 +402,7 @@ def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float,
 
 
 def _polynomial_tail_from_model(last_max: float, start_j: int, q: float,
-                                exponent: float) -> float:
+                                exponent: float) -> float | None:
     """Tail bound under the declared model M_{j+1} <= M_J * ((j+1)/J)^exponent."""
     scale = last_max / start_j**exponent
 

@@ -228,8 +228,7 @@ def _cmd_simulate(args) -> int:
     except WindowEscapeError as exc:
         return _window_escape_report(cfg, exc)
 
-    csv_text = samples_to_csv(result)
-    write_text(csv_path, csv_text)
+    csv_digest = samples_to_csv(result, csv_path)
     est = estimators.estimate_moment(result, 1.0)
     write_report(
         args.out,
@@ -243,9 +242,7 @@ def _cmd_simulate(args) -> int:
                 "mean_exit_time": est.point_estimate,
                 "mean_exit_time_se": est.standard_error,
                 "samples_csv": csv_path,
-                "samples_fingerprint": fingerprint_bytes(
-                    csv_text.encode("utf-8")
-                ),
+                "samples_fingerprint": csv_digest,
             },
         ),
     )

@@ -171,18 +171,23 @@ def _hill(taus: np.ndarray, cen: np.ndarray, k: int | None) -> TailDiagnostic:
     if k > n // 10:
         raise ValueError(f"k={k} exceeds n/10={n // 10}; the tail window must "
                          "stay in the tail")
-    order = np.argsort(taus, kind="stable")
-    top = order[n - k:]
-    threshold = float(taus[order[n - k - 1]])
+    # The top k are the last k of a stable argsort, found by selection: all
+    # values above the threshold order statistic (NaN sorts above), then the
+    # threshold's ties with the highest indices.  Sorted, they sum in the
+    # argsort's order.
+    threshold = float(np.partition(taus, n - k - 1)[n - k - 1])
     if threshold <= 0.0:
         raise ValueError("insufficient tail data: threshold order statistic is 0")
+    above = np.flatnonzero(~(taus <= threshold))
+    ties = np.flatnonzero(taus == threshold)
+    top = np.concatenate((above, ties[ties.size - (k - above.size):]))
     n_unc = int((~cen[top]).sum())
     if n_unc < 10:
         raise ValueError(
             "insufficient tail data: censoring leaves fewer than 10 "
             "uncensored exceedances; lower k or raise time_cap"
         )
-    log_excess = float(np.log(taus[top] / threshold).sum())
+    log_excess = float(np.log(np.sort(taus[top]) / threshold).sum())
     h_hat = n_unc / log_excess
     rel = _Z95 / math.sqrt(n_unc)
     lo = max(h_hat * (1.0 - rel), 0.0)

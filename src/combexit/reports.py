@@ -4,11 +4,15 @@ JSON reports carry a schema version, the fully resolved configuration, and
 sha256 fingerprints of every input consumed, so a run can be audited and
 reproduced from its report alone.  Bulk exit samples travel as CSV with one
 row per trajectory, encoded from and decoded into ``SampleSet`` columns
-(floats in ``repr`` round-trip form).  The reader parses the two columns
-estimators need with numpy's C reader and rejects malformed rows, exit
-times that are negative or not finite, and censor flags other than 0 or 1.
-Writers stage into a temporary file next to the destination and rename into
-place; a crashed run never leaves a partial artifact under the target name.
+(floats in ``repr`` round-trip form).  The writer streams the file in
+chunks of ``_CSV_ROWS`` rows, each formatted, encoded to ASCII, hashed and
+written as bytes in turn, so the samples' fingerprint is the sha256 of the
+very bytes written and the whole text is never held in memory.  The reader
+parses the two columns estimators need with numpy's C reader and rejects
+malformed rows, exit times that are negative or not finite, and censor
+flags other than 0 or 1.  Writers stage into a temporary file next to the
+destination and rename into place; a crashed run never leaves a partial
+artifact under the target name.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import os
 import re
 import uuid
 import warnings
-from itertools import repeat
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +48,7 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 _CSV_FIELDS = ("index", "tau", "u", "v", "censored", "passages", "steps")
+_CSV_ROWS = 8192  # rows formatted, hashed and written at a time
 _NON_BLANK = re.compile(rb"\S")
 _NUMPY_ROW = re.compile(r" at row \d+")
 
@@ -58,8 +64,10 @@ def render_report(payload: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write atomically: stage in the destination directory, then rename.
+@contextmanager
+def _staged(path: str | Path):
+    """Write atomically: yield a binary file staged in the destination
+    directory, and rename it into place when the block completes.
 
     Each call stages into its own file, so concurrent writers to one target
     never rename each other's half-written file; the last rename wins.
@@ -69,33 +77,56 @@ def write_text(path: str | Path, text: str) -> None:
     # result keeps the umask-derived mode a plain open would give, not 0600.
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "xb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, atomically (see ``_staged``)."""
+    with _staged(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_report(path: str | Path, payload: dict) -> None:
     write_text(path, render_report(payload))
 
 
-def samples_to_csv(samples: SampleSet) -> str:
-    """One row per trajectory; the passages column is empty when untracked."""
+def samples_to_csv(samples: SampleSet, path: str | Path) -> str:
+    """Write one row per trajectory to ``path``, atomically, and return the
+    sha256 hex digest of the bytes written.
+
+    Rows are formatted and written ``_CSV_ROWS`` at a time; the passages
+    column is empty when untracked.
+    """
+    digest = hashlib.sha256()
+    with _staged(path) as fh:
+        for chunk in _csv_chunks(samples):
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
+
+
+def _csv_chunks(samples: SampleSet):
+    """The CSV's bytes: the header, then blocks of ``_CSV_ROWS`` rows."""
+    yield (",".join(_CSV_FIELDS) + "\n").encode("ascii")
+    # bools and ints format alike under %d; floats take repr under %r
+    row = "%d,%r,%r,%r,%d," + ("" if samples.passages is None else "%d") + ",%d\n"
     n = samples.total
-    passages = (repeat("", n) if samples.passages is None
-                else map(str, samples.passages.tolist()))
-    rows = zip(
-        map(str, range(n)),
-        map(repr, samples.tau.tolist()),
-        map(repr, samples.u.tolist()),
-        map(repr, samples.v.tolist()),
-        map(str, samples.censor.astype(np.int64).tolist()),
-        passages,
-        map(str, samples.steps.tolist()),
-    )
-    return "\n".join([",".join(_CSV_FIELDS), *map(",".join, rows)]) + "\n"
+    for lo in range(0, n, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, n)
+        cols = [range(lo, hi)] + [
+            col[lo:hi].tolist()
+            for col in (samples.tau, samples.u, samples.v, samples.censor,
+                        samples.passages, samples.steps)
+            if col is not None
+        ]
+        # one % over the template repeated once per row, fields row-major
+        fields = tuple(chain.from_iterable(zip(*cols)))
+        yield ((row * (hi - lo)) % fields).encode("ascii")
 
 
 def read_samples_csv(path: str | Path, data: bytes | None = None) -> SampleSet:

@@ -358,6 +358,7 @@ _J1_AT_ZEROS = np.array([
 # Decay rates j_k^2 / 2 and weights 2 / (j_k J1(j_k)) of the 96 modes.
 _DISK_RATES = 0.5 * _J0_ZEROS * _J0_ZEROS
 _DISK_COEFFS = 2.0 / (_J0_ZEROS * _J1_AT_ZEROS)
+_SURVIVAL_ROWS = 512
 
 
 def disk_survival(t):
@@ -369,7 +370,12 @@ def disk_survival(t):
     """
     scalar = np.ndim(t) == 0
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.clip(np.exp(-np.outer(arr, _DISK_RATES)) @ _DISK_COEFFS, 0.0, 1.0)
+    out = np.empty(arr.shape)
+    # the (times, modes) matrix is built _SURVIVAL_ROWS rows at a time
+    for lo in range(0, arr.size, _SURVIVAL_ROWS):
+        block = arr[lo:lo + _SURVIVAL_ROWS]
+        out[lo:lo + block.size] = np.exp(-np.outer(block, _DISK_RATES)) @ _DISK_COEFFS
+    np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if scalar else out
 
 
@@ -519,6 +525,9 @@ class DiskLawTable:
 _DISK_KNOTS = 4096
 _DISK_U_CUT = 0.999
 _DISK_T_LO = 0.01
+# The validation grid is evaluated this many points at a time, which bounds
+# the temporaries of ``_eval_cubics``.
+_GRID_BLOCK = 16_384
 
 
 def build_disk_law() -> DiskLawTable:
@@ -556,8 +565,11 @@ def build_disk_law() -> DiskLawTable:
     body_mean = float(np.sum(((c0 * h / 4.0 + c1 / 3.0) * h + c2 / 2.0) * h * h
                              + c3 * h))
     grid = np.linspace(u[0], u[-1], 200_001)
-    body = _eval_cubics(u, cubics, grid, guide, guide_knots)
-    body_second = float(np.trapezoid(body ** 2, grid))
+    body = np.empty_like(grid)
+    for lo in range(0, grid.size, _GRID_BLOCK):
+        block = grid[lo:lo + _GRID_BLOCK]
+        body[lo:lo + block.size] = _eval_cubics(u, cubics, block, guide, guide_knots)
+    body_second = float(np.trapezoid(np.square(body, out=body), grid))
     mean_error = abs(body_mean + tail_mean - 0.5)
     second_error = abs(body_second + tail_second - 0.375)
     if mean_error > 5e-6 or second_error > 5e-5:

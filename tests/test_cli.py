@@ -139,6 +139,21 @@ class TestScalarCommands:
         assert report["bound_on_moment_root"] > 0.0
         assert comb in report["config"]["inputs"]
 
+    def test_check_unconverged_polynomial_tail_is_inconclusive(self, tmp_path):
+        # ell = 20 puts theta0 within 3e-14 of 1, so the tail sum spends its
+        # whole block budget; that is a report, not a crash
+        spec = {"generator": {"kind": "polynomial", "degree": 2.0,
+                              "coefficient": 0.05, "height": 1.0},
+                "window_radius": 10}
+        comb = write_json(tmp_path / "poly.json", spec)
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", comb, "--p", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "Inconclusive"
+        assert report["bound_on_moment_root"] is None
+        assert "did not converge within the budget of 20000 blocks" in report["reason"]
+
     def test_check_reads_a_bare_comb_spec(self, tmp_path):
         # the README's second form: the comb spec without the domain wrapper
         reports = []
@@ -190,6 +205,22 @@ class TestSimulate:
         assert len(report["domain_fingerprint"]) == 64
         header = csv.read_text().splitlines()[0]
         assert header == "index,tau,u,v,censored,passages,steps"
+
+    def test_fingerprint_is_the_written_files_sha256(self, tmp_path):
+        # 8193 rows take two chunks of the streamed writer
+        domain = write_json(tmp_path / "strip.json", STRIP)
+        out, csv = tmp_path / "r.json", tmp_path / "s.csv"
+        code = run_command(
+            [
+                "simulate", "--domain", domain, "--start", "0,0",
+                "--n", "8193", "--engine", "WosTime", "--seed", "3",
+                "--out", str(out), "--csv", str(csv),
+            ]
+        )
+        assert code == EXIT_OK
+        data = csv.read_bytes()
+        assert data.count(b"\n") == 8194
+        assert load(out)["samples_fingerprint"] == hashlib.sha256(data).hexdigest()
 
     def test_worker_env_var_matches_explicit_flag(self, tmp_path, monkeypatch):
         domain = write_json(tmp_path / "strip.json", STRIP)

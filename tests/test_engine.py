@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from combexit import engine
+from combexit import engine, reports
 from combexit.engine import (
     ExitSample,
     SampleSet,
@@ -728,10 +728,16 @@ class TestCsvBytesGuard:
     """
 
     @pytest.mark.parametrize("case", sorted(CSV_CASES))
-    def test_csv_digest(self, case):
+    def test_csv_digest(self, case, tmp_path, monkeypatch):
+        # the bytes do not depend on how many rows each written chunk holds
         domain, start, n, kw = CSV_CASES[case]
-        text = samples_to_csv(run_batch(domain, start, n, SimParams(**kw)))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CSV_DIGESTS[case]
+        samples = run_batch(domain, start, n, SimParams(**kw))
+        path = tmp_path / "samples.csv"
+        for rows in (1, 7, reports._CSV_ROWS):
+            monkeypatch.setattr(reports, "_CSV_ROWS", rows)
+            digest = samples_to_csv(samples, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+            assert digest == CSV_DIGESTS[case]
 
 
 class TestCouplingProperties:

@@ -48,6 +48,43 @@ class TestTailSelfCalibration:
         lo, hi = diag.ci_95
         assert lo < 1.0 < hi
 
+    def test_hill_selection_matches_stable_argsort(self):
+        # the top k are found by selection; every field must equal what
+        # the full stable argsort gives, ties and censor flags included
+        def reference(taus, cen, k):
+            n = taus.size
+            order = np.argsort(taus, kind="stable")
+            top = order[n - k:]
+            threshold = float(taus[order[n - k - 1]])
+            n_unc = int((~cen[top]).sum())
+            h_hat = n_unc / float(np.log(taus[top] / threshold).sum())
+            rel = 1.959963984540054 / math.sqrt(n_unc)
+            return (h_hat, (max(h_hat * (1.0 - rel), 0.0), h_hat * (1.0 + rel)),
+                    n_unc)
+
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            n = int(rng.integers(1000, 6000))
+            x = 1.0 + rng.pareto(rng.uniform(0.5, 3.0), n)
+            kind = trial % 4
+            if kind == 1:  # few distinct values: ties at the threshold
+                x = np.round(x, 1)
+            cap = float(np.quantile(x, rng.uniform(0.97, 0.999)))
+            cen = x >= cap if kind == 2 else np.zeros(n, dtype=bool)
+            if kind == 2:  # censored at the cap, which the top k reach
+                x = np.minimum(x, cap)
+            if kind == 3:  # rounded, with flags that tell ties apart
+                x = np.round(x, 0)
+                cen = rng.random(n) < 0.3
+            k = None if trial % 2 else int(rng.integers(10, n // 10 + 1))
+            samples = synthetic_sample_set(x, time_cap=cap, censored=cen)
+            try:
+                diag = tail_index(samples, k=k)
+            except ValueError:
+                continue
+            want = reference(x, cen, diag.k)
+            assert (diag.H_hat, diag.ci_95, diag.n_effective) == want, trial
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_loglog_recovers_pareto_index(self, alpha):
         diag = tail_index(pareto_set(alpha, seed=7), method="loglog")

@@ -1,11 +1,15 @@
 """Report and sample-file writers and the sample-file reader."""
 
+import dataclasses
 import sys
 import threading
 
 import numpy as np
+import pytest
 
-from combexit.reports import read_samples_csv, write_text
+from combexit import reports
+from combexit.estimators import synthetic_sample_set
+from combexit.reports import read_samples_csv, samples_to_csv, write_text
 
 
 def test_concurrent_writers_to_one_target(tmp_path):
@@ -33,6 +37,30 @@ def test_concurrent_writers_to_one_target(tmp_path):
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert target.read_text(encoding="utf-8") in texts
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_csv_write_keeps_the_old_target(tmp_path, monkeypatch):
+    target = tmp_path / "samples.csv"
+    target.write_bytes(b"old bytes\n")
+    good = synthetic_sample_set([1.0, 2.0, 3.0, 4.0], time_cap=10.0)
+    # a steps value that %d refuses, in the second chunk of two rows
+    bad = dataclasses.replace(
+        good, steps=np.array([1, 2, "three", 4], dtype=object))
+    monkeypatch.setattr(reports, "_CSV_ROWS", 2)
+    written = []
+    chunks = reports._csv_chunks
+
+    def counted(samples):
+        for chunk in chunks(samples):
+            written.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(reports, "_csv_chunks", counted)
+    with pytest.raises(TypeError):
+        samples_to_csv(bad, target)
+    assert len(written) == 2  # the header and the first chunk were written
+    assert target.read_bytes() == b"old bytes\n"
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -245,6 +247,33 @@ def test_disk_table_build():
     lo = float(table.times_from_uniform(table.u_cut - 1e-12))
     hi = float(table.times_from_uniform(table.u_cut + 1e-12))
     assert abs(hi - lo) < 1e-6
+
+
+# sha256 over every field of ``build_disk_law()`` (see ``table_digest``).
+# Recorded with numpy 2.4 on x86-64 with AVX-512, like the engine's
+# bit-identity pins: record it afresh from a known-good commit on another
+# platform before trusting a mismatch.
+DISK_TABLE_DIGEST = "4167783eee491b4bef675936c4106eddab540cd69550e4b5c134562048c30b76"
+
+
+def table_digest(table):
+    digest = hashlib.sha256()
+    for name in ("u_knots", "t_knots", "cubics", "guide", "guide_knots"):
+        arr = getattr(table, name)
+        for part in (name, str(arr.dtype), str(arr.shape)):
+            digest.update(part.encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    for name in ("u_cut", "t_cut", "lam1", "log_c1", "mean_error",
+                 "second_moment_error"):
+        digest.update(name.encode())
+        digest.update(struct.pack("<d", getattr(table, name)))
+    return digest.hexdigest()
+
+
+def test_disk_table_bits_pinned():
+    # the build evaluates its knots and validation grid in blocks; every
+    # field keeps the bits of the whole-array build
+    assert table_digest(build_disk_law()) == DISK_TABLE_DIGEST
 
 
 def bits(x):
