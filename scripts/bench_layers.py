@@ -87,6 +87,12 @@ Rows:
   ``os.wait4``) of ``python -m combexit.cli simulate`` of 200k WosTime
   samples on the strip from the origin at seed 7, spawned from the row's
   own small interpreter;
+* ``halfplane_euler_peak_rss_mib``: the same for ``simulate`` of 8192
+  EulerBridge samples on the half-plane from (0, 1) at time cap 1000, seed
+  7 (perfbench's ``halfplane-euler`` command);
+* ``construct_stages2_peak_rss_mib``: the same for ``construct --stages 2``
+  at seed 7 (perfbench's ``construct`` command), whose WoS batches build
+  the disk-law table;
 * ``tail_index_200k_ms``: ``tail_index`` of the same 200k samples (Hill at
   the default ``k``), the mean of five calls after one warm-up call.
 
@@ -363,28 +369,35 @@ def _samples_to_csv() -> dict:
         return {"value": _per_call(lambda: _write_csv(samples, path), 3)}
 
 
-def _simulate_peak_rss() -> dict:
-    """Peak RSS of a ``combexit simulate`` process, from ``os.wait4``.
+def _cli_peak_rss(*args: str, domain: dict | None = None) -> dict:
+    """Peak RSS of one ``python -m combexit.cli`` command, from ``os.wait4``.
 
-    Spawned from this small interpreter: a child started by vfork inherits
-    its parent's RSS high-water mark, so a large parent would raise the
-    child's ``ru_maxrss`` to its own."""
+    ``{tmp}`` in ``args`` names a temporary directory, which holds
+    ``domain.json`` when ``domain`` is given.  Spawned from this small
+    interpreter: a child started by vfork inherits its parent's RSS
+    high-water mark, so a large parent would raise the child's
+    ``ru_maxrss`` to its own."""
     with tempfile.TemporaryDirectory() as tmp:
-        domain = Path(tmp) / "strip.json"
-        domain.write_text(json.dumps(
-            {"type": "vertical_strip", "left": -1.0, "right": 1.0}))
-        argv = [sys.executable, "-m", "combexit.cli", "simulate",
-                "--domain", str(domain), "--start", "0,0", "--n", "200000",
-                "--engine", "WosTime", "--seed", str(SEED),
-                "--out", str(Path(tmp) / "simulate.json"),
-                "--csv", str(Path(tmp) / "samples.csv")]
+        if domain is not None:
+            (Path(tmp) / "domain.json").write_text(json.dumps(domain))
+        argv = [sys.executable, "-m", "combexit.cli",
+                *(arg.format(tmp=tmp) for arg in args)]
         # the row's own stdout carries its JSON result
         quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
         pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
         _, status, usage = os.wait4(pid, 0)
     if os.waitstatus_to_exitcode(status):
-        raise RuntimeError(f"simulate exited with status {status}")
+        raise RuntimeError(f"{args[0]} exited with status {status}")
     return {"value": usage.ru_maxrss / 1024}  # Linux reports KiB
+
+
+def _simulate_peak_rss(domain: dict, start: str, n: int, engine: str,
+                       *args: str) -> dict:
+    return _cli_peak_rss(
+        "simulate", "--domain", "{tmp}/domain.json", "--start", start,
+        "--n", str(n), "--engine", engine, *args, "--seed", str(SEED),
+        "--out", "{tmp}/simulate.json", "--csv", "{tmp}/samples.csv",
+        domain=domain)
 
 
 def _tail_index() -> dict:
@@ -419,7 +432,14 @@ ROWS = {
     "adversarial_stages3_s": ("s", _adversarial_stages3),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
     "samples_to_csv_200k_s": ("s", _samples_to_csv),
-    "simulate_strip_200k_peak_rss_mib": ("MiB", _simulate_peak_rss),
+    "simulate_strip_200k_peak_rss_mib": ("MiB", lambda: _simulate_peak_rss(
+        {"type": "vertical_strip", "left": -1.0, "right": 1.0},
+        "0,0", 200_000, "WosTime")),
+    "halfplane_euler_peak_rss_mib": ("MiB", lambda: _simulate_peak_rss(
+        {"type": "half_plane"}, "0,1", 8192, "EulerBridge", "--time-cap", "1000.0")),
+    "construct_stages2_peak_rss_mib": ("MiB", lambda: _cli_peak_rss(
+        "construct", "--stages", "2", "--seed", str(SEED),
+        "--out", "{tmp}/construct.json", "--comb-out", "{tmp}/comb.json")),
     "tail_index_200k_ms": ("ms", _tail_index),
 }
 

@@ -189,6 +189,15 @@ def check_theorem1(
                 "and re-checking is sound"
             ),
         )
+    if ell == 0.0:
+        return _inconclusive(
+            p, 1.0, growth,
+            note + (
+                "aspect ratio ell is 0 (every slit's neighbors reach the "
+                "axis), and the passage factor theta0 is defined only for "
+                "ell > 0"
+            ),
+        )
     res = theta0(ell)
     note += f"theta0({ell:g})={res.theta0:.12g}; "
     return _certify(comb, p, res.theta0, growth, note)

@@ -257,8 +257,8 @@ def moment_verdict(diag: TailDiagnostic, p: float) -> str:
     p = 1.95 is called infinite-likely at seeds 0, 1 and 2 although the
     moment is finite.
     """
-    if not p > 0.0:
-        raise ValueError("moment order p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError("moment order p must be positive and finite")
     lo, hi = diag.ci_95
     if p < lo:
         return FINITE_LIKELY

@@ -154,6 +154,21 @@ class TestScalarCommands:
         assert report["bound_on_moment_root"] is None
         assert "did not converge within the budget of 20000 blocks" in report["reason"]
 
+    def test_check_all_walls_comb_is_inconclusive(self, tmp_path):
+        # both slits reach the axis, so ell = 0, where theta0 is undefined:
+        # a report, not a usage error
+        spec = {"generator": {"kind": "explicit",
+                              "slits": [[0.0, 0.0], [2.0, 0.0]]},
+                "one_sided": True}
+        comb = write_json(tmp_path / "walls.json", spec)
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", comb, "--p", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "Inconclusive"
+        assert report["bound_on_moment_root"] is None
+        assert "aspect ratio ell is 0" in report["reason"]
+
     def test_check_reads_a_bare_comb_spec(self, tmp_path):
         # the README's second form: the comb spec without the domain wrapper
         reports = []
@@ -293,6 +308,16 @@ class TestSampleConsumers:
         assert code == EXIT_OK
         # every strip moment is finite and the tail is far from 1/2
         assert load(out)["verdict"] == "FiniteLikely"
+
+    def test_verdict_refuses_infinite_p(self, tmp_path, sample_csv, capsys):
+        out = tmp_path / "v.json"
+        code = run_command(
+            ["verdict", "--samples", str(sample_csv), "--p", "inf",
+             "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "moment order p must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["tail"], ["verdict", "--p", "1"]],
                              ids=["tail", "verdict"])

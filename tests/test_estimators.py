@@ -207,6 +207,12 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="positive"):
             moment_verdict(tail_index(pareto_set(1.0, seed=24)), -1.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        diag = tail_index(pareto_set(1.0, seed=24))
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            moment_verdict(diag, p)
+
 
 class TestDomainConsistency:
     def test_tail_index_start_point_invariance(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from combexit import series
 from combexit.series import (
     build_disk_law,
     default_disk_law,
@@ -249,11 +250,17 @@ def test_disk_table_build():
     assert abs(hi - lo) < 1e-6
 
 
-# sha256 over every field of ``build_disk_law()`` (see ``table_digest``).
-# Recorded with numpy 2.4 on x86-64 with AVX-512, like the engine's
-# bit-identity pins: record it afresh from a known-good commit on another
-# platform before trusting a mismatch.
-DISK_TABLE_DIGEST = "4167783eee491b4bef675936c4106eddab540cd69550e4b5c134562048c30b76"
+# sha256 over every field of ``build_disk_law()`` except
+# ``second_moment_error`` (see ``table_digest``): every field that sampling
+# reads, and the mean's residual.  Recorded with numpy 2.4 on x86-64 with
+# AVX-512, like the engine's bit-identity pins, at the commit whose build
+# still checked the second moment on a 200,001-point trapezoid grid: the
+# exact integral changed no field it covers.  Record it afresh from a
+# known-good commit on another platform before trusting a mismatch.
+DISK_TABLE_DIGEST = "f37bc49202081a1e23426957214b7bebec976fa64350941ceff733f4dda07819"
+# The table's second-moment residual, from the exact integral of the
+# squared cubics; pinned on its own, as it changed with that integral.
+DISK_SECOND_MOMENT_ERROR = 4.1011638529653283e-13
 
 
 def table_digest(table):
@@ -263,17 +270,50 @@ def table_digest(table):
         for part in (name, str(arr.dtype), str(arr.shape)):
             digest.update(part.encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
-    for name in ("u_cut", "t_cut", "lam1", "log_c1", "mean_error",
-                 "second_moment_error"):
+    for name in ("u_cut", "t_cut", "lam1", "log_c1", "mean_error"):
         digest.update(name.encode())
         digest.update(struct.pack("<d", getattr(table, name)))
     return digest.hexdigest()
 
 
 def test_disk_table_bits_pinned():
-    # the build evaluates its knots and validation grid in blocks; every
-    # field keeps the bits of the whole-array build
+    # the build evaluates its knots in blocks and its moments as exact
+    # integrals; every sampling field keeps the bits of the whole-array build
     assert table_digest(build_disk_law()) == DISK_TABLE_DIGEST
+
+
+def test_disk_table_second_moment_error_pinned():
+    assert build_disk_law().second_moment_error == DISK_SECOND_MOMENT_ERROR
+
+
+def _gauss_legendre_moments(x, cubics):
+    """Integrals of the piecewise cubic and of its square by a 4-point
+    Gauss-Legendre rule per interval, exact for polynomials of degree 7."""
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    h = np.diff(x)[:, None]
+    s = 0.5 * h * (nodes + 1.0)
+    c0, c1, c2, c3 = (col[:, None] for col in cubics.T)
+    p = ((c0 * s + c1) * s + c2) * s + c3
+    return (float(np.sum(0.5 * h * weights * p)),
+            float(np.sum(0.5 * h * weights * p * p)))
+
+
+def test_disk_body_moments_match_gauss_legendre():
+    table = default_disk_law()
+    rng = np.random.default_rng(5)
+    random_knots = np.cumsum(rng.uniform(0.05, 1.0, 65))
+    for x, cubics in ((table.u_knots, table.cubics),
+                      (random_knots, rng.uniform(-3.0, 3.0, (64, 4)))):
+        exact = series._body_moments(x, cubics)
+        oracle = _gauss_legendre_moments(x, cubics)
+        assert exact == pytest.approx(oracle, rel=1e-12)
+    # the table's second moment is the body's plus the exponential tail's
+    lam1, eps = table.lam1, 1.0 - series._DISK_U_CUT
+    big_l = table.log_c1 - math.log(eps)
+    tail_second = eps * (big_l * big_l + 2.0 * big_l + 2.0) / (lam1 * lam1)
+    body_second = _gauss_legendre_moments(table.u_knots, table.cubics)[1]
+    assert abs(body_second + tail_second - 0.375) == pytest.approx(
+        table.second_moment_error, abs=1e-15)
 
 
 def bits(x):
