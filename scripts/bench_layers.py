@@ -90,17 +90,24 @@ Rows:
 * ``halfplane_euler_peak_rss_mib``: the same for ``simulate`` of 8192
   EulerBridge samples on the half-plane from (0, 1) at time cap 1000, seed
   7 (perfbench's ``halfplane-euler`` command);
+* ``uniform_comb_euler_peak_rss_mib``: the same for ``simulate`` of the
+  ``uniform_comb_euler_run_batch_s`` batch: 8192 EulerBridge samples on the
+  uniform comb (gaps and teeth 1, window radius 40) from (0.5, 0) at time
+  cap 200, seed 7;
 * ``construct_stages2_peak_rss_mib``: the same for ``construct --stages 2``
   at seed 7 (perfbench's ``construct`` command), whose WoS batches build
   the disk-law table;
 * ``tail_index_200k_ms``: ``tail_index`` of the same 200k samples (Hill at
   the default ``k``), the mean of five calls after one warm-up call.
 
-The batch, pass-count and steps-per-second rows also record their step
-totals.  When a change keeps every sample they agree between the trees;
-where they differ the script says so on stderr, records ``"steps_agree":
-false`` in the row and exits with status 1.  Not part of the test suite: a
-run takes a few minutes.
+The peak-RSS rows also record each command's minor page faults
+(``ru_minflt``), run by run in ``minflt`` beside ``runs``: a change that
+hands memory back to the allocator and takes it again shows there even
+when the peak holds.  The batch, pass-count and steps-per-second rows also
+record their step totals.  When a change keeps every sample they agree
+between the trees; where they differ the script says so on stderr,
+records ``"steps_agree": false`` in the row and exits with status 1.  Not
+part of the test suite: a run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -388,7 +395,8 @@ def _cli_peak_rss(*args: str, domain: dict | None = None) -> dict:
         _, status, usage = os.wait4(pid, 0)
     if os.waitstatus_to_exitcode(status):
         raise RuntimeError(f"{args[0]} exited with status {status}")
-    return {"value": usage.ru_maxrss / 1024}  # Linux reports KiB
+    # Linux reports ru_maxrss in KiB
+    return {"value": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt}
 
 
 def _simulate_peak_rss(domain: dict, start: str, n: int, engine: str,
@@ -398,6 +406,13 @@ def _simulate_peak_rss(domain: dict, start: str, n: int, engine: str,
         "--n", str(n), "--engine", engine, *args, "--seed", str(SEED),
         "--out", "{tmp}/simulate.json", "--csv", "{tmp}/samples.csv",
         domain=domain)
+
+
+def _uniform_comb_euler_peak_rss() -> dict:
+    spec = {"generator": {"kind": "uniform", "spacing": 1.0, "height": 1.0},
+            "window_radius": 40, "one_sided": False}
+    return _simulate_peak_rss({"type": "comb", "spec": spec}, "0.5,0", 8192,
+                              "EulerBridge", "--time-cap", "200.0")
 
 
 def _tail_index() -> dict:
@@ -437,6 +452,7 @@ ROWS = {
         "0,0", 200_000, "WosTime")),
     "halfplane_euler_peak_rss_mib": ("MiB", lambda: _simulate_peak_rss(
         {"type": "half_plane"}, "0,1", 8192, "EulerBridge", "--time-cap", "1000.0")),
+    "uniform_comb_euler_peak_rss_mib": ("MiB", _uniform_comb_euler_peak_rss),
     "construct_stages2_peak_rss_mib": ("MiB", lambda: _cli_peak_rss(
         "construct", "--stages", "2", "--seed", str(SEED),
         "--out", "{tmp}/construct.json", "--comb-out", "{tmp}/comb.json")),
@@ -504,6 +520,8 @@ def main(argv=None) -> int:
         for side, results in by_side.items():
             values = [res["value"] for res in results]
             rows[row][side] = {"median": statistics.median(values), "runs": values}
+            if "minflt" in results[0]:
+                rows[row][side]["minflt"] = [res["minflt"] for res in results]
             steps = {res["steps"] for res in results if "steps" in res}
             if steps:
                 rows[row][side]["steps"] = sorted(steps)

@@ -323,6 +323,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_xval(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError("grid_points must be at least 1")
     domain_cfg, fp = _load_json(args.domain)
     domain = domain_from_config(domain_cfg)
     start = _parse_start(args.start)

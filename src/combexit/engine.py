@@ -140,18 +140,31 @@ _ENGINES = ("EulerBridge", "WosTime")
 # within noise of each other.  An EulerBridge pass evaluates a window of
 # ``min(span, _LANE_STEPS // live_lanes)`` steps, at least one, where
 # ``span`` starts at ``_WINDOW_START`` and doubles each pass of a chunk.
-# ``_LANE_STEPS`` bounds a pass's dense ``(lanes, steps, lines)`` offsets
-# and ``(lanes, steps)`` hashed path normals, so a few long-lived lanes
-# cost a few passes instead of one pass per step; the doubling start keeps
-# a short-lived chunk (a single-sample replay) from hashing steps it never
-# takes.  The hashed crossing variates and the bridge arithmetic run only
-# at the pairs and crossings they concern.  The live lanes of a chunk
-# share one clock, so a window's times and cap tests are one row for all
-# of them.  Windows only regroup the same variates, so no sample depends
-# on these constants.
+# ``_LANE_STEPS`` bounds a pass's dense arrays, which every pass of a range
+# views in one ``_Workspace``: for ``P = lanes * steps <= _LANE_STEPS``
+# lane-steps (``lanes`` at one-step windows) and ``S`` line slots, the path
+# normals and positions take about ``32 P`` bytes and the offsets, their
+# products and the ``near`` mask ``17 S P`` (``26 S P`` with per-step slot
+# windows).  At ``1 << 14`` and 4096 lanes that is 0.9 MiB on the
+# half-plane (S = 1) and 3.0 MiB on a six-slot comb; a pass's crossing
+# lists come on top.  The tracemalloc peak of an 8192-sample ``run_batch``
+# (2 vCPU, numpy 2.4) is 2.59 MiB on the half-plane and 6.40 MiB on the
+# uniform comb, against 5.32 and 13.18 MiB with fresh arrays per pass at
+# ``1 << 15``; ``simulate`` of those batches peaks at 36.8 and 41.3 MiB
+# RSS, against 40.3 and 53.8 MiB.  Short windows pay numpy's fixed cost
+# per lane more often: 4096 lanes that all live run 4-step windows, 23%
+# fewer steps a second than 8-step ones, and at ``1 << 13`` the half-plane
+# batch ran 28% slower for 0.4 MiB less.  The pass budget lets a few
+# long-lived lanes cost a few passes instead of one pass per step; the
+# doubling start keeps a short-lived chunk (a single-sample replay) from
+# hashing steps it never takes.  The hashed crossing variates and the
+# bridge arithmetic run only at the pairs and crossings they concern.  The
+# live lanes of a chunk share one clock, so a window's times and cap tests
+# are one row for all of them.  Windows only regroup the same variates, so
+# no sample depends on these constants.
 _CHUNK = 4096
 _WOS_POOL = 16384
-_LANE_STEPS = 1 << 15
+_LANE_STEPS = 1 << 14
 _WINDOW_START = 32
 
 # Crossing tests only see lines whose current slot window contains them.
@@ -369,15 +382,17 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(key, counter):
+def _splitmix64(key, counter, out=None, scratch=None):
     """Output ``counter`` (from 0) of SplitMix64 seeded with ``key``, on
-    uint64 arrays: the mix of the state ``key + (counter + 1) * gamma``."""
-    z = key + (counter + np.uint64(1)) * _GOLDEN
-    z ^= z >> np.uint64(30)
+    uint64 arrays: the mix of the state ``key + (counter + 1) * gamma``.
+    ``out`` takes the words and ``scratch`` their shifts, both uint64
+    arrays of the broadcast shape; without them numpy allocates."""
+    z = np.add(key, (counter + np.uint64(1)) * _GOLDEN, out=out)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
@@ -391,17 +406,27 @@ def _sample_keys(master_seed: int, indices) -> np.ndarray:
     return _splitmix64(seed, np.asarray(indices, dtype=np.uint64))
 
 
-def _uniform(key, counter):
+def _uniform(key, counter, out=None, words=None):
     """The double in (0, 1] that ``_splitmix64(key, counter)`` gives: its
     top 53 bits plus one, times 2**-53.  It is never 0, so its log is
-    finite and it never passes a test ``u <= p`` with ``p < 2**-53``."""
-    return ((_splitmix64(key, counter) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    finite and it never passes a test ``u <= p`` with ``p < 2**-53``.
+    ``out`` (float64) takes the doubles and ``words`` (uint64) the hash;
+    ``out`` doubles as the hash's scratch until the doubles overwrite it.
+    Here and in ``_on_circle`` and ``_box_muller`` each step writes to the
+    caller's buffer or, without one, to a fresh array, never in place into
+    a fresh one: on the one-lane arrays of a replay an in-place ufunc call
+    costs about twice as much."""
+    z = _splitmix64(key, counter, words,
+                    None if out is None else out.view(np.uint64))
+    z = np.add(np.right_shift(z, np.uint64(11), out=words), np.uint64(1),
+               out=words)
+    return np.multiply(z, 2.0**-53, out=out)
 
 
 _PATH = np.uint64(2**63)   # first counter of the EulerBridge path pairs
 
 
-def _on_circle(radius, u):
+def _on_circle(radius, u, out=None):
     """The point at ``radius`` from the origin in the direction of the
     angle ``2 pi (u - 1/2)``, uniform on (-pi, pi] for a uniform ``u``, as
     ``(radius * cos, radius * sin)``.
@@ -410,36 +435,70 @@ def _on_circle(radius, u):
     ``(1 - g**2) / (1 + g**2)`` and sin = ``2 g / (1 + g**2)``.  numpy 2.4 on
     x86-64 vectorizes float64 tan but not cos and sin, which cost about
     20 ns a double each.
+
+    ``out``, three float64 arrays of the result's shape, takes the cosine
+    half, the sine half and the scale ``radius / (1 + g**2)``; the third
+    may be ``u`` itself, which is read first.  Without it numpy allocates.
     """
-    g = np.tan(math.pi * (u - 0.5))
-    g2 = g * g
-    scale = radius / (1.0 + g2)
-    return scale * (1.0 - g2), scale * (2.0 * g)
+    cos, sin, scale = (None, None, None) if out is None else out
+    g = np.tan(np.multiply(math.pi, np.subtract(u, 0.5, out=sin), out=sin),
+               out=sin)
+    g2 = np.multiply(g, g, out=cos)
+    scale = np.divide(radius, np.add(1.0, g2, out=scale), out=scale)
+    return (np.multiply(scale, np.subtract(1.0, g2, out=cos), out=cos),
+            np.multiply(scale, np.multiply(2.0, g, out=sin), out=sin))
 
 
-def _box_muller(key, counter):
+def _box_muller(key, counter, out=None, scratch=None):
     """A pair of independent standard normals from the uniforms
     ``_uniform(key, counter)`` (the radius) and ``_uniform(key, counter +
-    1)`` (the angle), as ``(cosine half, sine half)``."""
-    rho = np.sqrt(-2.0 * np.log(_uniform(key, counter)))
-    return _on_circle(rho, _uniform(key, counter + np.uint64(1)))
+    1)`` (the angle), as ``(cosine half, sine half)``.
+
+    ``out``, two float64 arrays of the broadcast shape, takes the halves,
+    and ``scratch``, a float64, a float64 and a uint64 array of that shape,
+    holds the radius, the angle (then the scale) and the hash words.
+    Without them numpy allocates.
+    """
+    rho, angle, words = (None, None, None) if scratch is None else scratch
+    rho = np.sqrt(np.multiply(
+        -2.0, np.log(_uniform(key, counter, rho, words), out=rho), out=rho),
+        out=rho)
+    angle = _uniform(key, counter + np.uint64(1), angle, words)
+    return _on_circle(rho, angle, None if out is None else (*out, angle))
 
 
 # ---------------------------------------------------------------------------
 # EulerBridge driver and kernel
 
 
-def _walk(x0, normals, scale):
+class _Workspace:
+    """Named flat buffers that every pass of ``_euler_range`` views at its
+    own shape: ``take`` returns the first ``prod(shape)`` entries.  A
+    buffer is allocated at its first use and again only when a pass needs
+    more entries than any before it, so the passes of a range reuse the
+    same memory instead of asking the allocator for fresh arrays."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _walk(x0, normals, scale, out):
     """The positions ``[x0, x0 + dx[0], (x0 + dx[0]) + dx[1], ...]`` along
-    axis 1, for the increments ``dx = scale * normals``.
+    axis 1 of ``out``, for the increments ``dx = scale * normals``.
 
     ``add.accumulate`` adds strictly left to right, so every entry has the
     bits that stepping one increment at a time would give.
     """
-    x = np.empty((x0.size, normals.shape[1] + 1))
-    x[:, 0] = x0
-    np.multiply(normals, scale, out=x[:, 1:])
-    return np.add.accumulate(x, axis=1, out=x)
+    out[:, 0] = x0
+    np.multiply(normals, scale, out=out[:, 1:])
+    return np.add.accumulate(out, axis=1, out=out)
 
 
 def _crossing_fraction(x, y, h, nu, u):
@@ -484,7 +543,9 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     path does not depend on the chunk or window it runs in.  Only the path,
     the signed offsets of the ``W + 1`` positions from the ``S`` lines and
     the product of consecutive offsets are dense, on ``(lanes, W)`` and
-    ``(lanes, W, S)`` arrays.  The pairs whose product is small enough for
+    ``(lanes, W, S)`` arrays, all views of one ``_Workspace`` for the whole
+    range, so each pass overwrites the previous pass's arrays instead of
+    allocating its own.  The pairs whose product is small enough for
     ``exp(-2*d0*d1/h)`` to reach ``2**-53`` become a list, in lane, step and
     slot order; their crossing uniforms are hashed from the lane's key,
     the global step ``done + w`` and the line, and tested.  The
@@ -515,6 +576,7 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
     def finish(idx, t_end, pu, pv, censored):
         tau[idx], eu[idx], ev[idx], censor[idx] = t_end, pu, pv, censored
 
+    ws = _Workspace()
     keys = np.zeros(n, dtype=np.uint64)
     for c0 in range(0, n, _CHUNK):
         act = np.arange(c0, min(n, c0 + _CHUNK))
@@ -524,26 +586,47 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
             L = act.size
             W = min(span, max(1, _LANE_STEPS // L))
             span *= 2
+            # The Box-Muller scratch borrows the buffers that the positions
+            # and the offsets' products fill later in the pass.
             zu, zv = _box_muller(
                 keys[act, None],
-                _PATH + np.arange(2 * done, 2 * (done + W), 2, dtype=np.uint64))
-            U = _walk(u[act], zu, sqrt_h)
-            V = _walk(v[act], zv, sqrt_h)
+                _PATH + np.arange(2 * done, 2 * (done + W), 2, dtype=np.uint64),
+                out=(ws.take("zu", (L, W)), ws.take("zv", (L, W))),
+                scratch=(ws.take("U", (L, W)), ws.take("V", (L, W)),
+                         ws.take("prod", (L, W)).view(np.uint64)))
+            U = _walk(u[act], zu, sqrt_h, ws.take("U", (L, W + 1)))
+            V = _walk(v[act], zv, sqrt_h, ws.take("V", (L, W + 1)))
             tt = np.full(W + 1, h)
             tt[0] = t
             np.add.accumulate(tt, out=tt)
 
             # signed offsets before (d0) and after (d1) each step
+            near = ws.take("near", (L, W, S), bool)
             if dynamic:
-                slot = (np.searchsorted(lines.c, U[:, :-1])[..., None]
-                        + _SLOT_OFFSETS)
-                valid = (slot >= 0) & (slot < n_lines)
-                slot = np.clip(slot, 0, n_lines - 1)
-                d0 = U[:, :-1, None] - lines.c[slot]
-                d1 = U[:, 1:, None] - lines.c[slot]
+                # slot s of step w is line base[w] + _SLOT_OFFSETS[s]; the
+                # slots live in the products' buffer until the products
+                # overwrite them.  A slot beyond the ends reads an end line
+                # (``mode="clip"``) and ``valid`` drops it.
+                base = np.searchsorted(lines.c, U[:, :-1])
+                slot = np.add(base[..., None], _SLOT_OFFSETS,
+                              out=ws.take("prod", (L, W, S)).view(np.int64))
+                valid = np.less(slot, n_lines,
+                                out=ws.take("valid", (L, W, S), bool))
+                valid &= np.greater_equal(slot, 0, out=near)
+                c_slot = lines.c.take(slot, mode="clip",
+                                      out=ws.take("d1", (L, W, S)))
+                d0 = np.subtract(U[:, :-1, None], c_slot,
+                                 out=ws.take("d0", (L, W, S)))
+                d1 = np.subtract(U[:, 1:, None], c_slot, out=c_slot)
             else:
-                D = (U[..., None] - lines.c if lines.vertical else
-                     lines.nx * U[..., None] + lines.ny * V[..., None] - lines.c)
+                D = ws.take("D", (L, W + 1, S))
+                if lines.vertical:
+                    np.subtract(U[..., None], lines.c, out=D)
+                else:
+                    np.multiply(lines.nx, U[..., None], out=D)
+                    D += np.multiply(lines.ny, V[..., None],
+                                     out=ws.take("prod", (L, W + 1, S)))
+                    D -= lines.c
                 d0, d1 = D[:, :-1], D[:, 1:]
 
             # A pair crosses when its slot-0 uniform is at most
@@ -551,14 +634,14 @@ def _euler_range(domain: SimDomain, start, params: SimParams, lo: int, hi: int):
             # so the uniforms and the exp are computed for those alone.
             # A sign change (prod < 0) gives above 1, so it always
             # crosses.
-            prod = d0 * d1
-            near = prod < _FAR * h
+            prod = np.multiply(d0, d1, out=ws.take("prod", (L, W, S)))
+            np.less(prod, _FAR * h, out=near)
             if dynamic:
                 near &= valid
             flat = np.flatnonzero(near)
             li, si = np.divmod(flat, S)
+            line = base.ravel()[li] + _SLOT_OFFSETS[si] if dynamic else si
             li, wi = np.divmod(li, W)
-            line = slot.ravel()[flat] if dynamic else si
             key = keys[act[li]]
             counter = (4 * ((done + wi) * n_lines + line)).astype(np.uint64)
             with np.errstate(over="ignore"):

@@ -48,7 +48,11 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 _CSV_FIELDS = ("index", "tau", "u", "v", "censored", "passages", "steps")
-_CSV_ROWS = 8192  # rows formatted, hashed and written at a time
+# Rows formatted, hashed and written at a time.  The writer holds one
+# chunk's Python floats, field tuple and text, about 0.4 KiB a row: a
+# tracemalloc peak of 0.8 MiB at 2048 rows against 3.2 MiB at 8192, for the
+# same 0.39 s per 200k rows.
+_CSV_ROWS = 2048
 _NON_BLANK = re.compile(rb"\S")
 _NUMPY_ROW = re.compile(r" at row \d+")
 

@@ -592,6 +592,18 @@ class TestExitCodes:
         assert "no usable grid points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_xval_needs_a_grid_point(self, tmp_path, capsys, points):
+        # refused before sampling, not as exit times collapsing onto the cap
+        domain = write_json(tmp_path / "half.json", {"type": "half_plane"})
+        out = tmp_path / "x.json"
+        code = run_command(["xval", "--domain", domain, "--start", "0,1",
+                            "--n", "200", "--grid-points", points,
+                            "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "grid_points must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag(self, capsys):
         assert run_command(["theta0", "--frequency", "1"]) == EXIT_USAGE
         capsys.readouterr()

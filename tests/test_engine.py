@@ -3,6 +3,7 @@ invariants (exits land on the boundary), and bit-level reproducibility."""
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -688,13 +689,18 @@ class TestCrossingVariates:
             assert ss.v[i] == pytest.approx(v, rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("case", ["half-plane-time-cap", "uniform-comb",
-                                      "explicit-comb"])
+                                      "explicit-comb", "strip", "rectangle",
+                                      "reflex-wedge"])
     def test_window_schedule_only_regroups(self, case, monkeypatch):
-        # the half-plane, dynamic comb slots and static slots with S > 1,
-        # under other first windows, pass sizes and chunk widths
+        # the half-plane, dynamic comb slots, static vertical slots (S = 5
+        # and S = 2), axis lines (S = 4) and oblique lines, under other
+        # first windows, pass sizes and chunk widths; a pass budget below a
+        # chunk's lane count runs one-step windows, so the workspace is
+        # viewed at shapes that shrink and grow again
         domain, start, _, kw = GUARD_CASES[case]
         reference = column_digest(run_batch(domain, start, 300, SimParams(**kw)))
-        for window_start, lane_steps, chunk in ((3, 700, 37), (256, 1 << 17, 4096)):
+        for window_start, lane_steps, chunk in ((3, 700, 37), (256, 1 << 17, 4096),
+                                                (8, 40, 64)):
             monkeypatch.setattr(engine, "_WINDOW_START", window_start)
             monkeypatch.setattr(engine, "_LANE_STEPS", lane_steps)
             monkeypatch.setattr(engine, "_CHUNK", chunk)
@@ -738,6 +744,35 @@ class TestCsvBytesGuard:
             digest = samples_to_csv(samples, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
             assert digest == CSV_DIGESTS[case]
+
+
+class TestWorkingSet:
+    """tracemalloc peaks of 8192-sample EulerBridge batches.  Every pass of
+    a sample range views one workspace, so a batch holds its result
+    columns, one pass's dense arrays and that pass's crossing lists.
+
+    The bounds are the peaks measured with numpy 2.4 on x86-64 plus 20%:
+    2.59 MiB on the half-plane and 6.40 MiB on the uniform comb, where a
+    fresh set of dense arrays per pass and twice the pass budget peaked at
+    5.32 and 13.18 MiB.
+    """
+
+    @pytest.mark.parametrize("domain, start, time_cap, bound_mib", [
+        (HalfPlane(), (0.0, 1.0), 1000.0, 3.11),
+        (UNIFORM_COMB, (0.5, 0.0), 200.0, 7.68),
+    ], ids=["half-plane", "uniform-comb"])
+    def test_run_batch_peak(self, domain, start, time_cap, bound_mib):
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs; its peak is not this batch's")
+        params = SimParams(master_seed=7, time_cap=time_cap)
+        run_batch(domain, start, 64, params)
+        tracemalloc.start()
+        try:
+            run_batch(domain, start, 8192, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < bound_mib
 
 
 class TestCouplingProperties:
