@@ -80,9 +80,7 @@ Rows:
   beforehand so that it sits in the page cache; the mean of three reads;
 * ``samples_to_csv_200k_s``: what ``simulate`` pays for the same 200k
   samples' file: encode, atomic write into a temporary directory and
-  sha256, the mean of three writes after one warm-up.  Trees whose
-  ``samples_to_csv`` returns the text write and hash it with
-  ``write_text`` and ``fingerprint_bytes``, as their CLI did;
+  sha256, the mean of three writes after one warm-up;
 * ``simulate_strip_200k_peak_rss_mib``: the peak RSS (``ru_maxrss`` from
   ``os.wait4``) of ``python -m combexit.cli simulate`` of 200k WosTime
   samples on the strip from the origin at seed 7, spawned from the row's
@@ -98,22 +96,30 @@ Rows:
   at seed 7 (perfbench's ``construct`` command), whose WoS batches build
   the disk-law table;
 * ``tail_index_200k_ms``: ``tail_index`` of the same 200k samples (Hill at
-  the default ``k``), the mean of five calls after one warm-up call.
+  the default ``k``), the mean of five calls after one warm-up call;
+* ``check_cli_wall_s``: the wall time, spawn to exit, of ``python -m
+  combexit.cli check`` at ``--p 2`` of the uniform comb (gaps and teeth 1,
+  window radius 40), interpreter start and imports included;
+* ``xval_strip_20k_wall_s``: the same for ``xval`` of 20k samples per
+  engine on the strip from the origin at seed 7;
+* ``construct_stages3_wall_s``: the same for ``construct --stages 3`` at
+  seed 7.
 
 The peak-RSS rows also record each command's minor page faults
-(``ru_minflt``), run by run in ``minflt`` beside ``runs``: a change that
-hands memory back to the allocator and takes it again shows there even
-when the peak holds.  The batch, pass-count and steps-per-second rows also
-record their step totals.  When a change keeps every sample they agree
-between the trees; where they differ the script says so on stderr,
-records ``"steps_agree": false`` in the row and exits with status 1.  Not
-part of the test suite: a run takes a few minutes.
+(``ru_minflt``) and wall time, run by run in ``minflt`` and ``wall_s``
+beside ``runs``: a change that hands memory back to the allocator and
+takes it again shows in ``minflt`` even when the peak holds.  The wall-time
+rows record each command's peak RSS in ``peak_rss_mib``.  The batch,
+pass-count and steps-per-second rows also record their step totals.  When
+a change keeps every sample they agree between the trees; where they
+differ the script says so on stderr, records ``"steps_agree": false`` in
+the row and exits with status 1.  Not part of the test suite: a run takes
+a few minutes.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -344,40 +350,29 @@ def _strip_shaped_samples():
         "bench", SimParams(engine="WosTime"))
 
 
-def _write_csv(samples, path: Path) -> str:
-    """What ``simulate`` pays for its sample file: encode it, write it
-    atomically to ``path`` and take its sha256.  Trees whose
-    ``samples_to_csv(samples)`` returns the text write and hash it
-    separately, as their CLI did; later trees stream it to ``path``."""
-    from combexit import reports
-
-    if len(inspect.signature(reports.samples_to_csv).parameters) == 1:
-        text = reports.samples_to_csv(samples)
-        reports.write_text(path, text)
-        return reports.fingerprint_bytes(text.encode("utf-8"))
-    return reports.samples_to_csv(samples, path)
-
-
 def _read_samples_csv() -> dict:
-    from combexit.reports import read_samples_csv
+    from combexit.reports import read_samples_csv, samples_to_csv
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "samples.csv"
-        _write_csv(_strip_shaped_samples(), path)
+        samples_to_csv(_strip_shaped_samples(), path)
         read_samples_csv(path)
         return {"value": _per_call(lambda: read_samples_csv(path), 3)}
 
 
 def _samples_to_csv() -> dict:
+    from combexit.reports import samples_to_csv
+
     samples = _strip_shaped_samples()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "samples.csv"
-        _write_csv(samples, path)
-        return {"value": _per_call(lambda: _write_csv(samples, path), 3)}
+        samples_to_csv(samples, path)
+        return {"value": _per_call(lambda: samples_to_csv(samples, path), 3)}
 
 
 def _cli_peak_rss(*args: str, domain: dict | None = None) -> dict:
-    """Peak RSS of one ``python -m combexit.cli`` command, from ``os.wait4``.
+    """Peak RSS of one ``python -m combexit.cli`` command, from ``os.wait4``,
+    with its minor page faults and its wall time from spawn to exit.
 
     ``{tmp}`` in ``args`` names a temporary directory, which holds
     ``domain.json`` when ``domain`` is given.  Spawned from this small
@@ -391,12 +386,22 @@ def _cli_peak_rss(*args: str, domain: dict | None = None) -> dict:
                 *(arg.format(tmp=tmp) for arg in args)]
         # the row's own stdout carries its JSON result
         quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        t0 = time.perf_counter()
         pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
         _, status, usage = os.wait4(pid, 0)
+        wall = time.perf_counter() - t0
     if os.waitstatus_to_exitcode(status):
         raise RuntimeError(f"{args[0]} exited with status {status}")
     # Linux reports ru_maxrss in KiB
-    return {"value": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt}
+    return {"value": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt,
+            "wall_s": wall}
+
+
+def _cli_wall(*args: str, domain: dict | None = None) -> dict:
+    """The wall time of one CLI command, with its peak RSS beside it."""
+    run = _cli_peak_rss(*args, domain=domain)
+    return {"value": run["wall_s"], "minflt": run["minflt"],
+            "peak_rss_mib": run["value"]}
 
 
 def _simulate_peak_rss(domain: dict, start: str, n: int, engine: str,
@@ -408,11 +413,14 @@ def _simulate_peak_rss(domain: dict, start: str, n: int, engine: str,
         domain=domain)
 
 
+_UNIFORM_COMB = {"type": "comb", "spec": {
+    "generator": {"kind": "uniform", "spacing": 1.0, "height": 1.0},
+    "window_radius": 40, "one_sided": False}}
+
+
 def _uniform_comb_euler_peak_rss() -> dict:
-    spec = {"generator": {"kind": "uniform", "spacing": 1.0, "height": 1.0},
-            "window_radius": 40, "one_sided": False}
-    return _simulate_peak_rss({"type": "comb", "spec": spec}, "0.5,0", 8192,
-                              "EulerBridge", "--time-cap", "200.0")
+    return _simulate_peak_rss(_UNIFORM_COMB, "0.5,0", 8192, "EulerBridge",
+                              "--time-cap", "200.0")
 
 
 def _tail_index() -> dict:
@@ -457,6 +465,16 @@ ROWS = {
         "construct", "--stages", "2", "--seed", str(SEED),
         "--out", "{tmp}/construct.json", "--comb-out", "{tmp}/comb.json")),
     "tail_index_200k_ms": ("ms", _tail_index),
+    "check_cli_wall_s": ("s", lambda: _cli_wall(
+        "check", "--comb", "{tmp}/domain.json", "--p", "2",
+        "--out", "{tmp}/check.json", domain=_UNIFORM_COMB)),
+    "xval_strip_20k_wall_s": ("s", lambda: _cli_wall(
+        "xval", "--domain", "{tmp}/domain.json", "--n", "20000",
+        "--seed", str(SEED), "--out", "{tmp}/xval.json",
+        domain={"type": "vertical_strip", "left": -1.0, "right": 1.0})),
+    "construct_stages3_wall_s": ("s", lambda: _cli_wall(
+        "construct", "--stages", "3", "--seed", str(SEED),
+        "--out", "{tmp}/construct.json", "--comb-out", "{tmp}/comb.json")),
 }
 
 
@@ -520,8 +538,9 @@ def main(argv=None) -> int:
         for side, results in by_side.items():
             values = [res["value"] for res in results]
             rows[row][side] = {"median": statistics.median(values), "runs": values}
-            if "minflt" in results[0]:
-                rows[row][side]["minflt"] = [res["minflt"] for res in results]
+            for key in ("minflt", "wall_s", "peak_rss_mib"):
+                if key in results[0]:
+                    rows[row][side][key] = [res[key] for res in results]
             steps = {res["steps"] for res in results if "steps" in res}
             if steps:
                 rows[row][side]["steps"] = sorted(steps)

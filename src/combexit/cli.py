@@ -1,9 +1,11 @@
 """Command line front end.
 
-Every subcommand writes a JSON report embedding its resolved configuration
-and sha256 fingerprints of the files it consumed; bulk samples go to CSV
-next to the report.  Exit codes: 0 on success, 2 on invalid arguments or
-malformed configuration, 3 when a batch escapes its comb window, a
+Every subcommand writes a JSON report, by default ``<subcommand>.json``,
+embedding its resolved configuration and sha256 fingerprints of the files
+it consumed; bulk samples go to CSV next to the report.  Each handler
+returns the report body and :func:`run_command` alone writes the report and
+owns the exit-code map: 0 on success, 2 on invalid arguments or malformed
+configuration (no report), 3 when a batch escapes its comb window, a
 structurally inconclusive state whose report is still written.
 
 The default worker count for simulation batches comes from the
@@ -17,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ from .reports import (
     write_text,
 )
 
-__all__ = ["RunConfig", "main", "run_command"]
+__all__ = ["main", "run_command"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,20 +52,6 @@ EXIT_INCONCLUSIVE = 3
 
 _WORKERS_ENV = "COMBEXIT_WORKERS"
 _XVAL_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation, embedded verbatim in the report."""
-
-    subcommand: str
-    out: str
-    arguments: dict
-    inputs: dict = field(default_factory=dict)  # path -> sha256 of content
-
-
-def _payload(cfg: RunConfig, body: dict) -> dict:
-    return {"subcommand": cfg.subcommand, "config": asdict(cfg), **body}
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -123,41 +111,24 @@ def _params_dict(params: SimParams) -> dict:
     return d
 
 
-def _window_escape_report(cfg: RunConfig, exc: WindowEscapeError) -> int:
-    """Write the report of a batch that left its comb window; no samples."""
-    write_report(
-        cfg.out,
-        _payload(cfg, {"error": {"kind": "window_escape", "message": str(exc)}}),
-    )
-    return EXIT_INCONCLUSIVE
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each records its resolved arguments and input
+# fingerprints in ``config`` before any sampling, then returns the report body
 
 
-def _cmd_theta0(args) -> int:
+def _cmd_theta0(args, config: dict) -> dict:
+    config["arguments"] = {"ell": args.ell}
     res = series.theta0(args.ell)
-    cfg = RunConfig("theta0", args.out, {"ell": args.ell})
-    write_report(
-        args.out,
-        _payload(
-            cfg,
-            {
-                "theta0": res.theta0,
-                "p_top_bottom": res.p_top_bottom,
-                "remainder_bound": res.remainder_bound,
-            },
-        ),
-    )
-    return EXIT_OK
+    return {
+        "theta0": res.theta0,
+        "p_top_bottom": res.p_top_bottom,
+        "remainder_bound": res.remainder_bound,
+    }
 
 
-def _cmd_strip_moment(args) -> int:
-    value = series.strip_moment(args.p)
-    cfg = RunConfig("strip-moment", args.out, {"p": args.p})
-    write_report(args.out, _payload(cfg, {"p": args.p, "moment": value}))
-    return EXIT_OK
+def _cmd_strip_moment(args, config: dict) -> dict:
+    config["arguments"] = {"p": args.p}
+    return {"p": args.p, "moment": series.strip_moment(args.p)}
 
 
 def _load_comb(path: str) -> tuple[CombDomain, str]:
@@ -172,81 +143,52 @@ def _load_comb(path: str) -> tuple[CombDomain, str]:
     raise ValueError(f"{path}: expected a domain config or a comb spec")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, config: dict) -> dict:
     comb, fp = _load_comb(args.comb)
-    verdict = (
-        check_refined_unit(comb, args.p)
-        if args.refined
-        else check_theorem1(comb, args.p)
-    )
-    cfg = RunConfig(
-        "check",
-        args.out,
-        {"comb": args.comb, "p": args.p, "refined": args.refined},
-        inputs={args.comb: fp},
-    )
-    write_report(
-        args.out,
-        _payload(
-            cfg,
-            {
-                "status": verdict.status,
-                "p": verdict.p,
-                "theta0_used": verdict.theta0_used,
-                "bound_on_moment_root": _finite_or_none(
-                    verdict.bound_on_moment_root
-                ),
-                "reason": verdict.reason,
-                "growth_class_used": verdict.growth_class_used,
-                "domain_fingerprint": domain_fingerprint(comb),
-            },
-        ),
-    )
-    return EXIT_OK
+    config["arguments"] = {"comb": args.comb, "p": args.p, "refined": args.refined}
+    config["inputs"] = {args.comb: fp}
+    check = check_refined_unit if args.refined else check_theorem1
+    verdict = check(comb, args.p)
+    return {
+        "status": verdict.status,
+        "p": verdict.p,
+        "theta0_used": verdict.theta0_used,
+        "bound_on_moment_root": _finite_or_none(verdict.bound_on_moment_root),
+        "reason": verdict.reason,
+        "growth_class_used": verdict.growth_class_used,
+        "domain_fingerprint": domain_fingerprint(comb),
+    }
 
 
-def _cmd_simulate(args) -> int:
+def _load_domain(args, config: dict):
+    """The domain and start point of a sampling command, with both recorded
+    in ``config``."""
     domain_cfg, fp = _load_json(args.domain)
     domain = domain_from_config(domain_cfg)
     start = _parse_start(args.start)
+    config["arguments"] = {"domain": args.domain, "start": list(start), "n": args.n}
+    config["inputs"] = {args.domain: fp}
+    return domain, start
+
+
+def _cmd_simulate(args, config: dict) -> dict:
+    domain, start = _load_domain(args, config)
     params = _sim_params(args)
     csv_path = args.csv or str(Path(args.out).with_suffix("")) + "-samples.csv"
-    cfg = RunConfig(
-        "simulate",
-        args.out,
-        {
-            "domain": args.domain,
-            "start": list(start),
-            "n": args.n,
-            "csv": csv_path,
-            "requested_params": _params_dict(params),
-        },
-        inputs={args.domain: fp},
-    )
-    try:
-        result = run_batch(domain, start, args.n, params)
-    except WindowEscapeError as exc:
-        return _window_escape_report(cfg, exc)
-
+    config["arguments"].update(csv=csv_path, requested_params=_params_dict(params))
+    result = run_batch(domain, start, args.n, params)
     csv_digest = samples_to_csv(result, csv_path)
     est = estimators.estimate_moment(result, 1.0)
-    write_report(
-        args.out,
-        _payload(
-            cfg,
-            {
-                "domain_fingerprint": result.domain_fingerprint,
-                "resolved_params": _params_dict(result.params),
-                "n": result.total,
-                "censored": result.censored,
-                "mean_exit_time": est.point_estimate,
-                "mean_exit_time_se": est.standard_error,
-                "samples_csv": csv_path,
-                "samples_fingerprint": csv_digest,
-            },
-        ),
-    )
-    return EXIT_OK
+    return {
+        "domain_fingerprint": result.domain_fingerprint,
+        "resolved_params": _params_dict(result.params),
+        "n": result.total,
+        "censored": result.censored,
+        "mean_exit_time": est.point_estimate,
+        "mean_exit_time_se": est.standard_error,
+        "samples_csv": csv_path,
+        "samples_fingerprint": csv_digest,
+    }
 
 
 def _tail_body(diag: estimators.TailDiagnostic) -> dict:
@@ -260,94 +202,54 @@ def _tail_body(diag: estimators.TailDiagnostic) -> dict:
     }
 
 
-def _read_samples(path: str):
-    """The sample set in ``path`` and the fingerprint of the very bytes it
-    was parsed from (one read, so a file replaced meanwhile cannot make the
-    report describe other bytes than its estimate)."""
-    data = Path(path).read_bytes()
-    return read_samples_csv(path, data), fingerprint_bytes(data)
+def _read_samples(args, config: dict):
+    """The sample set of ``--samples``, with the fingerprint of the very
+    bytes it was parsed from recorded in ``config`` (one read, so a file
+    replaced meanwhile cannot make the report describe other bytes than its
+    estimate)."""
+    data = Path(args.samples).read_bytes()
+    config["inputs"] = {args.samples: fingerprint_bytes(data)}
+    return read_samples_csv(args.samples, data)
 
 
-def _cmd_tail(args) -> int:
-    samples, digest = _read_samples(args.samples)
-    diag = estimators.tail_index(samples, method=args.method, k=args.k)
-    cfg = RunConfig(
-        "tail",
-        args.out,
-        {"samples": args.samples, "method": args.method, "k": args.k},
-        inputs={args.samples: digest},
-    )
-    write_report(args.out, _payload(cfg, _tail_body(diag)))
-    return EXIT_OK
+def _cmd_tail(args, config: dict) -> dict:
+    config["arguments"] = {"samples": args.samples, "method": args.method, "k": args.k}
+    samples = _read_samples(args, config)
+    return _tail_body(estimators.tail_index(samples, method=args.method, k=args.k))
 
 
-def _cmd_verdict(args) -> int:
-    samples, digest = _read_samples(args.samples)
+def _cmd_verdict(args, config: dict) -> dict:
+    config["arguments"] = {"samples": args.samples, "p": args.p, "method": args.method}
+    samples = _read_samples(args, config)
     diag = estimators.tail_index(samples, method=args.method)
     call = estimators.moment_verdict(diag, args.p)
-    cfg = RunConfig(
-        "verdict",
-        args.out,
-        {"samples": args.samples, "p": args.p, "method": args.method},
-        inputs={args.samples: digest},
-    )
-    write_report(
-        args.out,
-        _payload(cfg, {"p": args.p, "verdict": call, "tail": _tail_body(diag)}),
-    )
-    return EXIT_OK
+    return {"p": args.p, "verdict": call, "tail": _tail_body(diag)}
 
 
-def _cmd_construct(args) -> int:
-    cfg = RunConfig(
-        "construct",
-        args.out,
-        {"stages": args.stages, "seed": args.seed, "comb_out": args.comb_out},
-    )
+def _cmd_construct(args, config: dict) -> dict:
+    config["arguments"] = {"stages": args.stages, "seed": args.seed,
+                           "comb_out": args.comb_out}
     comb, trace = build_adversarial(args.stages, seed=args.seed)
     comb_cfg = domain_to_config(comb)
     write_text(args.comb_out, json.dumps(comb_cfg, indent=2, sort_keys=True) + "\n")
-    write_report(
-        args.out,
-        _payload(
-            cfg,
-            {
-                "trace": [asdict(t) for t in trace],
-                "comb": comb_cfg,
-                "comb_file": args.comb_out,
-                "comb_fingerprint": domain_fingerprint(comb),
-            },
-        ),
-    )
-    return EXIT_OK
+    return {
+        "trace": [asdict(t) for t in trace],
+        "comb": comb_cfg,
+        "comb_file": args.comb_out,
+        "comb_fingerprint": domain_fingerprint(comb),
+    }
 
 
-def _cmd_xval(args) -> int:
+def _cmd_xval(args, config: dict) -> dict:
     if args.grid_points < 1:
         raise ValueError("grid_points must be at least 1")
-    domain_cfg, fp = _load_json(args.domain)
-    domain = domain_from_config(domain_cfg)
-    start = _parse_start(args.start)
-    cfg = RunConfig(
-        "xval",
-        args.out,
-        {
-            "domain": args.domain,
-            "start": list(start),
-            "n": args.n,
-            "seed": args.seed,
-            "grid_points": args.grid_points,
-            "time_cap": args.time_cap,
-        },
-        inputs={args.domain: fp},
-    )
-    runs = {}
-    try:
-        for engine in ("EulerBridge", "WosTime"):
-            params = _sim_params(args, engine=engine)
-            runs[engine] = run_batch(domain, start, args.n, params)
-    except WindowEscapeError as exc:
-        return _window_escape_report(cfg, exc)
+    domain, start = _load_domain(args, config)
+    config["arguments"].update(seed=args.seed, grid_points=args.grid_points,
+                               time_cap=args.time_cap)
+    runs = {
+        engine: run_batch(domain, start, args.n, _sim_params(args, engine=engine))
+        for engine in ("EulerBridge", "WosTime")
+    }
 
     pooled = np.concatenate([runs[e].tau for e in runs])
     levels = np.linspace(0.10, 0.90, args.grid_points)
@@ -387,20 +289,13 @@ def _cmd_xval(args) -> int:
             }
         )
 
-    write_report(
-        args.out,
-        _payload(
-            cfg,
-            {
-                "agree_99": agree,
-                "worst_band_fraction": worst,
-                "points": points,
-                "censored": {e: runs[e].censored for e in runs},
-                "domain_fingerprint": runs["EulerBridge"].domain_fingerprint,
-            },
-        ),
-    )
-    return EXIT_OK
+    return {
+        "agree_99": agree,
+        "worst_band_fraction": worst,
+        "points": points,
+        "censored": {e: runs[e].censored for e in runs},
+        "domain_fingerprint": runs["EulerBridge"].domain_fingerprint,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +312,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--domain", required=True, help="domain config JSON")
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--time-cap", dest="time_cap", type=float,
+                          default=SimParams.time_cap)
+    sampling.add_argument("--max-steps", dest="max_steps", type=int,
+                          default=SimParams.max_steps)
+    sampling.add_argument("--workers", type=int, default=None)
+
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", required=True)
+    samples.add_argument("--method", choices=("hill", "loglog"), default="hill")
+
     p = sub.add_parser(
         "theta0", help="per-passage survival factor for a gap aspect ratio"
     )
     p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--out", default="theta0.json")
 
     p = sub.add_parser(
         "strip-moment", help="analytic p-th exit-time moment of the unit strip"
     )
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--out", default="strip-moment.json")
 
     p = sub.add_parser("check", help="finiteness certificate for a comb")
     p.add_argument("--comb", required=True, help="comb or domain config JSON")
@@ -437,39 +343,27 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the universal 3/4 factor (unit heights, gaps >= 1)",
     )
-    p.add_argument("--out", default="check.json")
 
-    p = sub.add_parser("simulate", help="sample exit times into a CSV")
-    p.add_argument("--domain", required=True, help="domain config JSON")
+    p = sub.add_parser("simulate", parents=[sampling],
+                       help="sample exit times into a CSV")
     p.add_argument("--start", required=True, help="start point 'U,V'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--engine", choices=("EulerBridge", "WosTime"), default="EulerBridge"
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-h", dest="step_h", type=float, default=None)
     p.add_argument("--shell-eps", dest="shell_eps", type=float, default=None)
-    p.add_argument("--time-cap", dest="time_cap", type=float, default=1e4)
-    p.add_argument(
-        "--max-steps", dest="max_steps", type=int, default=10_000_000
-    )
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--csv", default=None, help="samples path (default from --out)")
-    p.add_argument("--out", default="simulate.json")
 
-    p = sub.add_parser("tail", help="tail-exponent estimate from a sample CSV")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--method", choices=("hill", "loglog"), default="hill")
+    p = sub.add_parser("tail", parents=[samples],
+                       help="tail-exponent estimate from a sample CSV")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", default="tail.json")
 
     p = sub.add_parser(
-        "verdict", help="tri-state finiteness call for E[tau^p] from samples"
+        "verdict", parents=[samples],
+        help="tri-state finiteness call for E[tau^p] from samples"
     )
-    p.add_argument("--samples", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--method", choices=("hill", "loglog"), default="hill")
-    p.add_argument("--out", default="verdict.json")
 
     text = ("staged comb with exact half-moment lower bounds; exits 2 for a "
             "stage count out of range, never 3 (a window escape), as every "
@@ -479,23 +373,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the cross-check batches")
     p.add_argument("--comb-out", dest="comb_out", default="adversarial-comb.json")
-    p.add_argument("--out", default="construct.json")
 
-    p = sub.add_parser(
-        "xval", help="cross-validate the two engines on one domain"
-    )
-    p.add_argument("--domain", required=True)
+    p = sub.add_parser("xval", parents=[sampling],
+                       help="cross-validate the two engines on one domain")
     p.add_argument("--start", default="0.0,0.0")
     p.add_argument("--n", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=17)
-    p.add_argument("--time-cap", dest="time_cap", type=float, default=1e4)
-    p.add_argument(
-        "--max-steps", dest="max_steps", type=int, default=10_000_000
-    )
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default="xval.json")
 
+    for name, p in sub.choices.items():
+        p.add_argument("--out", default=f"{name}.json")
     return parser
 
 
@@ -512,17 +398,28 @@ _HANDLERS = {
 
 
 def run_command(argv: list[str]) -> int:
+    """Run one subcommand, write its report and return its exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own diagnostic: 2 for usage errors, 0 for --help
         return int(exc.code or 0)
+    config = {"subcommand": args.subcommand, "out": args.out,
+              "arguments": {}, "inputs": {}}  # inputs: path -> sha256
+    code = EXIT_OK
     try:
-        return _HANDLERS[args.subcommand](args)
+        try:
+            body = _HANDLERS[args.subcommand](args, config)
+        except WindowEscapeError as exc:
+            body = {"error": {"kind": "window_escape", "message": str(exc)}}
+            code = EXIT_INCONCLUSIVE
+        write_report(args.out,
+                     {"subcommand": args.subcommand, "config": config, **body})
     except (ValueError, TypeError, OSError) as exc:
         print(f"combexit {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 def main() -> None:

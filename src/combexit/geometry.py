@@ -569,9 +569,16 @@ def _class_for(table: dict, kind, what: str):
     raise ValueError(f"unknown {what} {kind!r}")
 
 
+def _number(value, name: str) -> float:
+    """A numeric config field as a float; a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"config field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _from_fields(cls, cfg: dict):
     """An instance of ``cls`` whose every field is read from ``cfg`` as a float."""
-    return cls(**{f.name: float(cfg[f.name]) for f in fields(cls)})
+    return cls(**{f.name: _number(cfg[f.name], f.name) for f in fields(cls)})
 
 
 def comb_spec_to_config(spec: CombSpec) -> dict:
@@ -590,18 +597,23 @@ def comb_spec_from_config(cfg: dict) -> CombSpec:
         g = cfg["generator"]
         cls = _class_for(_GENERATORS, g["kind"], "generator kind")
         if cls is ExplicitSlits:
-            gen = ExplicitSlits(tuple((float(x), float(b)) for x, b in g["slits"]))
+            gen = ExplicitSlits(tuple((_number(x, "slits"), _number(b, "slits"))
+                                      for x, b in g["slits"]))
         else:
             gen = _from_fields(cls, g)
     except KeyError as exc:
         raise ValueError(f"comb spec missing field {exc.args[0]!r}") from None
     wr = cfg.get("window_radius")
-    if wr is not None and not math.isfinite(float(wr)):
+    if wr is not None and not math.isfinite(_number(wr, "window_radius")):
         raise ValueError(f"comb spec field 'window_radius' must be finite, got {wr!r}")
     if wr is not None and float(wr) != int(float(wr)):
         raise ValueError(f"comb spec field 'window_radius' must be an integer, got {wr!r}")
+    one_sided = cfg.get("one_sided", False)
+    if not isinstance(one_sided, bool):
+        raise ValueError(f"comb spec field 'one_sided' must be a boolean, "
+                         f"got {one_sided!r}")
     return CombSpec(gen, window_radius=None if wr is None else int(wr),
-                    one_sided=bool(cfg.get("one_sided", False)))
+                    one_sided=one_sided)
 
 
 def domain_to_config(domain: SimDomain) -> dict:

@@ -89,9 +89,8 @@ def test_criterion_03_rectangle_harmonic_measure():
     for a, b in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]:
         ss = run_batch(Rectangle(a, b), (0.0, 0.0), n,
                        SimParams(engine="WosTime", master_seed=3))
-        pts = np.array([s.exit_point for s in ss.samples])
         # nearest side decides top/bottom vs left/right
-        tb = (b - np.abs(pts[:, 1])) < (a - np.abs(pts[:, 0]))
+        tb = (b - np.abs(ss.v)) < (a - np.abs(ss.u))
         frac = tb.mean()
         target = rect_exit_tb_prob(a, b)
         assert abs(frac - target) <= 3.0 * binom_se(target, n), (
@@ -113,7 +112,7 @@ def test_criterion_04_strip_scaling_law():
 def test_criterion_05_passage_count_bound():
     n = 100_000
     ss = run_batch(UNIFORM_COMB, (0.5, 0.0), n, SimParams(master_seed=5))
-    J = np.array([s.passages for s in ss.samples])
+    J = ss.passages
     for j in range(1, 11):
         bound = 0.75**j
         frac = (J > j).mean()
@@ -174,16 +173,14 @@ def test_criterion_09_coupling_claims():
     for y in (0.0, 0.5, 0.9):
         ss = run_batch(channel, (1.0, y), n,
                        SimParams(engine="WosTime", master_seed=9))
-        pts = np.array([s.exit_point for s in ss.samples])
-        fracs.append((np.abs(pts[:, 1]) >= beta).mean())
+        fracs.append((np.abs(ss.v) >= beta).mean())
     for lo, hi in zip(fracs, fracs[1:]):
         slack = 3.0 * math.hypot(binom_se(lo, n), binom_se(hi, n))
         assert hi >= lo - slack, f"fractions not nondecreasing: {fracs}"
 
     # center-start floor: half the rectangle top/bottom exit probability
     ss = run_batch(STRIP, (0.0, 0.0), n, SimParams(engine="WosTime", master_seed=9))
-    pts = np.array([s.exit_point for s in ss.samples])
-    frac = (np.abs(pts[:, 1]) >= beta).mean()
+    frac = (np.abs(ss.v) >= beta).mean()
     floor = 0.5 * rect_exit_tb_prob(1.0, beta)
     assert frac >= floor - 3.0 * binom_se(frac, n), f"{frac:.4f} < {floor:.4f}"
 

@@ -547,6 +547,17 @@ class TestExitCodes:
         assert "'window_radius' must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_string_one_sided_is_a_usage_error(self, tmp_path, capsys):
+        # "false" is truthy: it once certified the symmetrized one-sided comb
+        comb = dict(UNIFORM_COMB)
+        comb["spec"] = dict(comb["spec"], one_sided="false")
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", write_json(tmp_path / "comb.json", comb),
+                            "--p", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "'one_sided' must be a boolean" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("start", ["0", "0,0,0"])
     def test_start_needs_two_coordinates(self, tmp_path, capsys, start):
         domain = write_json(tmp_path / "strip.json", STRIP)
@@ -635,3 +646,133 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         capsys.readouterr()
         assert not (tmp_path / "r.json").exists()
+
+
+_GUARD_FILES = {"strip.json": STRIP, "comb.json": UNIFORM_COMB,
+                "esc2.json": {"type": "comb", "spec": dict(
+                    UNIFORM_COMB["spec"], window_radius=2)},
+                "esc3.json": {"type": "comb", "spec": dict(
+                    UNIFORM_COMB["spec"], window_radius=3)}}
+_SIMULATE = ["simulate", "--domain", "strip.json", "--start", "0,0",
+             "--n", "1500", "--engine", "WosTime", "--seed", "9",
+             "--out", "sim.json", "--csv", "s.csv"]
+
+# case -> (commands run in order, exit code of the last, pinned files)
+REPORT_CASES = {
+    "theta0": ([["theta0", "--ell", "0.5", "--out", "r.json"]], EXIT_OK,
+               ["r.json"]),
+    "strip-moment": ([["strip-moment", "--p", "2", "--out", "r.json"]],
+                     EXIT_OK, ["r.json"]),
+    "check": ([["check", "--comb", "comb.json", "--p", "3", "--out", "r.json"]],
+              EXIT_OK, ["r.json"]),
+    "simulate-default-out": (
+        [["simulate", "--domain", "strip.json", "--start", "0,0", "--n", "300",
+          "--seed", "1"]], EXIT_OK, ["simulate.json", "simulate-samples.csv"]),
+    "simulate-escape-euler": (
+        [["simulate", "--domain", "esc2.json", "--start", "0.5,0", "--n", "2000",
+          "--seed", "48", "--out", "r.json"]], EXIT_INCONCLUSIVE, ["r.json"]),
+    "simulate-escape-wos": (
+        [["simulate", "--domain", "esc3.json", "--start", "0,0", "--n", "400",
+          "--engine", "WosTime", "--time-cap", "1000", "--out", "r.json"]],
+        EXIT_INCONCLUSIVE, ["r.json"]),
+    "tail": ([_SIMULATE, ["tail", "--samples", "s.csv", "--out", "r.json"]],
+             EXIT_OK, ["r.json", "sim.json"]),
+    "verdict": ([_SIMULATE, ["verdict", "--samples", "s.csv", "--p", "0.5",
+                             "--method", "loglog", "--out", "r.json"]],
+                EXIT_OK, ["r.json"]),
+    "construct": ([["construct", "--stages", "1", "--seed", "2",
+                    "--out", "r.json", "--comb-out", "c.json"]],
+                  EXIT_OK, ["r.json", "c.json"]),
+    "xval": ([["xval", "--domain", "strip.json", "--n", "1000", "--seed", "3",
+               "--out", "r.json"]], EXIT_OK, ["r.json"]),
+    "xval-escape": ([["xval", "--domain", "esc2.json", "--start", "0.5,0",
+                      "--n", "2000", "--out", "r.json"]],
+                    EXIT_INCONCLUSIVE, ["r.json"]),
+}
+
+REPORT_DIGESTS = {
+    "check": {
+        "r.json":
+            "0fdffbd26021eba86952f16cb8e29f3fab76eed901290d63127b4178f36f0dbc",
+    },
+    "construct": {
+        "r.json":
+            "80e41bf9f433c0dc295fe46a64fc5e68cb8669a7cf9cf3fb5e4fb84cefe6b831",
+        "c.json":
+            "327d8568af5e5d5c77dc7ab2e368c05a5b3ef72a67636deb9acf82f788f04eb7",
+    },
+    "simulate-default-out": {
+        "simulate.json":
+            "a37f4d39ff430a6777beab8c843e8ed931a1f8a0cde5f4f3d925cdda59edb356",
+        "simulate-samples.csv":
+            "f71805cac61322468d7dd170687400cd5ec8810ec0a9259fcaa8d3b292277769",
+    },
+    "simulate-escape-euler": {
+        "r.json":
+            "874c20c445e48f0fc6e838dc9e859871b9302d2d6bd3e8792075830b0a9708fc",
+    },
+    "simulate-escape-wos": {
+        "r.json":
+            "667db1d26ea6fa4280e4b502088efb9ecea3f19cbbef80111889c4d104d7bfb7",
+    },
+    "strip-moment": {
+        "r.json":
+            "3071bae2398e9adb79e50d975f6e30d703b400f00745b57ec74464755304fc08",
+    },
+    "tail": {
+        "r.json":
+            "5b9bc1ecaa07351ac620bea12894b4b0a0d64766bbc69f4c05948d72b4aa06f3",
+        "sim.json":
+            "1e3e469e5ad4ffd23166ce72091c41f09153296116c7e5f3c138ebfd51177c6b",
+    },
+    "theta0": {
+        "r.json":
+            "6bf57d561625768027026f00b3f0768679a687cdd3e2c350a016e71e03f1ded9",
+    },
+    "verdict": {
+        "r.json":
+            "37dac8777a6f5fec6a583fe136555ffb6138b1365d6cc8456baf726ec532778e",
+    },
+    "xval": {
+        "r.json":
+            "39081002b57c3b259df3ddbdfacb3128f2fe46909c96cbbaf53e8892ed84fa0d",
+    },
+    "xval-escape": {
+        "r.json":
+            "d7971a67fca66382b6cee6e2174a8770fdb1bd387d8efd81074787c8c2a5f75f",
+    },
+}
+
+
+class TestReportBytesGuard:
+    """Pinned sha256 of every subcommand's report (and of the files beside
+    it) on a small grid: any change to the report envelope, key order,
+    float formatting or the paths a report embeds shows up here.  Commands
+    run in a temporary working directory with relative paths, since reports
+    embed the paths they were given.
+
+    The digests were recorded with numpy 2.4 on x86-64 with AVX-512, whose
+    vectorized ``exp`` may round differently from other builds; on another
+    platform, record them afresh from a known-good commit before trusting a
+    mismatch.
+    """
+
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_report_digest(self, case, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, config in _GUARD_FILES.items():
+            write_json(tmp_path / name, config)
+        commands, code, pinned = REPORT_CASES[case]
+        for argv in commands:
+            rc = run_command(argv)
+        assert rc == code
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in pinned}
+        assert digests == REPORT_DIGESTS[case]
+
+    @pytest.mark.parametrize("subcommand", ["theta0", "strip-moment", "check",
+                                            "simulate", "tail", "verdict",
+                                            "construct", "xval"])
+    def test_help_names_out(self, subcommand, capsys):
+        assert run_command([subcommand, "--help"]) == EXIT_OK
+        assert "--out" in capsys.readouterr().out

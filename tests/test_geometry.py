@@ -269,6 +269,42 @@ def test_fractional_window_radius_is_refused():
     assert comb_spec_from_config(cfg).window_radius == 2
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_one_sided_must_be_a_json_boolean(value):
+    # bool("false") is True: a string must not build the one-sided comb
+    cfg = comb_spec_to_config(CombSpec(UniformGaps(1.0, 1.0), window_radius=3))
+    cfg["one_sided"] = value
+    with pytest.raises(ValueError, match="'one_sided' must be a boolean"):
+        comb_spec_from_config(cfg)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: domain_from_config({"type": "rectangle", "half_width": True,
+                                 "half_height": 0.5}), "half_width"),
+    (lambda: domain_from_config({"type": "vertical_strip", "left": False,
+                                 "right": 1.0}), "left"),
+    (lambda: domain_from_config({"type": "wedge", "angle": True}), "angle"),
+    (lambda: comb_spec_from_config({"generator": {
+        "kind": "uniform", "spacing": True, "height": 1.0}}), "spacing"),
+    (lambda: comb_spec_from_config({"generator": {
+        "kind": "geometric", "ratio": 1.5, "height": True}}), "height"),
+    (lambda: comb_spec_from_config({"generator": {
+        "kind": "explicit", "slits": [[0.0, 1.0], [True, 1.0]]},
+        "one_sided": True}), "slits"),
+    (lambda: comb_spec_from_config({"generator": {
+        "kind": "explicit", "slits": [[0.0, 1.0], [1.0, False]]},
+        "one_sided": True}), "slits"),
+    (lambda: comb_spec_from_config({"generator": {
+        "kind": "uniform", "spacing": 1.0, "height": 1.0},
+        "window_radius": True}), "window_radius"),
+], ids=["rectangle", "strip", "wedge", "uniform", "geometric", "slit-abscissa",
+        "slit-height", "window-radius"])
+def test_numeric_fields_refuse_json_booleans(build, named):
+    # float(True) is 1.0: a boolean must not stand in for a number
+    with pytest.raises(ValueError, match=f"'{named}' must be a number"):
+        build()
+
+
 def test_config_roundtrip():
     specs = [
         CombSpec(UniformGaps(1.0, 2.0), window_radius=4),
