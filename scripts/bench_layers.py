@@ -19,11 +19,11 @@ those of the latest run.  Re-measure one row with ``--rows``:
 
 Rows:
 
-* ``chunk_setup_us``: the EulerBridge cost per lane of a chunk that ends
-  at its first step: ``run_batch`` of 4096 half-plane samples from (0, 1)
-  with ``step_h = 0.04`` and ``max_steps = 1``, divided by 4096.  Each lane
-  gets its hash key and one kernel pass of 8 steps (the window that 4096
-  lanes fill) ends every lane; trees that seeded a numpy ``Generator`` per
+* ``chunk_setup_us``: the EulerBridge cost per lane of a full pool that
+  ends at its first step: ``run_batch`` of 4096 half-plane samples from
+  (0, 1) with ``step_h = 0.04`` and ``max_steps = 1``, divided by 4096.
+  Each lane gets its hash key and one kernel pass of 4 steps (the window
+  that 4096 lanes fill) ends every lane; trees that seeded a numpy ``Generator`` per
   lane also paid for it and its first block of 32 steps of normals here;
 * ``wos_steps_per_s_4096`` and ``wos_steps_per_s_32``: WosTime jumps per
   second of ``_simulate_range`` at full and at low lane occupancy, seeding
@@ -58,8 +58,8 @@ Rows:
   over indices 0-199 (disk-law table built beforehand), which pays the
   WosTime driver's fixed cost, seeding included, once per call;
 * ``euler_replay_ms``: the same for EulerBridge samples on the strip
-  (default step), which pays the fixed cost of ``_euler_range`` and its
-  first short windows once per call;
+  (default step), which pays the fixed cost of the sample-range driver and
+  EulerBridge's first short windows once per call;
 * ``strip_wos_run_batch_s``: ``run_batch`` of 200k WosTime samples on the
   strip from the origin at seed 7 (disk-law table built beforehand);
 * ``strip_wos_passes``: the number of WosTime kernel passes in that batch,
@@ -68,10 +68,17 @@ Rows:
   lifetimes set;
 * ``halfplane_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
   samples on the half-plane from (0, 1) at time cap 1000, seed 7;
+* ``halfplane_euler_passes``: the number of EulerBridge kernel passes in
+  that batch, counted as calls of ``_walk`` (two per pass, one per
+  coordinate, in every tree), with the lane-steps the passes drew in
+  ``drawn`` (the lanes times the window of each pass) beside the steps the
+  samples used in ``steps``;
 * ``uniform_comb_euler_run_batch_s``: ``run_batch`` of 8192 EulerBridge
   samples on the uniform comb (gaps and teeth 1, window radius 40) from
   (0.5, 0) at time cap 200, seed 7: the dense case, where nearly every
   step lies close enough to some tooth for a crossing to be possible;
+* ``uniform_comb_euler_passes``: the passes and drawn lane-steps of that
+  batch, counted as for ``halfplane_euler_passes``;
 * ``adversarial_stages3_s``: ``build_adversarial(3)`` at its default seed
   (disk-law table built beforehand), every stage and candidate included;
 * ``read_samples_csv_200k_s``: ``read_samples_csv`` of a 200k-row sample
@@ -108,7 +115,8 @@ Rows:
 The peak-RSS rows also record each command's minor page faults
 (``ru_minflt``) and wall time, run by run in ``minflt`` and ``wall_s``
 beside ``runs``: a change that hands memory back to the allocator and
-takes it again shows in ``minflt`` even when the peak holds.  The wall-time
+takes it again shows in ``minflt`` even when the peak holds.  The
+EulerBridge pass rows record each run's drawn lane-steps in ``drawn``.  The wall-time
 rows record each command's peak RSS in ``peak_rss_mib``.  The batch,
 pass-count and steps-per-second rows also record their step totals.  When
 a change keeps every sample they agree between the trees; where they
@@ -325,6 +333,23 @@ def _uniform_comb_euler() -> dict:
     return _batch(comb, (0.5, 0.0), 8192, engine="EulerBridge", time_cap=200.0)
 
 
+def _euler_passes(batch) -> dict:
+    """``batch()`` with its EulerBridge passes counted as calls of
+    ``_walk``, which walks one coordinate of every live lane per pass."""
+    from combexit import engine
+
+    walk = engine._walk
+    drawn = []
+
+    def counted(x0, normals, scale, out):
+        drawn.append(normals.size)
+        return walk(x0, normals, scale, out)
+
+    engine._walk = counted
+    result = batch()
+    return {**result, "value": len(drawn) // 2, "drawn": sum(drawn) // 2}
+
+
 def _adversarial_stages3() -> dict:
     from combexit.adversarial import build_adversarial
     from combexit.series import default_disk_law
@@ -452,6 +477,9 @@ ROWS = {
     "strip_wos_passes": ("count", _strip_wos_passes),
     "halfplane_euler_run_batch_s": ("s", _halfplane_euler),
     "uniform_comb_euler_run_batch_s": ("s", _uniform_comb_euler),
+    "halfplane_euler_passes": ("count", lambda: _euler_passes(_halfplane_euler)),
+    "uniform_comb_euler_passes": ("count",
+                                  lambda: _euler_passes(_uniform_comb_euler)),
     "adversarial_stages3_s": ("s", _adversarial_stages3),
     "read_samples_csv_200k_s": ("s", _read_samples_csv),
     "samples_to_csv_200k_s": ("s", _samples_to_csv),
@@ -538,7 +566,7 @@ def main(argv=None) -> int:
         for side, results in by_side.items():
             values = [res["value"] for res in results]
             rows[row][side] = {"median": statistics.median(values), "runs": values}
-            for key in ("minflt", "wall_s", "peak_rss_mib"):
+            for key in ("minflt", "wall_s", "peak_rss_mib", "drawn"):
                 if key in results[0]:
                     rows[row][side][key] = [res[key] for res in results]
             steps = {res["steps"] for res in results if "steps" in res}

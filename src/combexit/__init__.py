@@ -56,7 +56,6 @@ from .geometry import (
 from .series import (
     Theta0Result,
     disk_survival,
-    rect_exit_tb_prob,
     strip_half_moment,
     strip_moment,
     theta0,

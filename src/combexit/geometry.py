@@ -570,10 +570,14 @@ def _class_for(table: dict, kind, what: str):
 
 
 def _number(value, name: str) -> float:
-    """A numeric config field as a float; a JSON boolean is not a number."""
-    if isinstance(value, bool):
-        raise ValueError(f"config field {name!r} must be a number, got {value!r}")
-    return float(value)
+    """A numeric config field as a float.  Only a JSON number is one: not a
+    boolean, a string, a list or null, nor an integer beyond the floats."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"config field {name!r} must be a number, got {value!r}")
 
 
 def _from_fields(cls, cfg: dict):
@@ -604,16 +608,20 @@ def comb_spec_from_config(cfg: dict) -> CombSpec:
     except KeyError as exc:
         raise ValueError(f"comb spec missing field {exc.args[0]!r}") from None
     wr = cfg.get("window_radius")
-    if wr is not None and not math.isfinite(_number(wr, "window_radius")):
-        raise ValueError(f"comb spec field 'window_radius' must be finite, got {wr!r}")
-    if wr is not None and float(wr) != int(float(wr)):
-        raise ValueError(f"comb spec field 'window_radius' must be an integer, got {wr!r}")
+    if wr is not None:
+        radius = _number(wr, "window_radius")
+        if not math.isfinite(radius):
+            raise ValueError(
+                f"comb spec field 'window_radius' must be finite, got {wr!r}")
+        if not radius.is_integer():
+            raise ValueError(
+                f"comb spec field 'window_radius' must be an integer, got {wr!r}")
+        wr = int(radius)
     one_sided = cfg.get("one_sided", False)
     if not isinstance(one_sided, bool):
         raise ValueError(f"comb spec field 'one_sided' must be a boolean, "
                          f"got {one_sided!r}")
-    return CombSpec(gen, window_radius=None if wr is None else int(wr),
-                    one_sided=one_sided)
+    return CombSpec(gen, window_radius=wr, one_sided=one_sided)
 
 
 def domain_to_config(domain: SimDomain) -> dict:

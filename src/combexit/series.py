@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Theta0Result",
-    "rect_exit_tb_prob",
     "theta0",
     "strip_moment",
     "strip_half_moment",
@@ -102,15 +101,6 @@ def _rect_tb_with_bound(a: float, b: float) -> tuple[float, float]:
         other, bound = _rect_series(b, a)
         value = 1.0 - other
     return min(max(value, 0.0), 1.0), bound
-
-
-def rect_exit_tb_prob(a: float, b: float) -> float:
-    """Probability that Brownian motion from the center of (-a,a) x (-b,b)
-    exits through the top or bottom side, to within 1e-12."""
-    if not (a > 0 and b > 0) or not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("rectangle half-dimensions must be positive and finite")
-    value, _ = _rect_tb_with_bound(a, b)
-    return value
 
 
 def theta0(ell: float) -> Theta0Result:

@@ -35,7 +35,7 @@ from combexit.geometry import (
     Wedge,
     build_comb,
 )
-from combexit.series import rect_exit_tb_prob, strip_moment, theta0
+from combexit.series import strip_moment, theta0
 
 Z99 = 2.5758293035489004
 
@@ -83,7 +83,7 @@ def test_criterion_02_strip_moment_oracles():
 
 
 def test_criterion_03_rectangle_harmonic_measure():
-    assert rect_exit_tb_prob(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert theta0(1.0).p_top_bottom == pytest.approx(0.5, abs=1e-12)
 
     n = 100_000
     for a, b in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]:
@@ -92,7 +92,7 @@ def test_criterion_03_rectangle_harmonic_measure():
         # nearest side decides top/bottom vs left/right
         tb = (b - np.abs(ss.v)) < (a - np.abs(ss.u))
         frac = tb.mean()
-        target = rect_exit_tb_prob(a, b)
+        target = theta0(b / a).p_top_bottom
         assert abs(frac - target) <= 3.0 * binom_se(target, n), (
             f"({a},{b}): {frac:.4f} vs {target:.4f}"
         )
@@ -181,7 +181,7 @@ def test_criterion_09_coupling_claims():
     # center-start floor: half the rectangle top/bottom exit probability
     ss = run_batch(STRIP, (0.0, 0.0), n, SimParams(engine="WosTime", master_seed=9))
     frac = (np.abs(ss.v) >= beta).mean()
-    floor = 0.5 * rect_exit_tb_prob(1.0, beta)
+    floor = 0.5 * theta0(beta).p_top_bottom
     assert frac >= floor - 3.0 * binom_se(frac, n), f"{frac:.4f} < {floor:.4f}"
 
 

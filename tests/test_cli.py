@@ -547,6 +547,31 @@ class TestExitCodes:
         assert "'window_radius' must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("rectangle", "half_width", "1"),
+        ("rectangle", "half_width", [1]),
+        ("rectangle", "half_width", None),
+        ("rectangle", "half_width", 10**400),
+        ("comb", "window_radius", "3.0"),
+        ("comb", "window_radius", [3]),
+    ], ids=["string", "list", "null", "huge-integer", "radius-string",
+            "radius-list"])
+    def test_numeric_field_must_be_a_json_number(self, tmp_path, capsys,
+                                                 kind, field, value):
+        # float("1") is 1.0: a string once built Rectangle(1.0, 0.5)
+        cfg = dict(DOMAIN_CONFIGS[kind])
+        if kind == "comb":
+            cfg["spec"] = dict(cfg["spec"], **{field: value})
+        else:
+            cfg[field] = value
+        out = tmp_path / "r.json"
+        code = run_command(
+            ["simulate", "--domain", write_json(tmp_path / "d.json", cfg),
+             "--start", "0.5,0.5", "--n", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"{field!r} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_string_one_sided_is_a_usage_error(self, tmp_path, capsys):
         # "false" is truthy: it once certified the symmetrized one-sided comb
         comb = dict(UNIFORM_COMB)

@@ -33,7 +33,7 @@ from combexit.geometry import (
     domain_fingerprint,
 )
 from combexit.reports import samples_to_csv
-from combexit.series import default_disk_law, rect_exit_tb_prob
+from combexit.series import default_disk_law, theta0
 
 
 def exit_points(ss):
@@ -94,7 +94,7 @@ class TestStatisticalOracles:
                        SimParams(master_seed=104))
         pts, t = uncensored(ss)
         top_bottom = np.isclose(np.abs(pts[:, 1]), 1.0).mean()
-        want = rect_exit_tb_prob(1.0, 1.0)
+        want = theta0(1.0).p_top_bottom
         sigma = math.sqrt(want * (1 - want) / pts.shape[0])
         assert abs(top_bottom - want) < 4.0 * sigma
         se = t.std(ddof=1) / math.sqrt(t.size)
@@ -747,6 +747,46 @@ class TestCsvBytesGuard:
             assert digest == CSV_DIGESTS[case]
 
 
+class TestClock:
+    """EulerBridge lanes read their grid times at their own step counts
+    from one clock table, so the table must hold the running sums that
+    stepping one lane alone gives, and every lane must stop at the first
+    step count whose time reaches ``time_cap`` or that equals
+    ``max_steps``."""
+
+    H = 0.04   # not a dyadic fraction: the sums round
+
+    def running_sums(self, n):
+        t, sums = 0.0, [0.0]
+        for _ in range(n):
+            t += self.H
+            sums.append(t)
+        return sums
+
+    def test_entries_are_running_sums(self):
+        want = self.running_sums(5000)
+        clock = engine._Clock(self.H)
+        # every count but 500 extends the table, 1001 by a single entry
+        for k in (10, 63, 1000, 500, 1001, 5000):
+            assert clock.upto(k).tolist() == want[:k + 1]
+
+    @pytest.mark.parametrize("kw", [dict(time_cap=3.0), dict(max_steps=60),
+                                    dict(time_cap=3.0, max_steps=80)],
+                             ids=["time-cap", "max-steps", "both"])
+    def test_first_cap_step(self, kw, monkeypatch):
+        # a narrow pool that refills holds lanes at different step counts
+        monkeypatch.setattr(engine, "_CHUNK", 50)
+        params = SimParams(step_h=self.H, master_seed=5, **kw)
+        ss = run_batch(HalfPlane(), (0.0, 1.0), 600, params)
+        sums = self.running_sums(params.max_steps if "max_steps" in kw else 200)
+        cap = next(k for k, t in enumerate(sums)
+                   if t >= params.time_cap or k >= params.max_steps)
+        assert np.count_nonzero(ss.censor) > 100
+        assert (ss.steps[ss.censor] == cap).all()
+        assert (ss.tau[ss.censor] == min(sums[cap], params.time_cap)).all()
+        assert (ss.steps[~ss.censor] <= cap).all()
+
+
 class TestWorkingSet:
     """tracemalloc peaks of 8192-sample EulerBridge batches.  Every pass of
     a sample range views one workspace, so a batch holds its result
@@ -820,7 +860,7 @@ class TestCouplingProperties:
         pts = exit_points(ss)
         frac = float((np.abs(pts[:, 1]) >= beta).mean())
         se = math.sqrt(frac * (1.0 - frac) / len(pts))
-        floor = 0.5 * rect_exit_tb_prob(1.0, beta)
+        floor = 0.5 * theta0(beta).p_top_bottom
         assert frac >= floor - 3.0 * se
 
 
