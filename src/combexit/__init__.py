@@ -10,7 +10,6 @@ from .adversarial import AdversarialTrace, build_adversarial
 from .checker import (
     FINITE_CERTIFIED,
     INCONCLUSIVE,
-    GrowthClass,
     Verdict,
     check_refined_unit,
     check_theorem1,

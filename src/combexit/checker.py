@@ -36,8 +36,12 @@ from ``check_refined_unit``) it reads 9.64 at p = 2 and 13.85 at p = 1/2.
 The terms of S are the a-th powers of those of sum theta0^(j/p) M_{j+1},
 so both series converge under the same condition (a ratio test reads
 theta0^(1/p) times the growth of M_j), and finiteness of E[tau^p] follows
-whenever it holds.  The checker decides convergence from a declared growth
-class of the window maxima M_j.
+whenever it holds.  The checker decides convergence from the growth class
+of the maxima M_j, which it reads from the comb's generator alone
+(``_growth_class``): bounded for uniform gaps and for polynomial gaps of
+degree at most 1, polynomial above degree 1 (the tail sums the generator's
+own gaps), geometric for a gap ratio r (M_{j+1}/M_j = r^2), and window for
+an explicit slit list.
 
 The convergence test is stated with weights theta^(j/p) starting at j = 1
 while the numeric bound starts at j = 0 with maxima shifted by one; the two
@@ -47,7 +51,12 @@ A comb with no generative model (an explicit slit list) is extrapolated
 from its window: the largest ratio rho of M_{j+1}/M_j from index 1 on is
 taken to bound all later growth, and certification demands
 rho * theta0^(1/p) <= 0.95, a margin of 0.05 so that one noisy ratio near
-the boundary cannot flip the verdict.
+the boundary cannot flip the verdict.  The verdict is thus about the
+infinite comb of which the list is the window, one that goes on at its
+largest observed ratio.  It is not about the literal finite list that the
+engines simulate (``truncated=False``): that domain contains the half-plane
+beyond its last slit, so its E[tau^p] is infinite for every p >= 1/2,
+whatever the verdict.
 
 A verdict is never "infinite": the condition is sufficient only, so the
 negative outcome is Inconclusive.
@@ -66,15 +75,14 @@ from .geometry import (
     ExplicitSlits,
     GeometricGaps,
     PolynomialGaps,
-    UniformGaps,
     symmetrize,
 )
 from .series import strip_moment, theta0
 
 __all__ = [
-    "GrowthClass",
+    "FINITE_CERTIFIED",
+    "INCONCLUSIVE",
     "Verdict",
-    "growth_class_of",
     "geometric_threshold",
     "check_theorem1",
     "check_refined_unit",
@@ -82,8 +90,6 @@ __all__ = [
 
 FINITE_CERTIFIED = "FiniteCertified"
 INCONCLUSIVE = "Inconclusive"
-
-_KINDS = ("bounded", "polynomial", "geometric", "window")
 
 # Window extrapolation: ratios M_{j+1}/M_j are read from this index on, and
 # the extrapolated term weight must stay this far below 1.
@@ -97,37 +103,6 @@ _TAIL_BLOCKS = 20_000
 
 
 @dataclass(frozen=True)
-class GrowthClass:
-    """Declared growth model for the window maxima M_j.
-
-    bounded: M_j eventually constant. polynomial: gaps grow like n^degree,
-    so M_j grows polynomially. geometric: gap ratio r, so M_{j+1}/M_j -> r^2.
-    window: no model; extrapolate from observed ratios only.
-    """
-
-    kind: str
-    ratio: float | None = None
-    degree: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown growth class {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "geometric":
-            if self.ratio is None or not (self.ratio > 1) or not math.isfinite(self.ratio):
-                raise ValueError("geometric growth needs a finite ratio > 1")
-        if self.kind == "polynomial":
-            if self.degree is None or not (self.degree >= 1) or not math.isfinite(self.degree):
-                raise ValueError("polynomial growth needs a finite degree >= 1")
-
-    def tag(self) -> str:
-        if self.kind == "geometric":
-            return f"geometric(ratio={self.ratio:g})"
-        if self.kind == "polynomial":
-            return f"polynomial(degree={self.degree:g})"
-        return self.kind
-
-
-@dataclass(frozen=True)
 class Verdict:
     status: str
     p: float
@@ -135,27 +110,6 @@ class Verdict:
     bound_on_moment_root: float
     reason: str
     growth_class_used: str
-
-
-def growth_class_of(comb: CombDomain) -> GrowthClass:
-    """Infer the growth class from the comb's generator.
-
-    Explicit slit lists carry no generative model and fall back to window
-    extrapolation; pass a GrowthClass to the check functions to override.
-    """
-    gen = comb.spec.generator
-    if isinstance(gen, UniformGaps):
-        return GrowthClass("bounded")
-    if isinstance(gen, PolynomialGaps):
-        if gen.degree <= 1.0:
-            # gaps c*(n^d - (n-1)^d) are nonincreasing, so the maxima freeze
-            return GrowthClass("bounded")
-        return GrowthClass("polynomial", degree=gen.degree)
-    if isinstance(gen, GeometricGaps):
-        return GrowthClass("geometric", ratio=gen.ratio)
-    if isinstance(gen, ExplicitSlits):
-        return GrowthClass("window")
-    raise TypeError(f"no growth class for generator {type(gen).__name__}")
 
 
 def geometric_threshold(p: float, theta: float) -> float:
@@ -167,17 +121,13 @@ def geometric_threshold(p: float, theta: float) -> float:
     return (1.0 / theta) ** (1.0 / (2.0 * p))
 
 
-def check_theorem1(
-    comb: CombDomain,
-    p: float,
-    growth_class: GrowthClass | None = None,
-) -> Verdict:
+def check_theorem1(comb: CombDomain, p: float) -> Verdict:
     """Certify E[tau^p] < infinity from the comb's aspect ratio.
 
     One-sided combs are symmetrized first: the one-sided domain is contained
     in its symmetrization, so any certified bound transfers.
     """
-    comb, p, growth, note = _common_setup(comb, p, growth_class)
+    comb, p, growth, note = _common_setup(comb, p)
     ell = _aspect_ratio(comb)
     if math.isinf(ell):
         return _inconclusive(
@@ -203,11 +153,7 @@ def check_theorem1(
     return _certify(comb, p, res.theta0, growth, note)
 
 
-def check_refined_unit(
-    comb: CombDomain,
-    p: float,
-    growth_class: GrowthClass | None = None,
-) -> Verdict:
+def check_refined_unit(comb: CombDomain, p: float) -> Verdict:
     """Certify with the universal factor 3/4, valid for unit-height slits
     separated by gaps of at least 1."""
     if comb.kind != "comb":
@@ -217,12 +163,12 @@ def check_refined_unit(
             "refined proposition inapplicable: needs all heights exactly 1 "
             "and every gap at least 1"
         )
-    comb, p, growth, note = _common_setup(comb, p, growth_class)
+    comb, p, growth, note = _common_setup(comb, p)
     note += "universal per-passage factor 3/4 for unit heights and gaps >= 1; "
     return _certify(comb, p, 0.75, growth, note)
 
 
-def _common_setup(comb, p, growth_class):
+def _common_setup(comb, p):
     if comb.kind != "comb":
         raise TypeError("a comb domain is required")
     if not (p > 0) or not math.isfinite(p):
@@ -233,8 +179,25 @@ def _common_setup(comb, p, growth_class):
         note = "one-sided comb symmetrized (contained in the symmetric domain); "
     if comb.window_radius == 0:
         raise ValueError("empty window: the comb has no gaps to bound passages with")
-    growth = growth_class or growth_class_of(comb)
-    return comb, float(p), growth, note
+    return comb, float(p), _growth_class(comb.spec.generator), note
+
+
+def _growth_class(gen) -> tuple[str, str]:
+    """The growth class of the passage maxima M_j, read from the comb's
+    generator: its kind and the tag reported as ``growth_class_used``.
+
+    bounded: uniform gaps, and polynomial gaps c*(n^d - (n-1)^d) of degree
+    d <= 1, which are nonincreasing, so the maxima freeze.  polynomial: d > 1.
+    geometric: gap ratio r, so M_{j+1}/M_j = r^2.  window: an explicit list,
+    with no model; growth is extrapolated from the observed ratios only.
+    """
+    if isinstance(gen, ExplicitSlits):
+        return "window", "window"
+    if isinstance(gen, GeometricGaps):
+        return "geometric", f"geometric(ratio={gen.ratio:g})"
+    if isinstance(gen, PolynomialGaps) and gen.degree > 1.0:
+        return "polynomial", f"polynomial(degree={gen.degree:g})"
+    return "bounded", "bounded"
 
 
 def _passage_maxima(comb: CombDomain) -> np.ndarray:
@@ -282,14 +245,10 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
             note + f"per-passage factor theta0^(1/p)={q:g} carries no decay",
         )
 
-    if growth.kind == "polynomial":
-        gen = comb.spec.generator
-        if isinstance(gen, PolynomialGaps):
-            tail = _polynomial_tail_from_gaps(gen, j_total, w, a)
-        else:
-            tail = _polynomial_tail_from_model(
-                float(maxima[-1]), j_total, w, 2.0 * (growth.degree - 1.0) * a
-            )
+    kind = growth[0]
+    gen = comb.spec.generator
+    if kind == "polynomial":
+        tail = _polynomial_tail(gen, j_total, w, a)
         if tail is None:
             return _inconclusive(
                 p, theta, growth,
@@ -299,28 +258,28 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
                 ),
             )
         reason = note + (
-            f"polynomial gap growth of degree {growth.degree:g} is beaten by "
+            f"polynomial gap growth of degree {gen.degree:g} is beaten by "
             f"the geometric weight {q:.6g}"
         )
         return _certified(p, theta, maxima, w, tail, growth, reason)
 
     # Every other class bounds each later ratio M_{j+1}/M_j by one number
     # R, so its tail is geometric at weight w * R**a.
-    if growth.kind == "bounded":
+    if kind == "bounded":
         ratio, refusal = 1.0, None
         reason = (
             f"gap maxima bounded by {m[-1]:g}; geometric tail "
             f"with weight {q:.6g} converges for any exponent"
         )
-    elif growth.kind == "geometric":
-        ratio = growth.ratio**2
+    elif kind == "geometric":
+        ratio = gen.ratio**2
         threshold = geometric_threshold(p, theta)
         refusal = (
-            f"gap ratio {growth.ratio:g} gives weight {q * ratio:.6g} >= 1 "
+            f"gap ratio {gen.ratio:g} gives weight {q * ratio:.6g} >= 1 "
             f"per term; certifiable only below ratio {threshold:.6g}"
         ) if q * ratio >= 1.0 else None
         reason = (
-            f"gap ratio {growth.ratio:g}: term weight {q * ratio:.6g} < 1, below "
+            f"gap ratio {gen.ratio:g}: term weight {q * ratio:.6g} < 1, below "
             f"the certifiable ratio {threshold:.6g}"
         )
     else:
@@ -352,14 +311,18 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
 
 def _certified(p, theta, maxima, w, tail, growth, reason) -> Verdict:
     """The verdict whose bound is ``m_p^(1/p) * S^(1/a)``, with S the window
-    sum of ``w^j * maxima[j]`` plus ``tail``."""
-    series = float(np.dot(w ** np.arange(len(maxima)), maxima)) + tail
-    bound = _strip_moment_root(p) * series ** (1.0 / min(p, 1.0))
-    return Verdict(FINITE_CERTIFIED, p, theta, float(bound), reason, growth.tag())
+    sum of ``w^j * maxima[j]`` plus ``tail``.  At small orders ``S^(1/a)``
+    overflows, and the bound is infinite."""
+    series = float(np.dot(w ** np.arange(len(maxima)), maxima)) + float(tail)
+    try:
+        bound = _strip_moment_root(p) * series ** (1.0 / min(p, 1.0))
+    except OverflowError:
+        bound = math.inf
+    return Verdict(FINITE_CERTIFIED, p, theta, bound, reason, growth[1])
 
 
 def _inconclusive(p, theta, growth, reason) -> Verdict:
-    return Verdict(INCONCLUSIVE, p, theta, math.inf, reason, growth.tag())
+    return Verdict(INCONCLUSIVE, p, theta, math.inf, reason, growth[1])
 
 
 @cache
@@ -367,56 +330,40 @@ def _strip_moment_root(p: float) -> float:
     """``m_p^(1/p)`` for the unit strip, cached because ``strip_moment``
     costs about 20 us.  From about order 177.81 on m_p overflows a float,
     so the same closed form is taken in logs there; its Dirichlet beta
-    factor, ``1 - 3^-(2p+1) + ...``, is 1 to double precision."""
+    factor, ``1 - 3^-(2p+1) + ...``, is 1 to double precision.
+
+    Below about order 1e-11 the root loses accuracy: m_p = 1 + O(p)
+    rounds, so the root drifts from its limit exp(E[log tau]) = 0.74378
+    (0.3295 at 1e-16), and from about 1e-19 down the power raises
+    OverflowError.  At such orders ``S^(1/a)`` of the module docstring
+    overflows too (S tends to at least 1/(1 - theta) >= 2), so the bound
+    is infinite anyway."""
     if p < 177.0:
         return strip_moment(p) ** (1.0 / p)
     return 8.0 / math.pi**2 * math.exp(
         (math.log(4.0 / math.pi) + math.lgamma(p + 1.0)) / p)
 
 
-def _polynomial_tail(block_terms, start_j: int, q: float) -> float | None:
-    """Sum a tail series from index ``start_j`` in blocks of ``_TAIL_BLOCK``
-    terms, or None when ``_TAIL_BLOCKS`` blocks leave it unconverged.
+def _polynomial_tail(gen: PolynomialGaps, start_j: int, q: float,
+                     a: float) -> float | None:
+    """Sum q^j * gap(j+1)^(2a) for j >= start_j with the generator's exact
+    gaps, in blocks of ``_TAIL_BLOCK`` terms, or None when ``_TAIL_BLOCKS``
+    blocks leave it unconverged.
 
-    ``block_terms(j0, j1)`` returns the terms for indices ``j0 .. j1-1``
-    and ``rho``, a bound on every later term ratio divided by ``q``.  Term
-    ratios decrease toward ``q`` for polynomial growth, so once summation
-    stops the remainder is dominated by a geometric series at ratio
-    ``q * rho``.
+    Gap ratios decrease toward 1 for degree >= 1, so the last gap ratio of
+    a block, to the power 2a, is a bound ``rho`` on every later term ratio
+    over q: once summation stops, the remainder is dominated by a geometric
+    series at ratio ``q * rho``.
     """
     total = 0.0
     j = start_j
     for _ in range(_TAIL_BLOCKS):
-        terms, rho = block_terms(j, j + _TAIL_BLOCK)
+        labels = np.arange(j + 1, j + _TAIL_BLOCK + 1, dtype=float)
+        gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
+        terms = q ** np.arange(j, j + _TAIL_BLOCK) * gaps ** (2.0 * a)
+        rho = (gaps[-1] / gaps[-2]) ** (2.0 * a)
         total += float(terms.sum())
         j += _TAIL_BLOCK
         if q * rho < 1.0 and terms[-1] < 1e-17 * max(total, 1.0):
             return total + terms[-1] * q * rho / (1.0 - q * rho)
     return None
-
-
-def _polynomial_tail_from_gaps(gen: PolynomialGaps, start_j: int, q: float,
-                               a: float) -> float | None:
-    """Sum q^j * gap(j+1)^(2a) for j >= start_j with exact generator gaps.
-
-    Gap ratios decrease toward 1 for degree >= 1, so the last gap ratio of
-    a block, to the power 2a, bounds every later term ratio over q.
-    """
-    def block_terms(j0, j1):
-        labels = np.arange(j0 + 1, j1 + 1, dtype=float)
-        gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
-        return q ** np.arange(j0, j1) * gaps ** (2.0 * a), (gaps[-1] / gaps[-2]) ** (2.0 * a)
-
-    return _polynomial_tail(block_terms, start_j, q)
-
-
-def _polynomial_tail_from_model(last_max: float, start_j: int, q: float,
-                                exponent: float) -> float | None:
-    """Tail bound under the declared model M_{j+1} <= M_J * ((j+1)/J)^exponent."""
-    scale = last_max / start_j**exponent
-
-    def block_terms(j0, j1):
-        js = np.arange(j0, j1, dtype=float)
-        return q**js * scale * (js + 1.0) ** exponent, ((j1 + 1.0) / j1) ** exponent
-
-    return _polynomial_tail(block_terms, start_j, q)

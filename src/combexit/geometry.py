@@ -585,6 +585,16 @@ def _from_fields(cls, cfg: dict):
     return cls(**{f.name: _number(cfg[f.name], f.name) for f in fields(cls)})
 
 
+def _slit_pairs(value) -> tuple[tuple[float, float], ...]:
+    """The ``slits`` field of an explicit generator: a list whose every
+    entry is an ``[abscissa, height]`` pair of numbers."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(s, (list, tuple)) and len(s) == 2 for s in value):
+        raise ValueError(f"config field 'slits' must be a list whose every entry "
+                         f"is an [abscissa, height] pair, got {value!r}")
+    return tuple((_number(x, "slits"), _number(b, "slits")) for x, b in value)
+
+
 def comb_spec_to_config(spec: CombSpec) -> dict:
     gen = spec.generator
     g = {"kind": gen.kind, **asdict(gen)}
@@ -601,8 +611,7 @@ def comb_spec_from_config(cfg: dict) -> CombSpec:
         g = cfg["generator"]
         cls = _class_for(_GENERATORS, g["kind"], "generator kind")
         if cls is ExplicitSlits:
-            gen = ExplicitSlits(tuple((_number(x, "slits"), _number(b, "slits"))
-                                      for x, b in g["slits"]))
+            gen = ExplicitSlits(_slit_pairs(g["slits"]))
         else:
             gen = _from_fields(cls, g)
     except KeyError as exc:

@@ -38,6 +38,7 @@ __all__ = [
     "theta0",
     "strip_moment",
     "strip_half_moment",
+    "disk_survival",
     "DiskLawTable",
     "build_disk_law",
     "default_disk_law",

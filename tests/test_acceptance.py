@@ -17,7 +17,6 @@ from combexit.adversarial import build_adversarial
 from combexit.checker import (
     FINITE_CERTIFIED,
     INCONCLUSIVE,
-    GrowthClass,
     check_refined_unit,
     check_theorem1,
     geometric_threshold,
@@ -137,11 +136,9 @@ def test_criterion_06_theorem_bound_consistency():
 
 
 def test_criterion_07_geometric_threshold():
-    ok = check_refined_unit(geometric_gap_comb(1.1), 1.0,
-                            GrowthClass("geometric", ratio=1.1))
+    ok = check_refined_unit(geometric_gap_comb(1.1), 1.0)
     assert ok.status == FINITE_CERTIFIED
-    no = check_refined_unit(geometric_gap_comb(1.2), 1.0,
-                            GrowthClass("geometric", ratio=1.2))
+    no = check_refined_unit(geometric_gap_comb(1.2), 1.0)
     assert no.status == INCONCLUSIVE
     assert geometric_threshold(1.0, 0.75) == (4.0 / 3.0) ** 0.5
 

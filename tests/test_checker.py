@@ -8,12 +8,10 @@ from combexit import checker
 from combexit.checker import (
     FINITE_CERTIFIED,
     INCONCLUSIVE,
-    GrowthClass,
     Verdict,
     check_refined_unit,
     check_theorem1,
     geometric_threshold,
-    growth_class_of,
 )
 from combexit.geometry import (
     CombSpec,
@@ -81,29 +79,36 @@ def test_bound_past_the_strip_moment_float_range():
 
 
 def test_refined_geometric_acceptance_pair():
-    ok = check_refined_unit(geometric_gap_comb(1.1), 1.0,
-                            GrowthClass("geometric", ratio=1.1))
+    # gap ratio 2 with unit gaps and heights: the certifiable ratio
+    # (4/3)^(1/(2p)) is 2.053 at p = 0.2 and 1.778 at p = 0.25
+    comb = build_comb(CombSpec(GeometricGaps(2.0, 1.0), window_radius=4))
+    ok = check_refined_unit(comb, 0.2)
     assert ok.status == FINITE_CERTIFIED
     assert math.isfinite(ok.bound_on_moment_root)
     assert ok.theta0_used == 0.75
+    assert ok.growth_class_used == "geometric(ratio=2)"
 
-    no = check_refined_unit(geometric_gap_comb(1.2), 1.0,
-                            GrowthClass("geometric", ratio=1.2))
+    no = check_refined_unit(comb, 0.25)
     assert no.status == INCONCLUSIVE
     assert math.isinf(no.bound_on_moment_root)
+    assert "certifiable only below ratio 1.77778" in no.reason
     # the decision matches the closed-form ratio threshold exactly
-    assert 1.1 < geometric_threshold(1.0, 0.75) < 1.2
+    assert geometric_threshold(0.25, 0.75) < 2.0 < geometric_threshold(0.2, 0.75)
 
 
 def test_theorem1_sharper_than_refined_on_wide_gaps():
-    # with gaps of r^|n| the smallest gap is r > 1, the aspect ratio drops
-    # below 1, and the literal passage factor is under 3/4; at r = 1.2 the
-    # sharper factor certifies where the universal 3/4 does not
-    comb = geometric_gap_comb(1.2)
-    v = check_theorem1(comb, 1.0, GrowthClass("geometric", ratio=1.2))
-    assert v.theta0_used < 0.75
+    # with gaps of r^|n| (r - 1) the innermost gap is 2 at r = 3, the aspect
+    # ratio is 1/2, and the literal passage factor theta0(1/2) = 0.5549 is
+    # under 3/4; at p = 0.15 the sharper factor certifies where the
+    # universal 3/4 does not
+    comb = build_comb(CombSpec(GeometricGaps(3.0, 1.0), window_radius=4))
+    v = check_theorem1(comb, 0.15)
+    assert v.theta0_used == pytest.approx(0.5549, abs=1e-4)
     assert v.status == FINITE_CERTIFIED
-    assert v.theta0_used * 1.2**2 < 1.0
+    assert v.theta0_used ** (1.0 / 0.15) * 3.0**2 < 1.0
+    refined = check_refined_unit(comb, 0.15)
+    assert refined.status == INCONCLUSIVE
+    assert 0.75 ** (1.0 / 0.15) * 3.0**2 >= 1.0
 
 
 def test_geometric_generator_combs():
@@ -130,15 +135,11 @@ def test_threshold_values():
 
 
 def test_certification_monotone_in_p():
-    cases = [
-        (geometric_gap_comb(1.1), GrowthClass("geometric", ratio=1.1)),
-        (uniform_comb(), None),
-    ]
-    for comb, gc in cases:
+    for comb in (geometric_gap_comb(1.1), uniform_comb()):
         for p in (2.0, 1.0, 0.5, 0.25):
-            upper = check_theorem1(comb, p, gc)
+            upper = check_theorem1(comb, p)
             if upper.status == FINITE_CERTIFIED:
-                lower = check_theorem1(comb, p / 2, gc)
+                lower = check_theorem1(comb, p / 2)
                 assert lower.status == FINITE_CERTIFIED
 
 
@@ -154,20 +155,6 @@ def test_polynomial_bound_matches_series_oracle():
     assert v.bound_on_moment_root == pytest.approx(oracle, rel=1e-10)
 
 
-def test_polynomial_declared_model_on_explicit_comb():
-    right = [float(n**2) for n in range(7)]
-    xs = [-x for x in right[1:][::-1]] + right
-    comb = build_comb(CombSpec(ExplicitSlits(tuple((float(x), 1.0) for x in xs))))
-    v = check_theorem1(comb, 1.0, GrowthClass("polynomial", degree=2.0))
-    assert v.status == FINITE_CERTIFIED
-    assert math.isfinite(v.bound_on_moment_root)
-    # model extrapolation should land near the true generator series
-    truth = check_theorem1(
-        build_comb(CombSpec(PolynomialGaps(2.0, 1.0, 1.0), window_radius=6)), 1.0
-    ).bound_on_moment_root
-    assert v.bound_on_moment_root == pytest.approx(truth, rel=0.2)
-
-
 def test_unbounded_aspect_ratio_gives_hint():
     comb = build_comb(CombSpec(PolynomialGaps(0.5, 1.0, 1.0), window_radius=4))
     v = check_theorem1(comb, 1.0)
@@ -178,6 +165,8 @@ def test_unbounded_aspect_ratio_gives_hint():
 
 
 def test_window_class_uniform_matches_bounded():
+    # the list reads as the window of the infinite uniform comb; the literal
+    # 7-slit domain holds a half-plane, where E[tau] is infinite
     xs = tuple((float(x), 1.0) for x in (-3, -2, -1, 0, 1, 2, 3))
     comb = build_comb(CombSpec(ExplicitSlits(xs)))
     v = check_theorem1(comb, 1.0)
@@ -260,26 +249,29 @@ def test_input_validation():
             check_theorem1(comb, bad)
     with pytest.raises(TypeError):
         check_theorem1(Rectangle(1.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        GrowthClass("exotic")
-    with pytest.raises(ValueError):
-        GrowthClass("geometric")
-    with pytest.raises(ValueError):
-        GrowthClass("polynomial", degree=0.5)
 
 
 def test_growth_class_inference():
-    assert growth_class_of(uniform_comb()).kind == "bounded"
-    assert growth_class_of(
-        build_comb(CombSpec(PolynomialGaps(3.0, 1.0, 1.0), window_radius=2))
-    ) == GrowthClass("polynomial", degree=3.0)
-    assert growth_class_of(
-        build_comb(CombSpec(PolynomialGaps(1.0, 1.0, 1.0), window_radius=2))
-    ).kind == "bounded"
-    assert growth_class_of(
-        build_comb(CombSpec(GeometricGaps(1.5, 1.0), window_radius=2))
-    ) == GrowthClass("geometric", ratio=1.5)
-    assert growth_class_of(geometric_gap_comb(1.1)).kind == "window"
+    def used(gen, radius=2):
+        return check_theorem1(build_comb(CombSpec(gen, window_radius=radius)),
+                              1.0).growth_class_used
+
+    assert used(UniformGaps(1.0, 1.0)) == "bounded"
+    assert used(PolynomialGaps(3.0, 1.0, 1.0)) == "polynomial(degree=3)"
+    assert used(PolynomialGaps(1.0, 1.0, 1.0)) == "bounded"
+    assert used(PolynomialGaps(0.5, 1.0, 1.0)) == "bounded"
+    assert used(GeometricGaps(1.5, 1.0)) == "geometric(ratio=1.5)"
+    assert check_theorem1(geometric_gap_comb(1.1), 1.0).growth_class_used == "window"
+
+
+@given(st.floats(1.01, 4.0), st.floats(0.01, 5.0), st.floats(0.05, 4.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_geometric_generator_certified_iff_term_weight_below_one(r, h, p):
+    # the geometric class certifies exactly when theta0^(1/p) r^2 < 1, with
+    # theta0 read at the aspect ratio h / (r - 1) of the innermost gap
+    v = check_theorem1(build_comb(CombSpec(GeometricGaps(r, h), window_radius=4)), p)
+    expected = theta0(h / (r - 1.0)).theta0 ** (1.0 / p) * r**2 < 1.0
+    assert (v.status == FINITE_CERTIFIED) == expected
 
 
 @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.25, 8.0))

@@ -154,6 +154,18 @@ class TestScalarCommands:
         assert report["bound_on_moment_root"] is None
         assert "did not converge within the budget of 20000 blocks" in report["reason"]
 
+    @pytest.mark.parametrize("p", ["1e-20", "1e-300"])
+    def test_check_at_tiny_orders_reports_an_infinite_bound(self, tmp_path, p):
+        # m_p^(1/p) overflows a float power there; the series S^(1/p) is
+        # infinite too, so the certificate stands with no finite bound
+        comb = write_json(tmp_path / "uniform.json", UNIFORM_COMB)
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", comb, "--p", p, "--out", str(out)])
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "FiniteCertified"
+        assert report["bound_on_moment_root"] is None
+
     def test_check_all_walls_comb_is_inconclusive(self, tmp_path):
         # both slits reach the axis, so ell = 0, where theta0 is undefined:
         # a report, not a usage error
@@ -570,6 +582,16 @@ class TestExitCodes:
              "--start", "0.5,0.5", "--n", "10", "--out", str(out)])
         assert code == EXIT_USAGE
         assert f"{field!r} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_slit_list_is_a_usage_error(self, tmp_path, capsys):
+        spec = {"generator": {"kind": "explicit", "slits": [1, 2]},
+                "one_sided": True}
+        out = tmp_path / "r.json"
+        code = run_command(["check", "--comb", write_json(tmp_path / "comb.json", spec),
+                            "--p", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "'slits' must be a list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_string_one_sided_is_a_usage_error(self, tmp_path, capsys):

@@ -305,6 +305,17 @@ def test_numeric_fields_refuse_json_booleans(build, named):
         build()
 
 
+@pytest.mark.parametrize("slits", [[1, 2], [[0.0]], "ab", None, [[0, 1, 2]],
+                                   {"a": 1}],
+                         ids=["numbers", "short-pair", "string", "null",
+                              "long-pair", "object"])
+def test_explicit_slits_must_be_pairs(slits):
+    cfg = {"generator": {"kind": "explicit", "slits": slits}, "one_sided": True}
+    with pytest.raises(ValueError, match=r"'slits' must be a list whose every "
+                                         r"entry is an \[abscissa, height\] pair"):
+        comb_spec_from_config(cfg)
+
+
 def test_config_roundtrip():
     specs = [
         CombSpec(UniformGaps(1.0, 2.0), window_radius=4),
