@@ -207,7 +207,8 @@ def _passage_maxima(comb: CombDomain) -> np.ndarray:
     passages from x_0."""
     gaps = np.diff(comb.xs)
     J = comb.window_radius
-    return np.maximum.accumulate(np.maximum(gaps[J:] ** 2, gaps[:J][::-1] ** 2))
+    with np.errstate(over="ignore"):  # a gap beyond 1e154 squares to inf
+        return np.maximum.accumulate(np.maximum(gaps[J:] ** 2, gaps[:J][::-1] ** 2))
 
 
 def _aspect_ratio(comb: CombDomain) -> float:
@@ -225,7 +226,8 @@ def _aspect_ratio(comb: CombDomain) -> float:
     if isinstance(gen, ExplicitSlits):
         gaps = np.diff(comb.xs)
         num = np.maximum(comb.bs[:-2], comb.bs[2:])
-        return float(np.max(num / np.minimum(gaps[:-1], gaps[1:])))
+        with np.errstate(over="ignore"):  # an unbounded ratio reads inf
+            return float(np.max(num / np.minimum(gaps[:-1], gaps[1:])))
     if isinstance(gen, PolynomialGaps) and gen.degree < 1.0:
         return math.inf
     return gen.height / gen.abscissa(1)
@@ -249,6 +251,10 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
     gen = comb.spec.generator
     if kind == "polynomial":
         tail = _polynomial_tail(gen, j_total, w, a)
+        if tail == math.inf:
+            return _inconclusive(p, theta, growth, note + (
+                f"polynomial tail at weight {q:.6g} overflows the floats: its "
+                f"degree {gen.degree:g} gaps pass the largest float"))
         if tail is None:
             return _inconclusive(
                 p, theta, growth,
@@ -272,7 +278,10 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
             f"with weight {q:.6g} converges for any exponent"
         )
     elif kind == "geometric":
-        ratio = gen.ratio**2
+        try:
+            ratio = gen.ratio**2
+        except OverflowError:  # a ratio beyond 1e154: no decay can beat it
+            ratio = math.inf
         threshold = geometric_threshold(p, theta)
         refusal = (
             f"gap ratio {gen.ratio:g} gives weight {q * ratio:.6g} >= 1 "
@@ -347,8 +356,9 @@ def _strip_moment_root(p: float) -> float:
 def _polynomial_tail(gen: PolynomialGaps, start_j: int, q: float,
                      a: float) -> float | None:
     """Sum q^j * gap(j+1)^(2a) for j >= start_j with the generator's exact
-    gaps, in blocks of ``_TAIL_BLOCK`` terms, or None when ``_TAIL_BLOCKS``
-    blocks leave it unconverged.
+    gaps, in blocks of ``_TAIL_BLOCK`` terms: inf at the first block with a
+    term beyond the floats, or None when ``_TAIL_BLOCKS`` blocks leave it
+    unconverged.
 
     Gap ratios decrease toward 1 for degree >= 1, so the last gap ratio of
     a block, to the power 2a, is a bound ``rho`` on every later term ratio
@@ -357,13 +367,18 @@ def _polynomial_tail(gen: PolynomialGaps, start_j: int, q: float,
     """
     total = 0.0
     j = start_j
-    for _ in range(_TAIL_BLOCKS):
-        labels = np.arange(j + 1, j + _TAIL_BLOCK + 1, dtype=float)
-        gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
-        terms = q ** np.arange(j, j + _TAIL_BLOCK) * gaps ** (2.0 * a)
-        rho = (gaps[-1] / gaps[-2]) ** (2.0 * a)
-        total += float(terms.sum())
-        j += _TAIL_BLOCK
-        if q * rho < 1.0 and terms[-1] < 1e-17 * max(total, 1.0):
-            return total + terms[-1] * q * rho / (1.0 - q * rho)
+    # a gap or term beyond the floats is inf, or nan from inf - inf or 0 * inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_TAIL_BLOCKS):
+            labels = np.arange(j + 1, j + _TAIL_BLOCK + 1, dtype=float)
+            gaps = gen.coefficient * (labels**gen.degree - (labels - 1.0) ** gen.degree)
+            terms = q ** np.arange(j, j + _TAIL_BLOCK) * gaps ** (2.0 * a)
+            total += float(terms.sum())
+            # a finite sum past the floats is only an infinite bound
+            if not math.isfinite(total) and not np.isfinite(terms).all():
+                return math.inf
+            rho = (gaps[-1] / gaps[-2]) ** (2.0 * a)
+            j += _TAIL_BLOCK
+            if q * rho < 1.0 and terms[-1] < 1e-17 * max(total, 1.0):
+                return total + terms[-1] * q * rho / (1.0 - q * rho)
     return None

@@ -133,14 +133,14 @@ def _cmd_strip_moment(args, config: dict) -> dict:
 
 def _load_comb(path: str) -> tuple[CombDomain, str]:
     cfg, fp = _load_json(path)
+    if not isinstance(cfg, dict) or not {"type", "generator"} & cfg.keys():
+        raise ValueError(f"{path}: expected a domain config or a comb spec")
     if "type" in cfg:
         domain = domain_from_config(cfg)
         if not isinstance(domain, CombDomain):
             raise ValueError(f"{path} describes a {cfg['type']}, not a comb")
         return domain, fp
-    if "generator" in cfg:
-        return build_comb(comb_spec_from_config(cfg)), fp
-    raise ValueError(f"{path}: expected a domain config or a comb spec")
+    return build_comb(comb_spec_from_config(cfg)), fp
 
 
 def _cmd_check(args, config: dict) -> dict:

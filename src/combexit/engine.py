@@ -184,7 +184,8 @@ class SimParams:
     half-plane, where EulerBridge is exact at any step) and
     ``scale**2 / 25`` otherwise, and ``shell_eps = 1e-4 * scale``.
     Resolved values are echoed back in the ``SampleSet`` so a run is
-    reproducible from its report alone.
+    reproducible from its report alone; the field of the engine not run
+    resolves to None.
     """
 
     engine: str = "EulerBridge"
@@ -857,9 +858,10 @@ def _resolve(domain: SimDomain, start, params: SimParams) -> SimParams:
         raise ValueError(f"start point ({u0:g}, {v0:g}) is not finite")
     if not bool(domain.contains(u0, v0)):
         raise ValueError(f"start point ({u0:g}, {v0:g}) is not inside the domain")
+    # the other engine's parameter is never read, so it resolves to None
     if params.engine == "EulerBridge":
-        return replace(params, step_h=_resolve_step_h(params, domain))
-    return replace(params, shell_eps=_resolve_shell_eps(params, domain))
+        return replace(params, step_h=_resolve_step_h(params, domain), shell_eps=None)
+    return replace(params, step_h=None, shell_eps=_resolve_shell_eps(params, domain))
 
 
 def simulate_exit(domain: SimDomain, start, params: SimParams,

@@ -9,10 +9,13 @@ regardless of the stored ``b_0`` (the stored height is still used when the
 comb is symmetrized).
 
 Infinite slit families are represented by a finite materialized window of
-radius J.  Domains built from parametric generators are marked
-``truncated``: simulated trajectories must exit strictly inside the window
-and the engines flag a "window escape" otherwise.  Explicit slit lists are
-taken as the complete, exact domain.
+radius J.  A ``CombDomain`` stores only its spec and the window's slits
+``xs``, ``bs``, which :func:`build_comb` alone materializes and validates
+(refusing abscissas beyond the floats); ``one_sided``, ``truncated``,
+``window_radius`` and ``min_gap`` are derived from them.  A comb from a
+parametric generator is ``truncated``: simulated trajectories must exit
+strictly inside the window and the engines flag a "window escape"
+otherwise.  Explicit slit lists are taken as the complete, exact domain.
 
 Every domain describes its boundary once, as ``BoundaryLines``: oriented
 lines, each cut down to its boundary part by the one exit rule the domain
@@ -319,28 +322,45 @@ class BoundaryLines:
 
 @dataclass(frozen=True, eq=False)
 class CombDomain:
+    """A comb window, stored as its spec and its validated slits: sorted
+    abscissas ``xs`` (2J+1 two-sided, J+1 one-sided) and declared heights
+    ``bs``.  Everything else is derived from them."""
+
     kind: ClassVar[str] = "comb"
     spec: CombSpec
-    xs: np.ndarray            # sorted abscissas, length 2J+1 (two-sided) or J+1
-    bs: np.ndarray            # declared heights, aligned with xs
-    line_heights: np.ndarray  # heights as seen by exit detection (wall at x0 zeroed)
-    one_sided: bool
-    window_radius: int        # J
-    min_gap: float
-    truncated: bool           # True for parametric generators (finite window of an
-                              # infinite comb); escape past the outer slits is an error
+    xs: np.ndarray
+    bs: np.ndarray
+
+    @property
+    def one_sided(self) -> bool:
+        return self.spec.one_sided
+
+    @property
+    def truncated(self) -> bool:  # a window of an infinite comb
+        return not isinstance(self.spec.generator, ExplicitSlits)
+
+    @property
+    def window_radius(self) -> int:
+        return len(self.xs) - 1 if self.one_sided else len(self.xs) // 2
+
+    @property
+    def min_gap(self) -> float:
+        return float(np.diff(self.xs).min()) if len(self.xs) > 1 else math.inf
 
     def scale(self) -> float:
         # Single-line combs have no gap; the slit half-height is then the
         # only intrinsic length (and 1.0 the last resort for a bare line).
         if math.isfinite(self.min_gap):
             return self.min_gap
-        tallest = float(np.max(self.bs)) if len(self.bs) else 0.0
+        tallest = float(np.max(self.bs))
         return tallest if tallest > 0.0 else 1.0
 
     @cached_property
     def lines(self) -> BoundaryLines:
-        return BoundaryLines.walls(self.xs, self.line_heights)
+        heights = self.bs.copy()
+        if self.one_sided:
+            heights[0] = 0.0  # the wall at x_0 is a full line
+        return BoundaryLines.walls(self.xs, heights)
 
     def contains(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
@@ -467,75 +487,45 @@ SimDomain = Union[CombDomain, Rectangle, VerticalStrip, Wedge, HalfPlane]
 
 
 def build_comb(spec: CombSpec) -> CombDomain:
-    """Materialize a comb window. Deterministic; validates all invariants."""
+    """Materialize and validate a comb window: the one place slits are built."""
     gen = spec.generator
     if isinstance(gen, ExplicitSlits):
-        xs, bs, J = _materialize_explicit(gen, spec)
-        truncated = False
-    else:
-        xs, bs, J = _materialize_parametric(gen, spec)
-        truncated = True
-
-    if xs.size == 0:
-        raise ValueError("empty slit window")
-    if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(bs)):
-        raise ValueError("non-finite abscissa or height")
-    if np.any(bs < 0.0):
-        raise ValueError("negative slit height")
-    gaps = np.diff(xs)
-    if np.any(gaps <= 0.0):
-        raise ValueError("non-increasing abscissas")
-
-    center = 0 if spec.one_sided else J
-    if xs[center] != 0.0:
-        raise ValueError(f"x_0 must be 0 (normalization), got {xs[center]}")
-
-    line_heights = bs.copy()
-    if spec.one_sided:
-        line_heights[0] = 0.0  # the wall at x_0 is a full line
-
-    min_gap = float(gaps.min()) if gaps.size else math.inf
-
-    return CombDomain(
-        spec=spec,
-        xs=xs,
-        bs=bs,
-        line_heights=line_heights,
-        one_sided=spec.one_sided,
-        window_radius=J,
-        min_gap=min_gap,
-        truncated=truncated,
-    )
-
-
-def _materialize_parametric(gen, spec: CombSpec):
-    J = spec.window_radius
-    if J is None:
-        raise ValueError("window_radius is required for parametric generators")
-    if J < 1:
-        raise ValueError("window_radius must be >= 1")
-    ns = range(0, J + 1) if spec.one_sided else range(-J, J + 1)
-    xs = np.array([gen.abscissa(n) for n in ns], dtype=float)
-    bs = np.full(xs.shape, float(gen.height))
-    return xs, bs, J
-
-
-def _materialize_explicit(gen: ExplicitSlits, spec: CombSpec):
-    if len(gen.slits) == 0:
-        raise ValueError("empty slit window")
-    xs = np.array([s[0] for s in gen.slits], dtype=float)
-    bs = np.array([s[1] for s in gen.slits], dtype=float)
-    if spec.one_sided:
-        J = len(xs) - 1
-    else:
-        if len(xs) % 2 == 0:
+        if len(gen.slits) == 0:
+            raise ValueError("empty slit window")
+        xs = np.array([s[0] for s in gen.slits], dtype=float)
+        bs = np.array([s[1] for s in gen.slits], dtype=float)
+        if not spec.one_sided and len(xs) % 2 == 0:
             raise ValueError("two-sided explicit comb needs an odd number of slits "
                              "(center slit at x_0 = 0)")
-        J = (len(xs) - 1) // 2
-    if spec.window_radius is not None and spec.window_radius != J:
+    else:
+        J = spec.window_radius
+        if J is None:
+            raise ValueError("window_radius is required for parametric generators")
+        if J < 1:
+            raise ValueError("window_radius must be >= 1")
+        ns = range(0, J + 1) if spec.one_sided else range(-J, J + 1)
+        try:  # dtype: a generator built from ints yields int abscissas
+            xs = np.array([gen.abscissa(n) for n in ns], dtype=float)
+        except OverflowError:  # a Python float power beyond the floats
+            xs = np.full(len(ns), math.inf)
+        bs = np.full(xs.shape, float(gen.height))
+
+    comb = CombDomain(spec, xs, bs)
+    J = comb.window_radius
+    if spec.window_radius not in (None, J):
         raise ValueError(f"window_radius={spec.window_radius} inconsistent with "
                          f"{len(xs)} explicit slits (inferred J={J})")
-    return xs, bs, J
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(bs))):
+        raise ValueError(f"{gen.kind} comb has an abscissa or height beyond "
+                         f"the floats within window_radius={J}")
+    if np.any(bs < 0.0):
+        raise ValueError("negative slit height")
+    if np.any(np.diff(xs) <= 0.0):
+        raise ValueError("non-increasing abscissas")
+    center = xs[0 if spec.one_sided else J]
+    if center != 0.0:
+        raise ValueError(f"x_0 must be 0 (normalization), got {center}")
+    return comb
 
 
 def symmetrize(comb: CombDomain) -> CombDomain:
@@ -567,6 +557,13 @@ def _class_for(table: dict, kind, what: str):
     if isinstance(kind, str) and kind in table:
         return table[kind]
     raise ValueError(f"unknown {what} {kind!r}")
+
+
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; a ValueError naming ``what`` if not."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def _number(value, name: str) -> float:
@@ -607,8 +604,9 @@ def comb_spec_to_config(spec: CombSpec) -> dict:
 
 
 def comb_spec_from_config(cfg: dict) -> CombSpec:
+    _object(cfg, "comb spec")
     try:
-        g = cfg["generator"]
+        g = _object(cfg["generator"], "comb spec field 'generator'")
         cls = _class_for(_GENERATORS, g["kind"], "generator kind")
         if cls is ExplicitSlits:
             gen = ExplicitSlits(_slit_pairs(g["slits"]))
@@ -644,7 +642,7 @@ def domain_to_config(domain: SimDomain) -> dict:
 def domain_from_config(cfg: dict) -> SimDomain:
     """Inverse of :func:`domain_to_config`; malformed configs raise ValueError."""
     try:
-        kind = cfg["type"]
+        kind = _object(cfg, "domain config")["type"]
         if kind == "comb":
             return build_comb(comb_spec_from_config(cfg["spec"]))
         return _from_fields(_class_for(_SHAPES, kind, "domain type"), cfg)

@@ -84,7 +84,8 @@ def _rect_series(a: float, b: float) -> tuple[float, float]:
     need = math.log(8.0 / (math.pi * _RECT_TOLERANCE)) / (2.0 * step)
     terms = max(2, math.ceil(need + 0.5))
     k = np.arange(terms)
-    x = (2 * k + 1) * step
+    with np.errstate(over="ignore"):  # ell near 0: inf, where sech is 0
+        x = (2 * k + 1) * step
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     total = float(np.sum(signs * _sech(x) / (2 * k + 1)))
     x_next = (2 * terms + 1) * step

@@ -58,7 +58,7 @@ class TestCertificates:
         assert comb.xs[0] == 0.0
         np.testing.assert_array_equal(comb.xs[1:], [tr.abscissa for tr in trace])
         # wall is a full line, every tooth has height exactly 1
-        assert comb.line_heights[0] == 0.0
+        assert comb.lines.par[0] == 0.0
         np.testing.assert_array_equal(comb.bs[1:], np.ones(3))
 
     def test_single_stage(self):

@@ -1,6 +1,7 @@
 """End-to-end subcommand tests: reports, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,10 +9,12 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combexit.cli import (
     EXIT_INCONCLUSIVE,
@@ -694,6 +697,201 @@ class TestExitCodes:
         capsys.readouterr()
         assert not (tmp_path / "r.json").exists()
 
+
+def _run_check(tmp_path, config, *flags):
+    """``check`` on ``config`` with warnings raised as errors: its exit code
+    and the report path."""
+    comb = write_json(tmp_path / "comb.json", config)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["check", "--comb", comb, "--out", str(out), *flags])
+    return code, out
+
+
+class TestOverflow:
+    """Comb configs whose numbers leave the floats: a usage error or a
+    report, never a traceback or a numpy warning."""
+
+    @pytest.mark.parametrize("generator, radius", [
+        ({"kind": "geometric", "ratio": 1e10, "height": 1}, 40),
+        ({"kind": "geometric", "ratio": 1e300, "height": 1}, 2),
+        ({"kind": "polynomial", "degree": 500, "coefficient": 1, "height": 1}, 5),
+    ], ids=["geometric-1e10", "geometric-1e300", "polynomial-500"])
+    def test_check_refuses_abscissas_beyond_the_floats(
+            self, tmp_path, capsys, generator, radius):
+        code, out = _run_check(tmp_path, {"generator": generator,
+                                          "window_radius": radius}, "--p", "1")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{generator['kind']} comb" in err
+        assert f"window_radius={radius}" in err
+        assert not out.exists()
+
+    def test_simulate_refuses_abscissas_beyond_the_floats(self, tmp_path, capsys):
+        domain = write_json(tmp_path / "d.json", {"type": "comb", "spec": {
+            "generator": {"kind": "geometric", "ratio": 1e10, "height": 1},
+            "window_radius": 40}})
+        out = tmp_path / "r.json"
+        code = run_command(["simulate", "--domain", domain, "--start", "0.5,0",
+                            "--n", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "window_radius=40" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "r-samples.csv").exists()
+
+    def test_overflowing_polynomial_tail_is_inconclusive(self, tmp_path):
+        # 5**500 is beyond the floats: the tail stops at its first block
+        # instead of spending the whole budget on inf and nan terms
+        code, out = _run_check(tmp_path, {
+            "generator": {"kind": "polynomial", "degree": 500,
+                          "coefficient": 1, "height": 1},
+            "window_radius": 3}, "--p", "1")
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "Inconclusive"
+        assert report["bound_on_moment_root"] is None
+        assert "overflows the floats" in report["reason"]
+
+    def test_geometric_ratio_beyond_1e154_is_inconclusive(self, tmp_path):
+        # the squared ratio is beyond the floats: no passage factor beats it
+        code, out = _run_check(tmp_path, {
+            "generator": {"kind": "geometric", "ratio": 1e200, "height": 1},
+            "window_radius": 1}, "--p", "1")
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "Inconclusive"
+        assert "gives weight inf >= 1" in report["reason"]
+
+    @pytest.mark.parametrize("spec", [
+        {"generator": {"kind": "uniform", "spacing": 1e300, "height": 1},
+         "window_radius": 3},
+        {"generator": {"kind": "explicit",
+                       "slits": [[-1e308, 1], [0, 1], [1e308, 1]]}},
+        {"generator": {"kind": "explicit",
+                       "slits": [[-1e-320, 1e300], [0, 1e300], [1e-320, 1e300]]}},
+    ], ids=["uniform-1e300", "explicit-1e308", "explicit-tiny-gaps"])
+    def test_check_warns_nothing_on_extreme_combs(self, tmp_path, spec):
+        code, out = _run_check(tmp_path, spec, "--p", "1")
+        assert code == EXIT_OK
+        assert load(out)["status"] in ("FiniteCertified", "Inconclusive")
+
+    def test_theta0_warns_nothing_near_zero(self, tmp_path):
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["theta0", "--ell", "1e-308",
+                                "--out", str(out)]) == EXIT_OK
+        assert load(out)["theta0"] == 0.5
+
+
+class TestConfigShapes:
+    @pytest.mark.parametrize("config, named", [
+        ({"generator": 5}, "comb spec field 'generator' must be a JSON object"),
+        ({"generator": [1]}, "comb spec field 'generator' must be a JSON object"),
+        ({"type": "comb", "spec": [1]}, "comb spec must be a JSON object"),
+        ({"type": "comb", "spec": "x"}, "comb spec must be a JSON object"),
+    ], ids=["generator-int", "generator-list", "spec-list", "spec-string"])
+    def test_non_object_is_named(self, tmp_path, capsys, config, named):
+        code, out = _run_check(tmp_path, config, "--p", "1")
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [5, [1], "x"])
+    def test_non_object_domain_config_is_named(self, tmp_path, capsys, config):
+        out = tmp_path / "r.json"
+        code = run_command(["simulate", "--domain", write_json(tmp_path / "d.json", config),
+                            "--start", "0,0", "--n", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "domain config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("engine, flag, value, unread", [
+    ("WosTime", "--step-h", "1e9", "step_h"),
+    ("EulerBridge", "--shell-eps", "50", "shell_eps"),
+])
+def test_unread_engine_parameter_resolves_to_null(tmp_path, engine, flag, value,
+                                                 unread):
+    # the other engine's parameter is never read, so it is not reported as
+    # resolved (50 is not even a valid shell_eps on the unit strip)
+    out = tmp_path / "r.json"
+    code = run_command(["simulate", "--domain", write_json(tmp_path / "s.json", STRIP),
+                        "--start", "0,0", "--n", "10", "--engine", engine,
+                        flag, value, "--out", str(out)])
+    assert code == EXIT_OK
+    report = load(out)
+    assert report["resolved_params"][unread] is None
+    assert report["config"]["arguments"]["requested_params"][unread] == float(value)
+
+
+# Numbers spread log-wide over [1e-300, 1e300]; a spoiled one is 0, a JSON
+# constant NaN or +-Infinity, or a negative one.
+_LOG_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_SPOILED = (st.sampled_from([0.0, math.nan, math.inf, -math.inf])
+            | _LOG_WIDE.map(lambda x: -x))
+_PARAMETRIC_FIELDS = {"uniform": ("spacing", "height"),
+                      "polynomial": ("degree", "coefficient", "height"),
+                      "geometric": ("ratio", "height")}
+
+
+@st.composite
+def _comb_specs(draw):
+    """Comb spec configs of every generator kind, one- and two-sided.
+    Explicit slits are laid out from x_0 = 0 by log-wide gaps, or placed at
+    random, and infer their ``window_radius``; a parametric comb's is in
+    [1, 32].  About one spec in four has a number spoiled, and one in four
+    its ``window_radius`` absent or in [0, 32]."""
+    one_sided = draw(st.booleans())
+    kind = draw(st.sampled_from(["explicit", *_PARAMETRIC_FIELDS]))
+    if kind == "explicit":
+        heights = draw(st.lists(_LOG_WIDE, min_size=2, max_size=6))
+        if draw(st.booleans()):
+            xs = draw(st.lists(_LOG_WIDE | _SPOILED, min_size=len(heights),
+                               max_size=len(heights)))
+        else:
+            gaps = draw(st.lists(_LOG_WIDE, min_size=len(heights) - 1,
+                                 max_size=len(heights) - 1))
+            xs = list(itertools.accumulate(gaps, initial=0.0))
+        slits = [[x, b] for x, b in zip(xs, heights)]
+        if not one_sided:
+            slits = [[-x, b] for x, b in slits[:0:-1]] + slits
+        generator = {"kind": kind, "slits": slits}
+        numbers = [(slit, i) for slit in slits for i in (0, 1)]
+    else:
+        generator = {"kind": kind, **{name: draw(_LOG_WIDE)
+                                      for name in _PARAMETRIC_FIELDS[kind]}}
+        numbers = [(generator, name) for name in _PARAMETRIC_FIELDS[kind]]
+    spec = {"generator": generator, "one_sided": one_sided}
+    if kind != "explicit":
+        spec["window_radius"] = draw(st.integers(1, 32))
+    spoil = draw(st.integers(0, 3))
+    if spoil == 0:
+        holder, key = draw(st.sampled_from(numbers))
+        holder[key] = draw(_SPOILED)
+    elif spoil == 1:
+        spec.pop("window_radius", None)
+        radius = draw(st.none() | st.integers(0, 32))
+        if radius is not None:
+            spec["window_radius"] = radius
+    return spec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_comb_specs(),
+       p=st.floats(1e-3, 8.0, exclude_min=True, exclude_max=True),
+       refined=st.booleans())
+def test_check_exits_zero_or_two_on_any_comb_spec(tmp_path_factory, spec, p,
+                                                  refined):
+    tmp_path = tmp_path_factory.mktemp("check")
+    code, out = _run_check(tmp_path, spec, "--p", repr(p),
+                           *(["--refined"] if refined else []))
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert not out.exists()
+    else:
+        assert load(out)["status"] in ("FiniteCertified", "Inconclusive")
 
 _GUARD_FILES = {"strip.json": STRIP, "comb.json": UNIFORM_COMB,
                 "esc2.json": {"type": "comb", "spec": dict(

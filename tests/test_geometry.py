@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from combexit.checker import _aspect_ratio, _passage_maxima
 from combexit.geometry import (
     BoundaryLines,
+    CombDomain,
     CombSpec,
     ExplicitSlits,
     GeometricGaps,
@@ -112,7 +114,7 @@ def test_symmetrize_restriction_roundtrip():
 
 def test_one_sided_wall_is_full_line():
     one = build_comb(CombSpec(UniformGaps(1.0, 1.0), window_radius=2, one_sided=True))
-    assert one.line_heights[0] == 0.0
+    assert one.lines.par[0] == 0.0
     assert one.bs[0] == 1.0
     # wall blocks regardless of v
     assert dist(one, 0.25, 50.0) == pytest.approx(0.25)
@@ -345,6 +347,39 @@ def test_config_validation():
         domain_from_config({"type": "vertical_strip", "left": 2.0, "right": 1.0})
     with pytest.raises(ValueError, match="angle"):
         domain_from_config({"type": "wedge", "angle": 7.0})
+
+
+def test_comb_domain_stores_its_spec_and_slits_only():
+    # every other comb fact is derived, so none can disagree with the spec
+    assert [f.name for f in dataclasses.fields(CombDomain)] == ["spec", "xs", "bs"]
+    one = build_comb(CombSpec(GeometricGaps(2.0, 1.0), window_radius=3,
+                              one_sided=True))
+    assert (one.one_sided, one.truncated, one.window_radius, one.min_gap) == (
+        True, True, 3, 1.0)
+    assert list(one.lines.par) == [0.0, 1.0, 1.0, 1.0]
+    assert list(one.bs) == [1.0, 1.0, 1.0, 1.0]
+    walls = build_comb(CombSpec(ExplicitSlits(((-2.0, 0.0), (0.0, 1.0), (2.0, 0.0)))))
+    assert (walls.one_sided, walls.truncated, walls.window_radius) == (False, False, 1)
+    single = build_comb(CombSpec(ExplicitSlits(((0.0, 1.0),)), one_sided=True))
+    assert single.window_radius == 0 and single.min_gap == math.inf
+
+
+@pytest.mark.parametrize("gen, radius", [
+    (GeometricGaps(1e10, 1.0), 40),
+    (GeometricGaps(1e300, 1.0), 2),
+    (PolynomialGaps(500, 1, 1), 5),
+    (UniformGaps(1e307, 1.0), 20),
+], ids=["geometric-power", "geometric-huge", "polynomial-power", "uniform-product"])
+def test_abscissas_beyond_the_floats_are_refused(gen, radius):
+    # a Python float power raises OverflowError where a product gives inf
+    with pytest.raises(ValueError, match=f"{gen.kind} comb .* beyond the floats "
+                                         f"within window_radius={radius}"):
+        build_comb(CombSpec(gen, window_radius=radius))
+
+
+def test_int_generator_materializes_float_abscissas():
+    comb = build_comb(CombSpec(UniformGaps(1, 1), window_radius=2))
+    assert comb.xs.dtype == np.float64
 
 
 def test_explicit_window_radius_consistency():
