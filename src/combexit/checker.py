@@ -118,7 +118,10 @@ def geometric_threshold(p: float, theta: float) -> float:
         raise ValueError("exponent p must be positive and finite")
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
-    return (1.0 / theta) ** (1.0 / (2.0 * p))
+    try:
+        return (1.0 / theta) ** (1.0 / (2.0 * p))
+    except OverflowError:  # at tiny orders every finite ratio is certifiable
+        return math.inf
 
 
 def check_theorem1(comb: CombDomain, p: float) -> Verdict:
@@ -278,17 +281,24 @@ def _certify(comb, p, theta, growth, note) -> Verdict:
             f"with weight {q:.6g} converges for any exponent"
         )
     elif kind == "geometric":
-        try:
-            ratio = gen.ratio**2
-        except OverflowError:  # a ratio beyond 1e154: no decay can beat it
-            ratio = math.inf
+        ratio = gen.ratio * gen.ratio  # inf for a ratio beyond 1e154
+        weight = q * ratio  # nan where q underflows to 0 against that inf
         threshold = geometric_threshold(p, theta)
-        refusal = (
-            f"gap ratio {gen.ratio:g} gives weight {q * ratio:.6g} >= 1 "
-            f"per term; certifiable only below ratio {threshold:.6g}"
-        ) if q * ratio >= 1.0 else None
+        if weight >= 1.0:
+            refusal = (
+                f"gap ratio {gen.ratio:g} gives weight {weight:.6g} >= 1 "
+                f"per term; certifiable only below ratio {threshold:.6g}"
+            )
+        elif not weight < 1.0:
+            refusal = (
+                f"gap ratio {gen.ratio:g} squares beyond the floats while "
+                f"theta0^(1/p) underflows to 0: their product, the term "
+                f"weight, has no float value"
+            )
+        else:
+            refusal = None
         reason = (
-            f"gap ratio {gen.ratio:g}: term weight {q * ratio:.6g} < 1, below "
+            f"gap ratio {gen.ratio:g}: term weight {weight:.6g} < 1, below "
             f"the certifiable ratio {threshold:.6g}"
         )
     else:

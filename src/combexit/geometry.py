@@ -497,6 +497,9 @@ def build_comb(spec: CombSpec) -> CombDomain:
         if not spec.one_sided and len(xs) % 2 == 0:
             raise ValueError("two-sided explicit comb needs an odd number of slits "
                              "(center slit at x_0 = 0)")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(bs))):
+            raise ValueError("explicit comb field 'slits' has a value that is "
+                             "not finite")
     else:
         J = spec.window_radius
         if J is None:
@@ -506,8 +509,12 @@ def build_comb(spec: CombSpec) -> CombDomain:
         ns = range(0, J + 1) if spec.one_sided else range(-J, J + 1)
         try:  # dtype: a generator built from ints yields int abscissas
             xs = np.array([gen.abscissa(n) for n in ns], dtype=float)
+            finite = bool(np.all(np.isfinite(xs)))
         except OverflowError:  # a Python float power beyond the floats
-            xs = np.full(len(ns), math.inf)
+            finite = False
+        if not finite:
+            raise ValueError(f"{gen.kind} comb has an abscissa beyond the floats "
+                             f"within window_radius={J}")
         bs = np.full(xs.shape, float(gen.height))
 
     comb = CombDomain(spec, xs, bs)
@@ -515,9 +522,6 @@ def build_comb(spec: CombSpec) -> CombDomain:
     if spec.window_radius not in (None, J):
         raise ValueError(f"window_radius={spec.window_radius} inconsistent with "
                          f"{len(xs)} explicit slits (inferred J={J})")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(bs))):
-        raise ValueError(f"{gen.kind} comb has an abscissa or height beyond "
-                         f"the floats within window_radius={J}")
     if np.any(bs < 0.0):
         raise ValueError("negative slit height")
     if np.any(np.diff(xs) <= 0.0):

@@ -763,6 +763,33 @@ class TestOverflow:
         assert report["status"] == "Inconclusive"
         assert "gives weight inf >= 1" in report["reason"]
 
+    @pytest.mark.parametrize("flags", [["--p", "7e-4"],
+                                       ["--p", "3e-4", "--refined"]],
+                             ids=["theta0", "refined"])
+    def test_geometric_weight_without_a_float_value_is_inconclusive(
+            self, tmp_path, flags):
+        # theta^(1/p) underflows to 0 and the squared ratio is inf, so the
+        # term weight reads nan; the true weight is about 1e170, far above 1
+        code, out = _run_check(tmp_path, {
+            "generator": {"kind": "geometric", "ratio": 1e300, "height": 1},
+            "window_radius": 1}, *flags)
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "Inconclusive"
+        assert "the term weight, has no float value" in report["reason"]
+
+    def test_geometric_comb_at_tiny_orders_reports_an_infinite_bound(
+            self, tmp_path):
+        # (1/theta)^(1/(2p)) passes the floats: every finite ratio is below it
+        code, out = _run_check(tmp_path, {
+            "generator": {"kind": "geometric", "ratio": 2, "height": 1},
+            "window_radius": 3}, "--p", "1e-4")
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["status"] == "FiniteCertified"
+        assert report["bound_on_moment_root"] is None
+        assert "below the certifiable ratio inf" in report["reason"]
+
     @pytest.mark.parametrize("spec", [
         {"generator": {"kind": "uniform", "spacing": 1e300, "height": 1},
          "window_radius": 3},
@@ -796,6 +823,16 @@ class TestConfigShapes:
         code, out = _run_check(tmp_path, config, "--p", "1")
         assert code == EXIT_USAGE
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_slit_names_slits(self, tmp_path, capsys):
+        # a JSON NaN parses as a number; the comb refuses it by its field
+        code, out = _run_check(tmp_path, {"generator": {
+            "kind": "explicit", "slits": [[0, 1], [math.nan, 1]]},
+            "one_sided": True}, "--p", "1")
+        assert code == EXIT_USAGE
+        assert "field 'slits' has a value that is not finite" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [5, [1], "x"])
@@ -891,7 +928,9 @@ def test_check_exits_zero_or_two_on_any_comb_spec(tmp_path_factory, spec, p,
     if code == EXIT_USAGE:
         assert not out.exists()
     else:
-        assert load(out)["status"] in ("FiniteCertified", "Inconclusive")
+        report = load(out)
+        assert report["status"] in ("FiniteCertified", "Inconclusive")
+        assert "nan" not in report["reason"]
 
 _GUARD_FILES = {"strip.json": STRIP, "comb.json": UNIFORM_COMB,
                 "esc2.json": {"type": "comb", "spec": dict(

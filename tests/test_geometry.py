@@ -377,6 +377,19 @@ def test_abscissas_beyond_the_floats_are_refused(gen, radius):
         build_comb(CombSpec(gen, window_radius=radius))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 1], ids=["abscissa", "height"])
+def test_explicit_slit_not_finite_names_slits(value, at):
+    slit = [1.0, 1.0]
+    slit[at] = value
+    spec = comb_spec_from_config({"generator": {
+        "kind": "explicit", "slits": [[0.0, 1.0], slit]}, "one_sided": True})
+    with pytest.raises(ValueError, match="explicit comb field 'slits' has a "
+                                         "value that is not finite"):
+        build_comb(spec)
+
+
 def test_int_generator_materializes_float_abscissas():
     comb = build_comb(CombSpec(UniformGaps(1, 1), window_radius=2))
     assert comb.xs.dtype == np.float64
