@@ -8,16 +8,17 @@ owns the exit-code map: 0 on success, 2 on invalid arguments or malformed
 configuration (no report), 3 when a batch escapes its comb window, a
 structurally inconclusive state whose report is still written.
 
-The default worker count for simulation batches comes from the
-COMBEXIT_WORKERS environment variable; an explicit --workers flag wins.
+Each input file is read once, as bytes, whose sha256 the report records in
+``config.inputs``; every domain or comb file is parsed by ``domain_from_config``,
+so a bare comb spec is a comb for every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,16 +29,15 @@ from . import estimators, series
 from .adversarial import build_adversarial
 from .checker import check_refined_unit, check_theorem1
 from .engine import SimParams, WindowEscapeError, run_batch
+# build_comb is not called here: perfbench/child.py traces it as cli.build_comb
 from .geometry import (
     CombDomain,
     build_comb,
-    comb_spec_from_config,
     domain_fingerprint,
     domain_from_config,
     domain_to_config,
 )
 from .reports import (
-    fingerprint_bytes,
     read_samples_csv,
     samples_to_csv,
     write_report,
@@ -50,7 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-_WORKERS_ENV = "COMBEXIT_WORKERS"
 _XVAL_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -58,18 +57,34 @@ def _finite_or_none(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
 
-def _load_json(path: str) -> tuple[dict, str]:
+def _read_input(path: str, config: dict) -> bytes:
+    """The bytes of the input file ``path``, read once, with their sha256
+    recorded in ``config["inputs"]``: the report fingerprints the very
+    bytes the command parsed, whatever their line endings."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    config["inputs"][path] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _read_domain(path: str, config: dict):
+    """The domain that the JSON file ``path`` describes (a domain config or
+    a bare comb spec); a file that is not UTF-8, not JSON or nested beyond
+    the recursion limit is a ValueError naming ``path``."""
+    data = _read_input(path, config)
     try:
-        return json.loads(text), fingerprint_bytes(text.encode("utf-8"))
+        return domain_from_config(json.loads(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _parse_start(text: str) -> tuple[float, float]:
@@ -79,21 +94,7 @@ def _parse_start(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _env_workers() -> int:
-    raw = os.environ.get(_WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_WORKERS_ENV}={raw!r} is not an integer") from None
-    if value < 1:
-        raise ValueError(f"{_WORKERS_ENV} must be at least 1, got {value}")
-    return value
-
-
 def _sim_params(args, engine: str | None = None) -> SimParams:
-    workers = args.workers if args.workers is not None else _env_workers()
     return SimParams(
         engine=engine or args.engine,
         step_h=getattr(args, "step_h", None),
@@ -101,7 +102,7 @@ def _sim_params(args, engine: str | None = None) -> SimParams:
         time_cap=args.time_cap,
         max_steps=args.max_steps,
         master_seed=args.seed,
-        workers=workers,
+        workers=args.workers,
     )
 
 
@@ -131,22 +132,11 @@ def _cmd_strip_moment(args, config: dict) -> dict:
     return {"p": args.p, "moment": series.strip_moment(args.p)}
 
 
-def _load_comb(path: str) -> tuple[CombDomain, str]:
-    cfg, fp = _load_json(path)
-    if not isinstance(cfg, dict) or not {"type", "generator"} & cfg.keys():
-        raise ValueError(f"{path}: expected a domain config or a comb spec")
-    if "type" in cfg:
-        domain = domain_from_config(cfg)
-        if not isinstance(domain, CombDomain):
-            raise ValueError(f"{path} describes a {cfg['type']}, not a comb")
-        return domain, fp
-    return build_comb(comb_spec_from_config(cfg)), fp
-
-
 def _cmd_check(args, config: dict) -> dict:
-    comb, fp = _load_comb(args.comb)
+    comb = _read_domain(args.comb, config)
+    if not isinstance(comb, CombDomain):
+        raise ValueError(f"{args.comb} describes a {comb.kind}, not a comb")
     config["arguments"] = {"comb": args.comb, "p": args.p, "refined": args.refined}
-    config["inputs"] = {args.comb: fp}
     check = check_refined_unit if args.refined else check_theorem1
     verdict = check(comb, args.p)
     return {
@@ -160,19 +150,17 @@ def _cmd_check(args, config: dict) -> dict:
     }
 
 
-def _load_domain(args, config: dict):
+def _domain_and_start(args, config: dict):
     """The domain and start point of a sampling command, with both recorded
     in ``config``."""
-    domain_cfg, fp = _load_json(args.domain)
-    domain = domain_from_config(domain_cfg)
+    domain = _read_domain(args.domain, config)
     start = _parse_start(args.start)
     config["arguments"] = {"domain": args.domain, "start": list(start), "n": args.n}
-    config["inputs"] = {args.domain: fp}
     return domain, start
 
 
 def _cmd_simulate(args, config: dict) -> dict:
-    domain, start = _load_domain(args, config)
+    domain, start = _domain_and_start(args, config)
     params = _sim_params(args)
     csv_path = args.csv or str(Path(args.out).with_suffix("")) + "-samples.csv"
     config["arguments"].update(csv=csv_path, requested_params=_params_dict(params))
@@ -203,13 +191,10 @@ def _tail_body(diag: estimators.TailDiagnostic) -> dict:
 
 
 def _read_samples(args, config: dict):
-    """The sample set of ``--samples``, with the fingerprint of the very
-    bytes it was parsed from recorded in ``config`` (one read, so a file
-    replaced meanwhile cannot make the report describe other bytes than its
-    estimate)."""
-    data = Path(args.samples).read_bytes()
-    config["inputs"] = {args.samples: fingerprint_bytes(data)}
-    return read_samples_csv(args.samples, data)
+    """The sample set of ``--samples``, parsed from the bytes whose
+    fingerprint the report records (one read, so a file replaced meanwhile
+    cannot make the report describe other bytes than its estimate)."""
+    return read_samples_csv(args.samples, _read_input(args.samples, config))
 
 
 def _cmd_tail(args, config: dict) -> dict:
@@ -243,7 +228,7 @@ def _cmd_construct(args, config: dict) -> dict:
 def _cmd_xval(args, config: dict) -> dict:
     if args.grid_points < 1:
         raise ValueError("grid_points must be at least 1")
-    domain, start = _load_domain(args, config)
+    domain, start = _domain_and_start(args, config)
     config["arguments"].update(seed=args.seed, grid_points=args.grid_points,
                                time_cap=args.time_cap)
     runs = {
@@ -319,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=SimParams.time_cap)
     sampling.add_argument("--max-steps", dest="max_steps", type=int,
                           default=SimParams.max_steps)
-    sampling.add_argument("--workers", type=int, default=None)
+    sampling.add_argument("--workers", type=int, default=SimParams.workers)
 
     samples = argparse.ArgumentParser(add_help=False)
     samples.add_argument("--samples", required=True)

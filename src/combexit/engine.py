@@ -182,7 +182,8 @@ class SimParams:
     domain at run time from its ``scale()`` (a comb's ``min_gap``):
     ``step_h = scale**2 / 4`` for a convex domain cut by one line (the
     half-plane, where EulerBridge is exact at any step) and
-    ``scale**2 / 25`` otherwise, and ``shell_eps = 1e-4 * scale``.
+    ``scale**2 / 25`` otherwise, and ``shell_eps = 1e-4 * scale``; a
+    resolved value that is not a positive finite float is refused.
     Resolved values are echoed back in the ``SampleSet`` so a run is
     reproducible from its report alone; the field of the engine not run
     resolves to None.
@@ -283,31 +284,42 @@ class SampleSet:
 # parameter resolution
 
 
-def _resolve_step_h(params: SimParams, domain: SimDomain) -> float:
+def _resolve(domain: SimDomain, start, params: SimParams) -> SimParams:
+    """``params`` resolved for a start inside ``domain`` (see ``SimParams``)."""
+    u0, v0 = float(start[0]), float(start[1])
+    if not (math.isfinite(u0) and math.isfinite(v0)):
+        raise ValueError(f"start point ({u0:g}, {v0:g}) is not finite")
+    if not bool(domain.contains(u0, v0)):
+        raise ValueError(f"start point ({u0:g}, {v0:g}) is not inside the domain")
     scale = domain.scale()
-    lines = domain.lines
-    # A convex domain cut by one line (the half-plane) is exact at any step,
-    # so it takes the largest step the guard below accepts.
-    one_line = lines.convex and len(lines.c) == 1
-    h = params.step_h
-    if h is None:
-        h = scale * scale / (4.0 if one_line else 25.0)
-    if h > scale * scale / 4.0:
+    euler = params.engine == "EulerBridge"
+    if euler:
+        lines = domain.lines
+        # A convex domain cut by one line (the half-plane) is exact at any
+        # step, so it takes the largest step the guard below accepts.
+        one_line = lines.convex and len(lines.c) == 1
+        name, value = "step_h", params.step_h
+        if value is None:
+            value = scale * scale / (4.0 if one_line else 25.0)
+    else:
+        name, value = "shell_eps", params.shell_eps
+        if value is None:
+            value = 1e-4 * scale
+    # scale**2 / 25 overflows past a scale of about 1e154 and underflows
+    # below about 1e-161
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name}={value:g} is not a positive finite float "
+                         f"(the domain's scale() is {scale:g})")
+    if euler and value > scale * scale / 4.0:
         raise ValueError(
-            f"step_h={h:g} exceeds scale**2/4={scale * scale / 4.0:g}; "
-            "crossing tests need several steps per gap width"
-        )
-    return h
-
-def _resolve_shell_eps(params: SimParams, domain: SimDomain) -> float:
-    scale = domain.scale()
-    eps = params.shell_eps if params.shell_eps is not None else 1e-4 * scale
-    if eps >= scale / 10.0:
+            f"step_h={value:g} exceeds scale**2/4={scale * scale / 4.0:g}; "
+            "crossing tests need several steps per gap width")
+    if not euler and value >= scale / 10.0:
         raise ValueError(
-            f"shell_eps={eps:g} must stay below scale/10={scale / 10.0:g}; "
-            "a wide stopping collar distorts small exit times"
-        )
-    return eps
+            f"shell_eps={value:g} must stay below scale/10={scale / 10.0:g}; "
+            "a wide stopping collar distorts small exit times")
+    # the other engine's parameter is never read, so it resolves to None
+    return replace(params, **{"step_h": None, "shell_eps": None, name: value})
 
 
 def _escape_window(domain: SimDomain) -> tuple[float, float] | None:
@@ -570,40 +582,42 @@ def _euler_passes(domain: SimDomain, params: SimParams, window):
         U = _walk(u, zu, sqrt_h, ws.take("U", (L, W + 1)))
         V = _walk(v, zv, sqrt_h, ws.take("V", (L, W + 1)))
 
-        # signed offsets before (d0) and after (d1) each step
-        near = ws.take("near", (L, W, S), bool)
-        if dynamic:
-            # slot s of step w is line base[w] + _SLOT_OFFSETS[s]; the
-            # slots live in the products' buffer until the products
-            # overwrite them.  A slot beyond the ends reads an end line
-            # (``mode="clip"``) and ``valid`` drops it.
-            base = np.searchsorted(lines.c, U[:, :-1])
-            slot = np.add(base[..., None], _SLOT_OFFSETS,
-                          out=ws.take("prod", (L, W, S)).view(np.int64))
-            valid = np.less(slot, n_lines,
-                            out=ws.take("valid", (L, W, S), bool))
-            valid &= np.greater_equal(slot, 0, out=near)
-            c_slot = lines.c.take(slot, mode="clip",
-                                  out=ws.take("d1", (L, W, S)))
-            d0 = np.subtract(U[:, :-1, None], c_slot,
-                             out=ws.take("d0", (L, W, S)))
-            d1 = np.subtract(U[:, 1:, None], c_slot, out=c_slot)
-        else:
-            D = ws.take("D", (L, W + 1, S))
-            if lines.vertical:
-                np.subtract(U[..., None], lines.c, out=D)
+        # signed offsets before (d0) and after (d1) each step; an offset or
+        # a product beyond the floats is inf, a line that is never crossed
+        with np.errstate(over="ignore"):
+            near = ws.take("near", (L, W, S), bool)
+            if dynamic:
+                # slot s of step w is line base[w] + _SLOT_OFFSETS[s]; the
+                # slots live in the products' buffer until the products
+                # overwrite them.  A slot beyond the ends reads an end line
+                # (``mode="clip"``) and ``valid`` drops it.
+                base = np.searchsorted(lines.c, U[:, :-1])
+                slot = np.add(base[..., None], _SLOT_OFFSETS,
+                              out=ws.take("prod", (L, W, S)).view(np.int64))
+                valid = np.less(slot, n_lines,
+                                out=ws.take("valid", (L, W, S), bool))
+                valid &= np.greater_equal(slot, 0, out=near)
+                c_slot = lines.c.take(slot, mode="clip",
+                                      out=ws.take("d1", (L, W, S)))
+                d0 = np.subtract(U[:, :-1, None], c_slot,
+                                 out=ws.take("d0", (L, W, S)))
+                d1 = np.subtract(U[:, 1:, None], c_slot, out=c_slot)
             else:
-                np.multiply(lines.nx, U[..., None], out=D)
-                D += np.multiply(lines.ny, V[..., None],
-                                 out=ws.take("prod", (L, W + 1, S)))
-                D -= lines.c
-            d0, d1 = D[:, :-1], D[:, 1:]
+                D = ws.take("D", (L, W + 1, S))
+                if lines.vertical:
+                    np.subtract(U[..., None], lines.c, out=D)
+                else:
+                    np.multiply(lines.nx, U[..., None], out=D)
+                    D += np.multiply(lines.ny, V[..., None],
+                                     out=ws.take("prod", (L, W + 1, S)))
+                    D -= lines.c
+                d0, d1 = D[:, :-1], D[:, 1:]
 
-        # A pair crosses when its slot-0 uniform is at most
-        # exp(-2*d0*d1/h).  Only the pairs ``near`` finds can pass, so the
-        # uniforms and the exp are computed for those alone.  A sign change
-        # (prod < 0) gives above 1, so it always crosses.
-        prod = np.multiply(d0, d1, out=ws.take("prod", (L, W, S)))
+            # A pair crosses when its slot-0 uniform is at most
+            # exp(-2*d0*d1/h).  Only the pairs ``near`` finds can pass, so the
+            # uniforms and the exp are computed for those alone.  A sign change
+            # (prod < 0) gives above 1, so it always crosses.
+            prod = np.multiply(d0, d1, out=ws.take("prod", (L, W, S)))
         np.less(prod, _FAR * h, out=near)
         if dynamic:
             near &= valid
@@ -746,7 +760,9 @@ def _wos_passes(domain: SimDomain, start, params: SimParams, window):
         ang_u, time_u = _uniform(lanes["key"], 2 * k.astype(np.uint64)
                                  + np.arange(2, dtype=np.uint64)[:, None])
         du, dv = _on_circle(r, ang_u)
-        t += r * r * table.times_from_uniform(time_u)
+        # a radius past about 1e154 gives time inf: censored at the cap
+        with np.errstate(over="ignore"):
+            t += r * r * table.times_from_uniform(time_u)
         u += du
         v += dv
         k += 1
@@ -850,18 +866,6 @@ def _simulate_range(domain: SimDomain, start, params: SimParams,
                              np.concatenate([stop[0] for stop in stops]))
             lanes = {name: a.take(keep) for name, a in lanes.items()}
     return tau, eu, ev, censor, passages, steps
-
-
-def _resolve(domain: SimDomain, start, params: SimParams) -> SimParams:
-    u0, v0 = float(start[0]), float(start[1])
-    if not (math.isfinite(u0) and math.isfinite(v0)):
-        raise ValueError(f"start point ({u0:g}, {v0:g}) is not finite")
-    if not bool(domain.contains(u0, v0)):
-        raise ValueError(f"start point ({u0:g}, {v0:g}) is not inside the domain")
-    # the other engine's parameter is never read, so it resolves to None
-    if params.engine == "EulerBridge":
-        return replace(params, step_h=_resolve_step_h(params, domain), shell_eps=None)
-    return replace(params, step_h=None, shell_eps=_resolve_shell_eps(params, domain))
 
 
 def simulate_exit(domain: SimDomain, start, params: SimParams,

@@ -282,8 +282,10 @@ class BoundaryLines:
             rows.append((int(nx == 0.0), nx + ny, int(ax == 0.0), ax + ay))
         return rows
 
+    @np.errstate(over="ignore")
     def _scan(self, u, v) -> np.ndarray:
-        """``(lines, points)`` distances from every point to every line."""
+        """``(lines, points)`` distances from every point to every line
+        (inf beyond the floats, as in ``_to``)."""
         if self._axes is None:
             return self._to(np.s_[:, None], u, v)
         # Rectangle and half-plane sides, one line at a time: d and s are
@@ -298,9 +300,11 @@ class BoundaryLines:
             self._from_offsets(d, s, self.par[k], out=out[k])
         return out
 
+    @np.errstate(over="ignore")
     def _to(self, i, u, v) -> np.ndarray:
         """Distances from the points to the lines ``i``, an index whose
-        selection broadcasts against the points."""
+        selection broadcasts against the points.  A distance beyond the
+        floats is inf: that line is farther than any other."""
         if self.vertical:
             d, s = u - self.c[i], v
         else:
@@ -644,9 +648,16 @@ def domain_to_config(domain: SimDomain) -> dict:
 
 
 def domain_from_config(cfg: dict) -> SimDomain:
-    """Inverse of :func:`domain_to_config`; malformed configs raise ValueError."""
+    """Inverse of :func:`domain_to_config`, and the comb of a bare comb spec
+    (what :func:`comb_spec_to_config` emits); malformed configs raise
+    ValueError."""
+    if not {"type", "generator"} & _object(cfg, "domain config").keys():
+        raise ValueError("expected a domain config or a comb spec: "
+                         "missing field 'type' or 'generator'")
+    if "type" not in cfg:
+        return build_comb(comb_spec_from_config(cfg))
+    kind = cfg["type"]
     try:
-        kind = _object(cfg, "domain config")["type"]
         if kind == "comb":
             return build_comb(comb_spec_from_config(cfg["spec"]))
         return _from_fields(_class_for(_SHAPES, kind, "domain type"), cfg)

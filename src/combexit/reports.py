@@ -37,7 +37,6 @@ from .estimators import synthetic_sample_set
 
 __all__ = [
     "SCHEMA_VERSION",
-    "fingerprint_bytes",
     "read_samples_csv",
     "render_report",
     "samples_to_csv",
@@ -55,10 +54,6 @@ _CSV_FIELDS = ("index", "tau", "u", "v", "censored", "passages", "steps")
 _CSV_ROWS = 2048
 _NON_BLANK = re.compile(rb"\S")
 _NUMPY_ROW = re.compile(r" at row \d+")
-
-
-def fingerprint_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def render_report(payload: dict) -> str:

@@ -188,7 +188,7 @@ class TestScalarCommands:
         # the README's second form: the comb spec without the domain wrapper
         reports = []
         for name, config in (("domain", UNIFORM_COMB), ("spec", UNIFORM_COMB["spec"])):
-            out = tmp_path / f"{name}-r.json"
+            out = tmp_path / f"r-{name}"
             comb = write_json(tmp_path / f"{name}.json", config)
             assert run_command(["check", "--comb", comb, "--p", "3",
                                 "--out", str(out)]) == EXIT_OK
@@ -252,20 +252,17 @@ class TestSimulate:
         assert data.count(b"\n") == 8194
         assert load(out)["samples_fingerprint"] == hashlib.sha256(data).hexdigest()
 
-    def test_worker_env_var_matches_explicit_flag(self, tmp_path, monkeypatch):
+    def test_three_workers_match_one(self, tmp_path):
         domain = write_json(tmp_path / "strip.json", STRIP)
         kwargs = [
             "simulate", "--domain", domain, "--start", "0,0",
             "--n", "9000", "--engine", "WosTime", "--seed", "4",
         ]
-        monkeypatch.setenv("COMBEXIT_WORKERS", "3")
-        run_command(kwargs + ["--out", str(tmp_path / "e.json"),
-                              "--csv", str(tmp_path / "e.csv")])
-        monkeypatch.delenv("COMBEXIT_WORKERS")
-        run_command(kwargs + ["--workers", "1",
-                              "--out", str(tmp_path / "w.json"),
-                              "--csv", str(tmp_path / "w.csv")])
-        assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+        for workers in ("3", "1"):
+            assert run_command(kwargs + [
+                "--workers", workers, "--out", str(tmp_path / f"{workers}.json"),
+                "--csv", str(tmp_path / f"{workers}.csv")]) == EXIT_OK
+        assert (tmp_path / "3.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
     def test_window_escape_reports_and_exits_three(self, tmp_path):
         comb = dict(UNIFORM_COMB)
@@ -618,20 +615,6 @@ class TestExitCodes:
         assert f"start must be 'U,V', got {start!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("raw, message", [
-        ("x", "COMBEXIT_WORKERS='x' is not an integer"),
-        ("0", "COMBEXIT_WORKERS must be at least 1, got 0"),
-    ])
-    def test_bad_worker_env_var(self, tmp_path, capsys, monkeypatch, raw, message):
-        monkeypatch.setenv("COMBEXIT_WORKERS", raw)
-        domain = write_json(tmp_path / "strip.json", STRIP)
-        out = tmp_path / "r.json"
-        code = run_command(["simulate", "--domain", domain, "--start", "0,0",
-                            "--n", "10", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("config, message", [
         (STRIP, "describes a vertical_strip, not a comb"),
         ({"spacing": 1.0}, "expected a domain config or a comb spec"),
@@ -706,6 +689,26 @@ def _run_check(tmp_path, config, *flags):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_command(["check", "--comb", comb, "--out", str(out), *flags])
+    return code, out
+
+
+def _uniform_spec(size):
+    """The uniform comb spec of spacing and height ``size``, radius 3."""
+    return {"generator": {"kind": "uniform", "spacing": size, "height": size},
+            "window_radius": 3}
+
+
+def _run_simulate(tmp_path, config, u, engine, name="d.json"):
+    """``simulate`` of 2 samples from ``(u, 0)`` on ``config`` with the cap
+    at 1, 1000 steps and warnings raised as errors: its exit code and the
+    report path."""
+    domain = write_json(tmp_path / name, config)
+    out = tmp_path / f"r-{name}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["simulate", "--domain", domain, f"--start={u},0",
+                            "--n", "2", "--engine", engine, "--time-cap", "1",
+                            "--max-steps", "1000", "--out", str(out)])
     return code, out
 
 
@@ -810,6 +813,107 @@ class TestOverflow:
             assert run_command(["theta0", "--ell", "1e-308",
                                 "--out", str(out)]) == EXIT_OK
         assert load(out)["theta0"] == 0.5
+
+    @pytest.mark.parametrize("engine, size, start, named", [
+        ("EulerBridge", 1e200, "5e199", "step_h=inf"),
+        ("EulerBridge", 1e-300, "5e-301", "step_h=0"),
+        ("WosTime", 1e-322, "5e-323", "shell_eps=0"),
+    ], ids=["step-overflows", "step-underflows", "shell-underflows"])
+    def test_step_beyond_the_floats_is_refused_by_scale(
+            self, tmp_path, capsys, engine, size, start, named):
+        # scale**2 / 25 (or 1e-4 * scale) leaves the floats: the refusal
+        # names the derived value and the scale it came from, not a false
+        # window escape or a step_h the user never gave
+        code, out = _run_simulate(tmp_path, _uniform_spec(size), start, engine)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{named} is not a positive finite float" in err
+        assert f"the domain's scale() is {size:g}" in err
+        assert not out.exists()
+
+    def test_wos_jump_beyond_1e154_censors_at_the_cap(self, tmp_path):
+        # r * r overflows to an infinite time: the lane is censored at the
+        # cap, with no numpy warning
+        code, out = _run_simulate(tmp_path, _uniform_spec(1e200), "5e199",
+                                  "WosTime")
+        assert code == EXIT_OK
+        report = load(out)
+        assert report["censored"] == report["n"] == 2
+        assert report["mean_exit_time"] == 1.0
+
+    @pytest.mark.parametrize("engine", ["EulerBridge", "WosTime"])
+    @pytest.mark.parametrize("config, u", [
+        ({"generator": {"kind": "explicit", "slits": [
+            [-1.7e308, 1], [-1, 1], [0, 1], [1, 1], [1.5e308, 1]]}}, "7.5e307"),
+        ({"type": "rectangle", "half_width": 1e308, "half_height": 1}, "-9e307"),
+    ], ids=["comb", "rectangle"])
+    def test_offsets_beyond_the_floats_warn_nothing(self, tmp_path, engine,
+                                                    config, u):
+        # a line more than 1.8e308 away is at distance inf, never the nearest
+        code, out = _run_simulate(tmp_path, config, u, engine)
+        assert code == EXIT_OK
+        assert load(out)["n"] == 2
+
+
+class TestInputFiles:
+    """Every input file is read once as bytes: the report records their
+    sha256, and a file that is unreadable, not UTF-8 or not JSON is a usage
+    error naming it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--comb", "comb.json", "--p", "1"],
+        ["simulate", "--domain", "strip.json", "--start", "0,0", "--n", "10"],
+        ["xval", "--domain", "strip.json", "--n", "200"],
+        ["simulate", "--domain", "comb.json", "--start", "0.5,0", "--n", "10"],
+    ], ids=["check", "simulate", "xval", "simulate-comb"])
+    def test_crlf_input_digest_is_its_bytes_sha256(self, tmp_path, monkeypatch,
+                                                   argv):
+        monkeypatch.chdir(tmp_path)
+        for name, config in (("strip.json", STRIP), ("comb.json", UNIFORM_COMB)):
+            text = json.dumps(config, indent=2).replace("\n", "\r\n") + "\r\n"
+            (tmp_path / name).write_bytes(text.encode("ascii"))
+        assert run_command(argv + ["--out", "r.json"]) == EXIT_OK
+        path = argv[2]
+        assert load(tmp_path / "r.json")["config"]["inputs"] == {
+            path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("engine", ["EulerBridge", "WosTime"])
+    def test_simulate_reads_a_bare_comb_spec(self, tmp_path, engine):
+        # the same comb with and without the domain wrapper: the same samples
+        runs = []
+        for name, config in (("domain", UNIFORM_COMB), ("spec", UNIFORM_COMB["spec"])):
+            domain = write_json(tmp_path / f"{name}.json", config)
+            out, csv = tmp_path / f"{name}-r.json", tmp_path / f"{name}.csv"
+            assert run_command(["simulate", "--domain", domain, "--start", "0.5,0",
+                                "--n", "300", "--engine", engine, "--seed", "5",
+                                "--out", str(out), "--csv", str(csv)]) == EXIT_OK
+            runs.append((load(out)["domain_fingerprint"], csv.read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--comb", "deep.json", "--p", "1"],
+        ["simulate", "--domain", "deep.json", "--start", "0,0", "--n", "10"],
+    ], ids=["check", "simulate"])
+    def test_deeply_nested_json_is_a_usage_error(self, tmp_path, capsys,
+                                                 monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000,
+                                            encoding="ascii")
+        assert run_command(argv + ["--out", "r.json"]) == EXIT_USAGE
+        assert "deep.json: JSON nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--comb", "latin1.json", "--p", "1"],
+        ["simulate", "--domain", "latin1.json", "--start", "0,0", "--n", "10"],
+    ], ids=["check", "simulate"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.json").write_bytes(
+            '{"type": "half_plane", "note": "\u00e9"}'.encode("latin-1"))
+        assert run_command(argv + ["--out", "r.json"]) == EXIT_USAGE
+        assert "latin1.json: not UTF-8 text at byte 32" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestConfigShapes:
@@ -931,6 +1035,38 @@ def test_check_exits_zero_or_two_on_any_comb_spec(tmp_path_factory, spec, p,
         report = load(out)
         assert report["status"] in ("FiniteCertified", "Inconclusive")
         assert "nan" not in report["reason"]
+
+
+def _first_gap_midpoint(spec) -> float:
+    """The midpoint of the first gap right of x_0 of the comb ``spec``
+    builds, or 0 when it builds no comb or has no such gap."""
+    try:
+        comb = domain_from_config(spec)
+    except ValueError:
+        return 0.0
+    i = 0 if comb.one_sided else comb.window_radius
+    return float(comb.xs[i] / 2 + comb.xs[i + 1] / 2) if i + 1 < len(comb.xs) else 0.0
+
+
+@pytest.mark.parametrize("engine", ["EulerBridge", "WosTime"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=_comb_specs())
+def test_simulate_exits_zero_two_or_three_on_any_comb_spec(tmp_path_factory,
+                                                           engine, spec):
+    # the same comb as a domain config and as a bare spec: the same exit
+    # code, and the same samples on success
+    tmp_path = tmp_path_factory.mktemp("simulate")
+    u = _first_gap_midpoint(spec)
+    runs = []
+    for name, config in (("domain.json", {"type": "comb", "spec": spec}),
+                         ("spec.json", spec)):
+        code, out = _run_simulate(tmp_path, config, repr(u), engine, name)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INCONCLUSIVE)
+        if code == EXIT_USAGE:
+            assert not out.exists()
+        csv = out.with_name(out.stem + "-samples.csv")
+        runs.append((code, csv.read_bytes() if code == EXIT_OK else None))
+    assert runs[0] == runs[1]
 
 _GUARD_FILES = {"strip.json": STRIP, "comb.json": UNIFORM_COMB,
                 "esc2.json": {"type": "comb", "spec": dict(
